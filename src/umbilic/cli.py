@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -222,25 +221,15 @@ def _emit(args, stem, payload, csv_header, csv_rows, config_lines):
 # -- commands -------------------------------------------------------------------
 
 
-def _sample_interior(spec, n, seed):
-    rng = np.random.default_rng(seed)
-    u0, u1 = spec.u_range
-    v0, v1 = spec.v_range
-    m = spec.singular_margin
-    if not spec.periodic_u:
-        u0, u1 = u0 + m, u1 - m
-    if not spec.periodic_v:
-        v0, v1 = v0 + m, v1 - m
-    return rng.uniform(u0, u1, n), rng.uniform(v0, v1, n)
-
-
 def cmd_identities(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)  # recorded for reproducibility; sampling is random
     tol = args.tol if args.tol is not None else DEFAULT_IDENTITY_TOL
     if tol <= 0:
         raise ValueError("--tol must be positive")
-    us, vs = _sample_interior(spec, args.n, args.seed)
+    rng = np.random.default_rng(args.seed)
+    (u0, u1), (v0, v1) = spec.interior_ranges()
+    us, vs = rng.uniform(u0, u1, args.n), rng.uniform(v0, v1, args.n)
 
     res = geometry.identity_residuals(geometry.point_geometry(spec, us, vs))
     stats = {k: v for k, v in res.normalized().items()}
@@ -424,23 +413,13 @@ def cmd_convergence(args, params) -> int:
             return ""
         return o if isinstance(o, str) else repr(o)
 
-    per_row_err = {}
-    for k in range(2, len(study.rows)):
-        o = study.rows[k].estimated_order
-        d = abs(study.rows[k].value - study.rows[k - 1].value)
-        if o == math.inf:
-            per_row_err[k] = 0.0
-        elif isinstance(o, float):
-            per_row_err[k] = d / (2.0**o - 1.0)
-        else:
-            per_row_err[k] = d
     rows = []
-    for k, row in enumerate(study.rows):
+    for row in study.rows:
         rows.append({
             "grid": f"{row.grid.nu}x{row.grid.nv}",
             "value": row.value,
             "estimated_order": order_cell(row.estimated_order),
-            "error_estimate": per_row_err.get(k, ""),
+            "error_estimate": "" if row.error_estimate is None else row.error_estimate,
         })
 
     cfg = _config_payload(args, spec, grid, field=args.field, levels=args.levels,

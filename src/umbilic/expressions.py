@@ -344,23 +344,30 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
             return left / right
         except SingularEvaluationError as err:
             if err.span is None:
-                raise err.with_context(point=_point_of(err, u, v), span=node.span)
+                raise _locate(err, u, v, node.span)
             raise
 
     return rec(ast)
 
 
-def _point_of(err: SingularEvaluationError, u, v):
+def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluationError:
+    """err with the (u, v) point it occurred at, and span when given.
+
+    A scalar (u, v) is the point itself; in a batch it is the entry at the
+    error's flat index. A point the error already carries is kept.
+    """
     import numpy as np
 
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    if not shape:
-        return (float(u), float(v))
-    if err.index is not None:
-        uu = np.broadcast_to(u, shape).ravel()
-        vv = np.broadcast_to(v, shape).ravel()
-        return (float(uu[err.index]), float(vv[err.index]))
-    return None
+    point = err.point
+    if point is None:
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        if not shape:
+            point = (float(u), float(v))
+        elif err.index is not None:
+            uu = np.broadcast_to(u, shape).ravel()
+            vv = np.broadcast_to(v, shape).ravel()
+            point = (float(uu[err.index]), float(vv[err.index]))
+    return err.with_context(point=point, span=span)
 
 
 def eval_number(ast: Expr, params=None) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import jets
 from .errors import SingularEvaluationError
+from .expressions import _locate
 from .jets import Jet2, derivative
 from .surfaces import ImmersionSpec, evaluate_chart
 
@@ -78,19 +79,6 @@ class PointGeometry:
     hring_up: np.ndarray = None
     trace_hring: np.ndarray = None
     R: np.ndarray = None
-
-
-def _annotate(err: SingularEvaluationError, u, v) -> SingularEvaluationError:
-    if err.point is not None:
-        return err
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    if not shape:
-        return err.with_context(point=(float(u), float(v)))
-    if err.index is not None:
-        uu = np.broadcast_to(u, shape).ravel()
-        vv = np.broadcast_to(v, shape).ravel()
-        return err.with_context(point=(float(uu[err.index]), float(vv[err.index])))
-    return err
 
 
 def _val(j: Jet2, shape):
@@ -206,7 +194,7 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         up11 = gi01 * (gi01 * hr00 + gi11 * hr01) + gi11 * (gi01 * hr01 + gi11 * hr11)
         norm2 = up00 * hr00 + 2.0 * (up01 * hr01) + up11 * hr11
     except SingularEvaluationError as err:
-        raise _annotate(err, u, v) from None
+        raise _locate(err, u, v) from None
 
     pg = PointGeometry(
         u=np.asarray(u, dtype=np.float64),
@@ -574,7 +562,7 @@ def classification_values(spec: ImmersionSpec, u, v):
         g00, g01, g11 = (np.broadcast_to(gent(*ij).value, shape) for ij in ((0, 0), (0, 1), (1, 1)))
         h00, h01, h11 = (np.broadcast_to(hent(*ij).value, shape) for ij in ((0, 0), (0, 1), (1, 1)))
     except SingularEvaluationError as err:
-        raise _annotate(err, u, v) from None
+        raise _locate(err, u, v) from None
     det = g00 * g11 - g01 * g01
     H = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / det
     hr00 = h00 - 0.5 * H * g00

@@ -89,13 +89,6 @@ class Jet2:
             raise ValueError(f"partial ({a},{b}) outside stored order {self.order}")
         return self.coeffs[coeff_index(a, b)]
 
-    def batch_shape(self) -> tuple[int, ...]:
-        shape: tuple[int, ...] = ()
-        for c in self.coeffs:
-            if np.ndim(c) > len(shape):
-                shape = np.shape(c)
-        return shape
-
     def __repr__(self):
         return f"Jet2(order={self.order}, value={self.value!r})"
 

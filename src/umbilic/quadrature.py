@@ -7,6 +7,12 @@ axes). The sublevel region at a threshold eps collects the points with
 the |hring| = eps interface are subdivided recursively and leaf cells are
 classified by their center value.
 
+Every integral comes from one pass per grid (`_grid_pass`): full geometry
+once at each base midpoint, order-2 classification values once at each
+base corner, then per threshold the refinement of its straddling cells.
+One pass serves every field and threshold of a call, and a Richardson
+ladder is one pass per level.
+
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
 inputs give bit-identical results.
@@ -122,6 +128,7 @@ class ConvergenceRow:
     grid: GridSpec
     value: float
     estimated_order: object  # None (first two levels), float, or "unstable"
+    error_estimate: float | None = None  # None on the first two levels
 
 
 @dataclass(frozen=True)
@@ -136,69 +143,47 @@ class ConvergenceStudy:
 
 
 def _axes(spec: ImmersionSpec, grid: GridSpec):
-    # same shaving convention as surfaces.interior_axes
-    u0, u1 = spec.u_range
-    v0, v1 = spec.v_range
-    m = spec.singular_margin
-    if not spec.periodic_u:
-        u0, u1 = u0 + m, u1 - m
-    if not spec.periodic_v:
-        v0, v1 = v0 + m, v1 - m
+    (u0, u1), (v0, v1) = spec.interior_ranges()
     return u0, v0, (u1 - u0) / grid.nu, (v1 - v0) / grid.nv
 
 
-def _lattice(u0, v0, du, dv, nu, nv, *, centers):
+def _lattice(spec: ImmersionSpec, grid: GridSpec, *, centers):
+    """Base-cell midpoints (nu x nv) or corners ((nu+1) x (nv+1)), flat row-major."""
+    u0, v0, du, dv = _axes(spec, grid)
     off = 0.5 if centers else 0.0
-    n_u, n_v = (nu, nv) if centers else (nu + 1, nv + 1)
+    n_u, n_v = (grid.nu, grid.nv) if centers else (grid.nu + 1, grid.nv + 1)
     us = u0 + (np.arange(n_u) + off) * du
     vs = v0 + (np.arange(n_v) + off) * dv
     U, V = np.meshgrid(us, vs, indexing="ij")
     return U.ravel(), V.ravel()
 
 
-def _eval_class(spec, us, vs):
-    """Chunked (|hring|^2, |H|) at arbitrary nodes."""
-    if us.size == 0:
-        return np.zeros(0), np.zeros(0)
-    n2s, ahs = [], []
-    for i in range(0, us.size, CHUNK):
-        n2, ah = geometry.classification_values(spec, us[i : i + CHUNK], vs[i : i + CHUNK])
-        n2s.append(n2)
-        ahs.append(ah)
-    if len(n2s) == 1:
-        return n2s[0], ahs[0]
-    return np.concatenate(n2s), np.concatenate(ahs)
+def _chunked(kernel, us, vs):
+    """kernel(u, v) -> tuple of arrays, run on CHUNK-node batches and concatenated.
+
+    us and vs must be non-empty. An output of one element per batch (a
+    batch maximum) concatenates to one element per batch.
+    """
+    parts = [kernel(us[i : i + CHUNK], vs[i : i + CHUNK]) for i in range(0, us.size, CHUNK)]
+    return tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
 
 
-_FIELD_KEYS = ("w", "n2", "gh", "gH", "gHp", "R", "absH")
+def _classified(spec, us, vs):
+    """(|hring|^2, |H|) from the order-2 classification kernel."""
+    return _chunked(lambda u, v: geometry.classification_values(spec, u, v), us, vs)
 
 
-def _node_fields(spec, us, vs):
-    """Chunked full-geometry integrand bundle at arbitrary nodes."""
-    parts = {k: [] for k in _FIELD_KEYS}
-    for i in range(0, us.size, CHUNK):
-        pg = geometry.point_geometry(spec, us[i : i + CHUNK], vs[i : i + CHUNK])
-        parts["w"].append(pg.sqrt_detg)
-        parts["n2"].append(pg.hring_norm2)
-        parts["gh"].append(pg.nabla_hring_norm2 * pg.hring_norm2)
-        parts["gH"].append(pg.gradH_norm2 * pg.hring_norm2)
-        parts["gHp"].append(pg.gradH_norm2)
-        parts["R"].append(pg.R)
-        parts["absH"].append(np.abs(pg.H))
-    if not parts["w"]:
-        return {k: np.zeros(0) for k in _FIELD_KEYS}
-    return {k: (v[0] if len(v) == 1 else np.concatenate(v)) for k, v in parts.items()}
+def _full(spec, fields, us, vs, *, with_n2):
+    """Full geometry: (max |H| per batch, [|hring|^2,] field(pg) * sqrt(det g) per field)."""
 
+    def kernel(u, v):
+        pg = geometry.point_geometry(spec, u, v)
+        head = (np.max(np.abs(pg.H), keepdims=True),)
+        if with_n2:
+            head += (pg.hring_norm2,)
+        return head + tuple(np.asarray(f(pg), dtype=float) * pg.sqrt_detg for f in fields)
 
-def _weighted_field(spec, field, us, vs):
-    """field(pg) * sqrt(det g) at each node, chunked."""
-    if us.size == 0:
-        return np.zeros(0)
-    outs = []
-    for i in range(0, us.size, CHUNK):
-        pg = geometry.point_geometry(spec, us[i : i + CHUNK], vs[i : i + CHUNK])
-        outs.append(np.asarray(field(pg), dtype=float) * pg.sqrt_detg)
-    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+    return _chunked(kernel, us, vs)
 
 
 # -- sublevel-set cell classification --------------------------------------------
@@ -242,7 +227,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
         pv = np.concatenate(
             [v0s, v0s + hv, v0s + hv, v0s + DV, v0s + qv, v0s + qv, v0s + 3 * qv, v0s + 3 * qv]
         )
-        n2, _ = _eval_class(spec, pu, pv)
+        n2, _ = _classified(spec, pu, pv)
         ins = n2 < eps2
         L10, L01, L21, L12, M00, M10, M01, M11 = np.split(ins, 8)
         lattice = {
@@ -277,6 +262,129 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
         yield u0s + DU / 2.0, v0s + DV / 2.0, DU * DV, cc
 
 
+# -- the quadrature pass ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """Sums from one pass over one grid; every sum is of field * dA.
+
+    whole   per field, over the whole surface
+    region  per threshold, per field, over the sublevel region (or its
+            complement for an outside pass)
+    h_sup   max |H| over every full-geometry node of the pass
+    h_odd   max |H| over the base corners whose two indices are both odd,
+            which are the base midpoints of the half grid when nu and nv
+            are even (None without thresholds: no corners are evaluated)
+    """
+
+    whole: tuple
+    region: tuple
+    h_sup: float
+    h_odd: float | None
+
+
+def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, outside=False):
+    """The one quadrature driver: every integral of the package goes through it.
+
+    Base midpoints get one full-geometry evaluation, shared by every field
+    and threshold. With thresholds, the base corners get one order-2
+    evaluation; each threshold then classifies the base cells from those
+    values and refines its own straddling cells. Without thresholds only
+    the midpoints are evaluated, and one array per field is held.
+    """
+    _, _, du, dv = _axes(spec, grid)
+    base_area = du * dv
+    classify = bool(eps_values)
+    uc, vc = _lattice(spec, grid, centers=True)
+    h_max, *base = _full(spec, fields, uc, vc, with_n2=classify)
+    if classify:
+        n2_center, *base = base
+    h_sup = float(np.max(h_max))
+    whole = tuple(float(np.sum(a)) * base_area for a in base)
+    if not classify:
+        return _Pass(whole, (), h_sup, None)
+
+    ug, vg = _lattice(spec, grid, centers=False)
+    n2_corner, h_corner = _classified(spec, ug, vg)
+    h_odd = float(np.max(h_corner.reshape(grid.nu + 1, grid.nv + 1)[1::2, 1::2]))
+    del h_corner
+    cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
+    cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
+
+    region = []
+    for eps in eps_values:
+        inside_corner = (n2_corner < eps * eps).reshape(grid.nu + 1, grid.nv + 1)
+        inside_center = (n2_center < eps * eps).reshape(grid.nu, grid.nv)
+        all_in, all_out, straddle, corners = _base_split(inside_corner, inside_center)
+        sums = [0.0] * len(fields)
+        sel = all_out if outside else all_in
+        if sel.any():
+            for k, a in enumerate(base):
+                sums[k] += float(np.sum(a[sel])) * base_area
+
+        state = (
+            cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
+            inside_center.ravel()[straddle],
+        )
+        for lus, lvs, cell_area, inside in _refined_leaves(
+            spec, eps, state, du, dv, grid.adaptive_depth
+        ):
+            pick = ~inside if outside else inside
+            if not pick.any():
+                continue
+            leaf_max, *leaf = _full(spec, fields, lus[pick], lvs[pick], with_n2=False)
+            h_sup = max(h_sup, float(np.max(leaf_max)))
+            for k, a in enumerate(leaf):
+                sums[k] += float(np.sum(a)) * cell_area
+        region.append(tuple(sums))
+    return _Pass(whole, tuple(region), h_sup, h_odd)
+
+
+# integrands of RegionIntegrals, in field order: vol_omega_c (and area),
+# I_grad_hring, I_grad_H, I_grad_H_plain, total_R
+_REGION_FIELDS = (
+    lambda pg: 1.0,
+    lambda pg: pg.nabla_hring_norm2 * pg.hring_norm2,
+    lambda pg: pg.gradH_norm2 * pg.hring_norm2,
+    lambda pg: pg.gradH_norm2,
+    lambda pg: pg.R,
+)
+
+
+def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec):
+    """(one RegionIntegrals per threshold, odd-corner max |H|) from one pass."""
+    p = _grid_pass(spec, grid, _REGION_FIELDS, eps_values)
+    area, _, _, _, total_R = p.whole
+    rows = tuple(
+        RegionIntegrals(eps, vol, gh, gH, gHp, area, total_R, p.h_sup)
+        for eps, (vol, gh, gH, gHp, _) in zip(eps_values, p.region)
+    )
+    return rows, p.h_odd
+
+
+def _richardson(values):
+    """(observed order, error estimate) per level of a doubling ladder.
+
+    The first two levels get (None, None). At level k the order comes from
+    the ratio of the last two differences; non-monotone differences give
+    "unstable". The error of v_k is |v_k - v_{k-1}| / (2^p - 1), or the
+    plain difference when unstable, or 0 when the last difference is 0.
+    """
+    out = [(None, None)] * min(2, len(values))
+    for k in range(2, len(values)):
+        d_prev = values[k - 1] - values[k - 2]
+        d_last = values[k] - values[k - 1]
+        if d_last == 0.0:
+            out.append((math.inf, 0.0))
+        elif abs(d_last) >= abs(d_prev):
+            out.append(("unstable", abs(d_last)))
+        else:
+            order = math.log2(abs(d_prev) / abs(d_last))
+            out.append((order, abs(d_last) / (2.0**order - 1.0)))
+    return out
+
+
 # -- public operations -----------------------------------------------------------
 
 
@@ -285,53 +393,19 @@ def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) 
 
     field maps a PointGeometry batch to a scalar array (or a constant).
     """
-    u0, v0, du, dv = _axes(spec, grid)
-    base_area = du * dv
-    uc, vc = _lattice(u0, v0, du, dv, grid.nu, grid.nv, centers=True)
     if region.kind == "all":
-        return float(np.sum(_weighted_field(spec, field, uc, vc))) * base_area
-
-    want_inside = region.kind == "sublevel"
-    eps = float(region.eps)
-    n2_center, _ = _eval_class(spec, uc, vc)
-    ug, vg = _lattice(u0, v0, du, dv, grid.nu, grid.nv, centers=False)
-    n2_corner, _ = _eval_class(spec, ug, vg)
-    inside_corner = (n2_corner < eps * eps).reshape(grid.nu + 1, grid.nv + 1)
-    inside_center = (n2_center < eps * eps).reshape(grid.nu, grid.nv)
-    all_in, all_out, straddle, corners = _base_split(inside_corner, inside_center)
-
-    total = 0.0
-    sel = all_in if want_inside else all_out
-    if sel.any():
-        total += float(np.sum(_weighted_field(spec, field, uc[sel], vc[sel]))) * base_area
-
-    cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-    cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-    state = (
-        cu0[straddle],
-        cv0[straddle],
-        corners[0][straddle],
-        corners[1][straddle],
-        corners[2][straddle],
-        corners[3][straddle],
-        inside_center.ravel()[straddle],
-    )
-    for lus, lvs, cell_area, inside in _refined_leaves(
-        spec, eps, state, du, dv, grid.adaptive_depth
-    ):
-        pick = inside if want_inside else ~inside
-        if pick.any():
-            total += float(np.sum(_weighted_field(spec, field, lus[pick], lvs[pick]))) * cell_area
-    return total
+        return _grid_pass(spec, grid, (field,)).whole[0]
+    p = _grid_pass(spec, grid, (field,), (region.eps,), outside=region.kind == "superlevel")
+    return p.region[0][0]
 
 
 def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
-    """One RegionIntegrals per threshold, sharing a single base-grid pass.
+    """One RegionIntegrals per threshold, all from a single pass over the grid.
 
     eps_list must be strictly decreasing within (0, 1]. Full geometry is
-    evaluated once at every base midpoint; per-threshold classification
-    reuses the cached |hring|^2 values, and only refinement probes near
-    each interface cost extra evaluations.
+    evaluated once at every base midpoint and once at every refined leaf
+    inside a region; classification and refinement probes use the order-2
+    kernel.
     """
     eps_values = [float(e) for e in eps_list]
     if not eps_values:
@@ -341,69 +415,7 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
             raise ValueError(f"thresholds must lie in (0, 1], got {e}")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("thresholds must be strictly decreasing")
-
-    u0, v0, du, dv = _axes(spec, grid)
-    base_area = du * dv
-    uc, vc = _lattice(u0, v0, du, dv, grid.nu, grid.nv, centers=True)
-    base = _node_fields(spec, uc, vc)
-    area = float(np.sum(base["w"])) * base_area
-    total_R = float(np.sum(base["R"] * base["w"])) * base_area
-    h_sup = float(np.max(base["absH"]))
-
-    ug, vg = _lattice(u0, v0, du, dv, grid.nu, grid.nv, centers=False)
-    n2_corner, _ = _eval_class(spec, ug, vg)
-    cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-    cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-
-    pending = []
-    for eps in eps_values:
-        inside_corner = (n2_corner < eps * eps).reshape(grid.nu + 1, grid.nv + 1)
-        inside_center = (base["n2"] < eps * eps).reshape(grid.nu, grid.nv)
-        all_in, _, straddle, corners = _base_split(inside_corner, inside_center)
-
-        sums = dict.fromkeys(("vol", "gh", "gH", "gHp"), 0.0)
-        if all_in.any():
-            w = base["w"][all_in]
-            sums["vol"] += float(np.sum(w)) * base_area
-            sums["gh"] += float(np.sum(base["gh"][all_in] * w)) * base_area
-            sums["gH"] += float(np.sum(base["gH"][all_in] * w)) * base_area
-            sums["gHp"] += float(np.sum(base["gHp"][all_in] * w)) * base_area
-
-        state = (
-            cu0[straddle],
-            cv0[straddle],
-            corners[0][straddle],
-            corners[1][straddle],
-            corners[2][straddle],
-            corners[3][straddle],
-            inside_center.ravel()[straddle],
-        )
-        for lus, lvs, cell_area, inside in _refined_leaves(
-            spec, eps, state, du, dv, grid.adaptive_depth
-        ):
-            if not inside.any():
-                continue
-            sub = _node_fields(spec, lus[inside], lvs[inside])
-            h_sup = max(h_sup, float(np.max(sub["absH"])))
-            sums["vol"] += float(np.sum(sub["w"])) * cell_area
-            sums["gh"] += float(np.sum(sub["gh"] * sub["w"])) * cell_area
-            sums["gH"] += float(np.sum(sub["gH"] * sub["w"])) * cell_area
-            sums["gHp"] += float(np.sum(sub["gHp"] * sub["w"])) * cell_area
-        pending.append((eps, sums))
-
-    return tuple(
-        RegionIntegrals(
-            eps=eps,
-            vol_omega_c=s["vol"],
-            I_grad_hring=s["gh"],
-            I_grad_H=s["gH"],
-            I_grad_H_plain=s["gHp"],
-            area=area,
-            total_R=total_R,
-            H_sup=h_sup,
-        )
-        for eps, s in pending
-    )
+    return _region_pass(spec, eps_values, grid)[0]
 
 
 def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
@@ -431,20 +443,16 @@ def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
 
 def h_sup_estimate(spec: ImmersionSpec, grid: GridSpec) -> float:
     """Max |H| over the base midpoint nodes (cheap low-order pass)."""
-    u0, v0, du, dv = _axes(spec, grid)
-    uc, vc = _lattice(u0, v0, du, dv, grid.nu, grid.nv, centers=True)
-    _, abs_h = _eval_class(spec, uc, vc)
+    _, abs_h = _classified(spec, *_lattice(spec, grid, centers=True))
     return float(np.max(abs_h))
 
 
 def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> ConvergenceStudy:
     """Observed-order diagnostics across a ladder of doubling grids.
 
-    Needs at least three levels, each doubling nu and nv. The order at
-    level k comes from the consecutive-difference ratio; non-monotone
-    differences report "unstable" instead of a number. The error estimate
-    for the finest value is |v_k - v_{k-1}| / (2^p - 1) with the last
-    observed order p (p = 1 assumed when unstable).
+    Needs at least three levels, each doubling nu and nv. Orders and error
+    estimates per level come from `_richardson`; the study reports those of
+    the finest level.
     """
     grids = tuple(grids)
     if len(grids) < 3:
@@ -455,28 +463,13 @@ def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> Conv
                 f"grid levels must double: {a.nu}x{a.nv} followed by {b.nu}x{b.nv}"
             )
     values = [integrate(spec, field, g, region) for g in grids]
-    rows = []
-    for k, (g, v) in enumerate(zip(grids, values)):
-        if k < 2:
-            rows.append(ConvergenceRow(g, v, None))
-            continue
-        d_prev = values[k - 1] - values[k - 2]
-        d_last = v - values[k - 1]
-        if d_last == 0.0:
-            order = math.inf
-        elif abs(d_last) >= abs(d_prev):
-            order = "unstable"
-        else:
-            order = math.log2(abs(d_prev) / abs(d_last))
-        rows.append(ConvergenceRow(g, v, order))
-    last_order = rows[-1].estimated_order
-    d_last = abs(values[-1] - values[-2])
-    if last_order == math.inf:
-        err = 0.0
-    elif isinstance(last_order, float):
-        err = d_last / (2.0 ** last_order - 1.0)
-    else:
-        err = d_last
+    rows = tuple(
+        ConvergenceRow(g, v, order, err)
+        for g, v, (order, err) in zip(grids, values, _richardson(values))
+    )
     return ConvergenceStudy(
-        rows=tuple(rows), value=values[-1], error_estimate=err, order=last_order
+        rows=rows,
+        value=values[-1],
+        error_estimate=rows[-1].error_estimate,
+        order=rows[-1].estimated_order,
     )

@@ -43,6 +43,22 @@ class ImmersionSpec:
     def component_sources(self) -> tuple[str, str, str]:
         return tuple(ex.to_source(c) for c in self.components)
 
+    def interior_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(u_range, v_range) with the singular margin shaved off non-periodic axes.
+
+        Every sampler of the chart (quadrature lattices, random interior
+        points, validation grids) draws from these ranges.
+        """
+        (u0, u1), (v0, v1) = self.u_range, self.v_range
+        m = self.singular_margin
+        if not self.periodic_u:
+            u0, u1 = u0 + m, u1 - m
+        if not self.periodic_v:
+            v0, v1 = v0 + m, v1 - m
+        if not (u1 > u0 and v1 > v0):
+            raise SpecValidationError(f"{self.name}: singular_margin swallows the domain")
+        return (u0, u1), (v0, v1)
+
 
 def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
     """The three component jets of the chart at (u, v); batched if u, v are arrays."""
@@ -50,21 +66,12 @@ def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
 
 
 def interior_axes(spec: ImmersionSpec, nu: int, nv: int):
-    """Midpoint sample coordinates along each axis.
+    """Midpoint sample coordinates along each axis of `spec.interior_ranges()`.
 
-    The singular margin is shaved off non-periodic axes only; periodic
-    axes cover their full period. Midpoints never touch the (open)
-    boundary even with zero margin.
+    Periodic axes cover their full period. Midpoints never touch the
+    (open) boundary even with zero margin.
     """
-    u0, u1 = spec.u_range
-    v0, v1 = spec.v_range
-    m = spec.singular_margin
-    if not spec.periodic_u:
-        u0, u1 = u0 + m, u1 - m
-    if not spec.periodic_v:
-        v0, v1 = v0 + m, v1 - m
-    if not (u1 > u0 and v1 > v0):
-        raise SpecValidationError(f"{spec.name}: singular_margin swallows the domain")
+    (u0, u1), (v0, v1) = spec.interior_ranges()
     us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
     vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
     return us, vs

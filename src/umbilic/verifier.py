@@ -17,8 +17,8 @@ import numpy as np
 from . import geometry
 from . import quadrature as quad
 from .errors import VerifierInputError
-from .quadrature import CHUNK, GridSpec
-from .surfaces import ImmersionSpec, interior_axes
+from .quadrature import GridSpec
+from .surfaces import ImmersionSpec
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -148,13 +148,23 @@ def classify_trend(values, rel_tol=0.05) -> str:
     return "plateau"
 
 
-def _study_grids(grid: GridSpec):
-    n0u = max(16, grid.nu // 4)
-    n0v = max(16, grid.nv // 4)
+def _richardson_levels(grid: GridSpec):
+    """The grids G/4, G/2, G whose passes give the Richardson error bar."""
+    if grid.nu % 4 or grid.nv % 4 or min(grid.nu, grid.nv) < 64:
+        raise VerifierInputError(
+            f"grid {grid.nu}x{grid.nv} has no exact quarter grid of at least 16x16"
+            " for the error bar: use sides divisible by 4 and at least 64, or pass"
+            " --tol (tol_margin) to fix the tolerance"
+        )
+    return tuple(GridSpec(grid.nu // k, grid.nv // k, grid.adaptive_depth) for k in (4, 2, 1))
+
+
+def _terms(ri, c_const):
+    """(lhs, term1, term2) of one threshold row."""
     return (
-        GridSpec(n0u, n0v, grid.adaptive_depth),
-        GridSpec(2 * n0u, 2 * n0v, grid.adaptive_depth),
-        GridSpec(4 * n0u, 4 * n0v, grid.adaptive_depth),
+        c_const * ri.vol_omega_c,
+        (2.0 / ri.eps**4) * ri.I_grad_hring,
+        (1.0 / ri.eps**4) * ri.I_grad_H,
     )
 
 
@@ -173,14 +183,18 @@ def verify_prel(
 ) -> TheoremReport:
     """Check C * vol_omega_c >= term1 - term2 + 4 pi chi on a threshold ladder.
 
-    tol_margin, when not given, is set per row to 3x the Richardson error
-    estimate of the row's dominant term (grids at 1/4, 1/2, and full
-    resolution). h_sup_override replaces the measured node max in C.
+    The rows come from one quadrature pass over `grid`. tol_margin, when
+    not given, is set per row to 3x the Richardson error estimate of the
+    row's dominant term (lhs, term1 or term2), from that term on passes
+    over G/4, G/2 and G; the grid's sides must then be divisible by 4 and
+    at least 64. h_sup_override replaces the measured node max in C.
     """
     _require_closed(spec)
     ladder = _check_ladder(eps_ladder)
+    grids = (grid,) if tol_margin is not None else _richardson_levels(grid)
 
-    integrals = quad.region_integrals(spec, ladder, grid)
+    levels = [quad._region_pass(spec, ladder, g) for g in grids]
+    integrals, h_coarse = levels[-1]
     chi_est, chi_round = _chi(integrals[0].total_R)
     warnings = []
     if abs(chi_est - chi_round) > 0.05:
@@ -189,9 +203,8 @@ def verify_prel(
             " refine the grid"
         )
 
+    # h_coarse: max |H| at the odd corners, the half grid's midpoints
     h_measured = integrals[0].H_sup
-    coarse = GridSpec(max(16, grid.nu // 2), max(16, grid.nv // 2), grid.adaptive_depth)
-    h_coarse = quad.h_sup_estimate(spec, coarse)
     if abs(h_measured - h_coarse) > 1e-3 * max(h_measured, h_coarse, 1e-300):
         warnings.append(
             f"sup|H| estimate moved {h_coarse:.6g} -> {h_measured:.6g} between grid"
@@ -205,25 +218,19 @@ def verify_prel(
     c_const = 0.5 * h_eff * h_eff + 4.0 * abs(spec.ambient_c) + 1.0
 
     rows = []
-    for ri in integrals:
+    for k, ri in enumerate(integrals):
         eps = ri.eps
-        term1 = (2.0 / eps**4) * ri.I_grad_hring
-        term2 = (1.0 / eps**4) * ri.I_grad_H
-        lhs = c_const * ri.vol_omega_c
+        terms = _terms(ri, c_const)
+        lhs, term1, term2 = terms
         rhs = term1 - term2 + FOUR_PI * chi_round
         margin = lhs - rhs
         if tol_margin is not None:
             tol = float(tol_margin)
         else:
-            s1, s2 = 2.0 / eps**4, 1.0 / eps**4
-            candidates = (
-                (abs(lhs), lambda pg: c_const),
-                (abs(term1), lambda pg: s1 * pg.nabla_hring_norm2 * pg.hring_norm2),
-                (abs(term2), lambda pg: s2 * pg.gradH_norm2 * pg.hring_norm2),
-            )
-            _, field = max(candidates, key=lambda t: t[0])
-            study = quad.convergence_study(spec, field, quad.sublevel(eps), _study_grids(grid))
-            tol = 3.0 * study.error_estimate
+            dominant = max(range(3), key=lambda i: abs(terms[i]))
+            ladder_values = [_terms(level[k], c_const)[dominant] for level, _ in levels]
+            _, err = quad._richardson(ladder_values)[-1]
+            tol = 3.0 * err
         rows.append(
             EpsRow(
                 eps=eps,
@@ -259,16 +266,12 @@ def verify_prel(
 
 def _node_values(spec, grid):
     """(|hring|^2, |grad H|^2, |grad hring|^2) at the base midpoint nodes."""
-    us, vs = interior_axes(spec, grid.nu, grid.nv)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    uu, vv = U.ravel(), V.ravel()
-    n2s, gh2s, gu2s = [], [], []
-    for i in range(0, uu.size, CHUNK):
-        pg = geometry.point_geometry(spec, uu[i : i + CHUNK], vv[i : i + CHUNK])
-        n2s.append(pg.hring_norm2)
-        gh2s.append(pg.gradH_norm2)
-        gu2s.append(pg.nabla_hring_norm2)
-    return (np.concatenate(n2s), np.concatenate(gh2s), np.concatenate(gu2s))
+
+    def kernel(u, v):
+        pg = geometry.point_geometry(spec, u, v)
+        return pg.hring_norm2, pg.gradH_norm2, pg.nabla_hring_norm2
+
+    return quad._chunked(kernel, *quad._lattice(spec, grid, centers=True))
 
 
 def corollary_check(

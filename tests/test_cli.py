@@ -130,6 +130,15 @@ def test_verify_csv_layout(tmp_path):
         assert float(value) == 0.0
 
 
+def test_verify_error_bar_grid_needs_tol(tmp_path, capsys):
+    # 48 has no exact quarter grid of at least 16: the error bar needs --tol
+    argv = ["verify", "--preset", "sphere", "--eps", "0.5", "--grid", "48x48", "--depth", "4"]
+    assert run(argv, tmp_path) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert run(argv + ["--tol", "1e-3"], tmp_path) == 0
+    assert read_json(tmp_path, "verify")["rows"][0]["tol_margin"] == 1e-3
+
+
 def test_verify_fail_exit_code(tmp_path):
     # fixed tiny tolerance exposes the coarse-grid margin defect near the
     # sharpness regime instead of absorbing it

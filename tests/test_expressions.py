@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,14 @@ def test_singular_eval_annotated_with_span_and_point():
     with pytest.raises(SingularEvaluationError) as exc:
         ex.eval_jet(ast, np.array([0.0, 1.0, 2.0]), 0.5, 2)
     assert exc.value.point == (1.0, 0.5)
+
+
+def test_readme_function_list_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"and the functions\s+`([^`]+)`", readme).group(1).split()
+    for name in listed:
+        ex.parse(f"{name}(u)")
+    assert set(listed) == set(ex.FUNCTIONS)
 
 
 def test_eval_number_rejects_variables():

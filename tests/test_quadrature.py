@@ -218,6 +218,13 @@ def test_h_sup_matches_pole_limit():
     assert rows[0].H_sup >= h - 1e-12
 
 
+def test_odd_corner_h_equals_half_grid_midpoints():
+    # the odd corners of a 128^2 grid are the 64^2 midpoints bit for bit
+    ell = preset("ellipsoid_rev")
+    _, h_odd = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
+    assert h_odd == q.h_sup_estimate(ell, q.GridSpec(64, 64))
+
+
 def test_plane_patch_area():
     # [TRIVIAL] flat 2x2 patch, exact at any grid
     a = q.integrate(plane_spec(), area_field, q.GridSpec(16, 16))
@@ -280,6 +287,17 @@ def test_error_estimates_shrink_with_refinement():
     st = q.convergence_study(preset("sphere"), area_field, q.ALL, grids)
     d = [abs(b.value - a.value) for a, b in zip(st.rows, st.rows[1:])]
     assert all(y < x for x, y in zip(d, d[1:]))
+
+
+def test_rows_carry_their_error_estimates():
+    grids = [q.GridSpec(n, n) for n in (16, 32, 64, 128)]
+    st = q.convergence_study(preset("sphere"), area_field, q.ALL, grids)
+    assert [r.error_estimate for r in st.rows[:2]] == [None, None]
+    for k in (2, 3):
+        r = st.rows[k]
+        d = abs(r.value - st.rows[k - 1].value)
+        assert r.error_estimate == d / (2.0**r.estimated_order - 1.0)
+    assert st.error_estimate == st.rows[-1].error_estimate
 
 
 def test_exactly_converged_sequence():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from umbilic import quadrature as q
 from umbilic import verifier as V
 from umbilic.errors import VerifierInputError
 from umbilic.quadrature import GridSpec
@@ -125,6 +126,34 @@ def test_ellipsoid_report_shape():
         assert r.rhs == pytest.approx(r.term1 - r.term2 + 8 * math.pi, rel=1e-12)
         assert r.margin == pytest.approx(r.lhs - r.rhs, abs=1e-12)
         assert r.sharp_gap == pytest.approx(r.term2 - r.term1 - 8 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [48, 130])
+def test_error_bar_needs_exact_quarter_grid(n):
+    # the levels are exactly G/4, G/2, G: no stand-in grid without --tol
+    with pytest.raises(VerifierInputError, match="--tol"):
+        V.verify_prel(preset("sphere"), [0.5], GridSpec(n, n, 4))
+    rep = V.verify_prel(preset("sphere"), [0.5], GridSpec(n, n, 4), tol_margin=1e-6)
+    assert rep.rows[0].tol_margin == 1e-6
+
+
+def test_tol_margin_is_richardson_of_dominant_term():
+    # reference path: one convergence_study per row over 16^2, 32^2, 64^2
+    spec = preset("ellipsoid_rev")
+    ladder = [0.5, 0.25, 0.1, 0.05]
+    rep = V.verify_prel(spec, ladder, GridSpec(64, 64, 4))
+    grids = [GridSpec(n, n, 4) for n in (16, 32, 64)]
+    for r in rep.rows:
+        s1, s2 = 2.0 / r.eps**4, 1.0 / r.eps**4
+        candidates = (
+            (abs(r.lhs), lambda pg: rep.C_const),
+            (abs(r.term1), lambda pg: s1 * pg.nabla_hring_norm2 * pg.hring_norm2),
+            (abs(r.term2), lambda pg: s2 * pg.gradH_norm2 * pg.hring_norm2),
+        )
+        _, field = max(candidates, key=lambda t: t[0])
+        study = q.convergence_study(spec, field, q.sublevel(r.eps), grids)
+        assert r.tol_margin > 0
+        assert r.tol_margin == pytest.approx(3.0 * study.error_estimate, rel=1e-9)
 
 
 def test_h_sup_override_and_fixed_tol():
