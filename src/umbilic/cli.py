@@ -89,10 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(text) -> tuple[int, int]:
-    parts = str(text).lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"--grid expects NUxNV, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        nu, nv = (int(part) for part in str(text).lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--grid expects NUxNV, got {text!r}") from None
+    return nu, nv
 
 
 def _parse_eps(text):
@@ -227,6 +228,8 @@ def cmd_identities(args, params) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_IDENTITY_TOL
     if tol <= 0:
         raise ValueError("--tol must be positive")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     (u0, u1), (v0, v1) = spec.interior_ranges()
     us, vs = rng.uniform(u0, u1, args.n), rng.uniform(v0, v1, args.n)

@@ -5,12 +5,15 @@ the conformal metric lambda(x)^2 * Euclidean, lambda = 1/(1 + (c/4)|x|^2).
 One code path covers flat, spherical, and hyperbolic ambients; c = 0 makes
 lambda identically 1 and every ambient correction vanish exactly.
 
-Evaluation runs in two stages. Stage one works in jet arithmetic and
-produces the raw parameter-space partials of the first and second
-fundamental forms (and of H, the trace-free part, and its squared norm)
-through the order the caller needs. Stage two is plain numpy tensor
-algebra on those arrays: Christoffel symbols, covariant derivatives,
-norms, curvature, and the residuals of the identities under test.
+Evaluation runs in two stages. Stage one is `_forms` at jet order 2, 3
+or 4: one pass of jet arithmetic from the chart to the first and second
+fundamental forms, H, the trace-free part and its squared norm, truncated
+to the order the caller needs (Taylor-mode propagation, as in Griewank &
+Walther, *Evaluating Derivatives*, 2008). `classification_values` reads
+the order-2 values; `fundamental_forms` stacks the order-3 or order-4
+raw partials into arrays. Stage two is plain numpy tensor algebra on those
+arrays: Christoffel symbols, covariant derivatives, norms, curvature, and
+the residuals of the identities under test.
 
 Index conventions for the stored arrays (batch axes lead, tensor axes
 trail): ``dg[..., k, i, j]`` is the raw partial d_k g_ij, and
@@ -22,14 +25,14 @@ in this module is calibrated to that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .errors import SingularEvaluationError
 from .expressions import _locate
-from .jets import Jet2, derivative
+from .jets import derivative
 from .surfaces import ImmersionSpec, evaluate_chart
 
 _EINS = dict(optimize=True)
@@ -81,54 +84,31 @@ class PointGeometry:
     R: np.ndarray = None
 
 
-def _val(j: Jet2, shape):
-    return np.broadcast_to(np.asarray(j.value, dtype=np.float64), shape)
-
-
-def _d1(j: Jet2, k: int, shape):
-    p = j.partial(1, 0) if k == 0 else j.partial(0, 1)
-    return np.broadcast_to(np.asarray(p, dtype=np.float64), shape)
-
-
-def _d2(j: Jet2, l: int, k: int, shape):
-    du = (l == 0) + (k == 0)
-    dv = (l == 1) + (k == 1)
-    return np.broadcast_to(np.asarray(j.partial(du, dv), dtype=np.float64), shape)
-
-
-def _sym_matrix_arrays(m00, m01, m11, shape, max_d: int):
-    """Values/partials of a symmetric 2x2 jet matrix as stacked arrays."""
-    jmat = ((m00, m01), (m01, m11))
-    val = np.empty(shape + (2, 2))
-    d1 = np.empty(shape + (2, 2, 2))
-    d2 = np.empty(shape + (2, 2, 2, 2)) if max_d >= 2 else None
-    for i in range(2):
-        for j in range(2):
-            val[..., i, j] = _val(jmat[i][j], shape)
-            for k in range(2):
-                d1[..., k, i, j] = _d1(jmat[i][j], k, shape)
-            if max_d >= 2:
-                for l in range(2):
-                    for k in range(2):
-                        d2[..., l, k, i, j] = _d2(jmat[i][j], l, k, shape)
-    return val, d1, d2
+def _stack(jet, k: int, shape) -> np.ndarray:
+    """The raw partials of derivative order k of a jet, or of a 2x2 nested
+    tuple of jets, as an array: batch axes, then k derivative axes, then the
+    tensor axes (the module's index conventions)."""
+    tensor = (2, 2) if isinstance(jet, tuple) else ()
+    out = np.empty(shape + (2,) * k + tensor)
+    for d in np.ndindex(*(2,) * k):
+        for t in np.ndindex(*tensor):
+            entry = jet[t[0]][t[1]] if t else jet
+            out[(Ellipsis,) + d + t] = entry.partial(d.count(0), d.count(1))
+    return out
 
 
 def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
-    """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
+def _forms(spec: ImmersionSpec, u, v, order: int):
+    """Jets of (g, h, H, hring, |hring|^2) at (u, v) from an order-`order` chart.
 
-    order 3 provides first partials of h (enough for all first covariant
-    derivatives); order 4 additionally provides the second partials needed
-    by the Laplacian-level residuals. u, v may be arrays (one batch).
+    g carries partials through order - 1, the rest through order - 2; g, h
+    and hring are 2x2 nested tuples of jets. Order 2 gives values only for
+    everything but g.
     """
-    if order not in (3, 4):
-        raise ValueError(f"jet order must be 3 or 4, got {order}")
     c = spec.ambient_c
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     try:
         f = evaluate_chart(spec, u, v, order)
         fu = tuple(derivative(comp, du=1) for comp in f)
@@ -177,17 +157,18 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
 
         h00, h01, h11 = form_entry(0, 0), form_entry(0, 1), form_entry(1, 1)
 
-        det = g00 * g11 - g01 * g01
-        inv_det = 1.0 / det
+        # nothing above order - 2 of g reaches H, hring or |hring|^2
+        t00, t01, t11 = (jets.truncate(x, order - 2) for x in (g00, g01, g11))
+        inv_det = 1.0 / (t00 * t11 - t01 * t01)
         # 2x2 inverse, entries as jets
-        gi00 = g11 * inv_det
-        gi01 = -1.0 * g01 * inv_det
-        gi11 = g00 * inv_det
+        gi00 = t11 * inv_det
+        gi01 = -1.0 * t01 * inv_det
+        gi11 = t00 * inv_det
         Hj = gi00 * h00 + 2.0 * (gi01 * h01) + gi11 * h11
 
-        hr00 = h00 - 0.5 * (Hj * g00)
-        hr01 = h01 - 0.5 * (Hj * g01)
-        hr11 = h11 - 0.5 * (Hj * g11)
+        hr00 = h00 - 0.5 * (Hj * t00)
+        hr01 = h01 - 0.5 * (Hj * t01)
+        hr11 = h11 - 0.5 * (Hj * t11)
         # raise both indices: hring^{ij} = g^{ik} g^{jl} hring_kl
         up00 = gi00 * (gi00 * hr00 + gi01 * hr01) + gi01 * (gi00 * hr01 + gi01 * hr11)
         up01 = gi00 * (gi01 * hr00 + gi11 * hr01) + gi01 * (gi01 * hr01 + gi11 * hr11)
@@ -195,31 +176,43 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         norm2 = up00 * hr00 + 2.0 * (up01 * hr01) + up11 * hr11
     except SingularEvaluationError as err:
         raise _locate(err, u, v) from None
+    return (
+        ((g00, g01), (g01, g11)),
+        ((h00, h01), (h01, h11)),
+        Hj,
+        ((hr00, hr01), (hr01, hr11)),
+        norm2,
+    )
+
+
+def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
+    """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
+
+    order 3 provides first partials of h (enough for all first covariant
+    derivatives); order 4 additionally provides the second partials needed
+    by the Laplacian-level residuals. u, v may be arrays (one batch).
+    """
+    if order not in (3, 4):
+        raise ValueError(f"jet order must be 3 or 4, got {order}")
+    g, h, H, hring, norm2 = _forms(spec, u, v, order)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+
+    def partials(jet, through):
+        """Stacked partials of derivative order 0..through, None above."""
+        return [_stack(jet, k, shape) for k in range(through + 1)] + [None] * (2 - through)
 
     pg = PointGeometry(
         u=np.asarray(u, dtype=np.float64),
         v=np.asarray(v, dtype=np.float64),
         order=order,
-        ambient_c=float(c),
+        ambient_c=float(spec.ambient_c),
         batch_shape=shape,
     )
-    with_second = order >= 4
-    pg.g, pg.dg, pg.d2g = _sym_matrix_arrays(g00, g01, g11, shape, max_d=2)
-    pg.h, pg.dh, pg.d2h = _sym_matrix_arrays(h00, h01, h11, shape, 2 if with_second else 1)
-    pg.H = _val(Hj, shape)
-    pg.dH = np.stack([_d1(Hj, k, shape) for k in range(2)], axis=-1)
-    pg.hring_norm2 = _val(norm2, shape)
-    pg.d_hring_norm2 = np.stack([_d1(norm2, k, shape) for k in range(2)], axis=-1)
-    pg.hring, pg.dhring, pg.d2hring = _sym_matrix_arrays(
-        hr00, hr01, hr11, shape, 2 if with_second else 1
-    )
-    if with_second:
-        pg.d2H = np.empty(shape + (2, 2))
-        pg.d2_hring_norm2 = np.empty(shape + (2, 2))
-        for l in range(2):
-            for k in range(2):
-                pg.d2H[..., l, k] = _d2(Hj, l, k, shape)
-                pg.d2_hring_norm2[..., l, k] = _d2(norm2, l, k, shape)
+    pg.g, pg.dg, pg.d2g = partials(g, 2)
+    pg.h, pg.dh, pg.d2h = partials(h, order - 2)
+    pg.H, pg.dH, pg.d2H = partials(H, order - 2)
+    pg.hring, pg.dhring, pg.d2hring = partials(hring, order - 2)
+    pg.hring_norm2, pg.d_hring_norm2, pg.d2_hring_norm2 = partials(norm2, order - 2)
     return pg
 
 
@@ -517,61 +510,6 @@ def classification_values(spec: ImmersionSpec, u, v):
     Used by the quadrature layer at cell corners, where only the sublevel
     classification (and the H envelope) is needed.
     """
-    c = spec.ambient_c
-    try:
-        f = evaluate_chart(spec, u, v, 2)
-        fu = tuple(derivative(comp, du=1) for comp in f)
-        fv = tuple(derivative(comp, dv=1) for comp in f)
-        fd = (fu, fv)
-        fdd = {
-            (0, 0): tuple(derivative(comp, du=2) for comp in f),
-            (0, 1): tuple(derivative(comp, du=1, dv=1) for comp in f),
-            (1, 1): tuple(derivative(comp, dv=2) for comp in f),
-        }
-        if c != 0.0:
-            lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f, f))
-            p = tuple(f[k] * lam * (-c / 2.0) for k in range(3))
-            p_dot_fd = (_dot3(p, fu), _dot3(p, fv))
-
-        def gent(i, j):
-            e = _dot3(fd[i], fd[j])
-            return (lam * lam) * e if c != 0.0 else e
-
-        def svec(i, j):
-            base = fdd[(min(i, j), max(i, j))]
-            if c == 0.0:
-                return base
-            euc = _dot3(fd[i], fd[j])
-            return tuple(
-                base[k] + fd[i][k] * p_dot_fd[j] + fd[j][k] * p_dot_fd[i] - euc * p[k]
-                for k in range(3)
-            )
-
-        n = (
-            fu[1] * fv[2] - fu[2] * fv[1],
-            fu[2] * fv[0] - fu[0] * fv[2],
-            fu[0] * fv[1] - fu[1] * fv[0],
-        )
-        inv_norm = 1.0 / jets.sqrt(_dot3(n, n))
-
-        def hent(i, j):
-            e = _dot3(svec(i, j), n) * inv_norm
-            return lam * e if c != 0.0 else e
-
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        g00, g01, g11 = (np.broadcast_to(gent(*ij).value, shape) for ij in ((0, 0), (0, 1), (1, 1)))
-        h00, h01, h11 = (np.broadcast_to(hent(*ij).value, shape) for ij in ((0, 0), (0, 1), (1, 1)))
-    except SingularEvaluationError as err:
-        raise _locate(err, u, v) from None
-    det = g00 * g11 - g01 * g01
-    H = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / det
-    hr00 = h00 - 0.5 * H * g00
-    hr01 = h01 - 0.5 * H * g01
-    hr11 = h11 - 0.5 * H * g11
-    # |hring|^2 for a 2x2 symmetric tensor against g
-    gi00, gi01, gi11 = g11 / det, -g01 / det, g00 / det
-    up00 = gi00 * (gi00 * hr00 + gi01 * hr01) + gi01 * (gi00 * hr01 + gi01 * hr11)
-    up01 = gi00 * (gi01 * hr00 + gi11 * hr01) + gi01 * (gi01 * hr01 + gi11 * hr11)
-    up11 = gi01 * (gi01 * hr00 + gi11 * hr01) + gi11 * (gi01 * hr01 + gi11 * hr11)
-    norm2 = up00 * hr00 + 2.0 * up01 * hr01 + up11 * hr11
-    return np.maximum(norm2, 0.0), np.abs(H)
+    _, _, H, _, norm2 = _forms(spec, u, v, 2)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    return np.maximum(_stack(norm2, 0, shape), 0.0), np.abs(_stack(H, 0, shape))

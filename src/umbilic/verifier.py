@@ -159,13 +159,14 @@ def _richardson_levels(grid: GridSpec):
     return tuple(GridSpec(grid.nu // k, grid.nv // k, grid.adaptive_depth) for k in (4, 2, 1))
 
 
+def _gradient_terms(ri):
+    """(term1, term2) = (2 I_grad_hring, I_grad_H) / eps^4 of one threshold."""
+    return (2.0 / ri.eps**4) * ri.I_grad_hring, (1.0 / ri.eps**4) * ri.I_grad_H
+
+
 def _terms(ri, c_const):
     """(lhs, term1, term2) of one threshold row."""
-    return (
-        c_const * ri.vol_omega_c,
-        (2.0 / ri.eps**4) * ri.I_grad_hring,
-        (1.0 / ri.eps**4) * ri.I_grad_H,
-    )
+    return (c_const * ri.vol_omega_c, *_gradient_terms(ri))
 
 
 def _chi(total_R):
@@ -368,8 +369,7 @@ def sharpness_gap(spec: ImmersionSpec, eps_ladder, grid: GridSpec):
     ladder = _check_ladder(eps_ladder)
     rows = []
     for ri in quad.region_integrals(spec, ladder, grid):
-        term1 = (2.0 / ri.eps**4) * ri.I_grad_hring
-        term2 = (1.0 / ri.eps**4) * ri.I_grad_H
+        term1, term2 = _gradient_terms(ri)
         gap = term2 - term1 - EIGHT_PI
         if term2 == 0.0:
             raise VerifierInputError(

@@ -323,6 +323,22 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["identities", "--preset", "torus", "--n", "0"], "--n"),
+        (["identities", "--preset", "torus", "--n", "-3"], "--n"),
+        (["verify", "--preset", "sphere", "--eps", "0.5", "--grid", "512x"], "--grid"),
+        (["sweep", "--preset", "ellipsoid_rev", "--grid", "x64"], "--grid"),
+    ],
+    ids=["zero-samples", "negative-samples", "grid-missing-nv", "grid-missing-nu"],
+)
+def test_input_errors_name_the_flag(argv, flag, tmp_path, capsys):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
 def test_missing_surface_selector(tmp_path, capsys):
     assert run(["verify", "--eps", "0.5"], tmp_path) == 2
     assert "--preset or --file" in capsys.readouterr().err

@@ -157,6 +157,43 @@ def test_classification_values_match_full_pipeline():
     np.testing.assert_allclose(absH, np.abs(pg.H), rtol=1e-11)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("sphere", {"r": 1.0}),
+        ("ellipsoid_rev", {"a": 1.0, "b": 2.0}),
+        ("torus", {"R": 2.0, "r": 1.0}),
+        ("centered_sphere_spaceform", {"rho": 0.5, "c": 1.0}),
+        ("centered_sphere_spaceform", {"rho": 0.5, "c": -1.0}),
+    ],
+)
+def test_classification_values_are_full_pipeline_values(name, params):
+    # one kernel: the order-2 values are the order-3 values, bit for bit
+    spec = preset(name, params)
+    us, vs = sample_points(spec, 150)
+    n2, absH = geo.classification_values(spec, us, vs)
+    pg = geo.point_geometry(spec, us, vs)
+    assert np.array_equal(n2, np.maximum(pg.hring_norm2, 0.0))
+    assert np.array_equal(absH, np.abs(pg.H))
+
+
+@pytest.mark.parametrize(
+    "chart, bad_u",
+    [(("sqrt(u)", "v", "u"), -0.25), (("u^3", "v", "0"), 0.0)],
+    ids=["chart-domain", "degenerate-normal"],
+)
+def test_classification_values_locate_singular_node(chart, bad_u):
+    spec = ImmersionSpec(
+        name="singular", components=tuple(ex.parse(s) for s in chart),
+        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), periodic_u=False, periodic_v=False,
+        ambient_c=0.0, params=MappingProxyType({}),
+    )
+    us, vs = np.array([0.5, bad_u, 0.75]), np.array([0.1, 0.2, 0.3])
+    with pytest.raises(SingularEvaluationError) as info:
+        geo.classification_values(spec, us, vs)
+    assert info.value.point == (bad_u, 0.2)
+
+
 def test_degenerate_metric_raises():
     comps = tuple(ex.parse(s) for s in ("u", "u", "0"))
     bad = ImmersionSpec(
