@@ -27,7 +27,10 @@ from .geometry import (
 )
 from .quadrature import (
     ALL,
+    AREA,
+    TOTAL_R,
     ConvergenceStudy,
+    Field,
     GridSpec,
     Region,
     RegionIntegrals,
@@ -62,11 +65,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL",
+    "AREA",
     "BochnerResidual",
     "ConformalBallError",
     "ConvergenceStudy",
     "CorollaryRecord",
     "EpsRow",
+    "Field",
     "GridSpec",
     "IdentityResiduals",
     "ImmersionSpec",
@@ -78,6 +83,7 @@ __all__ = [
     "SharpnessRow",
     "SingularEvaluationError",
     "SpecValidationError",
+    "TOTAL_R",
     "TheoremReport",
     "UmbilicError",
     "VerifierInputError",

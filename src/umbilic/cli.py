@@ -143,7 +143,18 @@ def _resolve_surface(args, params) -> surfaces.ImmersionSpec:
 
 def _grid_of(args) -> GridSpec:
     nu, nv = _parse_grid(args.grid)
-    return GridSpec(nu, nv, args.depth)
+    try:
+        return GridSpec(nu, nv, args.depth)
+    except ValueError as exc:
+        flag = "--depth" if str(exc).startswith("adaptive_depth") else "--grid"
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_tol(tol):
+    """--tol, which must be finite and positive when given."""
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {tol!r}")
+    return tol
 
 
 def _config_payload(args, spec, grid, **extras):
@@ -225,9 +236,7 @@ def _emit(args, stem, payload, csv_header, csv_rows, config_lines):
 def cmd_identities(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)  # recorded for reproducibility; sampling is random
-    tol = args.tol if args.tol is not None else DEFAULT_IDENTITY_TOL
-    if tol <= 0:
-        raise ValueError("--tol must be positive")
+    tol = _check_tol(args.tol if args.tol is not None else DEFAULT_IDENTITY_TOL)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
@@ -281,10 +290,8 @@ def cmd_verify(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)
     ladder = _parse_eps(args.eps)
-    if args.tol is not None and args.tol <= 0:
-        raise ValueError("--tol must be positive")
     report = verifier.verify_prel(
-        spec, ladder, grid, h_sup_override=args.hsup_override, tol_margin=args.tol
+        spec, ladder, grid, h_sup_override=args.hsup_override, tol_margin=_check_tol(args.tol)
     )
 
     corollary = None
@@ -390,24 +397,30 @@ def cmd_convergence(args, params) -> int:
     if args.levels < 3:
         raise ValueError("--levels must be at least 3")
     factor = 2 ** (args.levels - 1)
+    try:
+        base = GridSpec(grid.nu // factor, grid.nv // factor, grid.adaptive_depth)
+    except ValueError:
+        raise ValueError(
+            f"--levels {args.levels} is too many for --grid {grid.nu}x{grid.nv}: the coarsest"
+            f" level would fall below {quadrature.MIN_CELLS}x{quadrature.MIN_CELLS} cells"
+        ) from None
     if grid.nu % factor or grid.nv % factor:
         raise ValueError(
             f"--grid {grid.nu}x{grid.nv} is not divisible by {factor} for {args.levels} levels"
         )
-    base = GridSpec(grid.nu // factor, grid.nv // factor, grid.adaptive_depth)
     grids = [base]
     while len(grids) < args.levels:
         grids.append(grids[-1].doubled())
 
     if args.field == "area":
-        field, region = (lambda pg: 1.0), quadrature.ALL
+        field, region = quadrature.AREA, quadrature.ALL
     elif args.field == "total_R":
-        field, region = (lambda pg: pg.R), quadrature.ALL
+        field, region = quadrature.TOTAL_R, quadrature.ALL
     else:
         ladder = _parse_eps(args.eps)
         if args.eps is None or len(ladder) != 1:
             raise ValueError("--field vol needs --eps with exactly one threshold")
-        field, region = (lambda pg: 1.0), quadrature.sublevel(ladder[0])
+        field, region = quadrature.AREA, quadrature.sublevel(ladder[0])
 
     study = quadrature.convergence_study(spec, field, region, grids)
 

@@ -10,10 +10,25 @@ or 4: one pass of jet arithmetic from the chart to the first and second
 fundamental forms, H, the trace-free part and its squared norm, truncated
 to the order the caller needs (Taylor-mode propagation, as in Griewank &
 Walther, *Evaluating Derivatives*, 2008). `classification_values` reads
-the order-2 values; `fundamental_forms` stacks the order-3 or order-4
-raw partials into arrays. Stage two is plain numpy tensor algebra on those
-arrays: Christoffel symbols, covariant derivatives, norms, curvature, and
-the residuals of the identities under test.
+the order-2 values; `fundamental_forms` stacks the raw partials into
+arrays. Stage two is plain numpy tensor algebra on those arrays:
+Christoffel symbols, covariant derivatives, norms, curvature, and the
+residuals of the identities under test.
+
+The jet order decides which fields a `PointGeometry` carries:
+
+  order 2  values of g, h, H, hring, |hring|^2 plus dg; then detg,
+           sqrt_detg, ginv and R. Everything else stays None (in
+           particular gamma, nabla_hring, nabla_hring_norm2 and
+           gradH_norm2), so a misdeclared integrand fails instead of
+           integrating garbage.
+  order 3  adds the first partials of h, H, hring, |hring|^2, d2g, and
+           gamma, nabla_hring, nabla_hring_norm2, gradH_norm2, hring_up,
+           trace_hring.
+  order 4  adds the second partials (d2h, d2H, ...) for the Laplacian-level
+           residuals.
+
+The order-2 fields are bit-identical to the same fields at orders 3 and 4.
 
 Index conventions for the stored arrays (batch axes lead, tensor axes
 trail): ``dg[..., k, i, j]`` is the raw partial d_k g_ij, and
@@ -46,8 +61,11 @@ class PointGeometry:
     """All curvature data at a (batch of) parameter point(s).
 
     Raw-partial fields are filled by `fundamental_forms`; everything from
-    `detg` down is filled in place by `covariant_data`. Second-derivative
-    fields (d2h, d2H, ...) are present only for order-4 evaluations.
+    `detg` down is filled in place by `covariant_data`. Order 2 fills the
+    values, dg, detg, sqrt_detg, ginv and R; order 3 adds every first
+    partial, d2g and the rest of the covariant fields; order 4 adds the
+    second partials (d2h, d2H, ...). Fields an order does not fill stay
+    None.
     """
 
     u: np.ndarray
@@ -188,12 +206,13 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
     """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
 
-    order 3 provides first partials of h (enough for all first covariant
-    derivatives); order 4 additionally provides the second partials needed
-    by the Laplacian-level residuals. u, v may be arrays (one batch).
+    order 2 provides values only (plus dg); order 3 adds the first partials
+    of h (enough for all first covariant derivatives); order 4 adds the
+    second partials needed by the Laplacian-level residuals. u, v may be
+    arrays (one batch).
     """
-    if order not in (3, 4):
-        raise ValueError(f"jet order must be 3 or 4, got {order}")
+    if order not in (2, 3, 4):
+        raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
     g, h, H, hring, norm2 = _forms(spec, u, v, order)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
 
@@ -208,7 +227,7 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         ambient_c=float(spec.ambient_c),
         batch_shape=shape,
     )
-    pg.g, pg.dg, pg.d2g = partials(g, 2)
+    pg.g, pg.dg, pg.d2g = partials(g, min(order - 1, 2))
     pg.h, pg.dh, pg.d2h = partials(h, order - 2)
     pg.H, pg.dH, pg.d2H = partials(H, order - 2)
     pg.hring, pg.dhring, pg.d2hring = partials(hring, order - 2)
@@ -220,8 +239,9 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
 
 
 def covariant_data(pg: PointGeometry) -> PointGeometry:
-    """Fill Christoffels, covariant derivatives, norms, and R in place."""
-    g, dg, h = pg.g, pg.dg, pg.h
+    """Fill det g, its root, the metric inverse and R in place; from order 3
+    on also Christoffels, covariant derivatives and norms."""
+    g, dg, hring = pg.g, pg.dg, pg.hring
     detg = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     if np.any(detg <= 0):
         bad = int(np.argmax(np.ravel(detg <= 0)))
@@ -233,29 +253,31 @@ def covariant_data(pg: PointGeometry) -> PointGeometry:
     ginv[..., 1, 1] = g[..., 0, 0] / detg
     ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / detg
 
+    pg.detg = detg
+    pg.sqrt_detg = np.sqrt(detg)
+    pg.ginv = ginv
+    pg.R = 0.5 * pg.H**2 - pg.hring_norm2 + 2.0 * pg.ambient_c
+    if pg.order == 2:
+        return pg
+
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     A = dg                                   # A[..., i, j, l] = d_i g_jl
     B = np.swapaxes(dg, -3, -2)              # d_j g_il
     C = np.moveaxis(dg, -3, -1)              # d_l g_ij
     gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, A + B - C, **_EINS)
 
-    hring, dhring = pg.hring, pg.dhring
     nabla_hring = (
-        dhring
+        pg.dhring
         - np.einsum("...lki,...lj->...kij", gamma, hring, **_EINS)
         - np.einsum("...lkj,...il->...kij", gamma, hring, **_EINS)
     )
 
-    pg.detg = detg
-    pg.sqrt_detg = np.sqrt(detg)
-    pg.ginv = ginv
     pg.gamma = gamma
     pg.nabla_hring = nabla_hring
     pg.gradH_norm2 = np.einsum("...ij,...i,...j->...", ginv, pg.dH, pg.dH, **_EINS)
     pg.hring_up = np.einsum("...ik,...jl,...kl->...ij", ginv, ginv, hring, **_EINS)
     pg.trace_hring = np.einsum("...ij,...ij->...", ginv, hring, **_EINS)
     pg.nabla_hring_norm2 = _norm3_sq(nabla_hring, ginv)
-    pg.R = 0.5 * pg.H**2 - pg.hring_norm2 + 2.0 * pg.ambient_c
     return pg
 
 

@@ -7,11 +7,16 @@ axes). The sublevel region at a threshold eps collects the points with
 the |hring| = eps interface are subdivided recursively and leaf cells are
 classified by their center value.
 
-Every integral comes from one pass per grid (`_grid_pass`): full geometry
-once at each base midpoint, order-2 classification values once at each
-base corner, then per threshold the refinement of its straddling cells.
-One pass serves every field and threshold of a call, and a Richardson
-ladder is one pass per level.
+Every integral comes from one pass per grid (`_grid_pass`): geometry once
+at each base midpoint, at the order the fields declare, order-2
+classification values once at each base corner, then per threshold the
+refinement of its straddling cells. One pass serves every field and
+threshold of a call, and a Richardson ladder is one pass per level.
+
+An integrand is a `Field`: a function of a PointGeometry batch plus the
+lowest jet order that fills what it reads. A bare callable counts as
+order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
+them alone skip the order-3 jets and the covariant derivatives.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,14 +38,20 @@ from .surfaces import ImmersionSpec
 # nodes per evaluation batch; bounds peak memory of the jet pipeline
 CHUNK = 32768
 
+# fewest base cells per axis a GridSpec accepts
+MIN_CELLS = 16
+
 __all__ = [
     "ALL",
+    "AREA",
     "CHUNK",
     "ConvergenceRow",
     "ConvergenceStudy",
+    "Field",
     "GridSpec",
     "Region",
     "RegionIntegrals",
+    "TOTAL_R",
     "convergence_study",
     "euler_characteristic",
     "h_sup_estimate",
@@ -64,8 +76,10 @@ class GridSpec:
     adaptive_depth: int = 6
 
     def __post_init__(self):
-        if self.nu < 16 or self.nv < 16:
-            raise ValueError(f"grid must be at least 16x16 cells, got {self.nu}x{self.nv}")
+        if self.nu < MIN_CELLS or self.nv < MIN_CELLS:
+            raise ValueError(
+                f"grid must be at least {MIN_CELLS}x{MIN_CELLS} cells, got {self.nu}x{self.nv}"
+            )
         if not 0 <= self.adaptive_depth <= 12:
             raise ValueError(f"adaptive_depth must lie in [0, 12], got {self.adaptive_depth}")
 
@@ -99,6 +113,24 @@ def sublevel(eps: float) -> Region:
 def superlevel(eps: float) -> Region:
     """Points with |hring| >= eps (the complement; ties land here)."""
     return Region("superlevel", float(eps))
+
+
+@dataclass(frozen=True)
+class Field:
+    """An integrand: fn maps a PointGeometry batch to a scalar array (or a
+    constant); order is the lowest jet order whose geometry fills what fn
+    reads (see `geometry`). A field that reads beyond its order gets None
+    there, and the pass raises instead of integrating it."""
+
+    fn: Callable
+    order: int = 3
+
+    def __call__(self, pg):
+        return self.fn(pg)
+
+
+AREA = Field(lambda pg: 1.0, order=2)
+TOTAL_R = Field(lambda pg: pg.R, order=2)
 
 
 @dataclass(frozen=True)
@@ -173,15 +205,27 @@ def _classified(spec, us, vs):
     return _chunked(lambda u, v: geometry.classification_values(spec, u, v), us, vs)
 
 
+def _weighted(field, pg):
+    value = field(pg)
+    if value is None:
+        raise ValueError(
+            f"integrand read a quantity that jet order {pg.order} does not fill;"
+            " declare a higher order with Field"
+        )
+    return np.asarray(value, dtype=float) * pg.sqrt_detg
+
+
 def _full(spec, fields, us, vs, *, with_n2):
-    """Full geometry: (max |H| per batch, [|hring|^2,] field(pg) * sqrt(det g) per field)."""
+    """Geometry at the highest order the fields declare: (max |H| per batch,
+    [|hring|^2,] field(pg) * sqrt(det g) per field)."""
+    order = max(f.order if isinstance(f, Field) else 3 for f in fields)
 
     def kernel(u, v):
-        pg = geometry.point_geometry(spec, u, v)
+        pg = geometry.point_geometry(spec, u, v, order)
         head = (np.max(np.abs(pg.H), keepdims=True),)
         if with_n2:
             head += (pg.hring_norm2,)
-        return head + tuple(np.asarray(f(pg), dtype=float) * pg.sqrt_detg for f in fields)
+        return head + tuple(_weighted(f, pg) for f in fields)
 
     return _chunked(kernel, us, vs)
 
@@ -287,10 +331,10 @@ class _Pass:
 def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, outside=False):
     """The one quadrature driver: every integral of the package goes through it.
 
-    Base midpoints get one full-geometry evaluation, shared by every field
-    and threshold. With thresholds, the base corners get one order-2
-    evaluation; each threshold then classifies the base cells from those
-    values and refines its own straddling cells. Without thresholds only
+    Base midpoints get one geometry evaluation at the order the fields
+    declare, shared by every field and threshold. With thresholds, the base
+    corners get one order-2 evaluation; each threshold then classifies the
+    base cells from those values and refines its own straddling cells. Without thresholds only
     the midpoints are evaluated, and one array per field is held.
     """
     _, _, du, dv = _axes(spec, grid)
@@ -342,13 +386,14 @@ def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, ou
 
 
 # integrands of RegionIntegrals, in field order: vol_omega_c (and area),
-# I_grad_hring, I_grad_H, I_grad_H_plain, total_R
+# I_grad_hring, I_grad_H, I_grad_H_plain, total_R; the gradient fields
+# make the pass order 3
 _REGION_FIELDS = (
-    lambda pg: 1.0,
+    AREA,
     lambda pg: pg.nabla_hring_norm2 * pg.hring_norm2,
     lambda pg: pg.gradH_norm2 * pg.hring_norm2,
     lambda pg: pg.gradH_norm2,
-    lambda pg: pg.R,
+    TOTAL_R,
 )
 
 
@@ -391,7 +436,8 @@ def _richardson(values):
 def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) -> float:
     """Midpoint-rule integral of field(pg) dA over the chosen region.
 
-    field maps a PointGeometry batch to a scalar array (or a constant).
+    field maps a PointGeometry batch to a scalar array (or a constant); a
+    `Field` also names the jet order it needs, a bare callable gets order 3.
     """
     if region.kind == "all":
         return _grid_pass(spec, grid, (field,)).whole[0]
@@ -429,7 +475,7 @@ def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
         raise ValueError(
             f"'{spec.name}' is not closed; the Euler characteristic needs a closed surface"
         )
-    chi = integrate(spec, lambda pg: pg.R, grid, ALL) / (4.0 * math.pi)
+    chi = integrate(spec, TOTAL_R, grid, ALL) / (4.0 * math.pi)
     rounded = int(round(chi))
     if abs(chi - rounded) > 0.05:
         warnings.warn(

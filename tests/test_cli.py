@@ -339,6 +339,41 @@ def test_input_errors_name_the_flag(argv, flag, tmp_path, capsys):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--preset", "sphere", "--n", "5", "--tol", "nan"],
+        ["verify", "--preset", "sphere", "--eps", "0.5", "--tol", "nan"] + SMALL,
+        ["verify", "--preset", "sphere", "--eps", "0.5", "--tol", "inf"] + SMALL,
+    ],
+    ids=["identities-nan", "verify-nan", "verify-inf"],
+)
+def test_non_finite_tol_is_an_input_error(argv, tmp_path, capsys):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tol" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--preset", "sphere", "--depth", "13"], "--depth"),
+        (["verify", "--preset", "sphere", "--depth", "-1"], "--depth"),
+        (["verify", "--preset", "sphere", "--grid", "8x8"], "--grid"),
+        (["convergence", "--preset", "sphere", "--levels", "40"], "--levels"),
+        (["convergence", "--preset", "sphere", "--grid", "64x64", "--levels", "4"], "--levels"),
+    ],
+    ids=["depth-too-deep", "depth-negative", "grid-too-small", "levels-40", "levels-4-at-64"],
+)
+def test_range_errors_name_the_flag(argv, flag, tmp_path, capsys):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    if flag == "--levels":
+        assert "coarsest level would fall below 16x16" in err
+
+
 def test_missing_surface_selector(tmp_path, capsys):
     assert run(["verify", "--eps", "0.5"], tmp_path) == 2
     assert "--preset or --file" in capsys.readouterr().err

@@ -178,6 +178,37 @@ def test_classification_values_are_full_pipeline_values(name, params):
 
 
 @pytest.mark.parametrize(
+    "name, params",
+    [
+        ("sphere", {"r": 1.0}),
+        ("ellipsoid_rev", {"a": 1.0, "b": 2.0}),
+        ("torus", {"R": 2.0, "r": 1.0}),
+        ("graph_bump", {"A": 0.3, "s": 1.0}),
+        ("centered_sphere_spaceform", {"rho": 0.5, "c": 1.0}),
+        ("centered_sphere_spaceform", {"rho": 0.5, "c": -1.0}),
+    ],
+)
+def test_order2_geometry_is_the_order3_values(name, params):
+    # the order-2 view fills the values bit for bit and leaves every field
+    # that needs a derivative of h unset
+    spec = preset(name, params)
+    us, vs = sample_points(spec, 150)
+    low = geo.point_geometry(spec, us, vs, order=2)
+    full = geo.point_geometry(spec, us, vs, order=3)
+    assert low.order == 2
+    for field in ("g", "h", "H", "hring_norm2", "sqrt_detg", "R"):
+        assert np.array_equal(getattr(low, field), getattr(full, field)), field
+    for field in ("dh", "dH", "d2g", "gamma", "nabla_hring", "nabla_hring_norm2",
+                  "gradH_norm2"):
+        assert getattr(low, field) is None, field
+
+
+def test_fundamental_forms_rejects_unknown_order():
+    with pytest.raises(ValueError, match="jet order"):
+        geo.fundamental_forms(preset("sphere"), 0.5, 0.5, order=1)
+
+
+@pytest.mark.parametrize(
     "chart, bad_u",
     [(("sqrt(u)", "v", "u"), -0.25), (("u^3", "v", "0"), 0.0)],
     ids=["chart-domain", "degenerate-normal"],

@@ -105,6 +105,42 @@ def test_scaling_and_linearity():
     assert q.integrate(sph, lambda pg: -pg.R, g) == pytest.approx(-tr, rel=1e-13)
 
 
+def test_order2_fields_integrate_like_bare_callables():
+    # TOTAL_R and AREA run on order-2 geometry; a bare callable gets order 3;
+    # the integrals agree exactly, on the whole surface and in a sublevel set
+    ell = preset("ellipsoid_rev")
+    g = q.GridSpec(32, 32, 4)
+    assert q.TOTAL_R.order == 2 and q.AREA.order == 2
+    assert q.integrate(ell, q.TOTAL_R, g) == q.integrate(ell, r_field, g)
+    assert q.integrate(ell, q.AREA, g) == q.integrate(ell, area_field, g)
+    sub = q.sublevel(0.25)
+    assert q.integrate(ell, q.AREA, g, sub) == q.integrate(ell, area_field, g, sub)
+
+
+@pytest.mark.parametrize(
+    "fn, error",
+    [
+        (lambda pg: pg.gradH_norm2, ValueError),
+        (lambda pg: pg.gradH_norm2 * pg.hring_norm2, TypeError),
+    ],
+    ids=["bare-read", "product"],
+)
+def test_field_reading_above_its_order_raises(fn, error):
+    # an order-2 field gets no gradients: it must fail, not integrate nan
+    with pytest.raises(error):
+        q.integrate(preset("sphere"), q.Field(fn, order=2), q.GridSpec(16, 16))
+
+
+def test_mixed_fields_evaluate_at_the_highest_order():
+    # one order-3 field lifts the whole pass, so order-2 fields beside it
+    # still see their values
+    sph = preset("sphere")
+    g = q.GridSpec(16, 16, 2)
+    rows = q.region_integrals(sph, [0.5], g)
+    assert rows[0].area == q.integrate(sph, q.AREA, g)
+    assert rows[0].total_R == q.integrate(sph, q.TOTAL_R, g)
+
+
 def test_singular_node_aborts_with_location():
     bad = replace(
         plane_spec(),
