@@ -121,6 +121,7 @@ def _param_overrides(extra) -> dict:
 
 
 def _resolve_surface(args, params) -> surfaces.ImmersionSpec:
+    _check("--c", args.c, np.isfinite, "finite")
     if args.file:
         spec = surfaces.load_definition(args.file)
         if params:
@@ -150,11 +151,15 @@ def _grid_of(args) -> GridSpec:
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _check(flag, value, ok, what):
+    """value of flag, which must satisfy ok when given."""
+    if value is not None and not ok(value):
+        raise ValueError(f"{flag} must be {what}, got {value!r}")
+    return value
+
+
 def _check_tol(tol):
-    """--tol, which must be finite and positive when given."""
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {tol!r}")
-    return tol
+    return _check("--tol", tol, lambda t: np.isfinite(t) and t > 0, "finite and positive")
 
 
 def _config_payload(args, spec, grid, **extras):
@@ -243,13 +248,18 @@ def cmd_identities(args, params) -> int:
     (u0, u1), (v0, v1) = spec.interior_ranges()
     us, vs = rng.uniform(u0, u1, args.n), rng.uniform(v0, v1, args.n)
 
-    res = geometry.identity_residuals(geometry.point_geometry(spec, us, vs))
-    stats = {k: v for k, v in res.normalized().items()}
-    stats["bochner"] = geometry.bochner_residual(spec, us, vs).normalized()
+    names = ("codazzi", "div", "smo", "norm", "bochner")
+
+    def residuals(u, v):
+        norms = geometry.identity_residuals(geometry.point_geometry(spec, u, v)).normalized()
+        norms["bochner"] = geometry.bochner_residual(spec, u, v).normalized()
+        return tuple(norms[k] for k in names)
+
+    stats = dict(zip(names, quadrature._chunked(residuals, us, vs)))
 
     rows = []
     all_ok = True
-    for name in ("codazzi", "div", "smo", "norm", "bochner"):
+    for name in names:
         arr = np.asarray(stats[name])
         bound = tol * BOCHNER_TOL_FACTOR if name == "bochner" else tol
         ok = bool(np.max(arr) < bound)
@@ -290,8 +300,10 @@ def cmd_verify(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)
     ladder = _parse_eps(args.eps)
+    h_sup = _check("--hsup-override", args.hsup_override, lambda h: np.isfinite(h) and h >= 0,
+                   "finite and non-negative")
     report = verifier.verify_prel(
-        spec, ladder, grid, h_sup_override=args.hsup_override, tol_margin=_check_tol(args.tol)
+        spec, ladder, grid, h_sup_override=h_sup, tol_margin=_check_tol(args.tol)
     )
 
     corollary = None

@@ -18,6 +18,8 @@ canonical form that reparses to an identical tree.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import jets
@@ -298,6 +300,9 @@ def parse(text: str, known_params=None) -> Expr:
 # -- evaluation --------------------------------------------------------------
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     """Evaluate to a Jet2 at (u, v); both may be numpy arrays for batches.
 
@@ -305,9 +310,23 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     with the offending subexpression's source span and the parameter point
     attached.
     """
+    return eval_jets((ast,), u, v, order, params)[0]
+
+
+def eval_jets(asts, u, v, order: int, params=None) -> tuple[jets.Jet2, ...]:
+    """`eval_jet` of each tree, evaluating shared work once, with the same bits.
+
+    A compound subexpression whose source text occurs more than once among
+    the trees is evaluated once (spans differ between trees, text does
+    not), and an argument of more than one `jets.PAIRED` call has its two
+    values computed once. Only such results are held, and only until the
+    call returns.
+    """
     params = params or {}
     uj = jets.variable("u", u, order)
     vj = jets.variable("v", v, order)
+    keys = Counter(key for ast in asts for key in _share_keys(ast))
+    held = {key: None for key, n in keys.items() if n > 1}
 
     def rec(node: Expr) -> jets.Jet2:
         if isinstance(node, Number):
@@ -325,29 +344,58 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
                     position=node.span[0] + 1,
                     hint="bind it in the parameter table",
                 ) from None
+        text = to_source(node) if held else None
+        if held.get(text) is not None:
+            return held[text]
         try:
-            if isinstance(node, Unary):
-                child = rec(node.child)
-                if node.op == "neg":
-                    return -child
-                return jets.ELEMENTARY[node.op](child)
-            left = rec(node.left)
-            if node.op == "^":
-                return jets.pow_const(left, node.right.value)
-            right = rec(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
+            if isinstance(node, Binary):
+                left = rec(node.left)
+                if node.op == "^":
+                    jet = jets.pow_const(left, node.right.value)
+                else:
+                    jet = _BINARY[node.op](left, rec(node.right))
+            elif node.op == "neg":
+                jet = -rec(node.child)
+            elif node.op in jets.PAIRED:
+                child, key = rec(node.child), _pair_key(node)
+                if key in held and held[key] is None:
+                    held[key] = tuple(f(child.value) for f in key[0])
+                jet = jets.paired(node.op, child, held.get(key))
+            else:
+                jet = jets.ELEMENTARY[node.op](rec(node.child))
         except SingularEvaluationError as err:
             if err.span is None:
                 raise _locate(err, u, v, node.span)
             raise
+        if text in held:
+            held[text] = jet
+        return jet
 
-    return rec(ast)
+    try:
+        return tuple(rec(ast) for ast in asts)
+    finally:
+        # rec refers to itself; breaking that cycle frees the held results
+        # and the (u, v) views now, not at the next garbage collection
+        del rec
+
+
+def _pair_key(node: Unary):
+    return jets.PAIRED[node.op][0], to_source(node.child)
+
+
+def _share_keys(node: Expr):
+    """The keys of the work `eval_jets` can share in node's tree: the source
+    text of each compound node, and `_pair_key` of each `jets.PAIRED` call."""
+    if isinstance(node, Unary):
+        yield from _share_keys(node.child)
+        if node.op in jets.PAIRED:
+            yield _pair_key(node)
+    elif isinstance(node, Binary):
+        yield from _share_keys(node.left)
+        yield from _share_keys(node.right)
+    else:
+        return
+    yield to_source(node)
 
 
 def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluationError:

@@ -11,9 +11,10 @@ fundamental forms, H, the trace-free part and its squared norm, truncated
 to the order the caller needs (Taylor-mode propagation, as in Griewank &
 Walther, *Evaluating Derivatives*, 2008). `classification_values` reads
 the order-2 values; `fundamental_forms` stacks the raw partials into
-arrays. Stage two is plain numpy tensor algebra on those arrays:
-Christoffel symbols, covariant derivatives, norms, curvature, and the
-residuals of the identities under test.
+arrays, each tensor component contiguous. Stage two, `covariant_data`, is
+explicit 2x2 algebra on those arrays (two-term sums per component, no
+einsum): Christoffel symbols, covariant derivatives, norms and curvature.
+The residuals of the identities under test use numpy einsum.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -105,14 +106,17 @@ class PointGeometry:
 def _stack(jet, k: int, shape) -> np.ndarray:
     """The raw partials of derivative order k of a jet, or of a 2x2 nested
     tuple of jets, as an array: batch axes, then k derivative axes, then the
-    tensor axes (the module's index conventions)."""
+    tensor axes (the module's index conventions). The array is a transposed
+    view whose components each lie contiguous in memory, so the
+    per-component arithmetic of `covariant_data` runs on contiguous arrays."""
     tensor = (2, 2) if isinstance(jet, tuple) else ()
-    out = np.empty(shape + (2,) * k + tensor)
+    out = np.empty((2,) * k + tensor + shape)
     for d in np.ndindex(*(2,) * k):
         for t in np.ndindex(*tensor):
             entry = jet[t[0]][t[1]] if t else jet
-            out[(Ellipsis,) + d + t] = entry.partial(d.count(0), d.count(1))
-    return out
+            out[d + t] = entry.partial(d.count(0), d.count(1))
+    n = out.ndim - len(shape)
+    return out.transpose(tuple(range(n, out.ndim)) + tuple(range(n)))
 
 
 def _dot3(a, b):
@@ -260,23 +264,16 @@ def covariant_data(pg: PointGeometry) -> PointGeometry:
     if pg.order == 2:
         return pg
 
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    A = dg                                   # A[..., i, j, l] = d_i g_jl
-    B = np.swapaxes(dg, -3, -2)              # d_j g_il
-    C = np.moveaxis(dg, -3, -1)              # d_l g_ij
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, A + B - C, **_EINS)
-
-    nabla_hring = (
-        pg.dhring
-        - np.einsum("...lki,...lj->...kij", gamma, hring, **_EINS)
-        - np.einsum("...lkj,...il->...kij", gamma, hring, **_EINS)
-    )
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), built as [i, j, k]
+    X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    gamma = np.moveaxis(0.5 * _apply2(ginv, X, -1), -1, -3)
+    nabla_hring = _nabla(pg.dhring, hring, gamma)
 
     pg.gamma = gamma
     pg.nabla_hring = nabla_hring
-    pg.gradH_norm2 = np.einsum("...ij,...i,...j->...", ginv, pg.dH, pg.dH, **_EINS)
-    pg.hring_up = np.einsum("...ik,...jl,...kl->...ij", ginv, ginv, hring, **_EINS)
-    pg.trace_hring = np.einsum("...ij,...ij->...", ginv, hring, **_EINS)
+    pg.gradH_norm2 = _inner(pg.dH, _apply2(ginv, pg.dH, -1), 1)
+    pg.hring_up = _apply2(ginv, _apply2(ginv, hring, -1), -2)
+    pg.trace_hring = _inner(ginv, hring, 2)
     pg.nabla_hring_norm2 = _norm3_sq(nabla_hring, ginv)
     return pg
 
@@ -285,14 +282,39 @@ def point_geometry(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
     return covariant_data(fundamental_forms(spec, u, v, order))
 
 
+def _apply2(M, T, axis):
+    """M applied to the tensor index of T at `axis` (negative):
+    out[.., x, ..] = M[x, 0] T[.., 0, ..] + M[x, 1] T[.., 1, ..], one node
+    array per component (einsum would run a batched matmul per 2x2 block)."""
+    T = np.moveaxis(T, axis, -1)
+    out = np.empty_like(T)
+    for *rest, x in np.ndindex(T.shape[M.ndim - 2 :]):
+        t0, t1 = T[(..., *rest, 0)], T[(..., *rest, 1)]
+        out[(..., *rest, x)] = M[..., x, 0] * t0 + M[..., x, 1] * t1
+    return np.moveaxis(out, -1, axis)
+
+
+def _nabla(dT, T, gamma):
+    """nabla_k T_ij = d_k T_ij - Gamma^l_ki T_lj - Gamma^l_kj T_il, T symmetric."""
+    t = np.moveaxis(_apply2(T, gamma, -3), -3, -1)
+    return dT - t - np.swapaxes(t, -1, -2)
+
+
+def _inner(a, b, rank):
+    """The sum over the last `rank` (tensor) indices of a * b."""
+    idx = [(...,) + i for i in np.ndindex((2,) * rank)]
+    total = a[idx[0]] * b[idx[0]]
+    for i in idx[1:]:
+        total = total + a[i] * b[i]
+    return total
+
+
 def _raise3(T, ginv):
-    t = np.einsum("...kl,...lab->...kab", ginv, T, **_EINS)
-    t = np.einsum("...ia,...kab->...kib", ginv, t, **_EINS)
-    return np.einsum("...jb,...kib->...kij", ginv, t, **_EINS)
+    return _apply2(ginv, _apply2(ginv, _apply2(ginv, T, -3), -2), -1)
 
 
 def _norm3_sq(T, ginv):
-    return np.maximum(np.einsum("...kij,...kij->...", _raise3(T, ginv), T, **_EINS), 0.0)
+    return np.maximum(_inner(_raise3(T, ginv), T, 3), 0.0)
 
 
 def _norm3(T, ginv):
@@ -383,12 +405,7 @@ def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
 
     # |nabla h|^2 = |nabla hring|^2 + 1/2 |nabla H|^2, with nabla h assembled
     # independently from the raw partials of h
-    nabla_h = (
-        pg.dh
-        - np.einsum("...lki,...lj->...kij", pg.gamma, pg.h, **_EINS)
-        - np.einsum("...lkj,...il->...kij", pg.gamma, pg.h, **_EINS)
-    )
-    nh_sq = _norm3_sq(nabla_h, ginv)
+    nh_sq = _norm3_sq(_nabla(pg.dh, pg.h, pg.gamma), ginv)
     r_norm = np.abs(nh_sq - pg.nabla_hring_norm2 - 0.5 * pg.gradH_norm2)
     s_norm = nh_sq + pg.nabla_hring_norm2 + 0.5 * pg.gradH_norm2
 

@@ -65,7 +65,10 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 def _is_scalar_zero(x) -> bool:
-    return np.ndim(x) == 0 and x == 0.0
+    # batch coefficients are arrays, so test the type before any comparison
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0 and x == 0.0
+    return x == 0.0
 
 
 class Jet2:
@@ -220,7 +223,8 @@ def _compose(jet: Jet2, derivs: Sequence[np.ndarray]) -> Jet2:
     the composite through the working order.
     """
     order = jet.order
-    w = jet - constant(jet.value, order)
+    # the scalar zero in the value slot lets every product skip those terms
+    w = Jet2(order, (_ZERO,) + jet.coeffs[1:])
     result = constant(derivs[order] / _FACT[order], order)
     for k in range(order - 1, -1, -1):
         result = result * w + constant(derivs[k] / _FACT[k], order)
@@ -252,24 +256,37 @@ def _reciprocal(jet: Jet2) -> Jet2:
     return _compose(jet, d)
 
 
+# name -> (the two values of the argument the jet is built from, derivatives
+# 0-3 from them); sin and cos (sinh and cosh) of one argument share values
+PAIRED = {
+    "sin": ((np.sin, np.cos), lambda s, c: (s, c, -s, -c)),
+    "cos": ((np.sin, np.cos), lambda s, c: (c, -s, -c, s)),
+    "sinh": ((np.sinh, np.cosh), lambda s, c: (s, c, s, c)),
+    "cosh": ((np.sinh, np.cosh), lambda s, c: (c, s, c, s)),
+}
+
+
+def paired(name: str, jet: Jet2, values=None) -> Jet2:
+    """The `PAIRED` function `name` of jet, from its two values if given."""
+    fns, derivs = PAIRED[name]
+    d = derivs(*(values or [f(jet.value) for f in fns]))
+    return _compose(jet, [d[k % 4] for k in range(jet.order + 1)])
+
+
 def sin(jet: Jet2) -> Jet2:
-    s, c = np.sin(jet.value), np.cos(jet.value)
-    return _compose(jet, [s, c, -s, -c, s][: jet.order + 1])
+    return paired("sin", jet)
 
 
 def cos(jet: Jet2) -> Jet2:
-    s, c = np.sin(jet.value), np.cos(jet.value)
-    return _compose(jet, [c, -s, -c, s, c][: jet.order + 1])
+    return paired("cos", jet)
 
 
 def sinh(jet: Jet2) -> Jet2:
-    s, c = np.sinh(jet.value), np.cosh(jet.value)
-    return _compose(jet, [s, c, s, c, s][: jet.order + 1])
+    return paired("sinh", jet)
 
 
 def cosh(jet: Jet2) -> Jet2:
-    s, c = np.sinh(jet.value), np.cosh(jet.value)
-    return _compose(jet, [c, s, c, s, c][: jet.order + 1])
+    return paired("cosh", jet)
 
 
 def exp(jet: Jet2) -> Jet2:

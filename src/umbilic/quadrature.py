@@ -36,7 +36,7 @@ from . import geometry
 from .surfaces import ImmersionSpec
 
 # nodes per evaluation batch; bounds peak memory of the jet pipeline
-CHUNK = 32768
+CHUNK = 16384
 
 # fewest base cells per axis a GridSpec accepts
 MIN_CELLS = 16

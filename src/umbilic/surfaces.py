@@ -61,8 +61,9 @@ class ImmersionSpec:
 
 
 def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
-    """The three component jets of the chart at (u, v); batched if u, v are arrays."""
-    return tuple(ex.eval_jet(c, u, v, order, spec.params) for c in spec.components)
+    """The three component jets of the chart at (u, v); batched if u, v are
+    arrays. Work the components share is done once (`expressions.eval_jets`)."""
+    return ex.eval_jets(spec.components, u, v, order, spec.params)
 
 
 def interior_axes(spec: ImmersionSpec, nu: int, nv: int):

@@ -355,6 +355,33 @@ def test_non_finite_tol_is_an_input_error(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+VERIFY_SPHERE = ["verify", "--preset", "sphere", "--eps", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (VERIFY_SPHERE + ["--hsup-override", "nan"], "--hsup-override"),
+        (VERIFY_SPHERE + ["--hsup-override", "inf"], "--hsup-override"),
+        (VERIFY_SPHERE + ["--hsup-override", "-1"], "--hsup-override"),
+        (VERIFY_SPHERE + ["--c", "nan"], "--c"),
+        (VERIFY_SPHERE + ["--c", "inf"], "--c"),
+        (["identities", "--preset", "torus", "--n", "5", "--c=-inf"], "--c"),
+    ],
+    ids=["hsup-nan", "hsup-inf", "hsup-negative", "c-nan", "c-inf", "identities-c-minus-inf"],
+)
+def test_bad_hsup_and_ambient_values_name_the_flag(argv, flag, tmp_path, capsys):
+    assert run(argv + SMALL, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_hsup_override_zero_is_accepted(tmp_path):
+    assert run(VERIFY_SPHERE + ["--hsup-override", "0"] + SMALL, tmp_path) in (0, 1)
+    assert read_json(tmp_path, "verify")["config"]["hsup_override"] == 0.0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -250,6 +250,40 @@ ALL_PRESETS = [
 
 
 @pytest.mark.parametrize("name,params", ALL_PRESETS)
+def test_covariant_completion_matches_einsum(name, params):
+    # the explicit 2x2 sums of covariant_data against the index formulas
+    # written as einsum
+    spec = preset(name, params)
+    us, vs = sample_points(spec, 300)
+    pg = geo.point_geometry(spec, us, vs, order=3)
+    gi, dg, hr = pg.ginv, pg.dg, pg.hring
+    X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", gi, X)
+    nabla = (
+        pg.dhring
+        - np.einsum("...lki,...lj->...kij", gamma, hr)
+        - np.einsum("...lkj,...il->...kij", gamma, hr)
+    )
+    up3 = np.einsum("...ka,...ib,...jc,...abc->...kij", gi, gi, gi, nabla)
+    expected = {
+        "gamma": gamma,
+        "nabla_hring": nabla,
+        "gradH_norm2": np.einsum("...ij,...i,...j->...", gi, pg.dH, pg.dH),
+        "hring_up": np.einsum("...ik,...jl,...kl->...ij", gi, gi, hr),
+        "nabla_hring_norm2": np.maximum(np.einsum("...kij,...kij->...", up3, nabla), 0.0),
+    }
+    for key, ref in expected.items():
+        scale = float(np.max(np.abs(ref)))
+        np.testing.assert_allclose(
+            getattr(pg, key), ref, rtol=1e-12, atol=1e-12 * scale, err_msg=key
+        )
+    # the trace cancels to rounding noise; compare it on the scale of its terms
+    scale = float(np.max(np.abs(gi)) * np.max(np.abs(hr)))
+    ref = np.einsum("...ij,...ij->...", gi, hr)
+    np.testing.assert_allclose(pg.trace_hring, ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("name,params", ALL_PRESETS)
 def test_identity_residuals_vanish(name, params):
     # [DERIVED] the four first-order identities are theorems; residuals are
     # numerical noise only
