@@ -99,8 +99,11 @@ def _parse_grid(text) -> tuple[int, int]:
 def _parse_eps(text):
     if text is None:
         return list(DEFAULT_EPS)
+    tokens = str(text).split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"--eps has an empty entry in {text!r}")
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"--eps expects comma-separated numbers, got {text!r}") from None
 
@@ -375,7 +378,7 @@ def cmd_verify(args, params) -> int:
 def cmd_sweep(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)
-    ladder = _parse_eps(args.eps) if args.eps else [0.4, 0.2, 0.1, 0.05]
+    ladder = [0.4, 0.2, 0.1, 0.05] if args.eps is None else _parse_eps(args.eps)
     rows = verifier.sharpness_gap(spec, ladder, grid)
     trend = verifier.classify_trend([abs(r.normalized_gap) for r in rows])
 
@@ -494,6 +497,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
             return cmd_list_presets()
         params = _param_overrides(extra)
+        _check("--seed", args.seed, lambda s: s >= 0, "a non-negative integer")
         if args.command == "identities":
             return cmd_identities(args, params)
         if args.command == "verify":

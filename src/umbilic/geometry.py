@@ -9,12 +9,16 @@ Evaluation runs in two stages. Stage one is `_forms` at jet order 2, 3
 or 4: one pass of jet arithmetic from the chart to the first and second
 fundamental forms, H, the trace-free part and its squared norm, truncated
 to the order the caller needs (Taylor-mode propagation, as in Griewank &
-Walther, *Evaluating Derivatives*, 2008). `classification_values` reads
-the order-2 values; `fundamental_forms` stacks the raw partials into
-arrays, each tensor component contiguous. Stage two, `covariant_data`, is
-explicit 2x2 algebra on those arrays (two-term sums per component, no
-einsum): Christoffel symbols, covariant derivatives, norms and curvature.
-The residuals of the identities under test use numpy einsum.
+Walther, *Evaluating Derivatives*, 2008). Each intermediate carries only
+the partials its consumers read: the chart through `order`; its tangents,
+their dot products, lambda and lambda^2 through order - 1, like g; the
+conformal term p, the shape vectors, the normal and h through order - 2.
+`classification_values` reads the order-2 values; `fundamental_forms`
+stacks the raw partials into arrays, each tensor component contiguous.
+Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
+(two-term sums per component, no einsum): Christoffel symbols, covariant
+derivatives, norms and curvature. The residuals of the identities under
+test use numpy einsum.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -128,7 +132,8 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
 
     g carries partials through order - 1, the rest through order - 2; g, h
     and hring are 2x2 nested tuples of jets. Order 2 gives values only for
-    everything but g.
+    everything but g. Each intermediate is built at the order its consumers
+    read; truncation is a prefix slice, so no value changes.
     """
     c = spec.ambient_c
     try:
@@ -142,34 +147,36 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             (1, 1): tuple(derivative(comp, dv=2) for comp in f),
         }
 
+        # Euclidean products of the tangents, through order - 1 like g
+        euc = {(i, j): _dot3(fd[i], fd[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
         if c != 0.0:
-            lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f, f))
+            f1 = tuple(jets.truncate(x, order - 1) for x in f)
+            lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f1, f1))
             lam2 = lam * lam
-            # p_k = d(log lambda)/dx^k along the chart
-            p = tuple(f[k] * lam * (-c / 2.0) for k in range(3))
+            # p_k = d(log lambda)/dx^k along the chart, through order - 2 like h
+            p = tuple(jets.truncate(x, order - 2) * lam * (-c / 2.0) for x in f)
             p_dot_fd = (_dot3(p, fu), _dot3(p, fv))
 
-        def metric_entry(i, j):
-            e = _dot3(fd[i], fd[j])
-            return lam2 * e if c != 0.0 else e
-
-        g00, g01, g11 = metric_entry(0, 0), metric_entry(0, 1), metric_entry(1, 1)
+        g00, g01, g11 = (lam2 * e if c != 0.0 else e for e in euc.values())
 
         # ambient Hessian of the chart: coordinate second derivative plus
         # the conformal Christoffel correction (absent when c = 0)
         def shape_vec(i, j):
-            base = fdd[(min(i, j), max(i, j))]
+            key = (min(i, j), max(i, j))
+            base = fdd[key]
             if c == 0.0:
                 return base
-            euc = _dot3(fd[i], fd[j])
+            e = euc[key]
             return tuple(
-                base[k] + fd[i][k] * p_dot_fd[j] + fd[j][k] * p_dot_fd[i] - euc * p[k]
+                base[k] + fd[i][k] * p_dot_fd[j] + fd[j][k] * p_dot_fd[i] - e * p[k]
                 for k in range(3)
             )
 
-        nx = fu[1] * fv[2] - fu[2] * fv[1]
-        ny = fu[2] * fv[0] - fu[0] * fv[2]
-        nz = fu[0] * fv[1] - fu[1] * fv[0]
+        # the normal and its norm, like h, through order - 2
+        tu, tv = ([jets.truncate(x, order - 2) for x in t] for t in fd)
+        nx = tu[1] * tv[2] - tu[2] * tv[1]
+        ny = tu[2] * tv[0] - tu[0] * tv[2]
+        nz = tu[0] * tv[1] - tu[1] * tv[0]
         n = (nx, ny, nz)
         inv_norm = 1.0 / jets.sqrt(_dot3(n, n))
 

@@ -404,3 +404,43 @@ def test_range_errors_name_the_flag(argv, flag, tmp_path, capsys):
 def test_missing_surface_selector(tmp_path, capsys):
     assert run(["verify", "--eps", "0.5"], tmp_path) == 2
     assert "--preset or --file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, eps",
+    [
+        ("verify", "0.5,,0.1"),
+        ("verify", ","),
+        ("verify", "0.5,0.1,"),
+        ("verify", ""),
+        ("sweep", "0.4,,0.1"),
+        ("sweep", ""),
+        ("convergence", "0.05,"),
+    ],
+    ids=["verify-inner", "verify-comma", "verify-trailing", "verify-blank", "sweep-inner",
+         "sweep-blank", "convergence-trailing"],
+)
+def test_empty_eps_entry_is_an_input_error(command, eps, tmp_path, capsys):
+    # a typo must not shorten the ladder the report records
+    preset = "ellipsoid_rev" if command == "sweep" else "sphere"
+    argv = [command, "--preset", preset, "--eps", eps] + SMALL
+    if command == "convergence":
+        argv += ["--field", "vol"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--eps" in err and "empty entry" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["identities", "verify", "sweep", "convergence"])
+def test_negative_seed_names_the_flag(command, tmp_path, capsys):
+    argv = [command, "--preset", "sphere", "--seed", "-1"] + SMALL
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_seed_zero_is_accepted(tmp_path):
+    assert run(["identities", "--preset", "sphere", "--n", "5", "--seed", "0"], tmp_path) == 0
+    assert read_json(tmp_path, "identities")["config"]["seed"] == 0

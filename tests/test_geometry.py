@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -8,7 +8,9 @@ import pytest
 from umbilic import expressions as ex
 from umbilic import geometry as geo
 from umbilic.errors import SingularEvaluationError
-from umbilic.surfaces import ImmersionSpec, preset
+from umbilic.surfaces import ImmersionSpec, load_definition, preset
+
+from oracles import fd_partial
 
 RNG_SEED = 61409
 
@@ -418,3 +420,80 @@ def test_reparametrization_invariance(name, params):
             getattr(pg_s, key), getattr(pg, key), rtol=1e-9, atol=1e-9
         )
     np.testing.assert_allclose(np.abs(pg_s.H), np.abs(pg.H), rtol=1e-9)
+
+
+# -- a non-umbilic chart in a curved ambient ---------------------------------------
+
+# The squashed ball of the total-curvature benchmark, in a c = -1 and a
+# c = +1 ambient. Unlike the centered space-form sphere it is not totally
+# umbilic, so every conformal term of the second fundamental form reaches
+# hring and its derivatives.
+SQUASHED_BALL = """\
+[surface]
+name = squashed_ball
+x = rho*sin(u)*cos(v)
+y = rho*sin(u)*sin(v)
+z = k*rho*cos(u)
+u_range = 0, pi
+v_range = 0, 2*pi
+periodic_v = true
+singular_margin = 1e-3
+closed = true
+c = {c}
+
+[params]
+rho = 0.8
+k = 0.7
+"""
+
+
+@pytest.fixture(params=[-1.0, 1.0], ids=["c=-1", "c=+1"])
+def squashed_ball(request, tmp_path):
+    path = tmp_path / "squashed_ball.ini"
+    path.write_text(SQUASHED_BALL.format(c=request.param))
+    return load_definition(path)
+
+
+def test_squashed_ball_orders_agree_bit_for_bit(squashed_ball):
+    us, vs = sample_points(squashed_ball, 300)
+    pgs = [geo.point_geometry(squashed_ball, us, vs, order=o) for o in (2, 3, 4)]
+    assert float(np.max(pgs[0].hring_norm2)) > 0.1  # far from totally umbilic
+    for low, high in zip(pgs, pgs[1:]):
+        shared = [
+            f.name for f in fields(low)
+            if isinstance(getattr(low, f.name), np.ndarray)
+            and getattr(high, f.name) is not None
+        ]
+        assert len(shared) >= 10
+        for name in shared:
+            assert np.array_equal(getattr(low, name), getattr(high, name)), (low.order, name)
+
+
+@pytest.mark.parametrize("point", [(0.7, 0.4), (1.3, 2.5), (2.2, 4.0)])
+def test_squashed_ball_first_partials_match_fd(squashed_ball, point):
+    # [DERIVED] order-3 dh and dH against finite differences of the order-2
+    # values; dh[k, i, j] = d_k h_ij
+    u0, v0 = point
+    pg = geo.fundamental_forms(squashed_ball, u0, v0, order=3)
+
+    def value(field, *index):
+        return lambda u, v: float(
+            getattr(geo.fundamental_forms(squashed_ball, u, v, order=2), field)[index]
+        )
+
+    for k, (a, b) in enumerate(((1, 0), (0, 1))):
+        expected = fd_partial(value("H"), u0, v0, a, b)
+        assert float(pg.dH[k]) == pytest.approx(expected, rel=1e-6, abs=1e-7)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            expected = fd_partial(value("h", i, j), u0, v0, a, b)
+            assert float(pg.dh[k, i, j]) == pytest.approx(expected, rel=1e-6, abs=1e-7)
+
+
+def test_squashed_ball_identity_residuals_vanish(squashed_ball):
+    # bounds of test_identity_residuals_vanish and test_bochner_residual_vanishes
+    us, vs = sample_points(squashed_ball, 400)
+    res = geo.identity_residuals(geo.point_geometry(squashed_ball, us, vs))
+    for key, arr in res.normalized().items():
+        assert float(np.max(arr)) < 1e-8, key
+    b = geo.bochner_residual(squashed_ball, us[:150], vs[:150])
+    assert float(np.max(b.normalized())) < 1e-6
