@@ -36,11 +36,9 @@ from .quadrature import (
     RegionIntegrals,
     convergence_study,
     euler_characteristic,
-    h_sup_estimate,
     integrate,
     region_integrals,
     sublevel,
-    superlevel,
 )
 from .surfaces import (
     ImmersionSpec,
@@ -95,7 +93,6 @@ __all__ = [
     "corollary_check",
     "euler_characteristic",
     "fundamental_forms",
-    "h_sup_estimate",
     "identity_residuals",
     "integrate",
     "intrinsic_scalar_curvature",
@@ -106,7 +103,6 @@ __all__ = [
     "region_integrals",
     "sharpness_gap",
     "sublevel",
-    "superlevel",
     "validate",
     "verify_prel",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, geometry, quadrature, surfaces, verifier
-from .errors import UmbilicError
+from .errors import UmbilicError, VerifierInputError
 from .quadrature import GridSpec
 
 DEFAULT_SEED = 1729
@@ -97,8 +97,6 @@ def _parse_grid(text) -> tuple[int, int]:
 
 
 def _parse_eps(text):
-    if text is None:
-        return list(DEFAULT_EPS)
     tokens = str(text).split(",")
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"--eps has an empty entry in {text!r}")
@@ -106,6 +104,15 @@ def _parse_eps(text):
         return [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"--eps expects comma-separated numbers, got {text!r}") from None
+
+
+def _ladder(text, default=DEFAULT_EPS):
+    """The --eps threshold ladder (default when not given), checked as the
+    verifier checks it."""
+    try:
+        return verifier._check_ladder(default if text is None else _parse_eps(text))
+    except VerifierInputError as exc:
+        raise ValueError(f"--eps: {exc}") from None
 
 
 def _param_overrides(extra) -> dict:
@@ -254,8 +261,9 @@ def cmd_identities(args, params) -> int:
     names = ("codazzi", "div", "smo", "norm", "bochner")
 
     def residuals(u, v):
-        norms = geometry.identity_residuals(geometry.point_geometry(spec, u, v)).normalized()
-        norms["bochner"] = geometry.bochner_residual(spec, u, v).normalized()
+        pg = geometry.point_geometry(spec, u, v, 4)
+        norms = geometry.identity_residuals(pg).normalized()
+        norms["bochner"] = geometry.bochner_residual(pg).normalized()
         return tuple(norms[k] for k in names)
 
     stats = dict(zip(names, quadrature._chunked(residuals, us, vs)))
@@ -302,7 +310,7 @@ def cmd_identities(args, params) -> int:
 def cmd_verify(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)
-    ladder = _parse_eps(args.eps)
+    ladder = _ladder(args.eps)
     h_sup = _check("--hsup-override", args.hsup_override, lambda h: np.isfinite(h) and h >= 0,
                    "finite and non-negative")
     report = verifier.verify_prel(
@@ -378,7 +386,7 @@ def cmd_verify(args, params) -> int:
 def cmd_sweep(args, params) -> int:
     spec = _resolve_surface(args, params)
     grid = _grid_of(args)
-    ladder = [0.4, 0.2, 0.1, 0.05] if args.eps is None else _parse_eps(args.eps)
+    ladder = _ladder(args.eps, (0.4, 0.2, 0.1, 0.05))
     rows = verifier.sharpness_gap(spec, ladder, grid)
     trend = verifier.classify_trend([abs(r.normalized_gap) for r in rows])
 
@@ -432,10 +440,14 @@ def cmd_convergence(args, params) -> int:
     elif args.field == "total_R":
         field, region = quadrature.TOTAL_R, quadrature.ALL
     else:
-        ladder = _parse_eps(args.eps)
-        if args.eps is None or len(ladder) != 1:
+        ladder = [] if args.eps is None else _parse_eps(args.eps)
+        if len(ladder) != 1:
             raise ValueError("--field vol needs --eps with exactly one threshold")
-        field, region = quadrature.AREA, quadrature.sublevel(ladder[0])
+        try:
+            region = quadrature.sublevel(ladder[0])
+        except ValueError as exc:
+            raise ValueError(f"--eps: {exc}") from None
+        field = quadrature.AREA
 
     study = quadrature.convergence_study(spec, field, region, grids)
 

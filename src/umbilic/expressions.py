@@ -517,20 +517,3 @@ def substitute(ast: Expr, mapping: dict) -> Expr:
         return node
 
     return rec(ast)
-
-
-def free_params(ast: Expr) -> set[str]:
-    """Names of all parameter nodes in the tree."""
-    out: set[str] = set()
-
-    def rec(node: Expr):
-        if isinstance(node, Param):
-            out.add(node.name)
-        elif isinstance(node, Unary):
-            rec(node.child)
-        elif isinstance(node, Binary):
-            rec(node.left)
-            rec(node.right)
-
-    rec(ast)
-    return out

@@ -18,7 +18,9 @@ stacks the raw partials into arrays, each tensor component contiguous.
 Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
 (two-term sums per component, no einsum): Christoffel symbols, covariant
 derivatives, norms and curvature. The residuals of the identities under
-test use numpy einsum.
+test use the same helpers (`_apply2`, `_inner`, `_nabla`, `_norm_sq`):
+`identity_residuals` and `intrinsic_scalar_curvature` need order-3
+geometry, `bochner_residual` order 4; each raises ValueError on less.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -54,9 +56,6 @@ from .errors import SingularEvaluationError
 from .expressions import _locate
 from .jets import derivative
 from .surfaces import ImmersionSpec, evaluate_chart
-
-_EINS = dict(optimize=True)
-
 
 # -- stage one: jets -> raw partial arrays -------------------------------------
 
@@ -278,10 +277,10 @@ def covariant_data(pg: PointGeometry) -> PointGeometry:
 
     pg.gamma = gamma
     pg.nabla_hring = nabla_hring
-    pg.gradH_norm2 = _inner(pg.dH, _apply2(ginv, pg.dH, -1), 1)
+    pg.gradH_norm2 = _norm_sq(pg.dH, ginv, 1)
     pg.hring_up = _apply2(ginv, _apply2(ginv, hring, -1), -2)
     pg.trace_hring = _inner(ginv, hring, 2)
-    pg.nabla_hring_norm2 = _norm3_sq(nabla_hring, ginv)
+    pg.nabla_hring_norm2 = _norm_sq(nabla_hring, ginv, 3)
     return pg
 
 
@@ -302,9 +301,17 @@ def _apply2(M, T, axis):
 
 
 def _nabla(dT, T, gamma):
-    """nabla_k T_ij = d_k T_ij - Gamma^l_ki T_lj - Gamma^l_kj T_il, T symmetric."""
-    t = np.moveaxis(_apply2(T, gamma, -3), -3, -1)
-    return dT - t - np.swapaxes(t, -1, -2)
+    """Covariant derivative of a tensor T of any rank with lower indices:
+    nabla_k T_a..b = d_k T_a..b - sum_l Gamma^l_ka T_l..b - ... - sum_l Gamma^l_kb T_a..l,
+    with d_k T in dT (derivative index first). The index terms are
+    subtracted in index order, in place into one copy of dT."""
+    rank = T.ndim - gamma.ndim + 3
+    out = dT.copy(order="K")
+    for k in range(2):
+        gk = np.swapaxes(gamma[..., :, k, :], -1, -2)  # gk[a, l] = Gamma^l_ka
+        for axis in range(-rank, 0):
+            out[(..., k) + (slice(None),) * rank] -= _apply2(gk, T, axis)
+    return out
 
 
 def _inner(a, b, rank):
@@ -316,30 +323,33 @@ def _inner(a, b, rank):
     return total
 
 
-def _raise3(T, ginv):
-    return _apply2(ginv, _apply2(ginv, _apply2(ginv, T, -3), -2), -1)
+def _norm_sq(T, ginv, rank):
+    """|T|^2 of a tensor with `rank` lower indices, raised in index order."""
+    up = T
+    for axis in range(-rank, 0):
+        up = _apply2(ginv, up, axis)
+    return np.maximum(_inner(up, T, rank), 0.0)
 
 
-def _norm3_sq(T, ginv):
-    return np.maximum(_inner(_raise3(T, ginv), T, 3), 0.0)
+def _norm(T, ginv, rank):
+    return np.sqrt(_norm_sq(T, ginv, rank))
 
 
-def _norm3(T, ginv):
-    return np.sqrt(_norm3_sq(T, ginv))
+def _dgamma(pg: PointGeometry):
+    """d_m Gamma^k_ij as [m, k, i, j]. With d_m g^kl = -g^ka d_m g_ab g^bl,
+    d_m Gamma^k_ij = g^kl (1/2 d_m X_ijl - d_m g_lb Gamma^b_ij), X as in
+    `covariant_data`."""
+    d2g = pg.d2g
+    dX = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)  # [m, i, j, l]
+    Y = 0.5 * np.moveaxis(dX, -1, -3)  # [m, l, i, j]
+    for m in range(2):
+        Y[..., m, :, :, :] -= _apply2(pg.dg[..., m, :, :], pg.gamma, -3)
+    return _apply2(pg.ginv, Y, -3)
 
 
-def _norm2_sq(T, ginv):
-    up = np.einsum("...ik,...jl,...kl->...ij", ginv, ginv, T, **_EINS)
-    return np.maximum(np.einsum("...ij,...ij->...", up, T, **_EINS), 0.0)
-
-
-def _norm2t(T, ginv):
-    return np.sqrt(_norm2_sq(T, ginv))
-
-
-def _norm1(V, ginv):
-    q = np.einsum("...ij,...i,...j->...", ginv, V, V, **_EINS)
-    return np.sqrt(np.maximum(q, 0.0))
+def _require(pg: PointGeometry, order: int, what: str):
+    if pg.order < order:
+        raise ValueError(f"{what} needs geometry of jet order {order} or more, got {pg.order}")
 
 
 # -- identity residuals ----------------------------------------------------------
@@ -374,34 +384,34 @@ class IdentityResiduals:
 
 def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
     """Defects of the trace-free Codazzi relation, its divergence trace,
-    the Smoczyk-type gradient identity, and the |nabla h|^2 splitting."""
+    the Smoczyk-type gradient identity, and the |nabla h|^2 splitting.
+    Needs order-3 geometry."""
+    _require(pg, 3, "identity_residuals")
     ginv, g, dH = pg.ginv, pg.g, pg.dH
     nh = pg.nabla_hring
 
     # nabla_k hring_ij - nabla_j hring_ik = 1/2 (nabla_j H g_ik - nabla_k H g_ij)
     T1 = nh
     T2 = np.swapaxes(nh, -3, -1)  # nabla_j hring_ik as [k, i, j]
-    T3 = 0.5 * np.einsum("...j,...ik->...kij", dH, g, **_EINS)
-    T4 = 0.5 * np.einsum("...k,...ij->...kij", dH, g, **_EINS)
-    r_codazzi = _norm3(T1 - T2 - T3 + T4, ginv)
-    s_codazzi = _norm3(T1, ginv) + _norm3(T2, ginv) + _norm3(T3, ginv) + _norm3(T4, ginv)
+    T3 = 0.5 * (g[..., :, :, None] * dH[..., None, None, :])
+    T4 = 0.5 * (dH[..., :, None, None] * g[..., None, :, :])
+    r_codazzi = _norm(T1 - T2 - T3 + T4, ginv, 3)
+    s_codazzi = sum(_norm(T, ginv, 3) for T in (T1, T2, T3, T4))
 
     # g^{jk} nabla_k hring_ij = 1/2 nabla_i H
-    D = np.einsum("...jk,...kij->...i", ginv, nh, **_EINS)
-    r_div = _norm1(D - 0.5 * dH, ginv)
-    s_div = _norm1(D, ginv) + 0.5 * _norm1(dH, ginv)
+    D = _inner(ginv[..., None, :, :], np.swapaxes(nh, -3, -2), 2)
+    r_div = _norm(D - 0.5 * dH, ginv, 1)
+    s_div = _norm(D, ginv, 1) + 0.5 * _norm(dH, ginv, 1)
 
     # 2|hring|^2 (|nabla hring|^2 - 1/2 |nabla H|^2)
     #   = 4 |nabla|hring||^2 |hring|^2 - 2 hring^{ij} nabla_i|hring|^2 nabla_j H
     # with nabla_i |hring|^2 = 2 hring^{kl} nabla_i hring_kl and
     # |nabla|hring||^2 |hring|^2 = 1/4 |nabla(|hring|^2)|^2 (smooth at umbilics)
     n2 = pg.hring_norm2
-    dn2 = 2.0 * np.einsum("...kl,...ikl->...i", pg.hring_up, nh, **_EINS)
-    grad_n2_sq = np.einsum("...ij,...i,...j->...", ginv, dn2, dn2, **_EINS)
-    cross = np.einsum("...ij,...i,...j->...", pg.hring_up, dn2, dH, **_EINS)
+    dn2 = 2.0 * _inner(pg.hring_up[..., None, :, :], nh, 2)
     t_a = 2.0 * n2 * (pg.nabla_hring_norm2 - 0.5 * pg.gradH_norm2)
-    t_b = grad_n2_sq
-    t_c = 2.0 * cross
+    t_b = _norm_sq(dn2, ginv, 1)
+    t_c = 2.0 * _inner(dn2, _apply2(pg.hring_up, dH, -1), 1)
     r_smo = np.abs(t_a - t_b + t_c)
     s_smo = (
         2.0 * n2 * pg.nabla_hring_norm2
@@ -412,7 +422,7 @@ def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
 
     # |nabla h|^2 = |nabla hring|^2 + 1/2 |nabla H|^2, with nabla h assembled
     # independently from the raw partials of h
-    nh_sq = _norm3_sq(_nabla(pg.dh, pg.h, pg.gamma), ginv)
+    nh_sq = _norm_sq(_nabla(pg.dh, pg.h, pg.gamma), ginv, 3)
     r_norm = np.abs(nh_sq - pg.nabla_hring_norm2 - 0.5 * pg.gradH_norm2)
     s_norm = nh_sq + pg.nabla_hring_norm2 + 0.5 * pg.gradH_norm2
 
@@ -420,22 +430,6 @@ def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
 
 
 # -- second-order (Laplacian) residuals --------------------------------------------
-
-
-def _dginv_dgamma(pg: PointGeometry):
-    ginv, dg, d2g = pg.ginv, pg.dg, pg.d2g
-    dginv = -np.einsum("...ia,...mab,...bj->...mij", ginv, dg, ginv, **_EINS)
-    A = dg
-    B = np.swapaxes(dg, -3, -2)
-    C = np.moveaxis(dg, -3, -1)
-    dA = d2g                                  # [..., m, i, j, l] = d_m d_i g_jl
-    dB = np.swapaxes(d2g, -3, -2)
-    dC = np.moveaxis(d2g, -3, -1)
-    dgamma = 0.5 * (
-        np.einsum("...mkl,...ijl->...mkij", dginv, A + B - C, **_EINS)
-        + np.einsum("...kl,...mijl->...mkij", ginv, dA + dB - dC, **_EINS)
-    )
-    return dginv, dgamma
 
 
 @dataclass
@@ -457,8 +451,8 @@ class BochnerResidual:
         return np.maximum(self.r_tensor, self.r_scalar)
 
 
-def bochner_residual(spec: ImmersionSpec, u, v) -> BochnerResidual:
-    """Evaluate the Laplacian identities at (u, v) from order-4 jet data.
+def bochner_residual(pg: PointGeometry) -> BochnerResidual:
+    """Evaluate the Laplacian identities on order-4 geometry.
 
     Tensor form: Delta hring_ij = R hring_ij + nabla_i nabla_j H - 1/2 Delta H g_ij.
     Scalar form: 1/2 Delta|hring|^2 |hring|^2 = 2|nabla|hring||^2|hring|^2
@@ -466,29 +460,22 @@ def bochner_residual(spec: ImmersionSpec, u, v) -> BochnerResidual:
       + R |hring|^4 + hring^{ij} nabla_i nabla_j H |hring|^2,
     with |nabla|hring||^2 |hring|^2 written as 1/4 |nabla(|hring|^2)|^2.
     """
-    pg = point_geometry(spec, u, v, order=4)
+    _require(pg, 4, "bochner_residual")
     ginv, gamma, hring = pg.ginv, pg.gamma, pg.hring
-    nh, dhring = pg.nabla_hring, pg.dhring
-    _, dgamma = _dginv_dgamma(pg)
+    dgamma = _dgamma(pg)
 
-    # d_l (nabla_k hring_ij)
-    dnab = (
-        pg.d2hring
-        - np.einsum("...lmki,...mj->...lkij", dgamma, hring, **_EINS)
-        - np.einsum("...mki,...lmj->...lkij", gamma, dhring, **_EINS)
-        - np.einsum("...lmkj,...im->...lkij", dgamma, hring, **_EINS)
-        - np.einsum("...mkj,...lim->...lkij", gamma, dhring, **_EINS)
-    )
-    nabla2 = (
-        dnab
-        - np.einsum("...mlk,...mij->...lkij", gamma, nh, **_EINS)
-        - np.einsum("...mli,...kmj->...lkij", gamma, nh, **_EINS)
-        - np.einsum("...mlj,...kim->...lkij", gamma, nh, **_EINS)
-    )
-    lap_hring = np.einsum("...kl,...lkij->...ij", ginv, nabla2, **_EINS)
+    # d_l (nabla_k hring_ij), then its covariant derivative nabla_l nabla_k hring_ij
+    dnab = np.empty_like(pg.d2hring)
+    for l in range(2):
+        dnab[..., l, :, :, :] = _nabla(
+            _nabla(pg.d2hring[..., l, :, :, :], pg.dhring[..., l, :, :], gamma),
+            hring, dgamma[..., l, :, :, :],
+        )
+    nabla2 = _nabla(dnab, pg.nabla_hring, gamma)  # [l, k, i, j]
+    lap_hring = _inner(ginv[..., None, None, :, :], np.moveaxis(nabla2, (-4, -3), (-2, -1)), 2)
 
-    hessH = pg.d2H - np.einsum("...kij,...k->...ij", gamma, pg.dH, **_EINS)
-    lapH = np.einsum("...ij,...ij->...", ginv, hessH, **_EINS)
+    hessH = _nabla(pg.d2H, pg.dH, gamma)
+    lapH = _inner(ginv, hessH, 2)
 
     T = (
         lap_hring
@@ -496,29 +483,23 @@ def bochner_residual(spec: ImmersionSpec, u, v) -> BochnerResidual:
         - hessH
         + 0.5 * lapH[..., None, None] * pg.g
     )
-    r_tensor = _norm2t(T, ginv)
+    r_tensor = _norm(T, ginv, 2)
     s_tensor = (
-        _norm2t(lap_hring, ginv)
-        + np.abs(pg.R) * _norm2t(hring, ginv)
-        + _norm2t(hessH, ginv)
+        _norm(lap_hring, ginv, 2)
+        + np.abs(pg.R) * _norm(hring, ginv, 2)
+        + _norm(hessH, ginv, 2)
         + 0.5 * np.abs(lapH) * np.sqrt(2.0)
     )
 
     n2, dn2 = pg.hring_norm2, pg.d_hring_norm2
-    hess_n2 = pg.d2_hring_norm2 - np.einsum(
-        "...kij,...k->...ij", gamma, dn2, **_EINS
-    )
-    lap_n2 = np.einsum("...ij,...ij->...", ginv, hess_n2, **_EINS)
-    grad_n2_sq = np.einsum("...ij,...i,...j->...", ginv, dn2, dn2, **_EINS)
-    cross = np.einsum("...ij,...i,...j->...", pg.hring_up, dn2, pg.dH, **_EINS)
-    hring_hessH = np.einsum("...ij,...ij->...", pg.hring_up, hessH, **_EINS)
+    lap_n2 = _inner(ginv, _nabla(pg.d2_hring_norm2, dn2, gamma), 2)
 
     t1 = 0.5 * lap_n2 * n2
-    t2 = 0.5 * grad_n2_sq          # = 2 |nabla|hring||^2 |hring|^2
-    t3 = cross
+    t2 = 0.5 * _norm_sq(dn2, ginv, 1)  # = 2 |nabla|hring||^2 |hring|^2
+    t3 = _inner(dn2, _apply2(pg.hring_up, pg.dH, -1), 1)
     t4 = 0.5 * pg.gradH_norm2 * n2
     t5 = pg.R * n2 * n2
-    t6 = hring_hessH * n2
+    t6 = _inner(pg.hring_up, hessH, 2) * n2
     r_scalar = np.abs(t1 - t2 + t3 - t4 - t5 - t6)
     s_scalar = np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4) + np.abs(t5) + np.abs(t6)
 
@@ -531,20 +512,20 @@ def bochner_residual(spec: ImmersionSpec, u, v) -> BochnerResidual:
 def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
     """Scalar curvature from (g, dg, d2g) alone, via the Ricci tensor of the
     Levi-Civita connection. Independent of h; used to cross-check the traced
-    Gauss relation R = 1/2 H^2 - |hring|^2 + 2c."""
-    if pg.d2g is None:
-        raise ValueError("needs d2g (evaluate with order >= 3)")
+    Gauss relation R = 1/2 H^2 - |hring|^2 + 2c. Needs order-3 geometry."""
+    _require(pg, 3, "intrinsic_scalar_curvature")
     if pg.gamma is None:
         covariant_data(pg)
-    gamma, ginv = pg.gamma, pg.ginv
-    _, dgamma = _dginv_dgamma(pg)
-    e1 = np.einsum("...kkij->...ij", dgamma, **_EINS)          # d_k Gamma^k_ij
-    e2 = np.einsum("...ikkj->...ij", dgamma, **_EINS)          # d_i Gamma^k_kj
-    tr_gamma = np.einsum("...kka->...a", gamma, **_EINS)
-    e3 = np.einsum("...a,...aij->...ij", tr_gamma, gamma, **_EINS)
-    e4 = np.einsum("...kia,...akj->...ij", gamma, gamma, **_EINS)
-    ric = e1 - e2 + e3 - e4
-    return np.einsum("...ij,...ij->...", ginv, ric, **_EINS)
+    gamma = pg.gamma
+    dgamma = _dgamma(pg)
+    # Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_ka Gamma^a_ij - Gamma^k_ia Gamma^a_kj
+    ric = dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
+    ric = ric - (dgamma[..., :, 0, 0, :] + dgamma[..., :, 1, 1, :])
+    tr_gamma = gamma[..., 0, 0, :] + gamma[..., 1, 1, :]
+    ric = ric + _inner(tr_gamma[..., None, None, :], np.moveaxis(gamma, -3, -1), 1)
+    for k in range(2):
+        ric = ric - _apply2(gamma[..., k, :, :], gamma[..., :, k, :], -2)
+    return _inner(pg.ginv, ric, 2)
 
 
 # -- cheap classification fields ------------------------------------------------

@@ -54,11 +54,9 @@ __all__ = [
     "TOTAL_R",
     "convergence_study",
     "euler_characteristic",
-    "h_sup_estimate",
     "integrate",
     "region_integrals",
     "sublevel",
-    "superlevel",
 ]
 
 
@@ -93,7 +91,7 @@ class Region:
     eps: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("all", "sublevel", "superlevel"):
+        if self.kind not in ("all", "sublevel"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         if self.kind == "all":
             if self.eps is not None:
@@ -108,11 +106,6 @@ ALL = Region("all")
 def sublevel(eps: float) -> Region:
     """Points with |hring| strictly below eps."""
     return Region("sublevel", float(eps))
-
-
-def superlevel(eps: float) -> Region:
-    """Points with |hring| >= eps (the complement; ties land here)."""
-    return Region("superlevel", float(eps))
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ def _full(spec, fields, us, vs, *, with_n2):
 
 
 def _base_split(inside_corner, inside_center):
-    """Uniform-in / uniform-out / straddling masks over base cells."""
+    """Uniform-in and straddling masks over base cells, plus the corner masks."""
     c00 = inside_corner[:-1, :-1]
     c10 = inside_corner[1:, :-1]
     c01 = inside_corner[:-1, 1:]
@@ -243,7 +236,7 @@ def _base_split(inside_corner, inside_center):
     all_out = ~(c00 | c10 | c01 | c11 | inside_center)
     straddle = ~(all_in | all_out)
     corners = tuple(a.ravel() for a in (c00, c10, c01, c11))
-    return all_in.ravel(), all_out.ravel(), straddle.ravel(), corners
+    return all_in.ravel(), straddle.ravel(), corners
 
 
 def _refined_leaves(spec, eps, state, du, dv, depth):
@@ -314,8 +307,7 @@ class _Pass:
     """Sums from one pass over one grid; every sum is of field * dA.
 
     whole   per field, over the whole surface
-    region  per threshold, per field, over the sublevel region (or its
-            complement for an outside pass)
+    region  per threshold, per field, over the sublevel region
     h_sup   max |H| over every full-geometry node of the pass
     h_odd   max |H| over the base corners whose two indices are both odd,
             which are the base midpoints of the half grid when nu and nv
@@ -328,7 +320,7 @@ class _Pass:
     h_odd: float | None
 
 
-def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, outside=False):
+def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=()):
     """The one quadrature driver: every integral of the package goes through it.
 
     Base midpoints get one geometry evaluation at the order the fields
@@ -360,12 +352,11 @@ def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, ou
     for eps in eps_values:
         inside_corner = (n2_corner < eps * eps).reshape(grid.nu + 1, grid.nv + 1)
         inside_center = (n2_center < eps * eps).reshape(grid.nu, grid.nv)
-        all_in, all_out, straddle, corners = _base_split(inside_corner, inside_center)
+        all_in, straddle, corners = _base_split(inside_corner, inside_center)
         sums = [0.0] * len(fields)
-        sel = all_out if outside else all_in
-        if sel.any():
+        if all_in.any():
             for k, a in enumerate(base):
-                sums[k] += float(np.sum(a[sel])) * base_area
+                sums[k] += float(np.sum(a[all_in])) * base_area
 
         state = (
             cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
@@ -374,10 +365,9 @@ def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), *, ou
         for lus, lvs, cell_area, inside in _refined_leaves(
             spec, eps, state, du, dv, grid.adaptive_depth
         ):
-            pick = ~inside if outside else inside
-            if not pick.any():
+            if not inside.any():
                 continue
-            leaf_max, *leaf = _full(spec, fields, lus[pick], lvs[pick], with_n2=False)
+            leaf_max, *leaf = _full(spec, fields, lus[inside], lvs[inside], with_n2=False)
             h_sup = max(h_sup, float(np.max(leaf_max)))
             for k, a in enumerate(leaf):
                 sums[k] += float(np.sum(a)) * cell_area
@@ -441,8 +431,7 @@ def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) 
     """
     if region.kind == "all":
         return _grid_pass(spec, grid, (field,)).whole[0]
-    p = _grid_pass(spec, grid, (field,), (region.eps,), outside=region.kind == "superlevel")
-    return p.region[0][0]
+    return _grid_pass(spec, grid, (field,), (region.eps,)).region[0][0]
 
 
 def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
@@ -485,12 +474,6 @@ def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
             stacklevel=2,
         )
     return chi, rounded
-
-
-def h_sup_estimate(spec: ImmersionSpec, grid: GridSpec) -> float:
-    """Max |H| over the base midpoint nodes (cheap low-order pass)."""
-    _, abs_h = _classified(spec, *_lattice(spec, grid, centers=True))
-    return float(np.max(abs_h))
 
 
 def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> ConvergenceStudy:

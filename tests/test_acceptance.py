@@ -66,7 +66,7 @@ def test_a1_structural_identities(capsys):
             worst1 = max(worst1, m)
             if m >= 1e-8:
                 problems.append(f"{name}{params}: {key} residual {m:.3e} >= 1e-8")
-        b = float(np.max(geo.bochner_residual(spec, us, vs).normalized()))
+        b = float(np.max(geo.bochner_residual(geo.point_geometry(spec, us, vs, 4)).normalized()))
         worst2 = max(worst2, b)
         if b >= 1e-6:
             problems.append(f"{name}{params}: second-order residual {b:.3e} >= 1e-6")

@@ -432,6 +432,28 @@ def test_empty_eps_entry_is_an_input_error(command, eps, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--preset", "sphere", "--eps=nan"], "threshold nan rejected"),
+        (["verify", "--preset", "sphere", "--eps=-0.1"], "threshold -0.1 rejected"),
+        (["verify", "--preset", "sphere", "--eps=inf"], "threshold inf rejected"),
+        (["verify", "--preset", "sphere", "--eps=0.1,0.5"], "strictly decreasing"),
+        (["sweep", "--preset", "ellipsoid_rev", "--eps=0.1,0.5"], "strictly decreasing"),
+        (["sweep", "--preset", "ellipsoid_rev", "--eps=1.5"], "threshold 1.5 rejected"),
+        (["convergence", "--preset", "sphere", "--field", "vol", "--eps=-1"],
+         "needs a positive threshold"),
+    ],
+    ids=["verify-nan", "verify-negative", "verify-inf", "verify-increasing",
+         "sweep-increasing", "sweep-above-one", "convergence-negative"],
+)
+def test_out_of_range_eps_names_the_flag(argv, message, tmp_path, capsys):
+    assert run(argv + SMALL, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["identities", "verify", "sweep", "convergence"])
 def test_negative_seed_names_the_flag(command, tmp_path, capsys):
     argv = [command, "--preset", "sphere", "--seed", "-1"] + SMALL

@@ -179,10 +179,6 @@ def test_eval_number_rejects_variables():
         ex.eval_number(ex.parse("2*u"))
 
 
-def test_free_params():
-    assert ex.free_params(ex.parse("a*sin(u) + b^2 + pi")) == {"a", "b"}
-
-
 # -- canonical printing ---------------------------------------------------------
 
 _leaf = st.one_of(

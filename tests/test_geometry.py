@@ -301,7 +301,7 @@ def test_bochner_residual_vanishes(name, params):
     # [DERIVED] Laplacian-level identity via order-4 jets
     spec = preset(name, params)
     us, vs = sample_points(spec, 150)
-    b = geo.bochner_residual(spec, us, vs)
+    b = geo.bochner_residual(geo.point_geometry(spec, us, vs, 4))
     assert float(np.max(b.normalized())) < 1e-6
 
 
@@ -314,7 +314,7 @@ def test_totally_umbilic_residuals_tiny_raw():
     assert float(np.max(res.r_div)) < 1e-10
     assert float(np.max(res.r_smo)) < 1e-10
     assert float(np.max(res.r_norm)) < 1e-10
-    b = geo.bochner_residual(spec, us, vs)
+    b = geo.bochner_residual(geo.point_geometry(spec, us, vs, 4))
     assert float(np.max(b.value)) < 1e-10
 
 
@@ -326,6 +326,122 @@ def test_gauss_consistency(name, params):
     pg = geo.point_geometry(spec, us, vs)
     r_int = geo.intrinsic_scalar_curvature(pg)
     np.testing.assert_allclose(r_int, pg.R, rtol=1e-7, atol=1e-7)
+
+
+def test_residuals_reject_too_low_an_order():
+    spec = preset("torus")
+    us, vs = sample_points(spec, 5)
+    with pytest.raises(ValueError, match="order 3"):
+        geo.identity_residuals(geo.point_geometry(spec, us, vs, order=2))
+    with pytest.raises(ValueError, match="order 3"):
+        geo.intrinsic_scalar_curvature(geo.point_geometry(spec, us, vs, order=2))
+    with pytest.raises(ValueError, match="order 4"):
+        geo.bochner_residual(geo.point_geometry(spec, us, vs, order=3))
+
+
+def _einsum_residuals(pg):
+    """The residuals written as index formulas in einsum: raw r_/s_ arrays
+    of both residual sets plus the intrinsic scalar curvature."""
+    gi, g, hr, up, gam = pg.ginv, pg.g, pg.hring, pg.hring_up, pg.gamma
+    dH, nh = pg.dH, pg.nabla_hring
+    ein = np.einsum
+
+    def n1(V):
+        return np.sqrt(np.maximum(ein("...ij,...i,...j->...", gi, V, V), 0.0))
+
+    def n2(T):
+        return np.sqrt(np.maximum(ein("...ik,...jl,...ij,...kl->...", gi, gi, T, T), 0.0))
+
+    def n3_sq(T):
+        return np.maximum(ein("...ka,...ib,...jc,...kij,...abc->...", gi, gi, gi, T, T), 0.0)
+
+    out = {}
+    T1, T2 = nh, np.swapaxes(nh, -3, -1)
+    T3 = 0.5 * ein("...j,...ik->...kij", dH, g)
+    T4 = 0.5 * ein("...k,...ij->...kij", dH, g)
+    out["r_codazzi"] = np.sqrt(n3_sq(T1 - T2 - T3 + T4))
+    out["s_codazzi"] = sum(np.sqrt(n3_sq(T)) for T in (T1, T2, T3, T4))
+    D = ein("...jk,...kij->...i", gi, nh)
+    out["r_div"] = n1(D - 0.5 * dH)
+    out["s_div"] = n1(D) + 0.5 * n1(dH)
+    m2, nn, gH = pg.hring_norm2, pg.nabla_hring_norm2, pg.gradH_norm2
+    dn2 = 2.0 * ein("...kl,...ikl->...i", up, nh)
+    t_a = 2.0 * m2 * (nn - 0.5 * gH)
+    t_b = ein("...ij,...i,...j->...", gi, dn2, dn2)
+    t_c = 2.0 * ein("...ij,...i,...j->...", up, dn2, dH)
+    out["r_smo"] = np.abs(t_a - t_b + t_c)
+    out["s_smo"] = 2.0 * m2 * nn + m2 * gH + np.abs(t_b) + np.abs(t_c)
+    nabla_h = (
+        pg.dh - ein("...lki,...lj->...kij", gam, pg.h) - ein("...lkj,...il->...kij", gam, pg.h)
+    )
+    nh_sq = n3_sq(nabla_h)
+    out["r_norm"] = np.abs(nh_sq - nn - 0.5 * gH)
+    out["s_norm"] = nh_sq + nn + 0.5 * gH
+
+    # d_m Gamma^k_ij from d_m g^kl = -g^ka d_m g_ab g^bl
+    dg, d2g = pg.dg, pg.d2g
+    X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    dX = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+    dginv = -ein("...ia,...mab,...bj->...mij", gi, dg, gi)
+    dgam = 0.5 * (ein("...mkl,...ijl->...mkij", dginv, X) + ein("...kl,...mijl->...mkij", gi, dX))
+    dhr = pg.dhring
+    dnab = (
+        pg.d2hring
+        - ein("...lmki,...mj->...lkij", dgam, hr) - ein("...mki,...lmj->...lkij", gam, dhr)
+        - ein("...lmkj,...im->...lkij", dgam, hr) - ein("...mkj,...lim->...lkij", gam, dhr)
+    )
+    nabla2 = (
+        dnab
+        - ein("...mlk,...mij->...lkij", gam, nh)
+        - ein("...mli,...kmj->...lkij", gam, nh)
+        - ein("...mlj,...kim->...lkij", gam, nh)
+    )
+    lap = ein("...kl,...lkij->...ij", gi, nabla2)
+    hessH = pg.d2H - ein("...kij,...k->...ij", gam, dH)
+    lapH = ein("...ij,...ij->...", gi, hessH)
+    R = pg.R
+    out["r_tensor"] = n2(lap - R[..., None, None] * hr - hessH + 0.5 * lapH[..., None, None] * g)
+    out["s_tensor"] = n2(lap) + np.abs(R) * n2(hr) + n2(hessH) + 0.5 * np.abs(lapH) * np.sqrt(2.0)
+    dm2 = pg.d_hring_norm2
+    lap_m2 = ein("...ij,...ij->...", gi, pg.d2_hring_norm2 - ein("...kij,...k->...ij", gam, dm2))
+    t = (
+        0.5 * lap_m2 * m2,
+        0.5 * ein("...ij,...i,...j->...", gi, dm2, dm2),
+        ein("...ij,...i,...j->...", up, dm2, dH),
+        0.5 * gH * m2,
+        R * m2 * m2,
+        ein("...ij,...ij->...", up, hessH) * m2,
+    )
+    out["r_scalar"] = np.abs(t[0] - t[1] + t[2] - t[3] - t[4] - t[5])
+    out["s_scalar"] = sum(np.abs(x) for x in t)
+
+    ric = (
+        ein("...kkij->...ij", dgam)
+        - ein("...ikkj->...ij", dgam)
+        + ein("...a,...aij->...ij", ein("...kka->...a", gam), gam)
+        - ein("...kia,...akj->...ij", gam, gam)
+    )
+    out["R_intrinsic"] = ein("...ij,...ij->...", gi, ric)
+    return out
+
+
+def assert_residuals_match_einsum(spec):
+    # a dropped or mis-indexed term moves a residual by the size of that
+    # term, which the "residuals vanish" bounds alone cannot see
+    us, vs = sample_points(spec, 150)
+    pg = geo.point_geometry(spec, us, vs, order=4)
+    ref = _einsum_residuals(pg)
+    got = {**vars(geo.identity_residuals(pg)), **vars(geo.bochner_residual(pg)),
+           "R_intrinsic": geo.intrinsic_scalar_curvature(pg)}
+    assert set(got) == set(ref)
+    for key, value in got.items():
+        scale = 1.0 + np.abs(ref["s_" + key[2:]] if key.startswith("r_") else ref[key])
+        np.testing.assert_array_less(np.abs(value - ref[key]), 1e-10 * scale, err_msg=key)
+
+
+@pytest.mark.parametrize("name,params", ALL_PRESETS)
+def test_residuals_match_einsum(name, params):
+    assert_residuals_match_einsum(preset(name, params))
 
 
 # -- invariance suites -------------------------------------------------------------
@@ -495,5 +611,9 @@ def test_squashed_ball_identity_residuals_vanish(squashed_ball):
     res = geo.identity_residuals(geo.point_geometry(squashed_ball, us, vs))
     for key, arr in res.normalized().items():
         assert float(np.max(arr)) < 1e-8, key
-    b = geo.bochner_residual(squashed_ball, us[:150], vs[:150])
+    b = geo.bochner_residual(geo.point_geometry(squashed_ball, us[:150], vs[:150], 4))
     assert float(np.max(b.normalized())) < 1e-6
+
+
+def test_squashed_ball_residuals_match_einsum(squashed_ball):
+    assert_residuals_match_einsum(squashed_ball)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from umbilic import expressions as ex
 from umbilic import quadrature as q
 from umbilic.errors import SingularEvaluationError
+from umbilic.geometry import classification_values
 from umbilic.surfaces import preset
 from tests.test_geometry import plane_spec
 
@@ -38,7 +40,6 @@ def test_gridspec_validation():
 
 def test_region_validation():
     q.sublevel(0.3)
-    q.superlevel(1.0)
     with pytest.raises(ValueError):
         q.Region("between", 0.5)
     with pytest.raises(ValueError):
@@ -168,28 +169,27 @@ def test_sphere_sublevel_is_everything():
     g = q.GridSpec(64, 64, 4)
     a = q.integrate(sph, area_field, g)
     assert q.integrate(sph, area_field, g, q.sublevel(0.05)) == a
-    assert q.integrate(sph, area_field, g, q.superlevel(0.05)) == 0.0
 
 
-def test_additivity_no_refinement():
-    # complementary classification over the identical node set
-    ell = preset("ellipsoid_rev")
-    g = q.GridSpec(64, 64, 0)
-    whole = q.integrate(ell, r_field, g)
-    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
-    hi = q.integrate(ell, r_field, g, q.superlevel(0.25))
-    assert lo + hi == pytest.approx(whole, rel=1e-12)
-
-
-def test_additivity_with_refinement():
-    # refined sides partition the surface; differs from the base-grid
-    # whole-surface sum only by the local refinement correction
-    ell = preset("ellipsoid_rev")
-    whole = q.integrate(ell, r_field, q.GridSpec(64, 64, 0))
+def test_refined_leaves_tile_straddling_cells():
+    # the leaves of the straddling base cells, inside and outside, cover
+    # exactly their area: leaf areas are the base area over powers of 4
+    ell, eps = preset("ellipsoid_rev"), 0.25
     g = q.GridSpec(64, 64, 6)
-    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
-    hi = q.integrate(ell, r_field, g, q.superlevel(0.25))
-    assert lo + hi == pytest.approx(whole, rel=1e-3)
+    _, _, du, dv = q._axes(ell, g)
+    ug, vg = q._lattice(ell, g, centers=False)
+    n2_corner, _ = q._classified(ell, ug, vg)
+    n2_center, _ = q._classified(ell, *q._lattice(ell, g, centers=True))
+    inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
+    _, straddle, corners = q._base_split(
+        (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
+    )
+    lower = (a.reshape(g.nu + 1, g.nv + 1)[:-1, :-1].ravel()[straddle] for a in (ug, vg))
+    state = (*lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle])
+    leaves = list(q._refined_leaves(ell, eps, state, du, dv, g.adaptive_depth))
+    assert straddle.sum() > 0 and len(leaves) > 1
+    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
+    assert tiled == straddle.sum()
 
 
 def test_sublevel_volume_monotone_in_eps():
@@ -248,17 +248,16 @@ def test_region_integrals_shared_globals():
 def test_h_sup_matches_pole_limit():
     # [DERIVED] ellipsoid_rev(1, 2): both principal curvatures -> b/a^2 = 2
     # at the poles, so sup |H| = 4 (approached, poles margin-excluded)
-    h = q.h_sup_estimate(preset("ellipsoid_rev"), q.GridSpec(256, 256))
-    assert 3.99 < h <= 4.0
     rows = q.region_integrals(preset("ellipsoid_rev"), [0.1], q.GridSpec(256, 256, 4))
-    assert rows[0].H_sup >= h - 1e-12
+    assert 3.99 < rows[0].H_sup <= 4.0
 
 
 def test_odd_corner_h_equals_half_grid_midpoints():
     # the odd corners of a 128^2 grid are the 64^2 midpoints bit for bit
     ell = preset("ellipsoid_rev")
     _, h_odd = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
-    assert h_odd == q.h_sup_estimate(ell, q.GridSpec(64, 64))
+    _, h = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
+    assert h_odd == float(np.max(h))
 
 
 def test_plane_patch_area():
