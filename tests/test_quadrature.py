@@ -171,25 +171,66 @@ def test_sphere_sublevel_is_everything():
     assert q.integrate(sph, area_field, g, q.sublevel(0.05)) == a
 
 
+def _straddling(spec, g, eps):
+    """(base-center values of |hring|^2 and field * dA, all-out mask, du, dv,
+    refinement state of the straddling cells), classified as the pass does."""
+    _, _, du, dv = q._axes(spec, g)
+    ug, vg = q._lattice(spec, g, centers=False)
+    n2_corner, _ = q._classified(spec, ug, vg)
+    _, n2_center, base = q._full(spec, (r_field,), *q._lattice(spec, g, centers=True), with_n2=True)
+    inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
+    all_in, straddle, corners = q._base_split(
+        (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
+    )
+    lower = (a.reshape(g.nu + 1, g.nv + 1)[:-1, :-1].ravel()[straddle] for a in (ug, vg))
+    state = (*lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle])
+    return base, ~(all_in | straddle), du, dv, state
+
+
+def _outside_r(spec, g, eps):
+    """Integral of R over |hring| >= eps: the complement of sublevel(eps),
+    summed over the all-out base cells and the outside refined leaves."""
+    base, all_out, du, dv, state = _straddling(spec, g, eps)
+    total = float(np.sum(base[all_out])) * du * dv
+    for us, vs, area, inside in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
+        if (~inside).any():
+            _, vals = q._full(spec, (r_field,), us[~inside], vs[~inside], with_n2=False)
+            total += float(np.sum(vals)) * area
+    return total
+
+
+def test_additivity_no_refinement():
+    # complementary classification over the identical node set
+    ell = preset("ellipsoid_rev")
+    g = q.GridSpec(64, 64, 0)
+    whole = q.integrate(ell, r_field, g)
+    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
+    hi = _outside_r(ell, g, 0.25)
+    assert lo + hi == pytest.approx(whole, rel=1e-12)
+
+
+def test_additivity_with_refinement():
+    # refined sides partition the surface; differs from the base-grid
+    # whole-surface sum only by the local refinement correction
+    ell = preset("ellipsoid_rev")
+    whole = q.integrate(ell, r_field, q.GridSpec(64, 64, 0))
+    g = q.GridSpec(64, 64, 6)
+    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
+    hi = _outside_r(ell, g, 0.25)
+    assert lo + hi == pytest.approx(whole, rel=1e-3)
+
+
 def test_refined_leaves_tile_straddling_cells():
     # the leaves of the straddling base cells, inside and outside, cover
     # exactly their area: leaf areas are the base area over powers of 4
     ell, eps = preset("ellipsoid_rev"), 0.25
     g = q.GridSpec(64, 64, 6)
-    _, _, du, dv = q._axes(ell, g)
-    ug, vg = q._lattice(ell, g, centers=False)
-    n2_corner, _ = q._classified(ell, ug, vg)
-    n2_center, _ = q._classified(ell, *q._lattice(ell, g, centers=True))
-    inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
-    _, straddle, corners = q._base_split(
-        (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
-    )
-    lower = (a.reshape(g.nu + 1, g.nv + 1)[:-1, :-1].ravel()[straddle] for a in (ug, vg))
-    state = (*lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle])
+    _, _, du, dv, state = _straddling(ell, g, eps)
     leaves = list(q._refined_leaves(ell, eps, state, du, dv, g.adaptive_depth))
-    assert straddle.sum() > 0 and len(leaves) > 1
+    n_straddle = state[0].size
+    assert n_straddle > 0 and len(leaves) > 1
     tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
-    assert tiled == straddle.sum()
+    assert tiled == n_straddle
 
 
 def test_sublevel_volume_monotone_in_eps():
