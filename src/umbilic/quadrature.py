@@ -5,7 +5,8 @@ du dv on the chart rectangle (singular margins shaved off non-periodic
 axes). The sublevel region at a threshold eps collects the points with
 |hring| < eps, strictly; boundary ties count as outside. Cells crossed by
 the |hring| = eps interface are subdivided recursively and leaf cells are
-classified by their center value.
+classified by their center value; at max depth every child of a
+straddling cell is such a leaf, so only its center is probed.
 
 Every integral comes from one pass per grid (`_grid_pass`): geometry once
 at each base midpoint, at the order the fields declare, order-2
@@ -65,8 +66,10 @@ class GridSpec:
     """Uniform base grid: nu x nv cells, one midpoint node per cell.
 
     adaptive_depth bounds the recursive subdivision of cells straddling
-    the region interface; 0 disables refinement (straddling cells are then
-    classified by their center like any other leaf).
+    the region interface: after that many halvings, the children are
+    leaves classified by their center, straddling or not. 0 disables
+    refinement (straddling cells are then classified by their center like
+    any other leaf).
     """
 
     nu: int = 256
@@ -98,6 +101,8 @@ class Region:
                 raise ValueError("region 'all' takes no threshold")
         elif self.eps is None or not self.eps > 0:
             raise ValueError(f"region {self.kind!r} needs a positive threshold")
+        elif not math.isfinite(self.eps):
+            raise ValueError(f"region {self.kind!r} needs a finite threshold, got {self.eps}")
 
 
 ALL = Region("all")
@@ -243,27 +248,33 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
     """Subdivide straddling cells; yield (us, vs, cell_area, inside) leaves.
 
     state holds the straddling base cells: lower corners (u0s, v0s) plus the
-    inside-booleans of their four corners and center. Each level evaluates
-    only the 8 new probe points per cell (edge midpoints, child centers);
-    cells whose five probes agree become leaves immediately, the rest
-    recurse. Cells still straddling at max depth are classified by center.
-    Traversal order is fixed, so the caller's accumulation is deterministic.
+    inside-booleans of their four corners and center. Each level but the
+    last evaluates 8 new probe points per cell (edge midpoints, child
+    centers); children whose five probes agree become leaves, the rest
+    recurse. The last level evaluates only the 4 child centers: every child
+    there is a leaf classified by its center. Depth 0 yields the straddling
+    base cells, classified by center. Traversal order is fixed, so the
+    caller's accumulation is deterministic.
     """
     u0s, v0s, c00, c10, c01, c11, cc = state
     eps2 = eps * eps
     DU, DV = du, dv
-    for _ in range(depth):
+    for level in range(depth):
         if u0s.size == 0:
             return
         hu, hv = DU / 2.0, DV / 2.0
         qu, qv = DU / 4.0, DV / 4.0
-        # probe order: edge midpoints L10 L01 L21 L12, child centers M00 M10 M01 M11
-        pu = np.concatenate(
-            [u0s + hu, u0s, u0s + DU, u0s + hu, u0s + qu, u0s + 3 * qu, u0s + qu, u0s + 3 * qu]
-        )
-        pv = np.concatenate(
-            [v0s, v0s + hv, v0s + hv, v0s + DV, v0s + qv, v0s + qv, v0s + 3 * qv, v0s + 3 * qv]
-        )
+        # child centers M00 M10 M01 M11
+        mu = [u0s + qu, u0s + 3 * qu, u0s + qu, u0s + 3 * qu]
+        mv = [v0s + qv, v0s + qv, v0s + 3 * qv, v0s + 3 * qv]
+        if level == depth - 1:
+            n2, _ = _classified(spec, np.concatenate(mu), np.concatenate(mv))
+            for (a, b), kc in zip(((0, 0), (1, 0), (0, 1), (1, 1)), np.split(n2 < eps2, 4)):
+                yield u0s + a * hu + qu, v0s + b * hv + qv, hu * hv, kc
+            return
+        # probe order: edge midpoints L10 L01 L21 L12, then the child centers
+        pu = np.concatenate([u0s + hu, u0s, u0s + DU, u0s + hu, *mu])
+        pv = np.concatenate([v0s, v0s + hv, v0s + hv, v0s + DV, *mv])
         n2, _ = _classified(spec, pu, pv)
         ins = n2 < eps2
         L10, L01, L21, L12, M00, M10, M01, M11 = np.split(ins, 8)
@@ -294,9 +305,9 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
             np.concatenate([p[k] for p in next_parts]) for k in range(7)
         )
         DU, DV = hu, hv
-    # max-depth leaves: classified by their center value
+    # depth 0: the straddling base cells are the leaves
     if u0s.size:
-        yield u0s + DU / 2.0, v0s + DV / 2.0, DU * DV, cc
+        yield u0s + du / 2.0, v0s + dv / 2.0, du * dv, cc
 
 
 # -- the quadrature pass ----------------------------------------------------------

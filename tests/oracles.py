@@ -65,3 +65,70 @@ def fd_jet_coeffs(f, u, v, order):
         for b in range(o + 1):
             out.append(fd_partial(f, u, v, o - b, b))
     return np.array(out)
+
+
+def _revolution_curvatures(a, b, u):
+    """(phi, phi', H', kappa, sqrt(g_uu), dA / du dv) along the profile of the
+    ellipsoid of revolution (a sin u cos v, a sin u sin v, b cos u).
+
+    W = |d/du| = sqrt(a^2 cos^2 u + b^2 sin^2 u); the principal curvatures
+    are k1 = a b / W^3 (meridian) and k2 = b / (a W) (parallel), so
+    phi = (k1 - k2) / 2, H = k1 + k2 and kappa = cot(u) / W is the
+    geodesic curvature of the parallels. Derivatives are in closed form.
+    """
+    s, c = np.sin(u), np.cos(u)
+    w = np.sqrt(a * a * c * c + b * b * s * s)
+    dw = (b * b - a * a) * s * c / w
+    k1, k2 = a * b / w**3, b / (a * w)
+    dk1, dk2 = -3.0 * k1 * dw / w, -k2 * dw / w
+    return 0.5 * (k1 - k2), 0.5 * (dk1 - dk2), dk1 + dk2, c / (s * w), w, a * s * w
+
+
+def revolution_integrals(a, b, eps, margin, pieces=64):
+    """Exact sublevel integrals of the ellipsoid of revolution, from 1D quadrature.
+
+    |hring| depends only on u: |hring|^2 = 2 phi^2, |nabla hring|^2 =
+    2 (phi'/W)^2 + 8 kappa^2 phi^2 and |nabla H|^2 = (H'/W)^2. Going from a
+    pole to the equator, |hring| rises from 0 and, once past its
+    maximum (W = sqrt(3) a when b > sqrt(3) a), stays above its equator
+    value. Below that value the region {|hring| < eps} on the chart
+    [margin, pi - margin] x [0, 2 pi) is therefore two polar caps,
+    [margin, u_eps) (u_eps found by bisection) and its mirror image. Each
+    cap is integrated with `pieces` panels of 40-point Gauss-Legendre.
+
+    Returns a dict keyed like RegionIntegrals: vol_omega_c, I_grad_hring,
+    I_grad_H, I_grad_H_plain.
+    """
+
+    def hring2(u):
+        return 2.0 * _revolution_curvatures(a, b, u)[0] ** 2
+
+    lo, hi = margin, np.pi / 2
+    if not eps * eps < hring2(hi):
+        raise ValueError("the region reaches the equator: it is not two polar caps")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if hring2(mid) < eps * eps:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(margin, lo, pieces + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x
+    weights = (half * w).ravel()
+    phi, dphi, dH, kappa, g, da = (t.ravel() for t in _revolution_curvatures(a, b, u.ravel()))
+    n2 = 2.0 * phi**2
+    grad_hring = 2.0 * (dphi / g) ** 2 + 8.0 * kappa**2 * phi**2
+    grad_H = (dH / g) ** 2
+    caps = 2.0 * 2.0 * np.pi
+    return {
+        name: caps * float(np.sum(weights * f * da))
+        for name, f in (
+            ("vol_omega_c", 1.0),
+            ("I_grad_hring", grad_hring * n2),
+            ("I_grad_H", grad_H * n2),
+            ("I_grad_H_plain", grad_H),
+        )
+    }

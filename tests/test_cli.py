@@ -454,6 +454,17 @@ def test_out_of_range_eps_names_the_flag(argv, message, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_infinite_eps_for_sublevel_convergence_names_the_flag(tmp_path, capsys):
+    # an infinite threshold would make the region the whole surface and
+    # report its area as the sublevel volume
+    argv = ["convergence", "--preset", "ellipsoid_rev", "--field", "vol", "--eps=inf",
+            "--grid", "64x64"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps: ") and "finite threshold" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["identities", "verify", "sweep", "convergence"])
 def test_negative_seed_names_the_flag(command, tmp_path, capsys):
     argv = [command, "--preset", "sphere", "--seed", "-1"] + SMALL

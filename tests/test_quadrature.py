@@ -9,7 +9,8 @@ from umbilic import expressions as ex
 from umbilic import quadrature as q
 from umbilic.errors import SingularEvaluationError
 from umbilic.geometry import classification_values
-from umbilic.surfaces import preset
+from umbilic.surfaces import POLAR_MARGIN, preset
+from oracles import revolution_integrals
 from tests.test_geometry import plane_spec
 
 
@@ -48,6 +49,14 @@ def test_region_validation():
         q.sublevel(0.0)
     with pytest.raises(ValueError):
         q.Region("sublevel")
+
+
+def test_region_rejects_a_non_finite_threshold():
+    # an infinite threshold would make the region the whole surface
+    with pytest.raises(ValueError, match="finite"):
+        q.sublevel(math.inf)
+    with pytest.raises(ValueError):
+        q.Region("sublevel", math.nan)
 
 
 def test_eps_list_validation():
@@ -233,6 +242,77 @@ def test_refined_leaves_tile_straddling_cells():
     assert tiled == n_straddle
 
 
+def _probed_leaves(monkeypatch, spec, g, eps):
+    """(leaves, [(us, vs) of every _classified call], du, dv, straddling base
+    cells) of _refined_leaves on the straddling cells of grid g."""
+    _, _, du, dv, state = _straddling(spec, g, eps)
+    calls = []
+    real = q._classified
+
+    def recording(spec, us, vs):
+        calls.append((us, vs))
+        return real(spec, us, vs)
+
+    monkeypatch.setattr(q, "_classified", recording)
+    leaves = list(q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth))
+    return leaves, calls, du, dv, state[0].size
+
+
+def test_refinement_probes_eight_per_cell_then_four_at_the_last_level(monkeypatch):
+    # a cell entering level k < d-1 probes its 4 edge midpoints and 4 child
+    # centers; at the last level every child is a leaf, so only the 4
+    # child centers are probed. n_k, the cells entering level k, follows
+    # from the leaf areas: n_{k+1} = 4 n_k - (leaves of area base / 4^(k+1))
+    ell, eps = preset("ellipsoid_rev"), 0.25
+    g = q.GridSpec(64, 64, 6)
+    leaves, calls, du, dv, n_straddle = _probed_leaves(monkeypatch, ell, g, eps)
+    d = g.adaptive_depth
+    per_level = [0] * d
+    for us, _, area, _ in leaves:
+        per_level[round(math.log(du * dv / area, 4)) - 1] += us.size
+    n = [n_straddle]
+    for k in range(d - 1):
+        n.append(4 * n[k] - per_level[k])
+    assert per_level[d - 1] == 4 * n[d - 1] > 0
+    assert sum(us.size for us, _ in calls) == 8 * sum(n[: d - 1]) + 4 * n[d - 1]
+
+
+def test_max_depth_leaves_take_their_center_probe(monkeypatch):
+    # every max-depth leaf is flagged from the order-2 value at its own
+    # child-center probe, whether its cell is uniform or still straddling
+    ell, eps = preset("ellipsoid_rev"), 0.25
+    g = q.GridSpec(64, 64, 6)
+    leaves, calls, du, dv, _ = _probed_leaves(monkeypatch, ell, g, eps)
+    pu, pv = calls[-1]
+    n2, _ = classification_values(ell, pu, pv)
+    # fine-lattice index of a point: probes and leaf centers sit mid-cell
+    u0, v0, _, _ = q._axes(ell, g)
+    fu, fv = du / 2**g.adaptive_depth, dv / 2**g.adaptive_depth
+
+    def index(us, vs):
+        return list(zip(np.floor((us - u0) / fu).tolist(), np.floor((vs - v0) / fv).tolist()))
+
+    probed = dict(zip(index(pu, pv), (n2 < eps**2).tolist()))
+    deepest = [(us, vs, inside) for us, vs, area, inside in leaves if area == fu * fv]
+    keys = [k for us, vs, _ in deepest for k in index(us, vs)]
+    assert sorted(keys) == sorted(probed) and len(keys) == pu.size
+    flags = np.concatenate([inside for _, _, inside in deepest]).tolist()
+    assert flags == [probed[k] for k in keys]
+    assert any(flags) and not all(flags)
+
+
+def test_depth_one_probes_only_child_centers(monkeypatch):
+    # depth 1: the only level is the last, 4 probes per straddling base
+    # cell, and its 4 leaves tile that cell exactly
+    ell, eps = preset("ellipsoid_rev"), 0.25
+    g = q.GridSpec(64, 64, 1)
+    leaves, calls, du, dv, n_straddle = _probed_leaves(monkeypatch, ell, g, eps)
+    assert n_straddle > 0
+    assert sum(us.size for us, _ in calls) == 4 * n_straddle
+    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
+    assert tiled == n_straddle
+
+
 def test_sublevel_volume_monotone_in_eps():
     ell = preset("ellipsoid_rev")
     rows = q.region_integrals(ell, [0.5, 0.25, 0.1, 0.05], q.GridSpec(64, 64, 4))
@@ -262,6 +342,48 @@ def test_region_integrals_against_dense_reference():
     ell = preset("ellipsoid_rev")
     rows = q.region_integrals(ell, [0.1], q.GridSpec(256, 256, 6))
     assert rows[0].vol_omega_c == pytest.approx(DENSE_VOL_ELL_01, rel=1e-2)
+
+
+# Ratchet bounds on |relative error| against the exact revolution oracle,
+# ellipsoid_rev(1, 2), depth 6: the measured errors of midpoint quadrature
+# with center-classified interface leaves, rounded up in the second
+# significant digit. Measured (signed, I_grad_hring): 256^2 -8.10e-3,
+# -2.73e-2, -4.61e-2; 512^2 -1.56e-3, -3.46e-3, -1.54e-2. Tighten them when
+# the quadrature gets more accurate; never loosen them.
+# per grid, per eps: vol_omega_c, I_grad_hring, I_grad_H, I_grad_H_plain
+ORACLE_BOUNDS = {
+    256: {
+        0.1: (1.4e-4, 8.1e-3, 8.1e-3, 1.5e-3),
+        0.05: (1.2e-3, 2.8e-2, 2.8e-2, 6.9e-3),
+        0.025: (1.2e-3, 4.7e-2, 4.7e-2, 1.3e-2),
+    },
+    512: {
+        0.1: (1.8e-4, 1.6e-3, 1.6e-3, 1.4e-4),
+        0.05: (6.4e-4, 3.5e-3, 3.5e-3, 1.7e-5),
+        0.025: (1.2e-3, 1.6e-2, 1.6e-2, 4.8e-3),
+    },
+}
+
+
+def test_revolution_oracle_self_converges():
+    # doubling the Gauss-Legendre panels leaves every integral unchanged
+    for eps in (0.1, 0.025):
+        coarse = revolution_integrals(1.0, 2.0, eps, POLAR_MARGIN)
+        fine = revolution_integrals(1.0, 2.0, eps, POLAR_MARGIN, pieces=128)
+        for name, value in coarse.items():
+            assert value > 0
+            assert fine[name] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_BOUNDS))
+def test_region_integrals_against_revolution_oracle(n):
+    ell = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    bounds = ORACLE_BOUNDS[n]
+    rows = q.region_integrals(ell, sorted(bounds, reverse=True), q.GridSpec(n, n, 6))
+    for row in rows:
+        exact = revolution_integrals(1.0, 2.0, row.eps, POLAR_MARGIN)
+        for (name, value), bound in zip(exact.items(), bounds[row.eps]):
+            assert abs(getattr(row, name) / value - 1.0) <= bound, (n, row.eps, name)
 
 
 def test_region_integrals_sphere():
