@@ -8,11 +8,12 @@ the |hring| = eps interface are subdivided recursively and leaf cells are
 classified by their center value; at max depth every child of a
 straddling cell is such a leaf, so only its center is probed.
 
-Every integral comes from one pass per grid (`_grid_pass`): geometry once
-at each base midpoint, at the order the fields declare, order-2
-classification values once at each base corner, then per threshold the
-refinement of its straddling cells. One pass serves every field and
-threshold of a call, and a Richardson ladder is one pass per level.
+Every integral comes from one pass (`_ladder_pass`): geometry once at each
+base midpoint, at the order the fields declare, order-2 classification
+values once at each base corner, then per threshold the refinement of its
+straddling cells. One pass serves every field and threshold of a call, and
+every level of a Richardson ladder G/4, G/2, G: the coarse grids' corners,
+midpoints and probes lie on G's lattice, so each node is evaluated once.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -189,13 +190,25 @@ def _lattice(spec: ImmersionSpec, grid: GridSpec, *, centers):
 
 
 def _chunked(kernel, us, vs):
-    """kernel(u, v) -> tuple of arrays, run on CHUNK-node batches and concatenated.
+    """kernel(u, v) -> tuple of arrays, run on CHUNK-node batches and gathered.
 
     us and vs must be non-empty. An output of one element per batch (a
-    batch maximum) concatenates to one element per batch.
+    batch maximum) gathers to one element per batch. Batches are written
+    into preallocated outputs, so no result is ever held twice.
     """
-    parts = [kernel(us[i : i + CHUNK], vs[i : i + CHUNK]) for i in range(0, us.size, CHUNK)]
-    return tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
+    n = us.size
+    for k, i in enumerate(range(0, n, CHUNK)):
+        part = kernel(us[i : i + CHUNK], vs[i : i + CHUNK])
+        if n <= CHUNK:
+            return part
+        if i == 0:
+            outs = tuple(np.empty(n if a.size > 1 else -(-n // CHUNK), a.dtype) for a in part)
+        for out, a in zip(outs, part):
+            if out.size == n:
+                out[i : i + CHUNK] = a
+            else:
+                out[k] = a[0]
+    return outs
 
 
 def _classified(spec, us, vs):
@@ -245,18 +258,23 @@ def _base_split(inside_corner, inside_center):
 
 
 def _refined_leaves(spec, eps, state, du, dv, depth):
-    """Subdivide straddling cells; yield (us, vs, cell_area, inside) leaves.
+    """Subdivide straddling cells; yield (us, vs, cell_area, inside, lo, hi) leaves.
 
-    state holds the straddling base cells: lower corners (u0s, v0s) plus the
-    inside-booleans of their four corners and center. Each level but the
-    last evaluates 8 new probe points per cell (edge midpoints, child
-    centers); children whose five probes agree become leaves, the rest
-    recurse. The last level evaluates only the 4 child centers: every child
-    there is a leaf classified by its center. Depth 0 yields the straddling
-    base cells, classified by center. Traversal order is fixed, so the
-    caller's accumulation is deterministic.
+    state holds the straddling base cells: lower corners (u0s, v0s), the
+    inside-booleans of their four corners and center, and the membership
+    column mm. One tree serves a Richardson ladder, whose level m (grid
+    G/2^m) ends its tree m levels earlier: levels 0..mm still split the
+    cell, and a leaf counts for the levels lo..hi (hi per leaf).
+
+    Each level r but the last evaluates 8 new probe points per cell (edge
+    midpoints, child centers); children whose five probes agree become
+    leaves of levels 0..mm, the rest recurse with mm at most depth-2-r, and
+    where mm = depth-1-r they are also center-classified leaves of level mm.
+    The last level (mm is 0 there) evaluates only the 4 child centers, and
+    every child is a leaf classified by its center. Depth 0 yields nothing.
+    Traversal order is fixed, so the caller's accumulation is deterministic.
     """
-    u0s, v0s, c00, c10, c01, c11, cc = state
+    u0s, v0s, c00, c10, c01, c11, cc, mm = state
     eps2 = eps * eps
     DU, DV = du, dv
     for level in range(depth):
@@ -270,7 +288,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
         if level == depth - 1:
             n2, _ = _classified(spec, np.concatenate(mu), np.concatenate(mv))
             for (a, b), kc in zip(((0, 0), (1, 0), (0, 1), (1, 1)), np.split(n2 < eps2, 4)):
-                yield u0s + a * hu + qu, v0s + b * hv + qv, hu * hv, kc
+                yield u0s + a * hu + qu, v0s + b * hv + qv, hu * hv, kc, 0, mm
             return
         # probe order: edge midpoints L10 L01 L21 L12, then the child centers
         pu = np.concatenate([u0s + hu, u0s, u0s + DU, u0s + hu, *mu])
@@ -284,6 +302,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
             (0, 2): c01, (1, 2): L12, (2, 2): c11,
         }
         centers = {(0, 0): M00, (1, 0): M10, (0, 1): M01, (1, 1): M11}
+        ends = mm == depth - 1 - level
         next_parts = []
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             k00 = lattice[(a, b)]
@@ -296,18 +315,46 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
             cu0 = u0s + a * hu
             cv0 = v0s + b * hv
             if uniform.any():
-                yield cu0[uniform] + qu, cv0[uniform] + qv, hu * hv, all_in[uniform]
+                yield cu0[uniform] + qu, cv0[uniform] + qv, hu * hv, all_in[uniform], 0, mm[uniform]
             st = ~uniform
+            last = st & ends
+            if last.any():
+                yield cu0[last] + qu, cv0[last] + qv, hu * hv, kc[last], depth - 1 - level, mm[last]
             next_parts.append(
-                (cu0[st], cv0[st], k00[st], k10[st], k01[st], k11[st], kc[st])
+                (cu0[st], cv0[st], k00[st], k10[st], k01[st], k11[st], kc[st],
+                 np.minimum(mm[st], depth - 2 - level))
             )
-        u0s, v0s, c00, c10, c01, c11, cc = (
-            np.concatenate([p[k] for p in next_parts]) for k in range(7)
+        u0s, v0s, c00, c10, c01, c11, cc, mm = (
+            np.concatenate([p[k] for p in next_parts]) for k in range(8)
         )
         DU, DV = hu, hv
-    # depth 0: the straddling base cells are the leaves
-    if u0s.size:
-        yield u0s + du / 2.0, v0s + dv / 2.0, du * dv, cc
+
+
+def _add(sums, arrays, sel, cell_area):
+    """sums[k] += cell_area * (sum of arrays[k] over the mask sel)."""
+    if sel.any():
+        for k, a in enumerate(arrays):
+            sums[k] += float(np.sum(a[sel])) * cell_area
+
+
+def _base_cells(j, levels, depth, inside_corner, inside_center, held, arrays, cell_area, sums):
+    """Classify level j's base cells and add them to each level's sums (one
+    per-field list per level). Level j counts its uniform-inside cells; a
+    coarser level m holds a cell when it split the parent (held, the level
+    j+1 membership, >= m) and counts it when uniform inside or, at its
+    maximum depth m = j + depth, when its center is inside, valued from
+    level j's midpoint arrays. Returns (straddle mask, corner masks,
+    membership: the coarsest level splitting each cell, -1 for none)."""
+    all_in, straddle, corners = _base_split(inside_corner, inside_center)
+    top = np.full(all_in.size, j, dtype=np.int8)
+    if held is not None:
+        top = np.maximum(top, held.repeat(2, 0).repeat(2, 1).ravel())
+    for m in range(j, levels):
+        _add(sums[m], arrays, all_in & (top >= m), cell_area)
+        if m == j + depth:
+            _add(sums[m], arrays, straddle & inside_center.ravel() & (top >= m), cell_area)
+    mm = np.where(straddle, np.minimum(top, j + depth - 1), -1).astype(np.int8)
+    return straddle, corners, mm
 
 
 # -- the quadrature pass ----------------------------------------------------------
@@ -315,75 +362,101 @@ def _refined_leaves(spec, eps, state, du, dv, depth):
 
 @dataclass(frozen=True)
 class _Pass:
-    """Sums from one pass over one grid; every sum is of field * dA.
+    """Sums from one level of a pass; every sum is of field * dA.
 
     whole   per field, over the whole surface
     region  per threshold, per field, over the sublevel region
-    h_sup   max |H| over every full-geometry node of the pass
+    h_sup   max |H| over every full-geometry node of the level
     h_odd   max |H| over the base corners whose two indices are both odd,
             which are the base midpoints of the half grid when nu and nv
             are even (None without thresholds: no corners are evaluated)
+    Coarse levels of a ladder carry h_sup and h_odd None.
     """
 
     whole: tuple
     region: tuple
-    h_sup: float
+    h_sup: float | None
     h_odd: float | None
 
 
-def _grid_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=()):
+def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1):
     """The one quadrature driver: every integral of the package goes through it.
 
-    Base midpoints get one geometry evaluation at the order the fields
-    declare, shared by every field and threshold. With thresholds, the base
-    corners get one order-2 evaluation; each threshold then classifies the
-    base cells from those values and refines its own straddling cells. Without thresholds only
-    the midpoints are evaluated, and one array per field is held.
+    Returns one `_Pass` per level of the doubling ladder that ends at G =
+    `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; the caller checks
+    that G's sides divide); a single grid is the one-level case. Each
+    level's midpoints get one geometry evaluation at the order the fields
+    declare, shared by every field and threshold. With thresholds, G's
+    corners get one order-2 evaluation, and level m reads G's lattice: its
+    corners are G's corners at indices k 2^m, its midpoints those at
+    2^(m-1) + k 2^m, bit for bit. Its straddling cells descend through
+    cells that lattice has classified, then ride G's refinement tree (see
+    `_refined_leaves`), so each probe and inside leaf is evaluated once.
+    Coarse levels are reduced, and their arrays freed, before G's midpoints
+    are evaluated. They carry sums only: their sup |H| would need per-node
+    |H| arrays, and nothing reads it.
     """
-    _, _, du, dv = _axes(spec, grid)
-    base_area = du * dv
+    depth = grid.adaptive_depth
     classify = bool(eps_values)
-    uc, vc = _lattice(spec, grid, centers=True)
-    h_max, *base = _full(spec, fields, uc, vc, with_n2=classify)
+    whole = [None] * levels
+    sums = [[[0.0] * len(fields) for _ in eps_values] for _ in range(levels)]
+    held = [None] * len(eps_values)
+    h_sup = h_odd = None
     if classify:
-        n2_center, *base = base
-    h_sup = float(np.max(h_max))
-    whole = tuple(float(np.sum(a)) * base_area for a in base)
-    if not classify:
-        return _Pass(whole, (), h_sup, None)
+        ug, vg = _lattice(spec, grid, centers=False)
+        n2_corner, h_corner = _classified(spec, ug, vg)
+        n2_corner = n2_corner.reshape(grid.nu + 1, grid.nv + 1)
+        h_odd = float(np.max(h_corner.reshape(grid.nu + 1, grid.nv + 1)[1::2, 1::2]))
+        del h_corner
+        cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
+        cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
+        del ug, vg
 
-    ug, vg = _lattice(spec, grid, centers=False)
-    n2_corner, h_corner = _classified(spec, ug, vg)
-    h_odd = float(np.max(h_corner.reshape(grid.nu + 1, grid.nv + 1)[1::2, 1::2]))
-    del h_corner
-    cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-    cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-
-    region = []
-    for eps in eps_values:
-        inside_corner = (n2_corner < eps * eps).reshape(grid.nu + 1, grid.nv + 1)
-        inside_center = (n2_center < eps * eps).reshape(grid.nu, grid.nv)
-        all_in, straddle, corners = _base_split(inside_corner, inside_center)
-        sums = [0.0] * len(fields)
-        if all_in.any():
-            for k, a in enumerate(base):
-                sums[k] += float(np.sum(a[all_in])) * base_area
-
-        state = (
-            cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
-            inside_center.ravel()[straddle],
+    for m in reversed(range(levels)):
+        s = 1 << m
+        g = GridSpec(grid.nu // s, grid.nv // s, depth)
+        _, _, du, dv = _axes(spec, g)
+        cell_area = du * dv
+        h_max, *arrays = _full(
+            spec, fields, *_lattice(spec, g, centers=True), with_n2=classify and m == 0
         )
-        for lus, lvs, cell_area, inside in _refined_leaves(
-            spec, eps, state, du, dv, grid.adaptive_depth
-        ):
-            if not inside.any():
+        if m == 0:
+            h_sup = float(np.max(h_max))
+            if classify:
+                n2_center, *arrays = arrays
+        elif classify:
+            n2_center = n2_corner[s // 2 :: s, s // 2 :: s]
+        whole[m] = tuple(float(np.sum(a)) * cell_area for a in arrays)
+        for i, eps in enumerate(eps_values):
+            inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
+            straddle, corners, mm = _base_cells(
+                m, levels, depth, n2_corner[::s, ::s] < eps * eps, inside_center,
+                held[i], arrays, cell_area, [level[i] for level in sums],
+            )
+            if m:
+                held[i] = mm.reshape(g.nu, g.nv)
                 continue
-            leaf_max, *leaf = _full(spec, fields, lus[inside], lvs[inside], with_n2=False)
-            h_sup = max(h_sup, float(np.max(leaf_max)))
-            for k, a in enumerate(leaf):
-                sums[k] += float(np.sum(a)) * cell_area
-        region.append(tuple(sums))
-    return _Pass(whole, tuple(region), h_sup, h_odd)
+            state = (
+                cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
+                inside_center.ravel()[straddle], mm[straddle],
+            )
+            for lus, lvs, leaf_area, inside, lo, hi in _refined_leaves(
+                spec, eps, state, du, dv, depth
+            ):
+                if not inside.any():
+                    continue
+                leaf_max, *leaf = _full(spec, fields, lus[inside], lvs[inside], with_n2=False)
+                if lo == 0:
+                    h_sup = max(h_sup, float(np.max(leaf_max)))
+                hi = hi[inside]
+                for k in range(lo, levels):
+                    _add(sums[k][i], leaf, hi >= k, leaf_area)
+        del arrays
+    return tuple(
+        _Pass(whole[m], tuple(map(tuple, sums[m])), h_sup if m == 0 else None,
+              h_odd if m == 0 else None)
+        for m in reversed(range(levels))
+    )
 
 
 # integrands of RegionIntegrals, in field order: vol_omega_c (and area),
@@ -398,15 +471,27 @@ _REGION_FIELDS = (
 )
 
 
-def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec):
-    """(one RegionIntegrals per threshold, odd-corner max |H|) from one pass."""
-    p = _grid_pass(spec, grid, _REGION_FIELDS, eps_values)
-    area, _, _, _, total_R = p.whole
-    rows = tuple(
-        RegionIntegrals(eps, vol, gh, gH, gHp, area, total_R, p.h_sup)
-        for eps, (vol, gh, gH, gHp, _) in zip(eps_values, p.region)
-    )
-    return rows, p.h_odd
+def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1):
+    """(one RegionIntegrals per threshold for each ladder level, coarsest
+    first; the fine grid's odd-corner max |H|) from one pass. Coarse levels
+    carry H_sup None."""
+    passes = _ladder_pass(spec, grid, _REGION_FIELDS, eps_values, levels)
+    ladder = []
+    for p in passes:
+        area, _, _, _, total_R = p.whole
+        ladder.append(tuple(
+            RegionIntegrals(eps, vol, gh, gH, gHp, area, total_R, p.h_sup)
+            for eps, (vol, gh, gH, gHp, _) in zip(eps_values, p.region)
+        ))
+    return tuple(ladder), passes[-1].h_odd
+
+
+def _field_ladder(spec, field, grid, region, levels):
+    """The integral of field dA over region on each level of a doubling
+    ladder ending at grid, coarsest first."""
+    eps_values = () if region.kind == "all" else (region.eps,)
+    passes = _ladder_pass(spec, grid, (field,), eps_values, levels)
+    return [p.region[0][0] if eps_values else p.whole[0] for p in passes]
 
 
 def _richardson(values):
@@ -440,9 +525,7 @@ def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) 
     field maps a PointGeometry batch to a scalar array (or a constant); a
     `Field` also names the jet order it needs, a bare callable gets order 3.
     """
-    if region.kind == "all":
-        return _grid_pass(spec, grid, (field,)).whole[0]
-    return _grid_pass(spec, grid, (field,), (region.eps,)).region[0][0]
+    return _field_ladder(spec, field, grid, region, 1)[0]
 
 
 def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
@@ -461,7 +544,7 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
             raise ValueError(f"thresholds must lie in (0, 1], got {e}")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("thresholds must be strictly decreasing")
-    return _region_pass(spec, eps_values, grid)[0]
+    return _region_pass(spec, eps_values, grid)[0][-1]
 
 
 def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
@@ -490,9 +573,10 @@ def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
 def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> ConvergenceStudy:
     """Observed-order diagnostics across a ladder of doubling grids.
 
-    Needs at least three levels, each doubling nu and nv. Orders and error
-    estimates per level come from `_richardson`; the study reports those of
-    the finest level.
+    Needs at least three levels, each doubling nu and nv, all with one
+    adaptive_depth: the whole ladder is one pass, whose levels share one
+    refinement tree. Orders and error estimates per level come from
+    `_richardson`; the study reports those of the finest level.
     """
     grids = tuple(grids)
     if len(grids) < 3:
@@ -502,7 +586,13 @@ def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> Conv
             raise ValueError(
                 f"grid levels must double: {a.nu}x{a.nv} followed by {b.nu}x{b.nv}"
             )
-    values = [integrate(spec, field, g, region) for g in grids]
+    depths = [g.adaptive_depth for g in grids]
+    if len(set(depths)) > 1:
+        raise ValueError(
+            f"grid levels must share one adaptive_depth (the ladder shares one"
+            f" refinement tree), got depths {depths}"
+        )
+    values = _field_ladder(spec, field, grids[-1], region, len(grids))
     rows = tuple(
         ConvergenceRow(g, v, order, err)
         for g, v, (order, err) in zip(grids, values, _richardson(values))

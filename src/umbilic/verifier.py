@@ -149,14 +149,14 @@ def classify_trend(values, rel_tol=0.05) -> str:
 
 
 def _richardson_levels(grid: GridSpec):
-    """The grids G/4, G/2, G whose passes give the Richardson error bar."""
+    """The number of ladder levels, G/4, G/2 and G, of the Richardson error bar."""
     if grid.nu % 4 or grid.nv % 4 or min(grid.nu, grid.nv) < 64:
         raise VerifierInputError(
             f"grid {grid.nu}x{grid.nv} has no exact quarter grid of at least 16x16"
             " for the error bar: use sides divisible by 4 and at least 64, or pass"
             " --tol (tol_margin) to fix the tolerance"
         )
-    return tuple(GridSpec(grid.nu // k, grid.nv // k, grid.adaptive_depth) for k in (4, 2, 1))
+    return 3
 
 
 def _gradient_terms(ri):
@@ -186,16 +186,17 @@ def verify_prel(
 
     The rows come from one quadrature pass over `grid`. tol_margin, when
     not given, is set per row to 3x the Richardson error estimate of the
-    row's dominant term (lhs, term1 or term2), from that term on passes
-    over G/4, G/2 and G; the grid's sides must then be divisible by 4 and
-    at least 64. h_sup_override replaces the measured node max in C.
+    row's dominant term (lhs, term1 or term2), from that term on the grids
+    G/4, G/2 and G; one pass evaluates all three levels, the coarse ones on
+    G's lattice. The grid's sides must then be divisible by 4 and at least
+    64. h_sup_override replaces the measured node max in C.
     """
     _require_closed(spec)
     ladder = _check_ladder(eps_ladder)
-    grids = (grid,) if tol_margin is not None else _richardson_levels(grid)
+    n_levels = 1 if tol_margin is not None else _richardson_levels(grid)
 
-    levels = [quad._region_pass(spec, ladder, g) for g in grids]
-    integrals, h_coarse = levels[-1]
+    levels, h_coarse = quad._region_pass(spec, ladder, grid, n_levels)
+    integrals = levels[-1]
     chi_est, chi_round = _chi(integrals[0].total_R)
     warnings = []
     if abs(chi_est - chi_round) > 0.05:
@@ -229,7 +230,7 @@ def verify_prel(
             tol = float(tol_margin)
         else:
             dominant = max(range(3), key=lambda i: abs(terms[i]))
-            ladder_values = [_terms(level[k], c_const)[dominant] for level, _ in levels]
+            ladder_values = [_terms(level[k], c_const)[dominant] for level in levels]
             _, err = quad._richardson(ladder_values)[-1]
             tol = 3.0 * err
         rows.append(

@@ -93,8 +93,11 @@ def revolution_integrals(a, b, eps, margin, pieces=64):
     maximum (W = sqrt(3) a when b > sqrt(3) a), stays above its equator
     value. Below that value the region {|hring| < eps} on the chart
     [margin, pi - margin] x [0, 2 pi) is therefore two polar caps,
-    [margin, u_eps) (u_eps found by bisection) and its mirror image. Each
-    cap is integrated with `pieces` panels of 40-point Gauss-Legendre.
+    [margin, u_eps) (u_eps found by bisection) and its mirror image. When
+    b <= sqrt(3) a, |hring| rises monotonically all the way to the equator,
+    so at or above the equator value the region is the whole chart
+    (u_eps = pi/2); when b > sqrt(3) a such a threshold raises. Each cap is
+    integrated with `pieces` panels of 40-point Gauss-Legendre.
 
     Returns a dict keyed like RegionIntegrals: vol_omega_c, I_grad_hring,
     I_grad_H, I_grad_H_plain.
@@ -105,7 +108,9 @@ def revolution_integrals(a, b, eps, margin, pieces=64):
 
     lo, hi = margin, np.pi / 2
     if not eps * eps < hring2(hi):
-        raise ValueError("the region reaches the equator: it is not two polar caps")
+        if b > np.sqrt(3.0) * a:
+            raise ValueError("the region reaches the equator: it is not two polar caps")
+        lo = hi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if hring2(mid) < eps * eps:

@@ -85,6 +85,23 @@ def test_convergence_input_validation():
         )
 
 
+def test_convergence_rejects_mixed_depths():
+    # the ladder is one pass with one refinement tree, so one depth
+    grids = [q.GridSpec(16, 16, 2), q.GridSpec(32, 32, 6), q.GridSpec(64, 64, 6)]
+    with pytest.raises(ValueError, match=r"adaptive_depth.*\[2, 6, 6\]"):
+        q.convergence_study(preset("ellipsoid_rev"), area_field, q.sublevel(0.1), grids)
+
+
+def test_chunked_gathers_batches_in_order():
+    # per-node outputs come back whole, per-batch outputs one per batch,
+    # including a short last batch
+    n = 2 * q.CHUNK + 3
+    us, vs = np.arange(n, dtype=float), -np.arange(n, dtype=float)
+    top, both = q._chunked(lambda u, v: (np.max(u, keepdims=True), u - v), us, vs)
+    assert top.tolist() == [q.CHUNK - 1, 2 * q.CHUNK - 1, n - 1]
+    assert np.array_equal(both, 2.0 * us)
+
+
 # -- whole-surface integrals -------------------------------------------------------
 
 
@@ -181,8 +198,10 @@ def test_sphere_sublevel_is_everything():
 
 
 def _straddling(spec, g, eps):
-    """(base-center values of |hring|^2 and field * dA, all-out mask, du, dv,
-    refinement state of the straddling cells), classified as the pass does."""
+    """(base-center values of |hring|^2 and field * dA, mask of the base cells
+    counted outside before refinement, du, dv, refinement state of the
+    straddling cells), classified as a one-level pass does: at depth 0 every
+    cell whose center is outside, else the all-out cells."""
     _, _, du, dv = q._axes(spec, g)
     ug, vg = q._lattice(spec, g, centers=False)
     n2_corner, _ = q._classified(spec, ug, vg)
@@ -192,16 +211,21 @@ def _straddling(spec, g, eps):
         (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
     )
     lower = (a.reshape(g.nu + 1, g.nv + 1)[:-1, :-1].ravel()[straddle] for a in (ug, vg))
-    state = (*lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle])
-    return base, ~(all_in | straddle), du, dv, state
+    # one-level pass: every straddling cell has membership 0
+    state = (
+        *lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle],
+        np.zeros(np.count_nonzero(straddle), dtype=np.int8),
+    )
+    outside = ~inside_center.ravel() if g.adaptive_depth == 0 else ~(all_in | straddle)
+    return base, outside, du, dv, state
 
 
 def _outside_r(spec, g, eps):
     """Integral of R over |hring| >= eps: the complement of sublevel(eps),
-    summed over the all-out base cells and the outside refined leaves."""
-    base, all_out, du, dv, state = _straddling(spec, g, eps)
-    total = float(np.sum(base[all_out])) * du * dv
-    for us, vs, area, inside in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
+    summed over the outside base cells and the outside refined leaves."""
+    base, outside, du, dv, state = _straddling(spec, g, eps)
+    total = float(np.sum(base[outside])) * du * dv
+    for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
         if (~inside).any():
             _, vals = q._full(spec, (r_field,), us[~inside], vs[~inside], with_n2=False)
             total += float(np.sum(vals)) * area
@@ -238,13 +262,14 @@ def test_refined_leaves_tile_straddling_cells():
     leaves = list(q._refined_leaves(ell, eps, state, du, dv, g.adaptive_depth))
     n_straddle = state[0].size
     assert n_straddle > 0 and len(leaves) > 1
-    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
+    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, *_ in leaves)
     assert tiled == n_straddle
 
 
 def _probed_leaves(monkeypatch, spec, g, eps):
-    """(leaves, [(us, vs) of every _classified call], du, dv, straddling base
-    cells) of _refined_leaves on the straddling cells of grid g."""
+    """(leaves as (us, vs, area, inside), [(us, vs) of every _classified
+    call], du, dv, straddling base cells) of _refined_leaves on the
+    straddling cells of grid g."""
     _, _, du, dv, state = _straddling(spec, g, eps)
     calls = []
     real = q._classified
@@ -254,7 +279,7 @@ def _probed_leaves(monkeypatch, spec, g, eps):
         return real(spec, us, vs)
 
     monkeypatch.setattr(q, "_classified", recording)
-    leaves = list(q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth))
+    leaves = [leaf[:4] for leaf in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth)]
     return leaves, calls, du, dv, state[0].size
 
 
@@ -386,6 +411,18 @@ def test_region_integrals_against_revolution_oracle(n):
             assert abs(getattr(row, name) / value - 1.0) <= bound, (n, row.eps, name)
 
 
+def test_revolution_oracle_whole_chart_branch():
+    # b <= sqrt(3) a: |hring| rises monotonically to 0.393 at the equator,
+    # so the eps = 0.5 region of ellipsoid_rev(1, 1.5) is the whole chart
+    exact = revolution_integrals(1.0, 1.5, 0.5, POLAR_MARGIN)["vol_omega_c"]
+    ell = preset("ellipsoid_rev", {"a": 1.0, "b": 1.5})
+    area = q.region_integrals(ell, [0.5], q.GridSpec(512, 512, 6))[0].area
+    assert area == pytest.approx(exact, rel=1e-5)
+    # b > sqrt(3) a: |hring| peaks before the equator, so no such shortcut
+    with pytest.raises(ValueError, match="equator"):
+        revolution_integrals(1.0, 2.0, 0.6, POLAR_MARGIN)
+
+
 def test_region_integrals_sphere():
     # [TRIVIAL] totally umbilic: region is everything, hring-weighted
     # integrands vanish identically
@@ -421,6 +458,62 @@ def test_odd_corner_h_equals_half_grid_midpoints():
     _, h_odd = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
     _, h = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
     assert h_odd == float(np.max(h))
+
+
+# (preset, params, thresholds) for the ladder tests: a surface of
+# revolution, a generic ellipsoid with 4 umbilics, and an open chart
+LADDER_SURFACES = [
+    ("ellipsoid_rev", {"a": 1.0, "b": 1.5}, (0.5, 0.25, 0.1)),
+    ("ellipsoid_tri", {}, (0.4, 0.1, 0.05)),
+    ("graph_bump", {}, (0.5, 0.2)),
+]
+
+
+def _sums(p):
+    return [*p.whole, *(x for row in p.region for x in row)]
+
+
+@pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
+@pytest.mark.parametrize("n, levels, depth", [(64, 3, 0), (64, 3, 1), (128, 4, 2), (128, 3, 6)])
+def test_ladder_levels_equal_one_level_passes(name, params, eps, n, levels, depth):
+    # level m of the ladder is the pass over G/2^m: the fine level bit for
+    # bit, the coarse levels up to the rounding of their leaf coordinates
+    # and of the order in which their sums are taken
+    spec = preset(name, params)
+    ladder = q._ladder_pass(spec, q.GridSpec(n, n, depth), q._REGION_FIELDS, eps, levels)
+    assert len(ladder) == levels
+    for m, got in enumerate(reversed(ladder)):
+        (ref,) = q._ladder_pass(spec, q.GridSpec(n >> m, n >> m, depth), q._REGION_FIELDS, eps)
+        if m == 0:
+            assert (got.h_sup, got.h_odd) == (ref.h_sup, ref.h_odd)
+            assert _sums(got) == _sums(ref)
+        else:
+            assert got.h_sup is None and got.h_odd is None
+            assert got.whole == ref.whole
+            assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
+
+
+def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
+    # the coarse levels read the fine lattice and the fine tree: a 3-level
+    # ladder evaluates exactly the order-2 nodes of the one-level pass
+    ell = preset("ellipsoid_rev")
+    g = q.GridSpec(128, 128, 4)
+    real = q._classified
+
+    def nodes(levels):
+        calls = []
+
+        def recording(spec, us, vs):
+            calls.append((us, vs))
+            return real(spec, us, vs)
+
+        monkeypatch.setattr(q, "_classified", recording)
+        q._ladder_pass(ell, g, q._REGION_FIELDS, (0.5, 0.25, 0.1, 0.05), levels)
+        return [np.concatenate(c) for c in zip(*calls)]
+
+    single, ladder = nodes(1), nodes(3)
+    assert single[0].size > (g.nu + 1) * (g.nv + 1)
+    assert all(np.array_equal(a, b) for a, b in zip(single, ladder))
 
 
 def test_plane_patch_area():
