@@ -313,20 +313,22 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     return eval_jets((ast,), u, v, order, params)[0]
 
 
-def eval_jets(asts, u, v, order: int, params=None) -> tuple[jets.Jet2, ...]:
+def eval_jets(asts, u, v, order: int, params=None, plan=None) -> tuple[jets.Jet2, ...]:
     """`eval_jet` of each tree, evaluating shared work once, with the same bits.
 
     A compound subexpression whose source text occurs more than once among
     the trees is evaluated once (spans differ between trees, text does
     not), and an argument of more than one `jets.PAIRED` call has its two
     values computed once. Only such results are held, and only until the
-    call returns.
+    call returns. Which nodes share work is `plan`, the `share_plan` of
+    the trees; a caller that evaluates the same trees again passes it, and
+    without it the plan is made here.
     """
     params = params or {}
     uj = jets.variable("u", u, order)
     vj = jets.variable("v", v, order)
-    keys = Counter(key for ast in asts for key in _share_keys(ast))
-    held = {key: None for key, n in keys.items() if n > 1}
+    texts, pairs = plan if plan is not None else share_plan(asts)
+    held = {}
 
     def rec(node: Expr) -> jets.Jet2:
         if isinstance(node, Number):
@@ -344,8 +346,8 @@ def eval_jets(asts, u, v, order: int, params=None) -> tuple[jets.Jet2, ...]:
                     position=node.span[0] + 1,
                     hint="bind it in the parameter table",
                 ) from None
-        text = to_source(node) if held else None
-        if held.get(text) is not None:
+        text = texts.get(id(node))
+        if text in held:
             return held[text]
         try:
             if isinstance(node, Binary):
@@ -357,8 +359,8 @@ def eval_jets(asts, u, v, order: int, params=None) -> tuple[jets.Jet2, ...]:
             elif node.op == "neg":
                 jet = -rec(node.child)
             elif node.op in jets.PAIRED:
-                child, key = rec(node.child), _pair_key(node)
-                if key in held and held[key] is None:
+                child, key = rec(node.child), pairs.get(id(node))
+                if key is not None and key not in held:
                     held[key] = tuple(f(child.value) for f in key[0])
                 jet = jets.paired(node.op, child, held.get(key))
             else:
@@ -367,7 +369,7 @@ def eval_jets(asts, u, v, order: int, params=None) -> tuple[jets.Jet2, ...]:
             if err.span is None:
                 raise _locate(err, u, v, node.span)
             raise
-        if text in held:
+        if text is not None:
             held[text] = jet
         return jet
 
@@ -383,19 +385,35 @@ def _pair_key(node: Unary):
     return jets.PAIRED[node.op][0], to_source(node.child)
 
 
+def share_plan(asts):
+    """The work `eval_jets` can share among the trees: ({id(node): source
+    text} of each compound node whose text occurs more than once,
+    {id(node): `_pair_key`} of each `jets.PAIRED` call whose argument is
+    shared). Node ids identify nodes only while the trees live, so the plan
+    belongs with them."""
+    found = [item for ast in asts for item in _share_keys(ast)]
+    counts = Counter(key for _, key in found)
+    shared = [(id(node), key) for node, key in found if counts[key] > 1]
+    return (
+        {i: key for i, key in shared if isinstance(key, str)},
+        {i: key for i, key in shared if not isinstance(key, str)},
+    )
+
+
 def _share_keys(node: Expr):
-    """The keys of the work `eval_jets` can share in node's tree: the source
-    text of each compound node, and `_pair_key` of each `jets.PAIRED` call."""
+    """(node, key) for the work `eval_jets` can share in node's tree: the
+    source text of each compound node, and `_pair_key` of each
+    `jets.PAIRED` call."""
     if isinstance(node, Unary):
         yield from _share_keys(node.child)
         if node.op in jets.PAIRED:
-            yield _pair_key(node)
+            yield node, _pair_key(node)
     elif isinstance(node, Binary):
         yield from _share_keys(node.left)
         yield from _share_keys(node.right)
     else:
         return
-    yield to_source(node)
+    yield node, to_source(node)
 
 
 def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluationError:

@@ -10,9 +10,11 @@ or 4: one pass of jet arithmetic from the chart to the first and second
 fundamental forms, H, the trace-free part and its squared norm, truncated
 to the order the caller needs (Taylor-mode propagation, as in Griewank &
 Walther, *Evaluating Derivatives*, 2008). Each intermediate carries only
-the partials its consumers read: the chart through `order`; its tangents,
-their dot products, lambda and lambda^2 through order - 1, like g; the
+the partials its consumers read: the chart through `order`, its tangents
+through order - 1; their dot products, lambda and lambda^2 like g, which
+is read as values at order 2 and through d2g from order 3 on; the
 conformal term p, the shape vectors, the normal and h through order - 2.
+|hring|^2 is tr(B^2) with the mixed tensor B = g^-1 hring.
 `classification_values` reads the order-2 values; `fundamental_forms`
 stacks the raw partials into arrays, each tensor component contiguous.
 Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
@@ -24,12 +26,11 @@ geometry, `bochner_residual` order 4; each raises ValueError on less.
 
 The jet order decides which fields a `PointGeometry` carries:
 
-  order 2  values of g, h, H, hring, |hring|^2 plus dg; then detg,
-           sqrt_detg, ginv and R. Everything else stays None (in
-           particular gamma, nabla_hring, nabla_hring_norm2 and
-           gradH_norm2), so a misdeclared integrand fails instead of
-           integrating garbage.
-  order 3  adds the first partials of h, H, hring, |hring|^2, d2g, and
+  order 2  values of g, h, H, hring, |hring|^2; then detg, sqrt_detg,
+           ginv and R. Everything else stays None (in particular dg,
+           gamma, nabla_hring, nabla_hring_norm2 and gradH_norm2), so a
+           misdeclared integrand fails instead of integrating garbage.
+  order 3  adds the first partials of h, H, hring, |hring|^2, dg, d2g, and
            gamma, nabla_hring, nabla_hring_norm2, gradH_norm2, hring_up,
            trace_hring.
   order 4  adds the second partials (d2h, d2H, ...) for the Laplacian-level
@@ -66,10 +67,9 @@ class PointGeometry:
 
     Raw-partial fields are filled by `fundamental_forms`; everything from
     `detg` down is filled in place by `covariant_data`. Order 2 fills the
-    values, dg, detg, sqrt_detg, ginv and R; order 3 adds every first
-    partial, d2g and the rest of the covariant fields; order 4 adds the
-    second partials (d2h, d2H, ...). Fields an order does not fill stay
-    None.
+    values, detg, sqrt_detg, ginv and R; order 3 adds every first partial,
+    d2g and the rest of the covariant fields; order 4 adds the second
+    partials (d2h, d2H, ...). Fields an order does not fill stay None.
     """
 
     u: np.ndarray
@@ -129,12 +129,16 @@ def _dot3(a, b):
 def _forms(spec: ImmersionSpec, u, v, order: int):
     """Jets of (g, h, H, hring, |hring|^2) at (u, v) from an order-`order` chart.
 
-    g carries partials through order - 1, the rest through order - 2; g, h
-    and hring are 2x2 nested tuples of jets. Order 2 gives values only for
-    everything but g. Each intermediate is built at the order its consumers
-    read; truncation is a prefix slice, so no value changes.
+    g carries partials through order 2 from order 3 on (d2g is the highest
+    that anything reads) and values only at order 2; the rest carry them
+    through order - 2. g, h and hring are 2x2 nested tuples of jets. Each
+    intermediate is built at the order its consumers read; truncation is a
+    prefix slice, so no value changes.
     """
     c = spec.ambient_c
+    # never below order - 2, so lambda and the tangent products at g_order
+    # also serve h
+    g_order = 2 if order > 2 else 0
     try:
         f = evaluate_chart(spec, u, v, order)
         fu = tuple(derivative(comp, du=1) for comp in f)
@@ -146,10 +150,11 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             (1, 1): tuple(derivative(comp, dv=2) for comp in f),
         }
 
-        # Euclidean products of the tangents, through order - 1 like g
-        euc = {(i, j): _dot3(fd[i], fd[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
+        # Euclidean products of the tangents, through g_order like g
+        fg = [[jets.truncate(x, g_order) for x in t] for t in fd]
+        euc = {(i, j): _dot3(fg[i], fg[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
         if c != 0.0:
-            f1 = tuple(jets.truncate(x, order - 1) for x in f)
+            f1 = tuple(jets.truncate(x, g_order) for x in f)
             lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f1, f1))
             lam2 = lam * lam
             # p_k = d(log lambda)/dx^k along the chart, through order - 2 like h
@@ -197,11 +202,12 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
         hr00 = h00 - 0.5 * (Hj * t00)
         hr01 = h01 - 0.5 * (Hj * t01)
         hr11 = h11 - 0.5 * (Hj * t11)
-        # raise both indices: hring^{ij} = g^{ik} g^{jl} hring_kl
-        up00 = gi00 * (gi00 * hr00 + gi01 * hr01) + gi01 * (gi00 * hr01 + gi01 * hr11)
-        up01 = gi00 * (gi01 * hr00 + gi11 * hr01) + gi01 * (gi01 * hr01 + gi11 * hr11)
-        up11 = gi01 * (gi01 * hr00 + gi11 * hr01) + gi11 * (gi01 * hr01 + gi11 * hr11)
-        norm2 = up00 * hr00 + 2.0 * (up01 * hr01) + up11 * hr11
+        # |hring|^2 = tr(B^2) with the mixed tensor B^i_j = g^{ik} hring_kj
+        b00 = gi00 * hr00 + gi01 * hr01
+        b01 = gi00 * hr01 + gi01 * hr11
+        b10 = gi01 * hr00 + gi11 * hr01
+        b11 = gi01 * hr01 + gi11 * hr11
+        norm2 = b00 * b00 + 2.0 * (b01 * b10) + b11 * b11
     except SingularEvaluationError as err:
         raise _locate(err, u, v) from None
     return (
@@ -216,10 +222,10 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
     """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
 
-    order 2 provides values only (plus dg); order 3 adds the first partials
-    of h (enough for all first covariant derivatives); order 4 adds the
-    second partials needed by the Laplacian-level residuals. u, v may be
-    arrays (one batch).
+    order 2 provides values only; order 3 adds the first partials of h
+    (enough for all first covariant derivatives) and the first and second
+    partials of g; order 4 adds the second partials of h needed by the
+    Laplacian-level residuals. u, v may be arrays (one batch).
     """
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
@@ -237,7 +243,7 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         ambient_c=float(spec.ambient_c),
         batch_shape=shape,
     )
-    pg.g, pg.dg, pg.d2g = partials(g, min(order - 1, 2))
+    pg.g, pg.dg, pg.d2g = partials(g, g[0][0].order)
     pg.h, pg.dh, pg.d2h = partials(h, order - 2)
     pg.H, pg.dH, pg.d2H = partials(H, order - 2)
     pg.hring, pg.dhring, pg.d2hring = partials(hring, order - 2)

@@ -16,6 +16,17 @@ so truncating to a lower order is a prefix slice. Arithmetic between two
 jets truncates to the smaller order; plain numbers are promoted to
 constant jets. All operations are pure: no jet is ever mutated after
 construction, and coefficient arrays may be shared between jets.
+
+Arithmetic skips what it can prove trivial. A slot holding a scalar zero
+(a Python or NumPy scalar, or a 0-d array) contributes no product, and a
+product by a scalar one is its other factor, bit for bit. ``a * a`` on one
+jet object takes a squaring table: the (i, j) and (j, i) terms of the
+Leibniz sum are equal, so each cross term is formed once with twice its
+weight (9 of 15 products at order 2). `_compose` applies a univariate
+function; an affine argument, one whose first partials are scalars and
+whose higher partials are scalar zeros, as every chart variable is, gets
+f^(a+b) du^a dv^b placed straight into each slot, and any other argument
+goes through a Horner scheme.
 """
 
 from __future__ import annotations
@@ -59,16 +70,30 @@ def _build_mul_table(order: int) -> tuple[tuple[int, int, int, float], ...]:
 
 _MUL_TABLE = tuple(_build_mul_table(o) for o in range(MAX_ORDER + 1))
 
+# f * f: the (i, j) and (j, i) terms of one slot are equal, so each cross
+# term is formed once with twice its weight
+_SQUARE_TABLE = tuple(
+    tuple((k, i, j, w if i == j else 2.0 * w) for k, i, j, w in table if i <= j)
+    for table in _MUL_TABLE
+)
+
 _ZERO = np.float64(0.0)
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
+def _is_scalar(x) -> bool:
+    """x is a Python or NumPy scalar or a 0-d array, not a batch array."""
+    return not isinstance(x, np.ndarray) or x.ndim == 0
+
+
 def _is_scalar_zero(x) -> bool:
     # batch coefficients are arrays, so test the type before any comparison
-    if isinstance(x, np.ndarray):
-        return x.ndim == 0 and x == 0.0
-    return x == 0.0
+    return _is_scalar(x) and x == 0.0
+
+
+def _is_scalar_one(x) -> bool:
+    return _is_scalar(x) and x == 1.0
 
 
 class Jet2:
@@ -136,11 +161,12 @@ class Jet2:
         order = a.order
         out: list = [None] * _NCOEFF[order]
         ac, bc = a.coeffs, b.coeffs
-        for k, i, j, w in _MUL_TABLE[order]:
+        for k, i, j, w in (_SQUARE_TABLE if a is b else _MUL_TABLE)[order]:
             x, y = ac[i], bc[j]
             if _is_scalar_zero(x) or _is_scalar_zero(y):
                 continue
-            term = x * y
+            # a product by a scalar one is its other factor, bit for bit
+            term = y if _is_scalar_one(x) else x if _is_scalar_one(y) else x * y
             if w != 1.0:
                 term = term * w
             out[k] = term if out[k] is None else out[k] + term
@@ -218,17 +244,45 @@ def derivative(jet: Jet2, du: int = 0, dv: int = 0) -> Jet2:
 def _compose(jet: Jet2, derivs: Sequence[np.ndarray]) -> Jet2:
     """Compose f(jet) given d = [f(x0), f'(x0), ..., f^(n)(x0)].
 
-    Uses the Taylor-form Horner scheme in w = jet - value; w vanishes at
-    the point, so the truncated polynomial carries the exact partials of
-    the composite through the working order.
+    An affine argument x0 + du (u - u0) + dv (v - v0), with scalar du and
+    dv, has the partials d^a_u d^b_v f = f^(a+b)(x0) du^a dv^b, placed
+    straight into each slot. Any other argument goes through the
+    Taylor-form Horner scheme in w = jet - value; w vanishes at the point,
+    so the truncated polynomial carries the exact partials of the
+    composite through the working order.
     """
     order = jet.order
+    slopes = _affine_slopes(jet)
+    if slopes is not None:
+        du, dv = slopes
+        out = [derivs[0]]
+        for a, b in _PAIRS[1 : _NCOEFF[order]]:
+            scale = du**a * dv**b
+            d = derivs[a + b]
+            out.append(_ZERO if scale == 0.0 else d if scale == 1.0 else d * scale)
+        return Jet2(order, out)
     # the scalar zero in the value slot lets every product skip those terms
     w = Jet2(order, (_ZERO,) + jet.coeffs[1:])
-    result = constant(derivs[order] / _FACT[order], order)
+
+    def taylor(k):
+        return constant(derivs[k] if k < 2 else derivs[k] / _FACT[k], order)
+
+    result = taylor(order)
     for k in range(order - 1, -1, -1):
-        result = result * w + constant(derivs[k] / _FACT[k], order)
+        result = result * w + taylor(k)
     return result
+
+
+def _affine_slopes(jet: Jet2):
+    """(du, dv) as floats if the jet is affine in (u, v): scalar first
+    partials and scalar-zero higher ones, as every chart variable has;
+    otherwise None."""
+    c = jet.coeffs
+    if jet.order == 0 or not (_is_scalar(c[1]) and _is_scalar(c[2])):
+        return None
+    if not all(_is_scalar_zero(x) for x in c[3:]):
+        return None
+    return float(c[1]), float(c[2])
 
 
 def _check_domain(value, ok_mask, fn_name: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -40,6 +41,11 @@ class ImmersionSpec:
         merged.update(updates)
         return replace(self, params=MappingProxyType(merged))
 
+    @cached_property
+    def share_plan(self):
+        """`expressions.share_plan` of the components, made once per spec."""
+        return ex.share_plan(self.components)
+
     def component_sources(self) -> tuple[str, str, str]:
         return tuple(ex.to_source(c) for c in self.components)
 
@@ -63,7 +69,7 @@ class ImmersionSpec:
 def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
     """The three component jets of the chart at (u, v); batched if u, v are
     arrays. Work the components share is done once (`expressions.eval_jets`)."""
-    return ex.eval_jets(spec.components, u, v, order, spec.params)
+    return ex.eval_jets(spec.components, u, v, order, spec.params, spec.share_plan)
 
 
 def interior_axes(spec: ImmersionSpec, nu: int, nv: int):

@@ -7,8 +7,9 @@ import pytest
 
 from umbilic import expressions as ex
 from umbilic import geometry as geo
+from umbilic import jets
 from umbilic.errors import SingularEvaluationError
-from umbilic.surfaces import ImmersionSpec, load_definition, preset
+from umbilic.surfaces import ImmersionSpec, interior_axes, load_definition, preset
 
 from oracles import fd_partial
 
@@ -192,7 +193,7 @@ def test_classification_values_are_full_pipeline_values(name, params):
 )
 def test_order2_geometry_is_the_order3_values(name, params):
     # the order-2 view fills the values bit for bit and leaves every field
-    # that needs a derivative of h unset
+    # that needs a derivative of g or h unset
     spec = preset(name, params)
     us, vs = sample_points(spec, 150)
     low = geo.point_geometry(spec, us, vs, order=2)
@@ -200,7 +201,7 @@ def test_order2_geometry_is_the_order3_values(name, params):
     assert low.order == 2
     for field in ("g", "h", "H", "hring_norm2", "sqrt_detg", "R"):
         assert np.array_equal(getattr(low, field), getattr(full, field)), field
-    for field in ("dh", "dH", "d2g", "gamma", "nabla_hring", "nabla_hring_norm2",
+    for field in ("dg", "dh", "dH", "d2g", "gamma", "nabla_hring", "nabla_hring_norm2",
                   "gradH_norm2"):
         assert getattr(low, field) is None, field
 
@@ -283,6 +284,20 @@ def test_covariant_completion_matches_einsum(name, params):
     scale = float(np.max(np.abs(gi)) * np.max(np.abs(hr)))
     ref = np.einsum("...ij,...ij->...", gi, hr)
     np.testing.assert_allclose(pg.trace_hring, ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("name,params", ALL_PRESETS)
+def test_hring_norm2_matches_index_formula(name, params, order):
+    # the forms pass takes |hring|^2 as tr(B^2), B = g^-1 hring; against
+    # g^ik g^jl hring_ij hring_kl, on the scale of |h|^2 where hring vanishes
+    spec = preset(name, params)
+    us, vs = sample_points(spec, 200)
+    pg = geo.point_geometry(spec, us, vs, order=order)
+    gi, hr = pg.ginv, pg.hring
+    ref = np.einsum("...ik,...jl,...ij,...kl->...", gi, gi, hr, hr)
+    scale = float(np.max(np.einsum("...ik,...jl,...ij,...kl->...", gi, gi, pg.h, pg.h)))
+    np.testing.assert_allclose(pg.hring_norm2, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("name,params", ALL_PRESETS)
@@ -605,6 +620,21 @@ def test_squashed_ball_first_partials_match_fd(squashed_ball, point):
             assert float(pg.dh[k, i, j]) == pytest.approx(expected, rel=1e-6, abs=1e-7)
 
 
+@pytest.mark.parametrize("point", [(0.7, 0.4), (1.3, 2.5), (2.2, 4.0)])
+def test_squashed_ball_norm2_partials_match_fd(squashed_ball, point):
+    # [DERIVED] order-3 d_hring_norm2 against finite differences of the
+    # order-2 |hring|^2
+    u0, v0 = point
+    pg = geo.fundamental_forms(squashed_ball, u0, v0, order=3)
+
+    def norm2(u, v):
+        return float(geo.fundamental_forms(squashed_ball, u, v, order=2).hring_norm2)
+
+    for k, (a, b) in enumerate(((1, 0), (0, 1))):
+        expected = fd_partial(norm2, u0, v0, a, b)
+        assert float(pg.d_hring_norm2[k]) == pytest.approx(expected, rel=1e-6, abs=1e-7)
+
+
 def test_squashed_ball_identity_residuals_vanish(squashed_ball):
     # bounds of test_identity_residuals_vanish and test_bochner_residual_vanishes
     us, vs = sample_points(squashed_ball, 400)
@@ -617,3 +647,45 @@ def test_squashed_ball_identity_residuals_vanish(squashed_ball):
 
 def test_squashed_ball_residuals_match_einsum(squashed_ball):
     assert_residuals_match_einsum(squashed_ball)
+
+
+# -- jet products per kernel call ---------------------------------------------------
+
+# Jet2.__mul__ calls per kernel call on an 8x8 batch, counted as
+# perfbench/tracer.jet_mul_counts does (the count does not depend on the batch
+# size). A ratchet: a change that adds products fails here, and one that
+# removes some lowers the bounds to the new counts.
+MUL_BOUNDS = {
+    "ellipsoid_rev": {"class": 64, 3: 67, 4: 70},
+    "squashed_ball_c-1": {"class": 116, 3: 121, 4: 124},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_BOUNDS))
+def test_jet_products_per_kernel_call_stay_bounded(name, monkeypatch, tmp_path):
+    if name == "ellipsoid_rev":
+        spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    else:
+        path = tmp_path / "squashed_ball.ini"
+        path.write_text(SQUASHED_BALL.format(c=-1.0))
+        spec = load_definition(path)
+    us, vs = interior_axes(spec, 8, 8)
+    uu, vv = (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))
+    count = [0]
+    original = jets.Jet2.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(jets.Jet2, "__mul__", counting)
+    monkeypatch.setattr(jets.Jet2, "__rmul__", counting)
+    kernels = {
+        "class": lambda: geo.classification_values(spec, uu, vv),
+        3: lambda: geo.fundamental_forms(spec, uu, vv, 3),
+        4: lambda: geo.fundamental_forms(spec, uu, vv, 4),
+    }
+    for key, kernel in kernels.items():
+        count[0] = 0
+        kernel()
+        assert count[0] <= MUL_BOUNDS[name][key], (key, count[0])

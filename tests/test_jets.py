@@ -300,3 +300,77 @@ def test_exp_log_roundtrip(u0, v0):
     back = jets.exp(jets.log(f))
     for x, y in zip(back.coeffs, f.coeffs):
         np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
+
+
+# -- squaring, affine composition, products by a scalar one -------------------
+
+_POINTS = np.array([0.35, 0.6, 0.8, 1.05, 1.3])
+
+
+def _copy(jet):
+    """An equal jet that is a different object, with its own arrays."""
+    return Jet2(jet.order, [c.copy() if isinstance(c, np.ndarray) else c for c in jet.coeffs])
+
+
+def _dense(jet):
+    """The same jet with every nonzero slot a full batch array, so no slot
+    takes a scalar shortcut (no affine composition, no product by a scalar one)."""
+    shape = _POINTS.shape
+    return Jet2(jet.order, [
+        c if jets._is_scalar_zero(c) else np.broadcast_to(c, shape).copy() for c in jet.coeffs
+    ])
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_square_matches_general_product(order):
+    # a * a on one object takes the squaring table; positive coefficients
+    # keep every slot free of cancellation, and every third slot is a scalar zero
+    rng = np.random.default_rng(order)
+    coeffs = [
+        jets._ZERO if k % 3 == 2 else rng.uniform(0.5, 2.0, _POINTS.shape)
+        for k in range(jets._NCOEFF[order])
+    ]
+    a = Jet2(order, coeffs)
+    square, product = a * a, a * _copy(a)
+    for k, (x, y) in enumerate(zip(square.coeffs, product.coeffs)):
+        np.testing.assert_allclose(x, y, rtol=1e-15, atol=0, err_msg=str(k))
+
+
+_ARGUMENTS = {
+    "u": lambda order: variable("u", _POINTS, order),
+    "v": lambda order: variable("v", _POINTS, order),
+    "2u+1": lambda order: 2.0 * variable("u", _POINTS, order) + 1.0,
+}
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+@pytest.mark.parametrize("arg", sorted(_ARGUMENTS))
+@pytest.mark.parametrize("name", sorted(jets.ELEMENTARY))
+def test_affine_composition_matches_horner(name, arg, order):
+    x = _ARGUMENTS[arg](order)
+    assert jets._affine_slopes(x) is not None
+    assert jets._affine_slopes(_dense(x)) is None
+    direct = jets.ELEMENTARY[name](x)
+    horner = jets.ELEMENTARY[name](_dense(x))
+    for k, (a, b) in enumerate(zip(direct.coeffs, horner.coeffs)):
+        np.testing.assert_allclose(
+            np.broadcast_to(a, _POINTS.shape), np.broadcast_to(b, _POINTS.shape),
+            rtol=1e-15, atol=0, err_msg=str(k),
+        )
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_products_by_a_scalar_one_are_bit_identical(order):
+    # u carries a scalar one in its d_u slot and 1.0 / x multiplies by the
+    # constant one; the dense copies multiply by arrays of ones instead
+    a = jets.exp(variable("v", _POINTS, order) * 0.7) + jets.pow_const(variable("u", _POINTS, order), 2)
+    u = variable("u", _POINTS, order)
+    cases = [
+        (u * a, _dense(u) * a),
+        (a * u, a * _dense(u)),
+        (constant(1.0, order) * a, _dense(constant(1.0, order)) * a),
+        (1.0 / a, _dense(constant(1.0, order)) * jets._reciprocal(a)),
+    ]
+    for skipped, full in cases:
+        for x, y in zip(skipped.coeffs, full.coeffs):
+            assert np.array_equal(*np.broadcast_arrays(x, y))
