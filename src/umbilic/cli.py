@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -314,42 +314,10 @@ def cmd_verify(args, params) -> int:
     h_sup = _check("--hsup-override", args.hsup_override, lambda h: np.isfinite(h) and h >= 0,
                    "finite and non-negative")
     report = verifier.verify_prel(
-        spec, ladder, grid, h_sup_override=h_sup, tol_margin=_check_tol(args.tol)
+        spec, ladder, grid, eps0=args.eps0, h_sup_override=h_sup,
+        tol_margin=_check_tol(args.tol),
     )
-
-    corollary = None
-    if args.eps0 is not None:
-        rec = verifier.corollary_check(spec, args.eps0, grid)
-        corollary = {
-            "eps0": rec.eps0,
-            "cond1_max_gradH2": rec.cond1_max_gradH2,
-            "cond1_holds": rec.cond1_holds,
-            "cond2_max_excess": rec.cond2_max_excess,
-            "cond2_holds": rec.cond2_holds,
-            "cond3_rows": [list(t) for t in rec.cond3_rows],
-            "cond3_trend": rec.cond3_trend,
-            "cond3_supported": rec.cond3_supported,
-            "verdict": rec.verdict,
-            "notes": list(rec.notes),
-        }
-
-    rows = [
-        {
-            "eps": r.eps,
-            "vol_omega_c": r.vol_omega_c,
-            "term1": r.term1,
-            "term2": r.term2,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "margin": r.margin,
-            "cond3_value": r.cond3_value,
-            "sharp_gap": r.sharp_gap,
-            "tol_margin": r.tol_margin,
-            "passed": r.passed,
-            "c_min_empirical": r.c_min_empirical,
-        }
-        for r in report.rows
-    ]
+    rows = [asdict(r) for r in report.rows]
     cfg = _config_payload(
         args, spec, grid,
         eps=[float(e) for e in ladder],
@@ -367,8 +335,9 @@ def cmd_verify(args, params) -> int:
         "verdict": report.verdict,
         "errors": list(report.warnings),
     }
-    if corollary is not None:
-        payload["corollary"] = corollary
+    if report.corollary is not None:
+        skip = ("surface", "params", "grid", "chi_estimate", "chi_rounded")
+        payload["corollary"] = {k: v for k, v in asdict(report.corollary).items() if k not in skip}
     csv_rows = [[repr(r[k]) for k in VERIFY_CSV_COLUMNS] for r in rows]
     _emit(args, "verify", payload, VERIFY_CSV_COLUMNS, csv_rows, _config_lines(cfg, spec))
 

@@ -171,10 +171,10 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             if c == 0.0:
                 return base
             e = euc[key]
-            return tuple(
-                base[k] + fd[i][k] * p_dot_fd[j] + fd[j][k] * p_dot_fd[i] - e * p[k]
-                for k in range(3)
-            )
+            cross = [fd[i][k] * p_dot_fd[j] for k in range(3)]
+            # at i == j the two cross terms are one product
+            other = cross if i == j else [fd[j][k] * p_dot_fd[i] for k in range(3)]
+            return tuple(base[k] + cross[k] + other[k] - e * p[k] for k in range(3))
 
         # the normal and its norm, like h, through order - 2
         tu, tv = ([jets.truncate(x, order - 2) for x in t] for t in fd)

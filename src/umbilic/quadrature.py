@@ -141,7 +141,7 @@ class RegionIntegrals:
     I_grad_H        integral of |nabla H|^2 |hring|^2 over the region
     I_grad_H_plain  integral of |nabla H|^2 over the region
     area, total_R   whole-surface area and integral of R
-    H_sup           max |H| over every midpoint node the traversal touched
+    H_sup           max |H| over the base midpoints and every threshold's inside leaves
     """
 
     eps: float
@@ -226,16 +226,17 @@ def _weighted(field, pg):
     return np.asarray(value, dtype=float) * pg.sqrt_detg
 
 
-def _full(spec, fields, us, vs, *, with_n2):
-    """Geometry at the highest order the fields declare: (max |H| per batch,
-    [|hring|^2,] field(pg) * sqrt(det g) per field)."""
-    order = max(f.order if isinstance(f, Field) else 3 for f in fields)
+def _full(spec, fields, us, vs, *, with_n2, peaks=()):
+    """Geometry at the highest order the fields and peaks declare: (max |H|
+    per batch, [|hring|^2,] peak(pg) per peak, field(pg) * dA per field)."""
+    order = max(f.order if isinstance(f, Field) else 3 for f in (*fields, *peaks))
 
     def kernel(u, v):
         pg = geometry.point_geometry(spec, u, v, order)
         head = (np.max(np.abs(pg.H), keepdims=True),)
         if with_n2:
             head += (pg.hring_norm2,)
+        head += tuple(np.asarray(p(pg), dtype=float) for p in peaks)
         return head + tuple(_weighted(f, pg) for f in fields)
 
     return _chunked(kernel, us, vs)
@@ -366,20 +367,23 @@ class _Pass:
 
     whole   per field, over the whole surface
     region  per threshold, per field, over the sublevel region
-    h_sup   max |H| over every full-geometry node of the level
+    h_sup   max |H| over the base midpoints and every threshold's inside leaves
     h_odd   max |H| over the base corners whose two indices are both odd,
             which are the base midpoints of the half grid when nu and nv
             are even (None without thresholds: no corners are evaluated)
-    Coarse levels of a ladder carry h_sup and h_odd None.
+    peaks   per threshold, each peak's max over the base midpoints inside
+            the region, None when no midpoint is inside (() without peaks)
+    Coarse levels of a ladder carry h_sup, h_odd and peaks None.
     """
 
     whole: tuple
     region: tuple
     h_sup: float | None
     h_odd: float | None
+    peaks: tuple | None
 
 
-def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1):
+def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1, peaks=()):
     """The one quadrature driver: every integral of the package goes through it.
 
     Returns one `_Pass` per level of the doubling ladder that ends at G =
@@ -394,7 +398,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     `_refined_leaves`), so each probe and inside leaf is evaluated once.
     Coarse levels are reduced, and their arrays freed, before G's midpoints
     are evaluated. They carry sums only: their sup |H| would need per-node
-    |H| arrays, and nothing reads it.
+    |H| arrays, and nothing reads it. Each of `peaks`, a function of a
+    PointGeometry batch, is evaluated raw (no dA) at G's midpoints only.
     """
     depth = grid.adaptive_depth
     classify = bool(eps_values)
@@ -402,6 +407,7 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     sums = [[[0.0] * len(fields) for _ in eps_values] for _ in range(levels)]
     held = [None] * len(eps_values)
     h_sup = h_odd = None
+    peak_max = ()
     if classify:
         ug, vg = _lattice(spec, grid, centers=False)
         n2_corner, h_corner = _classified(spec, ug, vg)
@@ -418,12 +424,19 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         _, _, du, dv = _axes(spec, g)
         cell_area = du * dv
         h_max, *arrays = _full(
-            spec, fields, *_lattice(spec, g, centers=True), with_n2=classify and m == 0
+            spec, fields, *_lattice(spec, g, centers=True), with_n2=classify and m == 0,
+            peaks=peaks if m == 0 else (),
         )
         if m == 0:
             h_sup = float(np.max(h_max))
             if classify:
                 n2_center, *arrays = arrays
+            if peaks:
+                values = [arrays.pop(0) for _ in peaks]
+                peak_max = tuple(
+                    tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
+                    for ins in (n2_center < eps * eps for eps in eps_values)
+                )
         elif classify:
             n2_center = n2_corner[s // 2 :: s, s // 2 :: s]
         whole[m] = tuple(float(np.sum(a)) * cell_area for a in arrays)
@@ -452,9 +465,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 for k in range(lo, levels):
                     _add(sums[k][i], leaf, hi >= k, leaf_area)
         del arrays
+    fine = (h_sup, h_odd, peak_max)
     return tuple(
-        _Pass(whole[m], tuple(map(tuple, sums[m])), h_sup if m == 0 else None,
-              h_odd if m == 0 else None)
+        _Pass(whole[m], tuple(map(tuple, sums[m])), *(fine if m == 0 else (None,) * 3))
         for m in reversed(range(levels))
     )
 
@@ -471,11 +484,11 @@ _REGION_FIELDS = (
 )
 
 
-def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1):
+def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1, peaks=()):
     """(one RegionIntegrals per threshold for each ladder level, coarsest
-    first; the fine grid's odd-corner max |H|) from one pass. Coarse levels
-    carry H_sup None."""
-    passes = _ladder_pass(spec, grid, _REGION_FIELDS, eps_values, levels)
+    first; the fine grid's odd-corner max |H|; its per-threshold peak
+    maxima, see `_Pass`) from one pass. Coarse levels carry H_sup None."""
+    passes = _ladder_pass(spec, grid, _REGION_FIELDS, eps_values, levels, peaks)
     ladder = []
     for p in passes:
         area, _, _, _, total_R = p.whole
@@ -483,7 +496,7 @@ def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1):
             RegionIntegrals(eps, vol, gh, gH, gHp, area, total_R, p.h_sup)
             for eps, (vol, gh, gH, gHp, _) in zip(eps_values, p.region)
         ))
-    return tuple(ladder), passes[-1].h_odd
+    return tuple(ladder), passes[-1].h_odd, passes[-1].peaks
 
 
 def _field_ladder(spec, field, grid, region, levels):

@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import geometry
 from . import quadrature as quad
 from .errors import VerifierInputError
 from .quadrature import GridSpec
@@ -73,6 +70,7 @@ class TheoremReport:
     rows: tuple
     verdict: str
     warnings: tuple
+    corollary: CorollaryRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -179,6 +177,7 @@ def verify_prel(
     eps_ladder,
     grid: GridSpec,
     *,
+    eps0: float | None = None,
     h_sup_override: float | None = None,
     tol_margin: float | None = None,
 ) -> TheoremReport:
@@ -189,14 +188,25 @@ def verify_prel(
     row's dominant term (lhs, term1 or term2), from that term on the grids
     G/4, G/2 and G; one pass evaluates all three levels, the coarse ones on
     G's lattice. The grid's sides must then be divisible by 4 and at least
-    64. h_sup_override replaces the measured node max in C.
+    64. h_sup_override replaces the measured node max in C. With eps0, the
+    same pass also gives `corollary`: `corollary_check(spec, eps0, grid)`.
     """
     _require_closed(spec)
     ladder = _check_ladder(eps_ladder)
+    cor_ladder = [] if eps0 is None else _corollary_ladder(eps0)
     n_levels = 1 if tol_margin is not None else _richardson_levels(grid)
 
-    levels, h_coarse = quad._region_pass(spec, ladder, grid, n_levels)
+    # one pass over both ladders; each reads its own rows by threshold
+    union = sorted(set(ladder) | set(cor_ladder), reverse=True)
+    passes, h_coarse, peaks = quad._region_pass(
+        spec, union, grid, n_levels, _COND_PEAKS if cor_ladder else ()
+    )
+    levels = [tuple(level[union.index(e)] for e in ladder) for level in passes]
     integrals = levels[-1]
+    corollary = None
+    if cor_ladder:
+        cor_rows = [passes[-1][union.index(e)] for e in cor_ladder]
+        corollary = _corollary_record(spec, grid, cor_rows, peaks[union.index(cor_ladder[0])])
     chi_est, chi_round = _chi(integrals[0].total_R)
     warnings = []
     if abs(chi_est - chi_round) > 0.05:
@@ -263,38 +273,29 @@ def verify_prel(
         rows=tuple(rows),
         verdict="PASS" if all(r.passed for r in rows) else "FAIL",
         warnings=tuple(warnings),
+        corollary=corollary,
     )
 
 
-def _node_values(spec, grid):
-    """(|hring|^2, |grad H|^2, |grad hring|^2) at the base midpoint nodes."""
-
-    def kernel(u, v):
-        pg = geometry.point_geometry(spec, u, v)
-        return pg.hring_norm2, pg.gradH_norm2, pg.nabla_hring_norm2
-
-    return quad._chunked(kernel, *quad._lattice(spec, grid, centers=True))
+# conditions 1 and 2 at a node: |grad H|^2 and its excess over 2 |grad hring|^2
+_COND_PEAKS = (
+    lambda pg: pg.gradH_norm2,
+    lambda pg: pg.gradH_norm2 - 2.0 * pg.nabla_hring_norm2,
+)
+_COND_TOL = 1e-10
 
 
-def corollary_check(
-    spec: ImmersionSpec, eps0: float, grid: GridSpec, *, cond_tol: float = 1e-10
-) -> CorollaryRecord:
-    """Evaluate the three sufficient conditions at threshold eps0.
-
-    1. H constant on the sublevel region: max |grad H|^2 < cond_tol there.
-    2. |grad H|^2 <= 2 |grad hring|^2 on the region (within cond_tol).
-    3. (1/eps^2) integral of |grad H|^2 over the region stays below 8 pi
-       along the ladder eps0 / 2^k, k = 0..3, reported with its trend.
-
-    Closed surfaces must have chi = 2; open charts are evaluated for their
-    measured values only, with a note that the topological gate was skipped.
-    """
+def _corollary_ladder(eps0):
     eps0 = float(eps0)
     if not 0.0 < eps0 <= 1.0:
         raise VerifierInputError(f"eps0 must lie in (0, 1], got {eps0}")
+    return [eps0 / 2.0**k for k in range(4)]
 
-    ladder = [eps0 / 2.0**k for k in range(4)]
-    integrals = quad.region_integrals(spec, ladder, grid)
+
+def _corollary_record(spec, grid, integrals, peak, cond_tol=_COND_TOL):
+    """The CorollaryRecord from the eps0 ladder's RegionIntegrals and the
+    `_COND_PEAKS` maxima at eps0 (None for an empty region)."""
+    eps0 = integrals[0].eps
     notes = []
     if spec.is_closed:
         chi_est, chi_round = _chi(integrals[0].total_R)
@@ -307,11 +308,8 @@ def corollary_check(
         chi_est = chi_round = None
         notes.append("chart is not closed; topological gate skipped, values informational")
 
-    n2, grad_h2, grad_u2 = _node_values(spec, grid)
-    mask = n2 < eps0 * eps0
-    if mask.any():
-        cond1_max = float(np.max(grad_h2[mask]))
-        cond2_max = float(np.max(grad_h2[mask] - 2.0 * grad_u2[mask]))
+    if peak is not None:
+        cond1_max, cond2_max = peak
         cond1 = cond1_max < cond_tol
         cond2 = cond2_max <= cond_tol
     else:
@@ -346,6 +344,26 @@ def corollary_check(
         verdict="implies Vol(Omega_c_0) > 0" if holds else "no condition verified",
         notes=tuple(notes),
     )
+
+
+def corollary_check(
+    spec: ImmersionSpec, eps0: float, grid: GridSpec, *, cond_tol: float = _COND_TOL
+) -> CorollaryRecord:
+    """Evaluate the three sufficient conditions at threshold eps0.
+
+    1. H constant on the sublevel region: max |grad H|^2 < cond_tol there.
+    2. |grad H|^2 <= 2 |grad hring|^2 on the region (within cond_tol).
+    3. (1/eps^2) integral of |grad H|^2 over the region stays below 8 pi
+       along the ladder eps0 / 2^k, k = 0..3, reported with its trend.
+
+    Conditions 1 and 2 are maxima over the base midpoints inside the eps0
+    region; one quadrature pass gives them and the ladder. Closed surfaces
+    must have chi = 2; open charts are evaluated for their measured values
+    only, with a note that the topological gate was skipped.
+    """
+    ladder = _corollary_ladder(eps0)
+    levels, _, peaks = quad._region_pass(spec, ladder, grid, 1, _COND_PEAKS)
+    return _corollary_record(spec, grid, levels[-1], peaks[0], cond_tol)
 
 
 def sharpness_gap(spec: ImmersionSpec, eps_ladder, grid: GridSpec):

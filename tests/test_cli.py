@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from umbilic import cli
+from umbilic import cli, quadrature
 
 SMALL = ["--grid", "64x64", "--depth", "4"]
 
@@ -163,6 +163,43 @@ def test_verify_with_sufficiency_check(tmp_path):
     assert cor["cond2_holds"] is True
     assert cor["cond3_trend"] == "plateau"
     assert "Vol" in cor["verdict"]
+
+
+def count_passes(monkeypatch):
+    """The list that gets one entry per quadrature._ladder_pass call."""
+    calls = []
+    real = quadrature._ladder_pass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_ladder_pass", counting)
+    return calls
+
+
+def test_verify_with_sufficiency_check_is_one_pass(tmp_path, monkeypatch):
+    calls = count_passes(monkeypatch)
+    argv = ["verify", "--preset", "ellipsoid_rev", "--a", "1", "--b", "2", "--eps0", "0.5"]
+    assert run(argv + SMALL, tmp_path) in (0, 1)
+    assert len(calls) == 1
+    assert read_json(tmp_path, "verify")["corollary"]["eps0"] == 0.5
+
+
+@pytest.mark.parametrize("eps0", ["0", "1.5", "nan"])
+def test_bad_eps0_exits_before_any_pass(eps0, tmp_path, monkeypatch, capsys):
+    calls = count_passes(monkeypatch)
+    assert run(["verify", "--preset", "sphere", "--eps0", eps0] + SMALL, tmp_path) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps0" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sufficiency_check_refuses_torus(tmp_path, capsys):
+    assert run(["verify", "--preset", "torus", "--eps0", "0.5"] + SMALL, tmp_path) == 2
+    assert "Euler characteristic is 0, not 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_param_override_reaches_report(tmp_path):

@@ -657,7 +657,7 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
 # removes some lowers the bounds to the new counts.
 MUL_BOUNDS = {
     "ellipsoid_rev": {"class": 64, 3: 67, 4: 70},
-    "squashed_ball_c-1": {"class": 116, 3: 121, 4: 124},
+    "squashed_ball_c-1": {"class": 110, 3: 115, 4: 118},
 }
 
 

@@ -455,7 +455,7 @@ def test_h_sup_matches_pole_limit():
 def test_odd_corner_h_equals_half_grid_midpoints():
     # the odd corners of a 128^2 grid are the 64^2 midpoints bit for bit
     ell = preset("ellipsoid_rev")
-    _, h_odd = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
+    _, h_odd, _ = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
     _, h = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
     assert h_odd == float(np.max(h))
 

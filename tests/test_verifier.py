@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from umbilic import quadrature as q
 from umbilic import verifier as V
 from umbilic.cli import DEFAULT_EPS
 from umbilic.errors import VerifierInputError
+from umbilic.geometry import point_geometry
 from umbilic.quadrature import GridSpec
 from umbilic.surfaces import POLAR_MARGIN, preset
 from oracles import revolution_integrals
@@ -270,6 +272,40 @@ def test_corollary_vacuous_on_empty_region():
     assert rec.cond1_max_gradH2 is None
     assert rec.cond1_holds and rec.cond2_holds
     assert any("vacuously" in n for n in rec.notes)
+
+
+def test_corollary_conditions_are_midpoint_maxima():
+    # conditions 1 and 2 are maxima over the base midpoints inside the eps0
+    # region; here from point_geometry on the midpoint lattice, bit for bit
+    spec = preset("ellipsoid_tri")
+    # at eps0 = 0.2 the maxima move when the region grows or shrinks by 10%
+    rec = V.corollary_check(spec, 0.2, G128)
+    pg = point_geometry(spec, *q._lattice(spec, G128, centers=True))
+    inside = pg.hring_norm2 < 0.2**2
+    assert 0 < inside.sum() < inside.size
+    assert rec.cond1_max_gradH2 == float(np.max(pg.gradH_norm2[inside]))
+    excess = pg.gradH_norm2 - 2.0 * pg.nabla_hring_norm2
+    assert rec.cond2_max_excess == float(np.max(excess[inside]))
+
+
+# verify_prel(eps0=) runs one pass over the union of its ladder and the
+# corollary ladder: eps0 = 0.5 shares thresholds with DEFAULT_EPS, 0.3 none.
+# H_sup is a max over every inside leaf of the pass, so this also pins that
+# the corollary's extra thresholds do not move it.
+@pytest.mark.parametrize("eps0", [0.5, 0.3])
+@pytest.mark.parametrize("name, params", [
+    ("ellipsoid_rev", {"a": 1.0, "b": 2.0}),
+    ("ellipsoid_tri", {}),
+    ("sphere", {}),
+    ("centered_sphere_spaceform", {}),
+])
+def test_verify_with_eps0_is_verify_plus_corollary(name, params, eps0):
+    spec = preset(name, params)
+    report = V.verify_prel(spec, DEFAULT_EPS, G128, eps0=eps0)
+    plain = V.verify_prel(spec, DEFAULT_EPS, G128)
+    assert plain.corollary is None
+    assert replace(report, corollary=None) == plain
+    assert report.corollary == V.corollary_check(spec, eps0, G128)
 
 
 # -- sharpness -------------------------------------------------------------------
