@@ -15,8 +15,9 @@ through order - 1; their dot products, lambda and lambda^2 like g, which
 is read as values at order 2 and through d2g from order 3 on; the
 conformal term p, the shape vectors, the normal and h through order - 2.
 |hring|^2 is tr(B^2) with the mixed tensor B = g^-1 hring.
-`classification_values` reads the order-2 values; `fundamental_forms`
-stacks the raw partials into arrays, each tensor component contiguous.
+`classification_values` reads the order-2 values (|hring|^2, |H| and
+sqrt(det g)); `fundamental_forms` stacks the raw partials into arrays,
+each tensor component contiguous.
 Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
 (two-term sums per component, no einsum): Christoffel symbols, covariant
 derivatives, norms and curvature. The residuals of the identities under
@@ -538,11 +539,18 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
 
 
 def classification_values(spec: ImmersionSpec, u, v):
-    """(|hring|^2, |H|) from a minimal order-2 evaluation.
+    """(|hring|^2, |H|, sqrt(det g)) from a minimal order-2 evaluation.
 
-    Used by the quadrature layer at cell corners, where only the sublevel
-    classification (and the H envelope) is needed.
+    Used by the quadrature layer at cell corners and refinement probes:
+    the sublevel classification, the H envelope and, at the child-center
+    probes, the area element of each refined leaf. Each value is
+    bit-identical to the same field of `point_geometry` at any order.
     """
-    _, _, H, _, norm2 = _forms(spec, u, v, 2)
+    g, _, H, _, norm2 = _forms(spec, u, v, 2)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    return np.maximum(_stack(norm2, 0, shape), 0.0), np.abs(_stack(H, 0, shape))
+    g = _stack(g, 0, shape)
+    return (
+        np.maximum(_stack(norm2, 0, shape), 0.0),
+        np.abs(_stack(H, 0, shape)),
+        np.sqrt(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2),
+    )

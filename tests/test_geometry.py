@@ -154,7 +154,7 @@ def test_jet_gradient_of_norm_matches_covariant_form(name):
 def test_classification_values_match_full_pipeline():
     spec = preset("ellipsoid_rev")
     us, vs = sample_points(spec, 150)
-    n2, absH = geo.classification_values(spec, us, vs)
+    n2, absH, _ = geo.classification_values(spec, us, vs)
     pg = geo.point_geometry(spec, us, vs)
     np.testing.assert_allclose(n2, pg.hring_norm2, rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(absH, np.abs(pg.H), rtol=1e-11)
@@ -174,7 +174,7 @@ def test_classification_values_are_full_pipeline_values(name, params):
     # one kernel: the order-2 values are the order-3 values, bit for bit
     spec = preset(name, params)
     us, vs = sample_points(spec, 150)
-    n2, absH = geo.classification_values(spec, us, vs)
+    n2, absH, _ = geo.classification_values(spec, us, vs)
     pg = geo.point_geometry(spec, us, vs)
     assert np.array_equal(n2, np.maximum(pg.hring_norm2, 0.0))
     assert np.array_equal(absH, np.abs(pg.H))

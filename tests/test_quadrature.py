@@ -8,7 +8,7 @@ import pytest
 from umbilic import expressions as ex
 from umbilic import quadrature as q
 from umbilic.errors import SingularEvaluationError
-from umbilic.geometry import classification_values
+from umbilic.geometry import classification_values, point_geometry
 from umbilic.surfaces import POLAR_MARGIN, preset
 from oracles import revolution_integrals
 from tests.test_geometry import plane_spec
@@ -204,7 +204,7 @@ def _straddling(spec, g, eps):
     cell whose center is outside, else the all-out cells."""
     _, _, du, dv = q._axes(spec, g)
     ug, vg = q._lattice(spec, g, centers=False)
-    n2_corner, _ = q._classified(spec, ug, vg)
+    n2_corner, _, _ = q._classified(spec, ug, vg)
     _, n2_center, base = q._full(spec, (r_field,), *q._lattice(spec, g, centers=True), with_n2=True)
     inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
     all_in, straddle, corners = q._base_split(
@@ -309,7 +309,7 @@ def test_max_depth_leaves_take_their_center_probe(monkeypatch):
     g = q.GridSpec(64, 64, 6)
     leaves, calls, du, dv, _ = _probed_leaves(monkeypatch, ell, g, eps)
     pu, pv = calls[-1]
-    n2, _ = classification_values(ell, pu, pv)
+    n2, _, _ = classification_values(ell, pu, pv)
     # fine-lattice index of a point: probes and leaf centers sit mid-cell
     u0, v0, _, _ = q._axes(ell, g)
     fu, fv = du / 2**g.adaptive_depth, dv / 2**g.adaptive_depth
@@ -336,6 +336,94 @@ def test_depth_one_probes_only_child_centers(monkeypatch):
     assert sum(us.size for us, _ in calls) == 4 * n_straddle
     tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
     assert tiled == n_straddle
+
+
+def _field_values(pg):
+    """The _REGION_FIELDS at a PointGeometry batch, one row per field."""
+    return np.array([np.broadcast_to(f(pg), pg.batch_shape) for f in q._REGION_FIELDS])
+
+
+@pytest.mark.parametrize("name, eps_values", [
+    ("ellipsoid_rev", (0.4, 0.2, 0.1)),
+    ("ellipsoid_tri", (0.4, 0.1, 0.05)),
+])
+def test_region_sums_match_a_brute_force_ancestor_rule(name, eps_values):
+    # every region sum recomputed node by node: uniformly inside base cells
+    # at their midpoints, inside leaves at most KF halvings deep at their
+    # centers, deeper ones with the fields of their depth-KF ancestor (its
+    # center found by flooring the leaf center on that lattice) times their
+    # own area element; H_sup is the max |H| over the base midpoints and
+    # the inside leaf centers
+    spec = preset(name)
+    g = q.GridSpec(64, 64, 5)
+    (got,) = q._ladder_pass(spec, g, q._REGION_FIELDS, eps_values)
+    u0, v0, du, dv = q._axes(spec, g)
+    mid = point_geometry(spec, *q._lattice(spec, g, centers=True))
+    base = _field_values(mid) * mid.sqrt_detg
+    n2_corner, _, _ = classification_values(spec, *q._lattice(spec, g, centers=False))
+    n2_corner = n2_corner.reshape(g.nu + 1, g.nv + 1)
+    h_sup = float(np.max(np.abs(mid.H)))
+    fu, fv = du / 2**q.KF, dv / 2**q.KF
+    deep_leaves = 0
+    for eps, sums in zip(eps_values, got.region):
+        c = n2_corner < eps**2
+        all_in = (c[:-1, :-1] & c[1:, :-1] & c[:-1, 1:] & c[1:, 1:]).ravel()
+        all_in &= mid.hring_norm2 < eps**2
+        want = base[:, all_in].sum(axis=1) * du * dv
+        _, _, _, _, state = _straddling(spec, g, eps)
+        for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
+            us, vs = us[inside], vs[inside]
+            if us.size == 0:
+                continue
+            leaf = point_geometry(spec, us, vs)
+            h_sup = max(h_sup, float(np.max(np.abs(leaf.H))))
+            if round(math.log(du * dv / area, 4)) <= q.KF:
+                want += (_field_values(leaf) * leaf.sqrt_detg).sum(axis=1) * area
+                continue
+            deep_leaves += us.size
+            au = u0 + (np.floor((us - u0) / fu) + 0.5) * fu
+            av = v0 + (np.floor((vs - v0) / fv) + 0.5) * fv
+            want += (_field_values(point_geometry(spec, au, av)) * leaf.sqrt_detg).sum(axis=1) * area
+        assert list(sums) == pytest.approx(want.tolist(), rel=1e-12, abs=0.0)
+    assert deep_leaves > 0
+    assert got.h_sup == h_sup
+
+
+# Ratchet on the full-geometry nodes of a region_integrals pass over
+# ellipsoid_rev(1, 2), 128^2, depth 6, eps 0.4, 0.2, 0.1, 0.05: the base
+# midpoints, the inside leaves at most KF halvings deep, and the distinct
+# depth-KF ancestors of the deeper inside leaves, counted per threshold
+# (113,152 nodes when every inside leaf had its own evaluation). Lower
+# them when the pass needs fewer; never raise them.
+FULL_NODE_BOUNDS = {"midpoints": 16384, "shallow leaves": 2560, "ancestors": 8192}
+
+
+def test_full_geometry_nodes_stay_bounded(monkeypatch):
+    spec, g, eps_values = preset("ellipsoid_rev"), q.GridSpec(128, 128, 6), (0.4, 0.2, 0.1, 0.05)
+    u0, v0, du, dv = q._axes(spec, g)
+    fu, fv = du / 2**q.KF, dv / 2**q.KF
+    shallow = ancestors = 0
+    for eps in eps_values:
+        _, _, _, _, state = _straddling(spec, g, eps)
+        keys = set()
+        for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
+            if round(math.log(du * dv / area, 4)) <= q.KF:
+                shallow += int(np.count_nonzero(inside))
+            else:
+                iu, iv = np.floor((us[inside] - u0) / fu), np.floor((vs[inside] - v0) / fv)
+                keys.update(zip(iu.tolist(), iv.tolist()))
+        ancestors += len(keys)
+    nodes = [0]
+    real = q.geometry.point_geometry
+
+    def counting(spec, u, v, order=3):
+        nodes[0] += np.size(u)
+        return real(spec, u, v, order)
+
+    monkeypatch.setattr(q.geometry, "point_geometry", counting)
+    q.region_integrals(spec, eps_values, g)
+    assert nodes[0] == g.nu * g.nv + shallow + ancestors
+    assert nodes[0] <= sum(FULL_NODE_BOUNDS.values()), (g.nu * g.nv, shallow, ancestors)
 
 
 def test_sublevel_volume_monotone_in_eps():
@@ -456,7 +544,7 @@ def test_odd_corner_h_equals_half_grid_midpoints():
     # the odd corners of a 128^2 grid are the 64^2 midpoints bit for bit
     ell = preset("ellipsoid_rev")
     _, h_odd, _ = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
-    _, h = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
+    _, h, _ = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
     assert h_odd == float(np.max(h))
 
 
@@ -489,6 +577,25 @@ def test_ladder_levels_equal_one_level_passes(name, params, eps, n, levels, dept
             assert _sums(got) == _sums(ref)
         else:
             assert got.h_sup is None and got.h_odd is None
+            assert got.whole == ref.whole
+            assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
+def test_five_level_ladder_equals_one_level_passes(name, params, eps):
+    # levels 3 and 4 sit more than KF halvings above G's cells: their deep
+    # leaves and lattice cells take densities from the level m - KF
+    # midpoints, which their one-level passes evaluate as tree nodes
+    spec = preset(name, params)
+    n, levels = 256, 5
+    assert levels - 1 > q.KF
+    ladder = q._ladder_pass(spec, q.GridSpec(n, n, 4), q._REGION_FIELDS, eps, levels)
+    for m, got in enumerate(reversed(ladder)):
+        (ref,) = q._ladder_pass(spec, q.GridSpec(n >> m, n >> m, 4), q._REGION_FIELDS, eps)
+        if m == 0:
+            assert (got.h_sup, got.h_odd) == (ref.h_sup, ref.h_odd)
+            assert _sums(got) == _sums(ref)
+        else:
             assert got.whole == ref.whole
             assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
 
