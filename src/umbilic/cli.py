@@ -404,6 +404,10 @@ def cmd_convergence(args, params) -> int:
     while len(grids) < args.levels:
         grids.append(grids[-1].doubled())
 
+    if args.field != "vol" and args.eps is not None:
+        raise ValueError(
+            f"--eps needs --field vol; --field {args.field} integrates the whole surface"
+        )
     if args.field == "area":
         field, region = quadrature.AREA, quadrature.ALL
     elif args.field == "total_R":

@@ -12,16 +12,18 @@ Every integral comes from one pass (`_ladder_pass`): geometry once at each
 base midpoint, at the order the fields declare, order-2 classification
 values once at each base corner, then per threshold the refinement of its
 straddling cells. One pass serves every field and threshold of a call, and
-every level of a Richardson ladder G/4, G/2, G: the coarse grids' corners,
-midpoints and probes lie on G's lattice, so each node is evaluated once.
+up to KF levels of a Richardson ladder G/4, G/2, G: the coarse grids'
+corners, midpoints and probes lie on G's lattice, so each node is
+evaluated once. A longer ladder adds a second pass, over G/2^KF.
 
 Refinement resolves the region's indicator; the integrand is smooth on
 the scale of a base cell. So full geometry is evaluated at the base
 midpoints, at the inside leaves at most KF halvings below their level's
 base cell, and once at each ancestor KF halvings below it that has deeper
-inside leaves. A deeper leaf counts as its ancestor's field value per
-unit area times its own area element, which (like its |H|) comes from its
-center probe, an order-2 classification node.
+inside leaves, a node of G's refinement tree. A deeper leaf counts as its
+ancestor's field value per unit area times its own area element, which
+(like its |H|) comes from its center probe, an order-2 classification
+node.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,7 +59,8 @@ MIN_CELLS = 16
 # refinement resolves the region's indicator, the integrand is smooth on
 # the scale of a base cell. 3 is the measured floor: at KF = 2 the
 # I_grad_H_plain error on ellipsoid_rev(1, 2) at 512^2, depth 6, eps 0.05
-# leaves its oracle bound (1.0e-4 against 1.7e-5).
+# leaves its oracle bound (1.0e-4 against 1.7e-5). A pass spans at most
+# KF ladder levels, so that ancestor is a node of G's refinement tree.
 KF = 3
 
 __all__ = [
@@ -249,10 +252,10 @@ def _density(field, pg):
     return np.broadcast_to(np.asarray(value, dtype=float), pg.batch_shape)
 
 
-def _full(spec, fields, us, vs, *, with_n2=False, peaks=(), split=False):
+def _full(spec, fields, us, vs, *, with_n2=False, peaks=()):
     """Geometry at the highest order the fields and peaks declare: (max |H|
     per batch, [|hring|^2,] peak(pg) per peak, then field(pg) * dA per
-    field, or with split dA and then field(pg) per field)."""
+    field)."""
     order = _order((*fields, *peaks))
 
     def kernel(u, v):
@@ -261,8 +264,6 @@ def _full(spec, fields, us, vs, *, with_n2=False, peaks=(), split=False):
         if with_n2:
             head += (pg.hring_norm2,)
         head += tuple(np.asarray(p(pg), dtype=float) for p in peaks)
-        if split:
-            return head + (pg.sqrt_detg, *(_density(f, pg) for f in fields))
         return head + tuple(_density(f, pg) * pg.sqrt_detg for f in fields)
 
     return _chunked(kernel, us, vs)
@@ -341,17 +342,16 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
     Of each level's probes only the child centers' |H| and sqrt(det g)
     are kept, for the leaves; the rest is freed once read.
 
-    anchors maps G-depths d to lists. The leaves below a cell split at a
-    depth d in anchors carry an id for that cell: for d = 0 its index in
-    state; for d > 0 the next id of depth d in traversal order, and the
-    cell's center is appended to anchors[d]. Traversal order is fixed, so
-    the caller's accumulation is deterministic.
+    anchors maps G-depths d >= 1 to lists. The leaves below a cell split
+    at a depth d in anchors carry the next id of depth d in traversal
+    order, and the cell's center is appended to anchors[d]. Traversal
+    order is fixed, so the caller's accumulation is deterministic.
     """
     u0s, v0s, c00, c10, c01, c11, cc, mm = state
     anchors = {} if anchors is None else anchors
     eps2 = eps * eps
     DU, DV = du, dv
-    ids = {0: np.arange(u0s.size, dtype=np.int32)} if 0 in anchors else {}
+    ids = {}
     for level in range(depth):
         n = u0s.size
         if n == 0:
@@ -432,60 +432,44 @@ def _add(sums, arrays, sel, cell_area):
             sums[k] += float(np.sum(a[sel])) * cell_area
 
 
-def _base_cells(j, levels, depth, inside_corner, inside_center, held, arrays, sdg, dens,
-                cell_area, sums):
+def _base_cells(j, levels, depth, inside_corner, inside_center, held, arrays, cell_area, sums):
     """Classify level j's base cells and add them to each level's sums (one
     per-field list per level). Level j counts its uniform-inside cells; a
     coarser level m holds a cell when it split the parent (held, the level
     j+1 membership, >= m) and counts it when uniform inside or, at its
     maximum depth m = j + depth, when its center is inside, valued from
-    level j's midpoint arrays (field * dA). A cell more than KF halvings
-    below level m's base cell takes the densities of its level m - KF
-    ancestor (dens[m - KF]) times its own dA (sdg). Returns (straddle mask,
-    corner masks, membership: the coarsest level splitting each cell, -1
-    for none)."""
+    level j's midpoint arrays (field * dA). A pass spans at most KF levels,
+    so such a cell is less than KF halvings below level m's base cell and
+    keeps its own value. Returns (straddle mask, corner masks, membership:
+    the coarsest level splitting each cell, -1 for none)."""
     all_in, straddle, corners = _base_split(inside_corner, inside_center)
     top = np.full(all_in.size, j, dtype=np.int8)
     if held is not None:
         top = np.maximum(top, held.repeat(2, 0).repeat(2, 1).ravel())
-
-    def add(m, sel):
-        if m - j <= KF:
-            _add(sums[m], arrays, sel, cell_area)
-        elif sel.any():
-            # per level m - KF midpoint, the dA of its cells in sel
-            r = 1 << (m - KF - j)
-            nu, nv = inside_center.shape
-            w = np.where(sel, sdg, 0.0).reshape(nu // r, r, nv // r, r).sum(axis=(1, 3))
-            for k, d in enumerate(dens[m - KF]):
-                sums[m][k] += float(np.sum(d * w.ravel())) * cell_area
-
     for m in range(j, levels):
-        add(m, all_in & (top >= m))
+        _add(sums[m], arrays, all_in & (top >= m), cell_area)
         if m == j + depth:
-            add(m, straddle & inside_center.ravel() & (top >= m))
+            _add(sums[m], arrays, straddle & inside_center.ravel() & (top >= m), cell_area)
     mm = np.where(straddle, np.minimum(top, j + depth - 1), -1).astype(np.int8)
     return straddle, corners, mm
 
 
-def _tree_sums(spec, grid, fields, eps, state, cells, levels, dens, sums):
+def _tree_sums(spec, grid, fields, eps, state, levels, sums):
     """Add the inside leaves of G's refinement tree at threshold eps to
-    each level's sums (one per-field list per level); return the max |H|
-    over the inside leaves of G itself (-inf for none).
+    each level's sums (one per-field list per level, levels <= KF); return
+    the max |H| over the inside leaves of G itself (-inf for none).
 
-    cells holds the G index of each straddling base cell in state. Level k
-    counts a leaf at G-depth D (see `_Leaves`) as its own field * dA when
-    D + k <= KF: one full evaluation per batch, shared by those levels.
-    Deeper, the leaf's sqrt(det g) * area (from its probe) weighs the
-    densities of its ancestor KF halvings below level k's base cell: for
-    k < KF the tree node at G-depth KF - k, evaluated after the tree once
-    per node that has inside leaves; else the level k - KF midpoint, whose
-    densities dens[k - KF] the pass holds. Only one weight per ancestor is
-    kept across the tree, never per-leaf arrays.
+    Level k counts a leaf at G-depth D (see `_Leaves`) as its own field *
+    dA when D + k <= KF: one full evaluation per batch, shared by those
+    levels. Deeper, the leaf's sqrt(det g) * area (from its probe) weighs
+    the densities of its ancestor KF halvings below level k's base cell,
+    the tree node at G-depth KF - k >= 1, evaluated after the tree once
+    per node that has inside leaves. Only one weight per ancestor is kept
+    across the tree, never per-leaf arrays.
     """
     _, _, du, dv = _axes(spec, grid)
-    anchors = {KF - k: [] for k in range(min(levels, KF + 1))}
-    weights = {}  # per tree-anchored level k, one weight per node at G-depth KF - k
+    anchors = {KF - k: [] for k in range(levels)}
+    weights = {}  # per level k, one weight per node at G-depth KF - k
     h_sup = -math.inf
     for leaf in _refined_leaves(spec, eps, state, du, dv, grid.adaptive_depth, anchors):
         inside = leaf.inside
@@ -504,16 +488,9 @@ def _tree_sums(spec, grid, fields, eps, state, cells, levels, dens, sums):
             sel = hi >= k
             if not sel.any():
                 continue
-            if k < KF:
-                nodes = sum(us.size for us, _ in anchors[KF - k])
-                ids = leaf.ids[KF - k][inside][sel]
-                weights[k] = weights.get(k, 0.0) + np.bincount(ids, w[sel], nodes)
-            else:
-                a = k - KF
-                cell = cells[leaf.ids[0][inside][sel]]
-                idx = (cell // grid.nv >> a) * (grid.nv >> a) + (cell % grid.nv >> a)
-                for f, d in enumerate(dens[a]):
-                    sums[k][f] += float(np.sum(d[idx] * w[sel]))
+            nodes = sum(us.size for us, _ in anchors[KF - k])
+            ids = leaf.ids[KF - k][inside][sel]
+            weights[k] = weights.get(k, 0.0) + np.bincount(ids, w[sel], nodes)
     for k, wk in weights.items():
         hit = wk > 0
         us, vs = (np.concatenate(c)[hit] for c in zip(*anchors[KF - k]))
@@ -560,23 +537,28 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     2^(m-1) + k 2^m, bit for bit. Its straddling cells descend through
     cells that lattice has classified, then ride G's refinement tree (see
     `_refined_leaves`), so each probe and inside leaf is evaluated once.
-    Inside cells and leaves more than KF halvings below their level's base
-    cell take the field densities of their ancestor KF halvings below it
-    (see `_base_cells`, `_tree_sums`). For a level m >= KF that ancestor is
-    a midpoint of level m - KF, which keeps its densities apart from dA
-    until the pass ends. Coarse levels are reduced, and their arrays
-    freed, before G's midpoints are evaluated; only those deep cells of a
-    level m >= KF are added later, on the finer lattices and on G's tree.
-    Coarse levels carry sums only: their sup |H| would need per-node |H|
-    arrays, and nothing reads it. Each of `peaks`, a function of a
-    PointGeometry batch, is evaluated raw (no dA) at G's midpoints only.
+    Inside leaves more than KF halvings below their level's base cell take
+    the field densities of their ancestor KF halvings below it, a node of
+    G's tree (see `_tree_sums`). Coarse levels are reduced, and their
+    arrays freed, before G's midpoints are evaluated. Coarse levels carry
+    sums only: their sup |H| would need per-node |H| arrays, and nothing
+    reads it. Each of `peaks`, a function of a PointGeometry batch, is
+    evaluated raw (no dA) at G's midpoints only.
+
+    So one pass spans at most KF levels. A longer ladder runs as two: the
+    KF finest levels over G, with the peaks, and the rest as a ladder of
+    its own over G/2^KF, which re-probes about 1/2^KF of G's tree.
     """
+    if levels > KF:
+        low = GridSpec(grid.nu >> KF, grid.nv >> KF, grid.adaptive_depth)
+        coarse = _ladder_pass(spec, low, fields, eps_values, levels - KF)
+        coarse = tuple(replace(p, h_sup=None, h_odd=None, peaks=None) for p in coarse)
+        return coarse + _ladder_pass(spec, grid, fields, eps_values, KF, peaks)
     depth = grid.adaptive_depth
     classify = bool(eps_values)
     whole = [None] * levels
     sums = [[[0.0] * len(fields) for _ in eps_values] for _ in range(levels)]
     held = [None] * len(eps_values)
-    dens = {}  # per anchoring level, the field densities at its midpoints
     h_sup = h_odd = None
     peak_max = ()
     if classify:
@@ -594,11 +576,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         g = GridSpec(grid.nu // s, grid.nv // s, depth)
         _, _, du, dv = _axes(spec, g)
         cell_area = du * dv
-        # level m anchors level m + KF: keep its densities and dA apart
-        split = classify and m + KF < levels
         h_max, *arrays = _full(
             spec, fields, *_lattice(spec, g, centers=True), with_n2=classify and m == 0,
-            peaks=peaks if m == 0 else (), split=split,
+            peaks=peaks if m == 0 else (),
         )
         if m == 0:
             h_sup = float(np.max(h_max))
@@ -612,17 +592,13 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 )
         elif classify:
             n2_center = n2_corner[s // 2 :: s, s // 2 :: s]
-        sdg = None
-        if split:
-            sdg, *dens[m] = arrays
-            arrays = [d * sdg for d in dens[m]]
         whole[m] = tuple(float(np.sum(a)) * cell_area for a in arrays)
         for i, eps in enumerate(eps_values):
             inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
             sums_i = [level[i] for level in sums]
             straddle, corners, mm = _base_cells(
                 m, levels, depth, n2_corner[::s, ::s] < eps * eps, inside_center,
-                held[i], arrays, sdg, dens, cell_area, sums_i,
+                held[i], arrays, cell_area, sums_i,
             )
             if m:
                 held[i] = mm.reshape(g.nu, g.nv)
@@ -631,10 +607,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
                 inside_center.ravel()[straddle], mm[straddle],
             )
-            h_sup = max(h_sup, _tree_sums(
-                spec, grid, fields, eps, state, np.flatnonzero(straddle), levels, dens, sums_i,
-            ))
-        del arrays, sdg
+            h_sup = max(h_sup, _tree_sums(spec, grid, fields, eps, state, levels, sums_i))
+        del arrays
     fine = (h_sup, h_odd, peak_max)
     return tuple(
         _Pass(whole[m], tuple(map(tuple, sums[m])), *(fine if m == 0 else (None,) * 3))
@@ -759,9 +733,10 @@ def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> Conv
     """Observed-order diagnostics across a ladder of doubling grids.
 
     Needs at least three levels, each doubling nu and nv, all with one
-    adaptive_depth: the whole ladder is one pass, whose levels share one
-    refinement tree. Orders and error estimates per level come from
-    `_richardson`; the study reports those of the finest level.
+    adaptive_depth: up to KF levels are one pass, whose levels share one
+    refinement tree (see `_ladder_pass`). Orders and error estimates per
+    level come from `_richardson`; the study reports those of the finest
+    level.
     """
     grids = tuple(grids)
     if len(grids) < 3:
@@ -774,8 +749,8 @@ def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> Conv
     depths = [g.adaptive_depth for g in grids]
     if len(set(depths)) > 1:
         raise ValueError(
-            f"grid levels must share one adaptive_depth (the ladder shares one"
-            f" refinement tree), got depths {depths}"
+            f"grid levels must share one adaptive_depth (a ladder pass refines its"
+            f" levels on one tree), got depths {depths}"
         )
     values = _field_ladder(spec, field, grids[-1], region, len(grids))
     rows = tuple(

@@ -126,11 +126,15 @@ def _require_closed(spec):
         )
 
 
-def classify_trend(values, rel_tol=0.05) -> str:
+# the largest relative change that classify_trend counts as a plateau
+_TREND_TOL = 0.05
+
+
+def classify_trend(values) -> str:
     """Coarse trend of a ladder: decreasing, increasing, or plateau.
 
     Compares first and last against the larger magnitude; changes within
-    rel_tol count as plateau.
+    _TREND_TOL count as plateau.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
@@ -139,9 +143,9 @@ def classify_trend(values, rel_tol=0.05) -> str:
     if scale < 1e-14:
         return "plateau"
     change = (vals[-1] - vals[0]) / scale
-    if change < -rel_tol:
+    if change < -_TREND_TOL:
         return "decreasing"
-    if change > rel_tol:
+    if change > _TREND_TOL:
         return "increasing"
     return "plateau"
 
@@ -292,7 +296,7 @@ def _corollary_ladder(eps0):
     return [eps0 / 2.0**k for k in range(4)]
 
 
-def _corollary_record(spec, grid, integrals, peak, cond_tol=_COND_TOL):
+def _corollary_record(spec, grid, integrals, peak):
     """The CorollaryRecord from the eps0 ladder's RegionIntegrals and the
     `_COND_PEAKS` maxima at eps0 (None for an empty region)."""
     eps0 = integrals[0].eps
@@ -310,8 +314,8 @@ def _corollary_record(spec, grid, integrals, peak, cond_tol=_COND_TOL):
 
     if peak is not None:
         cond1_max, cond2_max = peak
-        cond1 = cond1_max < cond_tol
-        cond2 = cond2_max <= cond_tol
+        cond1 = cond1_max < _COND_TOL
+        cond2 = cond2_max <= _COND_TOL
     else:
         cond1_max = cond2_max = None
         cond1 = cond2 = True
@@ -346,13 +350,12 @@ def _corollary_record(spec, grid, integrals, peak, cond_tol=_COND_TOL):
     )
 
 
-def corollary_check(
-    spec: ImmersionSpec, eps0: float, grid: GridSpec, *, cond_tol: float = _COND_TOL
-) -> CorollaryRecord:
+def corollary_check(spec: ImmersionSpec, eps0: float, grid: GridSpec) -> CorollaryRecord:
     """Evaluate the three sufficient conditions at threshold eps0.
 
-    1. H constant on the sublevel region: max |grad H|^2 < cond_tol there.
-    2. |grad H|^2 <= 2 |grad hring|^2 on the region (within cond_tol).
+    1. H constant on the sublevel region: max |grad H|^2 < _COND_TOL
+       (1e-10) there.
+    2. |grad H|^2 <= 2 |grad hring|^2 on the region (within _COND_TOL).
     3. (1/eps^2) integral of |grad H|^2 over the region stays below 8 pi
        along the ladder eps0 / 2^k, k = 0..3, reported with its trend.
 
@@ -363,7 +366,7 @@ def corollary_check(
     """
     ladder = _corollary_ladder(eps0)
     levels, _, peaks = quad._region_pass(spec, ladder, grid, 1, _COND_PEAKS)
-    return _corollary_record(spec, grid, levels[-1], peaks[0], cond_tol)
+    return _corollary_record(spec, grid, levels[-1], peaks[0])
 
 
 def sharpness_gap(spec: ImmersionSpec, eps_ladder, grid: GridSpec):

@@ -502,6 +502,18 @@ def test_infinite_eps_for_sublevel_convergence_names_the_flag(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("field", ["area", "total_R"])
+def test_eps_without_sublevel_field_is_an_input_error(field, tmp_path, capsys):
+    # a whole-surface field ignores the threshold, so the report must not
+    # record one
+    argv = ["convergence", "--preset", "sphere", "--field", field, "--eps", "0.1",
+            "--grid", "64x64"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps needs --field vol")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["identities", "verify", "sweep", "convergence"])
 def test_negative_seed_names_the_flag(command, tmp_path, capsys):
     argv = [command, "--preset", "sphere", "--seed", "-1"] + SMALL

@@ -583,9 +583,8 @@ def test_ladder_levels_equal_one_level_passes(name, params, eps, n, levels, dept
 
 @pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
 def test_five_level_ladder_equals_one_level_passes(name, params, eps):
-    # levels 3 and 4 sit more than KF halvings above G's cells: their deep
-    # leaves and lattice cells take densities from the level m - KF
-    # midpoints, which their one-level passes evaluate as tree nodes
+    # levels 3 and 4 sit more than KF levels above G, so they run as a
+    # second pass over G/2^KF, with its own refinement tree
     spec = preset(name, params)
     n, levels = 256, 5
     assert levels - 1 > q.KF
@@ -598,6 +597,25 @@ def test_five_level_ladder_equals_one_level_passes(name, params, eps):
         else:
             assert got.whole == ref.whole
             assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
+def test_long_ladder_runs_as_two_passes(name, params, eps):
+    # a pass spans at most KF levels: a 5-level ladder is the 2-level pass
+    # over G/2^KF followed by the KF-level pass over G, bit for bit, and its
+    # G/2^KF level is the one-level pass over G/2^KF
+    spec = preset(name, params)
+    n, depth, levels = 256, 4, 5
+    low = q.GridSpec(n >> q.KF, n >> q.KF, depth)
+    ladder = q._ladder_pass(spec, q.GridSpec(n, n, depth), q._REGION_FIELDS, eps, levels)
+    coarse = q._ladder_pass(spec, low, q._REGION_FIELDS, eps, levels - q.KF)
+    fine = q._ladder_pass(spec, q.GridSpec(n, n, depth), q._REGION_FIELDS, eps, q.KF)
+    assert [_sums(p) for p in ladder] == [_sums(p) for p in coarse + fine]
+    assert ladder[levels - q.KF :] == fine
+    for p in ladder[: levels - q.KF]:
+        assert (p.h_sup, p.h_odd, p.peaks) == (None, None, None)
+    (ref,) = q._ladder_pass(spec, low, q._REGION_FIELDS, eps)
+    assert _sums(ladder[levels - q.KF - 1]) == _sums(ref)
 
 
 def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
