@@ -9,15 +9,19 @@ classified by their center value; at max depth every child of a
 straddling cell is such a leaf, so only its center is probed.
 
 Every integral comes from one pass (`_ladder_pass`): geometry once at each
-base midpoint, at the order the fields declare, order-2 classification
-values once at each base corner, then per threshold the refinement of its
-straddling cells. One pass serves every field and threshold of a call, and
-up to KF levels of a Richardson ladder G/4, G/2, G: the coarse grids'
-corners, midpoints and probes lie on G's lattice, so each node is
+base midpoint, order-2 classification values once at each base corner,
+then per threshold the refinement of its straddling cells. Without
+thresholds the midpoints get the order the fields declare. With them they
+get order 2, which gives the order-2 fields' whole-surface sums, the
+center classification and sup |H|, and the fields' order only where the
+center lies inside the largest threshold's region, the one place a region
+sum reads a midpoint. One pass serves every field and threshold of a
+call, and up to KF levels of a Richardson ladder G/4, G/2, G: the coarse
+grids' corners, midpoints and probes lie on G's lattice, so each node is
 evaluated once. A longer ladder adds a second pass, over G/2^KF.
 
 Refinement resolves the region's indicator; the integrand is smooth on
-the scale of a base cell. So full geometry is evaluated at the base
+the scale of a base cell. So full geometry is evaluated at those base
 midpoints, at the inside leaves at most KF halvings below their level's
 base cell, and once at each ancestor KF halvings below it that has deeper
 inside leaves, a node of G's refinement tree. A deeper leaf counts as its
@@ -238,7 +242,7 @@ def _classified(spec, us, vs):
 
 
 def _order(fields):
-    return max(f.order if isinstance(f, Field) else 3 for f in fields)
+    return max((f.order if isinstance(f, Field) else 3 for f in fields), default=2)
 
 
 def _density(field, pg):
@@ -253,9 +257,9 @@ def _density(field, pg):
 
 
 def _full(spec, fields, us, vs, *, with_n2=False, peaks=()):
-    """Geometry at the highest order the fields and peaks declare: (max |H|
-    per batch, [|hring|^2,] peak(pg) per peak, then field(pg) * dA per
-    field)."""
+    """Geometry at the highest order the fields and peaks declare (2 for
+    none): (max |H| per batch, [|hring|^2,] peak(pg) per peak, then
+    field(pg) * dA per field)."""
     order = _order((*fields, *peaks))
 
     def kernel(u, v):
@@ -432,24 +436,27 @@ def _add(sums, arrays, sel, cell_area):
             sums[k] += float(np.sum(a[sel])) * cell_area
 
 
-def _base_cells(j, levels, depth, inside_corner, inside_center, held, arrays, cell_area, sums):
+def _base_cells(
+    j, levels, depth, inside_corner, inside_center, held, arrays, inner, cell_area, sums
+):
     """Classify level j's base cells and add them to each level's sums (one
     per-field list per level). Level j counts its uniform-inside cells; a
     coarser level m holds a cell when it split the parent (held, the level
     j+1 membership, >= m) and counts it when uniform inside or, at its
     maximum depth m = j + depth, when its center is inside, valued from
-    level j's midpoint arrays (field * dA). A pass spans at most KF levels,
-    so such a cell is less than KF halvings below level m's base cell and
-    keeps its own value. Returns (straddle mask, corner masks, membership:
+    level j's midpoint arrays (field * dA). Those hold, in order, only the
+    midpoints of the mask inner, which covers every cell counted here. A
+    pass spans at most KF levels, so such a cell is less than KF halvings
+    below level m's base cell and keeps its own value. Returns (straddle mask, corner masks, membership:
     the coarsest level splitting each cell, -1 for none)."""
     all_in, straddle, corners = _base_split(inside_corner, inside_center)
     top = np.full(all_in.size, j, dtype=np.int8)
     if held is not None:
         top = np.maximum(top, held.repeat(2, 0).repeat(2, 1).ravel())
     for m in range(j, levels):
-        _add(sums[m], arrays, all_in & (top >= m), cell_area)
+        _add(sums[m], arrays, (all_in & (top >= m))[inner], cell_area)
         if m == j + depth:
-            _add(sums[m], arrays, straddle & inside_center.ravel() & (top >= m), cell_area)
+            _add(sums[m], arrays, (straddle & inside_center.ravel() & (top >= m))[inner], cell_area)
     mm = np.where(straddle, np.minimum(top, j + depth - 1), -1).astype(np.int8)
     return straddle, corners, mm
 
@@ -506,7 +513,8 @@ def _tree_sums(spec, grid, fields, eps, state, levels, sums):
 class _Pass:
     """Sums from one level of a pass; every sum is of field * dA.
 
-    whole   per field, over the whole surface
+    whole   per field, over the whole surface; with thresholds only the
+            order-2 fields have one (None for the rest, which nothing reads)
     region  per threshold, per field, over the sublevel region
     h_sup   max |H| over the base midpoints and every threshold's inside leaves
     h_odd   max |H| over the base corners whose two indices are both odd,
@@ -529,10 +537,13 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
 
     Returns one `_Pass` per level of the doubling ladder that ends at G =
     `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; the caller checks
-    that G's sides divide); a single grid is the one-level case. Each
-    level's midpoints get one geometry evaluation at the order the fields
-    declare, shared by every field and threshold. With thresholds, G's
-    corners get one order-2 evaluation, and level m reads G's lattice: its
+    that G's sides divide); a single grid is the one-level case. Without
+    thresholds each level's midpoints get one geometry evaluation at the
+    order the fields declare. With thresholds they get one at order 2, for
+    the order-2 fields' whole-surface sums, |hring|^2 and |H|, and one at
+    the fields' order (with the peaks) only where |hring| is below the
+    largest threshold, a set that holds every midpoint a region sum reads
+    since the regions are nested. G's corners get one order-2 evaluation, and level m reads G's lattice: its
     corners are G's corners at indices k 2^m, its midpoints those at
     2^(m-1) + k 2^m, bit for bit. Its straddling cells descend through
     cells that lattice has classified, then ride G's refinement tree (see
@@ -570,35 +581,46 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
         cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
         del ug, vg
+        low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
+        top_eps = max(eps_values)
 
     for m in reversed(range(levels)):
         s = 1 << m
         g = GridSpec(grid.nu // s, grid.nv // s, depth)
         _, _, du, dv = _axes(spec, g)
         cell_area = du * dv
-        h_max, *arrays = _full(
-            spec, fields, *_lattice(spec, g, centers=True), with_n2=classify and m == 0,
-            peaks=peaks if m == 0 else (),
-        )
+        us, vs = _lattice(spec, g, centers=True)
+        level_peaks = peaks if m == 0 else ()
+        if classify:
+            h_max, n2_center, *arrays = _full(spec, [fields[k] for k in low], us, vs, with_n2=True)
+            whole[m] = [None] * len(fields)
+            for k, a in zip(low, arrays):
+                whole[m][k] = float(np.sum(a)) * cell_area
+            inner = n2_center < top_eps * top_eps
+            if _order((*fields, *level_peaks)) == 2:
+                inner[:] = True  # the order-2 evaluation already filled every field
+            elif inner.any():
+                _, *arrays = _full(spec, fields, us[inner], vs[inner], peaks=level_peaks)
+            else:
+                arrays = [np.empty(0)] * (len(level_peaks) + len(fields))
+        else:
+            h_max, *arrays = _full(spec, fields, us, vs)
+            whole[m] = [float(np.sum(a)) * cell_area for a in arrays]
+        del us, vs
         if m == 0:
             h_sup = float(np.max(h_max))
-            if classify:
-                n2_center, *arrays = arrays
-            if peaks:
-                values = [arrays.pop(0) for _ in peaks]
-                peak_max = tuple(
-                    tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
-                    for ins in (n2_center < eps * eps for eps in eps_values)
-                )
-        elif classify:
-            n2_center = n2_corner[s // 2 :: s, s // 2 :: s]
-        whole[m] = tuple(float(np.sum(a)) * cell_area for a in arrays)
+        if level_peaks:
+            values = [arrays.pop(0) for _ in peaks]
+            peak_max = tuple(
+                tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
+                for ins in (n2_center[inner] < eps * eps for eps in eps_values)
+            )
         for i, eps in enumerate(eps_values):
             inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
             sums_i = [level[i] for level in sums]
             straddle, corners, mm = _base_cells(
                 m, levels, depth, n2_corner[::s, ::s] < eps * eps, inside_center,
-                held[i], arrays, cell_area, sums_i,
+                held[i], arrays, inner, cell_area, sums_i,
             )
             if m:
                 held[i] = mm.reshape(g.nu, g.nv)
@@ -611,7 +633,7 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         del arrays
     fine = (h_sup, h_odd, peak_max)
     return tuple(
-        _Pass(whole[m], tuple(map(tuple, sums[m])), *(fine if m == 0 else (None,) * 3))
+        _Pass(tuple(whole[m]), tuple(map(tuple, sums[m])), *(fine if m == 0 else (None,) * 3))
         for m in reversed(range(levels))
     )
 
@@ -688,9 +710,11 @@ def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) 
 def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     """One RegionIntegrals per threshold, all from a single pass over the grid.
 
-    eps_list must be strictly decreasing within (0, 1]. Full geometry is
-    evaluated once at every base midpoint, at every inside leaf at most KF
-    halvings deep, and at every depth-KF ancestor of deeper inside leaves,
+    eps_list must be strictly decreasing within (0, 1]. Every base midpoint
+    gets an order-2 evaluation (area, total_R, the classification, H_sup).
+    Full geometry is evaluated once at every base midpoint inside the
+    largest threshold's region, at every inside leaf at most KF halvings
+    deep, and at every depth-KF ancestor of deeper inside leaves,
     which take its field values per unit area times their own area
     element. Classification and refinement probes use the order-2 kernel,
     which also gives each leaf its area element and |H|.
@@ -749,8 +773,8 @@ def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> Conv
     depths = [g.adaptive_depth for g in grids]
     if len(set(depths)) > 1:
         raise ValueError(
-            f"grid levels must share one adaptive_depth (a ladder pass refines its"
-            f" levels on one tree), got depths {depths}"
+            f"grid levels must share one adaptive_depth (the levels of each ladder"
+            f" pass share one refinement tree), got depths {depths}"
         )
     values = _field_ladder(spec, field, grids[-1], region, len(grids))
     rows = tuple(

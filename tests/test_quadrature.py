@@ -86,7 +86,8 @@ def test_convergence_input_validation():
 
 
 def test_convergence_rejects_mixed_depths():
-    # the ladder is one pass with one refinement tree, so one depth
+    # the levels of a ladder pass share one refinement tree (a ladder of
+    # more than KF levels runs as two passes, each with its own), so one depth
     grids = [q.GridSpec(16, 16, 2), q.GridSpec(32, 32, 6), q.GridSpec(64, 64, 6)]
     with pytest.raises(ValueError, match=r"adaptive_depth.*\[2, 6, 6\]"):
         q.convergence_study(preset("ellipsoid_rev"), area_field, q.sublevel(0.1), grids)
@@ -142,6 +143,35 @@ def test_order2_fields_integrate_like_bare_callables():
     assert q.integrate(ell, q.AREA, g) == q.integrate(ell, area_field, g)
     sub = q.sublevel(0.25)
     assert q.integrate(ell, q.AREA, g, sub) == q.integrate(ell, area_field, g, sub)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+def test_thresholded_whole_sums_equal_the_whole_surface_pass(name):
+    # with thresholds the whole-surface sums come from order-2 geometry at
+    # every midpoint; they equal the unthresholded pass bit for bit
+    spec, g = preset(name), q.GridSpec(64, 64, 4)
+    row = q.region_integrals(spec, (0.5, 0.1), g)[0]
+    assert row.area == q.integrate(spec, q.AREA, g)
+    assert row.total_R == q.integrate(spec, q.TOTAL_R, g)
+
+
+def test_empty_inside_set_makes_no_order3_call(monkeypatch):
+    # |hring| >= ~0.47 on the torus (R=2, r=1): no midpoint lies inside
+    # either region, so the fields' own order is never evaluated
+    tor, g = preset("torus"), q.GridSpec(64, 64, 4)
+    orders = []
+    real = q.geometry.point_geometry
+
+    def recording(spec, u, v, order=3):
+        orders.append(order)
+        return real(spec, u, v, order)
+
+    monkeypatch.setattr(q.geometry, "point_geometry", recording)
+    rows = q.region_integrals(tor, (0.4, 0.1), g)
+    assert set(orders) == {2}
+    for row in rows:
+        assert (row.vol_omega_c, row.I_grad_hring, row.I_grad_H, row.I_grad_H_plain) == (0, 0, 0, 0)
+        assert row.area == pytest.approx(4 * math.pi**2 * 2.0, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -390,18 +420,22 @@ def test_region_sums_match_a_brute_force_ancestor_rule(name, eps_values):
 
 
 # Ratchet on the full-geometry nodes of a region_integrals pass over
-# ellipsoid_rev(1, 2), 128^2, depth 6, eps 0.4, 0.2, 0.1, 0.05: the base
-# midpoints, the inside leaves at most KF halvings deep, and the distinct
-# depth-KF ancestors of the deeper inside leaves, counted per threshold
-# (113,152 nodes when every inside leaf had its own evaluation). Lower
-# them when the pass needs fewer; never raise them.
-FULL_NODE_BOUNDS = {"midpoints": 16384, "shallow leaves": 2560, "ancestors": 8192}
+# ellipsoid_rev(1, 2), 128^2, depth 6, eps 0.4, 0.2, 0.1, 0.05: besides one
+# order-2 node per base midpoint, the order-3 nodes at the midpoints inside
+# the eps 0.4 region, the inside leaves at most KF halvings deep, and the
+# distinct depth-KF ancestors of the deeper inside leaves, counted per
+# threshold (113,152 order-3 nodes when every inside leaf had its own
+# evaluation, 27,136 when every midpoint was order 3). Lower them when the
+# pass needs fewer; never raise them.
+FULL_NODE_BOUNDS = {"midpoints": 4608, "shallow leaves": 2560, "ancestors": 8192}
 
 
 def test_full_geometry_nodes_stay_bounded(monkeypatch):
     spec, g, eps_values = preset("ellipsoid_rev"), q.GridSpec(128, 128, 6), (0.4, 0.2, 0.1, 0.05)
     u0, v0, du, dv = q._axes(spec, g)
     fu, fv = du / 2**q.KF, dv / 2**q.KF
+    n2_mid, _, _ = classification_values(spec, *q._lattice(spec, g, centers=True))
+    inner = int(np.count_nonzero(n2_mid < eps_values[0] ** 2))
     shallow = ancestors = 0
     for eps in eps_values:
         _, _, _, _, state = _straddling(spec, g, eps)
@@ -413,17 +447,18 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
                 iu, iv = np.floor((us[inside] - u0) / fu), np.floor((vs[inside] - v0) / fv)
                 keys.update(zip(iu.tolist(), iv.tolist()))
         ancestors += len(keys)
-    nodes = [0]
+    nodes = {2: 0, 3: 0}
     real = q.geometry.point_geometry
 
     def counting(spec, u, v, order=3):
-        nodes[0] += np.size(u)
+        nodes[order] += np.size(u)
         return real(spec, u, v, order)
 
     monkeypatch.setattr(q.geometry, "point_geometry", counting)
     q.region_integrals(spec, eps_values, g)
-    assert nodes[0] == g.nu * g.nv + shallow + ancestors
-    assert nodes[0] <= sum(FULL_NODE_BOUNDS.values()), (g.nu * g.nv, shallow, ancestors)
+    assert nodes[2] == g.nu * g.nv
+    assert nodes[3] == inner + shallow + ancestors
+    assert nodes[3] <= sum(FULL_NODE_BOUNDS.values()), (inner, shallow, ancestors)
 
 
 def test_sublevel_volume_monotone_in_eps():
