@@ -6,7 +6,10 @@ axes). The sublevel region at a threshold eps collects the points with
 |hring| < eps, strictly; boundary ties count as outside. Cells crossed by
 the |hring| = eps interface are subdivided recursively and leaf cells are
 classified by their center value; at max depth every child of a
-straddling cell is such a leaf, so only its center is probed.
+straddling cell is such a leaf, so only its center is probed. One level
+earlier, a child whose outer corner (its cell's corner) and inner corner
+(its cell's center) disagree straddles for sure, so it is probed only
+where a coarser ladder level's leaves read its center.
 
 Every integral comes from one pass (`_ladder_pass`): geometry once at each
 base midpoint, order-2 classification values once at each base corner,
@@ -337,14 +340,20 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
     G/2^m) ends its tree m levels earlier: levels 0..mm still split the
     cell, and a leaf counts for the levels lo..hi (hi per leaf).
 
-    Each level r but the last evaluates 8 new probe points per cell (edge
+    Each level r below depth-2 evaluates 8 new probe points per cell (edge
     midpoints, child centers); children whose five probes agree become
     leaves of levels 0..mm, the rest recurse with mm at most depth-2-r, and
     where mm = depth-1-r they are also center-classified leaves of level mm.
     The last level (mm is 0 there) evaluates only the 4 child centers, and
     every child is a leaf classified by its center. Depth 0 yields nothing.
-    Of each level's probes only the child centers' |H| and sqrt(det g)
-    are kept, for the leaves; the rest is freed once read.
+    At level depth-2 a child is open when its outer corner (a corner of the
+    cell) and inner corner (the cell's center) agree; any other child
+    straddles, whatever its probes say, and its own corners are never
+    read again. So that level probes an edge midpoint only for a cell
+    with an open child beside it, and a child center only for an open
+    child or where mm = 1 (the leaves of level 1 read it); nothing reads a
+    probe it skips. Of each level's probes only the child centers' |H| and
+    sqrt(det g) are kept, for the leaves; the rest is freed once read.
 
     anchors maps G-depths d >= 1 to lists. The leaves below a cell split
     at a depth d in anchors carry the next id of depth d in traversal
@@ -370,20 +379,43 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
             for k, (kc, hk, sk) in enumerate(zip(*(np.split(a, 4) for a in (n2 < eps2, h, sdg)))):
                 yield _Leaves(mu[k], mv[k], hu * hv, kc, 0, mm, depth, hk, sk, ids)
             return
-        # probe order: edge midpoints L10 L01 L21 L12, then the child centers
-        pu = np.concatenate([u0s + hu, u0s, u0s + DU, u0s + hu, *mu])
-        pv = np.concatenate([v0s, v0s + hv, v0s + hv, v0s + DV, *mv])
+        ends = mm == depth - 1 - level
+        # probe blocks: edge midpoints L10 L01 L21 L12, then the child
+        # centers; keep[i] selects the cells that probe block i (None: all)
+        keep = [None] * 8
+        if level == depth - 2:
+            # every straddling child splits once more into center-classified
+            # leaves, so a child whose outer corner and inner corner (the
+            # cell center) disagree needs no probe. Probe an edge midpoint
+            # for an open child beside it, a child center for an open child
+            # or where a coarse level's tree ends here (its leaves read it).
+            o = [k == cc for k in (c00, c10, c01, c11)]
+            keep = [o[0] | o[1], o[0] | o[2], o[1] | o[3], o[2] | o[3], *(x | ends for x in o)]
+        pu, pv = (
+            np.concatenate([a if k is None else a[k] for k, a in zip(keep, block)])
+            for block in (
+                [u0s + hu, u0s, u0s + DU, u0s + hu, *mu],
+                [v0s, v0s + hv, v0s + hv, v0s + DV, *mv],
+            )
+        )
         n2, h, sdg = _classified(spec, pu, pv)
         del pu, pv
-        L10, L01, L21, L12, *M = np.split(n2 < eps2, 8)
+        cut = np.cumsum([n if k is None else np.count_nonzero(k) for k in keep])
+        flags = np.split(n2 < eps2, cut[:-1])
         del n2
-        h, sdg = (np.split(a[4 * n :].copy(), 4) for a in (h, sdg))
+        for i, k in enumerate(keep):
+            if k is not None:  # an unprobed flag reads False, on straddling children only
+                full = np.zeros(n, dtype=bool)
+                full[k] = flags[i]
+                flags[i] = full
+        L10, L01, L21, L12, *M = flags
+        # the child centers' |H| and sqrt(det g), over the cells keep[4 + c] selects
+        h, sdg = (np.split(a[cut[3] :].copy(), cut[4:-1] - cut[3]) for a in (h, sdg))
         lattice = {
             (0, 0): c00, (1, 0): L10, (2, 0): c10,
             (0, 1): L01, (1, 1): cc, (2, 1): L21,
             (0, 2): c01, (1, 2): L12, (2, 2): c11,
         }
-        ends = mm == depth - 1 - level
         child = level + 1
         tag = child in anchors
         next_parts = []
@@ -400,9 +432,10 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
             uniform = all_in | ~(k00 | k10 | k01 | k11 | kc)
 
             def leaves(sel, inside, lo):
+                probed = sel if keep[4 + c] is None else sel[keep[4 + c]]
                 return _Leaves(
                     mu[c][sel], mv[c][sel], hu * hv, inside[sel], lo, mm[sel], child,
-                    h[c][sel], sdg[c][sel], {d: x[sel] for d, x in ids.items()},
+                    h[c][probed], sdg[c][probed], {d: x[sel] for d, x in ids.items()},
                 )
 
             if uniform.any():

@@ -163,8 +163,8 @@ def test_a4_inequality_margins(capsys):
 def test_a5_sharpness_ladders(capsys):
     # [DERIVED] at 512^2 depth 8 the |normalized gap| ladders are strictly
     # decreasing and at least halve from eps=0.4 to eps=0.05; frozen runs:
-    # b=2.0: 0.11587 0.04597 0.02199 0.01245
-    # b=1.5: 0.45178 0.09572 0.03987 0.01925
+    # b=2.0: 0.11587 0.04597 0.02195 0.01233
+    # b=1.5: 0.45178 0.09572 0.03986 0.01921
     grid = GridSpec(512, 512, 8)
     ladder = (0.4, 0.2, 0.1, 0.05)
     problems = []

@@ -359,6 +359,34 @@ def test_affine_composition_matches_horner(name, arg, order):
         )
 
 
+_UNARY = {
+    **jets.ELEMENTARY,
+    **{f"pow {p}": (lambda x, p=p: jets.pow_const(x, p)) for p in (2, 3, -1, 0.5, 1.5)},
+}
+
+# order-4 arguments, positive at _POINTS so that every function is defined
+_ORDER4_ARGUMENTS = {
+    "affine": lambda: 0.5 * U(_POINTS) + 0.3,
+    "non-affine": lambda: 0.4 * (U(_POINTS) * V(_POINTS)) + 0.2 * U(_POINTS) + 0.6,
+}
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("arg", sorted(_ORDER4_ARGUMENTS))
+@pytest.mark.parametrize("name", sorted(_UNARY))
+def test_functions_commute_with_truncation_bit_for_bit(name, arg, order):
+    # f of the order-k jet is f of the order-4 jet truncated to k: a
+    # function builds derivatives only through its argument's order, each
+    # the same expression at every order
+    x = _ORDER4_ARGUMENTS[arg]()
+    assert (jets._affine_slopes(x) is not None) == (arg == "affine")
+    low = _UNARY[name](truncate(x, order))
+    high = truncate(_UNARY[name](x), order)
+    assert low.order == high.order == order
+    for k, (a, b) in enumerate(zip(low.coeffs, high.coeffs, strict=True)):
+        assert np.array_equal(*np.broadcast_arrays(a, b)), (k, a, b)
+
+
 @pytest.mark.parametrize("order", range(1, 5))
 def test_products_by_a_scalar_one_are_bit_identical(order):
     # u carries a scalar one in its d_u slot and 1.0 / x multiplies by the

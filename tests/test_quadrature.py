@@ -314,10 +314,15 @@ def _probed_leaves(monkeypatch, spec, g, eps):
 
 
 def test_refinement_probes_eight_per_cell_then_four_at_the_last_level(monkeypatch):
-    # a cell entering level k < d-1 probes its 4 edge midpoints and 4 child
+    # a cell entering level k < d-2 probes its 4 edge midpoints and 4 child
     # centers; at the last level every child is a leaf, so only the 4
-    # child centers are probed. n_k, the cells entering level k, follows
-    # from the leaf areas: n_{k+1} = 4 n_k - (leaves of area base / 4^(k+1))
+    # child centers are probed. At level d-2 every straddling child splits
+    # once more, so a child whose parent corner and the parent center
+    # disagree is probed nowhere: an edge midpoint is probed for an open
+    # child beside it (corner and center agree), a child center for an open
+    # child (no coarse tree ends there in a one-level pass). n_k, the cells
+    # entering level k, follows from the leaf areas: n_{k+1} = 4 n_k -
+    # (leaves of area base / 4^(k+1))
     ell, eps = preset("ellipsoid_rev"), 0.25
     g = q.GridSpec(64, 64, 6)
     leaves, calls, du, dv, n_straddle = _probed_leaves(monkeypatch, ell, g, eps)
@@ -329,7 +334,28 @@ def test_refinement_probes_eight_per_cell_then_four_at_the_last_level(monkeypatc
     for k in range(d - 1):
         n.append(4 * n[k] - per_level[k])
     assert per_level[d - 1] == 4 * n[d - 1] > 0
-    assert sum(us.size for us, _ in calls) == 8 * sum(n[: d - 1]) + 4 * n[d - 1]
+    # the cells entering level d-2 hold every leaf one or two levels below
+    # them; their corner and center flags decide that level's probes
+    u0, v0, _, _ = q._axes(ell, g)
+    hu, hv = du / 2 ** (d - 2), dv / 2 ** (d - 2)
+    cells = set()
+    for us, vs, area, _ in leaves:
+        if area < du * dv / 4 ** (d - 2):
+            cells.update(zip(np.floor((us - u0) / hu).tolist(), np.floor((vs - v0) / hv).tolist()))
+    assert len(cells) == n[d - 2]
+    iu, iv = np.array(sorted(cells)).T
+    cu, cv = u0 + iu * hu, v0 + iv * hv
+
+    def inside(a, b):
+        return classification_values(ell, cu + a * hu, cv + b * hv)[0] < eps**2
+
+    o = [inside(a, b) == inside(0.5, 0.5) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    before_last = sum(
+        int(np.count_nonzero(x)) for x in (o[0] | o[1], o[0] | o[2], o[1] | o[3], o[2] | o[3], *o)
+    )
+    assert 0 < before_last < 8 * n[d - 2]
+    sizes = [us.size for us, _ in calls]
+    assert sizes == [8 * x for x in n[: d - 2]] + [before_last, 4 * n[d - 1]]
 
 
 def test_max_depth_leaves_take_their_center_probe(monkeypatch):
@@ -366,6 +392,65 @@ def test_depth_one_probes_only_child_centers(monkeypatch):
     assert sum(us.size for us, _ in calls) == 4 * n_straddle
     tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
     assert tiled == n_straddle
+
+
+def _reference_leaves(spec, g, eps):
+    """A brute-force refinement tree: probe each cell's 4 corners and center,
+    split it while they disagree, and classify the children at max depth by
+    their centers. {(halvings, twice the fine-lattice index of the center):
+    (area, inside, |H|, sqrt(det g))} for each leaf below the base cells."""
+    u0, v0, du, dv = q._axes(spec, g)
+    depth = g.adaptive_depth
+    fu, fv = du / 2**depth, dv / 2**depth
+    iu, iv = np.meshgrid(np.arange(g.nu), np.arange(g.nv), indexing="ij")
+    us, vs = u0 + iu.ravel() * du, v0 + iv.ravel() * dv
+    leaves = {}
+    for r in range(depth + 1):
+        hu, hv = du / 2**r, dv / 2**r
+        n2, h, sdg = classification_values(spec, us + hu / 2, vs + hv / 2)
+        flags = [n2 < eps**2]
+        if r < depth:
+            flags += [
+                classification_values(spec, us + a * hu, vs + b * hv)[0] < eps**2
+                for a in (0, 1) for b in (0, 1)
+            ]
+        split = np.any(flags, axis=0) & ~np.all(flags, axis=0)
+        if r > 0:
+            ku = np.rint(2 * (us + hu / 2 - u0) / fu).astype(int).tolist()
+            kv = np.rint(2 * (vs + hv / 2 - v0) / fv).astype(int).tolist()
+            for k in np.flatnonzero(~split).tolist():
+                leaves[(r, ku[k], kv[k])] = (hu * hv, bool(flags[0][k]), abs(h[k]), sdg[k])
+        us, vs = (
+            np.concatenate([x[split] + s * w for s in steps])
+            for x, w, steps in ((us, hu / 2, (0, 0, 1, 1)), (vs, hv / 2, (0, 1, 0, 1)))
+        )
+    return leaves
+
+
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_refined_leaves_match_a_brute_force_tree(name, depth):
+    # the tree probes fewer points than the reference (shared corners once,
+    # none where a child must straddle), yet gives the same leaves; at depth
+    # 2 the level before the last is the base cells' first split
+    spec, eps = preset(name), 0.25
+    g = q.GridSpec(64, 64, depth)
+    u0, v0, du, dv = q._axes(spec, g)
+    fu, fv = du / 2**depth, dv / 2**depth
+    _, _, _, _, state = _straddling(spec, g, eps)
+    got = {}
+    for leaf in q._refined_leaves(spec, eps, state, du, dv, depth):
+        ku = np.rint(2 * (leaf.us - u0) / fu).astype(int).tolist()
+        kv = np.rint(2 * (leaf.vs - v0) / fv).astype(int).tolist()
+        for k in range(leaf.us.size):
+            key = (leaf.depth, ku[k], kv[k])
+            assert key not in got
+            got[key] = (leaf.area, bool(leaf.inside[k]), leaf.abs_h[k], leaf.sqrt_detg[k])
+    want = _reference_leaves(spec, g, eps)
+    assert got and sorted(got) == sorted(want)
+    for key, (area, inside, abs_h, sdg) in want.items():
+        assert got[key][:2] == (area, inside), key
+        assert got[key][2:] == pytest.approx((abs_h, sdg), rel=1e-12, abs=0.0), key
 
 
 def _field_values(pg):
@@ -459,6 +544,28 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
     assert nodes[2] == g.nu * g.nv
     assert nodes[3] == inner + shallow + ancestors
     assert nodes[3] <= sum(FULL_NODE_BOUNDS.values()), (inner, shallow, ancestors)
+
+
+# Ratchet on the order-2 classification nodes of the same pass: one per
+# base corner, then the refinement probes of the four thresholds' trees
+# (401,665 nodes in all when the level before the last probed 8 points per
+# cell). Lower them when the trees probe fewer; never raise them.
+PROBE_NODE_BOUNDS = {"corners": 16641, "probes": 335872}
+
+
+def test_classification_nodes_stay_bounded(monkeypatch):
+    spec, g = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0}), q.GridSpec(128, 128, 6)
+    sizes = []
+    real = q._classified
+
+    def counting(spec, us, vs):
+        sizes.append(us.size)
+        return real(spec, us, vs)
+
+    monkeypatch.setattr(q, "_classified", counting)
+    q.region_integrals(spec, (0.4, 0.2, 0.1, 0.05), g)
+    assert sizes[0] == (g.nu + 1) * (g.nv + 1) == PROBE_NODE_BOUNDS["corners"]
+    assert sum(sizes[1:]) <= PROBE_NODE_BOUNDS["probes"], sum(sizes[1:])
 
 
 def test_sublevel_volume_monotone_in_eps():
@@ -654,26 +761,51 @@ def test_long_ladder_runs_as_two_passes(name, params, eps):
 
 
 def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
-    # the coarse levels read the fine lattice and the fine tree: a 3-level
-    # ladder evaluates exactly the order-2 nodes of the one-level pass
+    # the coarse levels read the fine lattice and the fine tree: per tree, a
+    # 3-level ladder evaluates the order-2 nodes of the one-level pass plus
+    # the child centers that G/2's leaves read at the level before the last,
+    # where G/2's tree ends and the one-level pass probes only the children
+    # it must; no added node twice
     ell = preset("ellipsoid_rev")
     g = q.GridSpec(128, 128, 4)
-    real = q._classified
+    real_classified, real_leaves = q._classified, q._refined_leaves
 
     def nodes(levels):
-        calls = []
+        """(the nodes of the corner call, then of each tree; per tree the
+        centers of the coarse leaves at the level before the last)"""
+        trees, coarse = [[]], [[]]
 
         def recording(spec, us, vs):
-            calls.append((us, vs))
-            return real(spec, us, vs)
+            trees[-1] += zip(us.tolist(), vs.tolist())
+            return real_classified(spec, us, vs)
+
+        def refined(*args):
+            trees.append([])
+            coarse.append([])
+            for leaf in real_leaves(*args):
+                if leaf.lo > 0 and leaf.depth == g.adaptive_depth - 1:
+                    coarse[-1] += zip(leaf.us.tolist(), leaf.vs.tolist())
+                yield leaf
 
         monkeypatch.setattr(q, "_classified", recording)
+        monkeypatch.setattr(q, "_refined_leaves", refined)
         q._ladder_pass(ell, g, q._REGION_FIELDS, (0.5, 0.25, 0.1, 0.05), levels)
-        return [np.concatenate(c) for c in zip(*calls)]
+        return trees, coarse
 
-    single, ladder = nodes(1), nodes(3)
-    assert single[0].size > (g.nu + 1) * (g.nv + 1)
-    assert all(np.array_equal(a, b) for a, b in zip(single, ladder))
+    (single, unread), (ladder, coarse) = nodes(1), nodes(3)
+    assert len(single) == len(ladder) == 5 and not any(unread)
+    assert single[0] == ladder[0] and len(single[0]) == (g.nu + 1) * (g.nv + 1)
+    assert any(single[1:])
+    extra = 0
+    for one, many, read in zip(single[1:], ladder[1:], coarse[1:]):
+        added = set(read) - set(one)
+        assert len(read) == len(set(read))
+        # in evaluation order, the ladder's nodes less the added centers
+        # are the one-level pass's, and each added center comes once
+        assert [p for p in many if p not in added] == one
+        assert len(many) == len(one) + len(added)
+        extra += len(added)
+    assert extra > 0
 
 
 def test_plane_patch_area():
