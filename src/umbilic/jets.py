@@ -351,23 +351,17 @@ def exp(jet: Jet2) -> Jet2:
     return _compose(jet, [e] * (jet.order + 1))
 
 
-def _through(order: int, derivs) -> list:
-    """f, f', ... from the thunks derivs, built only through ``order``: no
-    array is made for a derivative the jet does not carry."""
-    return [d() for d in derivs[: order + 1]]
-
-
 def log(jet: Jet2) -> Jet2:
     x = jet.value
     _check_domain(x, x > 0.0, "log")
     inv = 1.0 / x if jet.order else None
-    return _compose(jet, _through(jet.order, (
+    return _compose(jet, [d() for d in (
         lambda: np.log(x),
         lambda: inv,
         lambda: -(inv**2),
         lambda: 2.0 * inv**3,
         lambda: -6.0 * inv**4,
-    )))
+    )[: jet.order + 1]])
 
 
 def sqrt(jet: Jet2) -> Jet2:
@@ -375,25 +369,25 @@ def sqrt(jet: Jet2) -> Jet2:
     _check_domain(x, x > 0.0, "sqrt")
     s = np.sqrt(x)
     inv = 1.0 / x if jet.order else None
-    return _compose(jet, _through(jet.order, (
+    return _compose(jet, [d() for d in (
         lambda: s,
         lambda: 0.5 * s * inv,
         lambda: -0.25 * s * inv**2,
         lambda: 0.375 * s * inv**3,
         lambda: -0.9375 * s * inv**4,
-    )))
+    )[: jet.order + 1]])
 
 
 def atan(jet: Jet2) -> Jet2:
     x = jet.value
     w = 1.0 + x * x if jet.order else None
-    return _compose(jet, _through(jet.order, (
+    return _compose(jet, [d() for d in (
         lambda: np.arctan(x),
         lambda: 1.0 / w,
         lambda: -2.0 * x / w**2,
         lambda: (6.0 * x * x - 2.0) / w**3,
         lambda: (24.0 * x - 24.0 * x**3) / w**4,
-    )))
+    )[: jet.order + 1]])
 
 
 def pow_const(jet: Jet2, exponent: float) -> Jet2:

@@ -352,8 +352,9 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
     read again. So that level probes an edge midpoint only for a cell
     with an open child beside it, and a child center only for an open
     child or where mm = 1 (the leaves of level 1 read it); nothing reads a
-    probe it skips. Of each level's probes only the child centers' |H| and
-    sqrt(det g) are kept, for the leaves; the rest is freed once read.
+    probe it skips, and with no open child and mm = 0 it probes no point.
+    Of each level's probes only the child centers' |H| and sqrt(det g) are
+    kept, for the leaves; the rest is freed once read.
 
     anchors maps G-depths d >= 1 to lists. The leaves below a cell split
     at a depth d in anchors carry the next id of depth d in traversal
@@ -398,7 +399,10 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
                 [v0s, v0s + hv, v0s + hv, v0s + DV, *mv],
             )
         )
-        n2, h, sdg = _classified(spec, pu, pv)
+        if pu.size:
+            n2, h, sdg = _classified(spec, pu, pv)
+        else:  # level depth-2 with no open child and no coarse tree ending here
+            n2 = h = sdg = np.empty(0)
         del pu, pv
         cut = np.cumsum([n if k is None else np.count_nonzero(k) for k in keep])
         flags = np.split(n2 < eps2, cut[:-1])

@@ -427,15 +427,12 @@ def _reference_leaves(spec, g, eps):
     return leaves
 
 
-@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
-@pytest.mark.parametrize("depth", [1, 2, 3, 5])
-def test_refined_leaves_match_a_brute_force_tree(name, depth):
-    # the tree probes fewer points than the reference (shared corners once,
-    # none where a child must straddle), yet gives the same leaves; at depth
-    # 2 the level before the last is the base cells' first split
-    spec, eps = preset(name), 0.25
-    g = q.GridSpec(64, 64, depth)
+def _assert_reference_leaves(spec, g, eps):
+    """The leaves of _refined_leaves on the straddling cells of grid g are
+    those of the brute-force tree: same lattice keys, areas and inside
+    flags, |H| and sqrt(det g) within 1e-12 relative."""
     u0, v0, du, dv = q._axes(spec, g)
+    depth = g.adaptive_depth
     fu, fv = du / 2**depth, dv / 2**depth
     _, _, _, _, state = _straddling(spec, g, eps)
     got = {}
@@ -451,6 +448,60 @@ def test_refined_leaves_match_a_brute_force_tree(name, depth):
     for key, (area, inside, abs_h, sdg) in want.items():
         assert got[key][:2] == (area, inside), key
         assert got[key][2:] == pytest.approx((abs_h, sdg), rel=1e-12, abs=0.0), key
+    return want
+
+
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_refined_leaves_match_a_brute_force_tree(name, depth):
+    # the tree probes fewer points than the reference (shared corners once,
+    # none where a child must straddle), yet gives the same leaves; at depth
+    # 2 the level before the last is the base cells' first split
+    _assert_reference_leaves(preset(name), q.GridSpec(64, 64, depth), 0.25)
+
+
+def test_level_before_last_may_probe_nothing(monkeypatch):
+    # a cell with only its center inside and membership 0: at level d-2 all
+    # four children straddle (outer corner out, inner corner in) and no
+    # coarse tree ends there, so that level probes no point; each child
+    # still splits once more, into 4 leaves classified by their centers
+    spec, eps, depth = preset("ellipsoid_tri"), 0.25, 2
+    u0, v0, du, dv = q._axes(spec, q.GridSpec(64, 64, depth))
+    cu, cv = u0 + 20 * du, v0 + 30 * dv
+    out = np.zeros(1, dtype=bool)
+    state = (np.array([cu]), np.array([cv]), out, out, out, out, ~out, np.zeros(1, dtype=np.int8))
+    calls = []
+    real = q._classified
+
+    def recording(spec, us, vs):
+        calls.append(us.size)
+        return real(spec, us, vs)
+
+    monkeypatch.setattr(q, "_classified", recording)
+    leaves = list(q._refined_leaves(spec, eps, state, du, dv, depth))
+    assert calls == [16]
+    assert {(leaf.area, leaf.depth) for leaf in leaves} == {(du * dv / 16, depth)}
+    us, vs, inside = (np.concatenate([getattr(leaf, k) for leaf in leaves]) for k in ("us", "vs", "inside"))
+    grid = {(i, j) for i in range(4) for j in range(4)}
+    assert set(zip(np.rint((us - cu) / (du / 4) - 0.5).astype(int).tolist(),
+                   np.rint((vs - cv) / (dv / 4) - 0.5).astype(int).tolist())) == grid
+    assert us.size == 16
+    assert inside.tolist() == (real(spec, us, vs)[0] < eps**2).tolist()
+
+
+def test_region_of_isolated_cell_centers_at_depth_two(monkeypatch):
+    # ellipsoid_tri on 16 x 40 at depth 2, eps just above the least |hring|
+    # over the base midpoints: every straddling cell has only its center
+    # inside, so the level before the last probes nothing. The pass
+    # still runs, and its region area is that of the brute-force tree
+    spec, g = preset("ellipsoid_tri"), q.GridSpec(16, 40, 2)
+    us, vs = q._lattice(spec, g, centers=True)
+    eps = 1.0001 * math.sqrt(float(classification_values(spec, us, vs)[0].min()))
+    vol = q.region_integrals(spec, [eps], g)[0].vol_omega_c
+    want = _assert_reference_leaves(spec, g, eps)
+    assert vol == pytest.approx(sum(a * s for a, inside, _, s in want.values() if inside), rel=1e-12)
+    _, calls, _, _, n_straddle = _probed_leaves(monkeypatch, spec, g, eps)
+    assert n_straddle > 0 and [u.size for u, _ in calls] == [16 * n_straddle]
 
 
 def _field_values(pg):
