@@ -172,20 +172,6 @@ def _check_tol(tol):
     return _check("--tol", tol, lambda t: np.isfinite(t) and t > 0, "finite and positive")
 
 
-def _config_payload(args, spec, grid, **extras):
-    # output routing (--out, --format) stays out of the payload so reruns
-    # into different directories produce identical reports
-    cfg = {
-        "command": args.command,
-        "source": f"file:{args.file}" if args.file else f"preset:{args.preset}",
-        "grid": {"nu": grid.nu, "nv": grid.nv, "adaptive_depth": grid.adaptive_depth},
-        "seed": args.seed,
-        "version": __version__,
-    }
-    cfg.update(extras)
-    return cfg
-
-
 def _surface_payload(spec):
     return {
         "name": spec.name,
@@ -229,17 +215,42 @@ def _write_csv(path: Path, header, rows, config_lines):
         writer.writerows(rows)
 
 
-def _emit(args, stem, payload, csv_header, csv_rows, config_lines):
+def _emit(args, spec, grid, config, rows, verdict, csv_header, csv_rows, **fields):
+    """Write the command's report and rows into --out, as --format asks. The
+    config echo adds the command's `config` keys to the resolved source,
+    grid, seed and version; `fields` override the report's chi, H_sup and
+    C_const (None) and errors ([])."""
+    # output routing (--out, --format) stays out of the payload so reruns
+    # into different directories produce identical reports
+    cfg = {
+        "command": args.command,
+        "source": f"file:{args.file}" if args.file else f"preset:{args.preset}",
+        "grid": {"nu": grid.nu, "nv": grid.nv, "adaptive_depth": grid.adaptive_depth},
+        "seed": args.seed,
+        "version": __version__,
+        **config,
+    }
+    payload = {
+        "config": cfg,
+        "surface": _surface_payload(spec),
+        "chi": None,
+        "H_sup": None,
+        "C_const": None,
+        "rows": rows,
+        "verdict": verdict,
+        "errors": [],
+        **fields,
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format in ("json", "both"):
-        p = out / f"{stem}_report.json"
+        p = out / f"{args.command}_report.json"
         _write_json(p, payload)
         written.append(p)
     if args.format in ("csv", "both"):
-        p = out / f"{stem}_rows.csv"
-        _write_csv(p, csv_header, csv_rows, config_lines)
+        p = out / f"{args.command}_rows.csv"
+        _write_csv(p, csv_header, csv_rows, _config_lines(cfg, spec))
         written.append(p)
     for p in written:
         print(f"wrote {p}")
@@ -283,26 +294,15 @@ def cmd_identities(args, params) -> int:
             "passed": ok,
         })
 
-    cfg = _config_payload(args, spec, grid, n=args.n, tol=tol)
-    payload = {
-        "config": cfg,
-        "surface": _surface_payload(spec),
-        "chi": None,
-        "H_sup": None,
-        "C_const": None,
-        "rows": rows,
-        "verdict": "PASS" if all_ok else "FAIL",
-        "errors": [],
-    }
+    verdict = "PASS" if all_ok else "FAIL"
     csv_rows = [
         [r["identity"], repr(r["max_residual"]), repr(r["mean_residual"]),
          repr(r["tolerance"]), r["passed"]]
         for r in rows
     ]
-    _emit(args, "identities", payload,
-          ("identity", "max_residual", "mean_residual", "tolerance", "passed"),
-          csv_rows, _config_lines(cfg, spec))
-    print(f"identities: {payload['verdict']} "
+    _emit(args, spec, grid, {"n": args.n, "tol": tol}, rows, verdict,
+          ("identity", "max_residual", "mean_residual", "tolerance", "passed"), csv_rows)
+    print(f"identities: {verdict} "
           f"(worst {max(r['max_residual'] for r in rows):.3e} over {args.n} points)")
     return 0 if all_ok else 1
 
@@ -318,28 +318,20 @@ def cmd_verify(args, params) -> int:
         tol_margin=_check_tol(args.tol),
     )
     rows = [asdict(r) for r in report.rows]
-    cfg = _config_payload(
-        args, spec, grid,
-        eps=[float(e) for e in ladder],
-        eps0=args.eps0,
-        tol=args.tol,
-        hsup_override=args.hsup_override,
-    )
-    payload = {
-        "config": cfg,
-        "surface": _surface_payload(spec),
-        "chi": {"estimate": report.chi_estimate, "rounded": report.chi_rounded},
-        "H_sup": report.H_sup,
-        "C_const": report.C_const,
-        "rows": rows,
-        "verdict": report.verdict,
-        "errors": list(report.warnings),
+    config = {
+        "eps": [float(e) for e in ladder],
+        "eps0": args.eps0,
+        "tol": args.tol,
+        "hsup_override": args.hsup_override,
     }
+    fields = {}
     if report.corollary is not None:
         skip = ("surface", "params", "grid", "chi_estimate", "chi_rounded")
-        payload["corollary"] = {k: v for k, v in asdict(report.corollary).items() if k not in skip}
+        fields["corollary"] = {k: v for k, v in asdict(report.corollary).items() if k not in skip}
     csv_rows = [[repr(r[k]) for k in VERIFY_CSV_COLUMNS] for r in rows]
-    _emit(args, "verify", payload, VERIFY_CSV_COLUMNS, csv_rows, _config_lines(cfg, spec))
+    _emit(args, spec, grid, config, rows, report.verdict, VERIFY_CSV_COLUMNS, csv_rows,
+          chi={"estimate": report.chi_estimate, "rounded": report.chi_rounded},
+          H_sup=report.H_sup, C_const=report.C_const, errors=list(report.warnings), **fields)
 
     print(f"verify: {report.verdict} surface={spec.name} chi={report.chi_rounded} "
           f"C={report.C_const:.6g}")
@@ -359,24 +351,14 @@ def cmd_sweep(args, params) -> int:
     rows = verifier.sharpness_gap(spec, ladder, grid)
     trend = verifier.classify_trend([abs(r.normalized_gap) for r in rows])
 
-    cfg = _config_payload(args, spec, grid, eps=[float(e) for e in ladder])
-    payload = {
-        "config": cfg,
-        "surface": _surface_payload(spec),
-        "chi": None,
-        "H_sup": None,
-        "C_const": None,
-        "rows": [
-            {"eps": r.eps, "sharp_gap": r.sharp_gap,
-             "normalized_gap": r.normalized_gap, "trend": trend}
-            for r in rows
-        ],
-        "verdict": trend,
-        "errors": [],
-    }
+    report_rows = [
+        {"eps": r.eps, "sharp_gap": r.sharp_gap, "normalized_gap": r.normalized_gap,
+         "trend": trend}
+        for r in rows
+    ]
     csv_rows = [[repr(r.eps), repr(r.sharp_gap), repr(r.normalized_gap), trend] for r in rows]
-    _emit(args, "sweep", payload, ("eps", "sharp_gap", "normalized_gap", "trend"),
-          csv_rows, _config_lines(cfg, spec))
+    _emit(args, spec, grid, {"eps": [float(e) for e in ladder]}, report_rows, trend,
+          ("eps", "sharp_gap", "normalized_gap", "trend"), csv_rows)
     print(f"sweep: |normalized gap| trend is {trend}")
     for r in rows:
         print(f"  eps={r.eps:<6g} gap={r.sharp_gap:+.6e} normalized={r.normalized_gap:+.6e}")
@@ -388,21 +370,9 @@ def cmd_convergence(args, params) -> int:
     grid = _grid_of(args)
     if args.levels < 3:
         raise ValueError("--levels must be at least 3")
-    factor = 2 ** (args.levels - 1)
-    try:
-        base = GridSpec(grid.nu // factor, grid.nv // factor, grid.adaptive_depth)
-    except ValueError:
-        raise ValueError(
-            f"--levels {args.levels} is too many for --grid {grid.nu}x{grid.nv}: the coarsest"
-            f" level would fall below {quadrature.MIN_CELLS}x{quadrature.MIN_CELLS} cells"
-        ) from None
-    if grid.nu % factor or grid.nv % factor:
-        raise ValueError(
-            f"--grid {grid.nu}x{grid.nv} is not divisible by {factor} for {args.levels} levels"
-        )
-    grids = [base]
-    while len(grids) < args.levels:
-        grids.append(grids[-1].doubled())
+    fault = quadrature._ladder_fault(grid, args.levels)
+    if fault:
+        raise ValueError(f"--levels {args.levels} on --grid {grid.nu}x{grid.nv}: {fault}")
 
     if args.field != "vol" and args.eps is not None:
         raise ValueError(
@@ -422,7 +392,7 @@ def cmd_convergence(args, params) -> int:
             raise ValueError(f"--eps: {exc}") from None
         field = quadrature.AREA
 
-    study = quadrature.convergence_study(spec, field, region, grids)
+    study = quadrature.convergence_study(spec, field, region, grid, args.levels)
 
     def order_cell(o):
         if o is None:
@@ -438,27 +408,15 @@ def cmd_convergence(args, params) -> int:
             "error_estimate": "" if row.error_estimate is None else row.error_estimate,
         })
 
-    cfg = _config_payload(args, spec, grid, field=args.field, levels=args.levels,
-                          eps=args.eps)
-    payload = {
-        "config": cfg,
-        "surface": _surface_payload(spec),
-        "chi": None,
-        "H_sup": None,
-        "C_const": None,
-        "rows": rows,
-        "verdict": order_cell(study.order) or "n/a",
-        "errors": [],
-    }
     csv_rows = [
         [r["grid"], repr(r["value"]), r["estimated_order"],
          "" if r["error_estimate"] == "" else repr(r["error_estimate"])]
         for r in rows
     ]
-    _emit(args, "convergence", payload,
-          ("grid", "value", "estimated_order", "error_estimate"),
-          csv_rows, _config_lines(cfg, spec))
-    print(f"convergence: value={study.value!r} order={order_cell(study.order) or 'n/a'} "
+    verdict = order_cell(study.order) or "n/a"
+    _emit(args, spec, grid, {"field": args.field, "levels": args.levels, "eps": args.eps},
+          rows, verdict, ("grid", "value", "estimated_order", "error_estimate"), csv_rows)
+    print(f"convergence: value={study.value!r} order={verdict} "
           f"error~{study.error_estimate:.3e}")
     return 0
 

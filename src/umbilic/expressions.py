@@ -517,21 +517,3 @@ def to_source(ast: Expr) -> str:
 
     return rec(ast)
 
-
-def substitute(ast: Expr, mapping: dict) -> Expr:
-    """Replace Var/Param nodes by name with replacement subtrees.
-
-    Used for chart transformations (u <-> v swap, affine reparametrization);
-    replacements are inserted as-is, spans kept from the original nodes.
-    """
-
-    def rec(node: Expr) -> Expr:
-        if isinstance(node, (Var, Param)) and node.name in mapping:
-            return mapping[node.name]
-        if isinstance(node, Unary):
-            return Unary(node.op, rec(node.child), node.span)
-        if isinstance(node, Binary):
-            return Binary(node.op, rec(node.left), rec(node.right), node.span)
-        return node
-
-    return rec(ast)

@@ -112,8 +112,17 @@ class GridSpec:
         if not 0 <= self.adaptive_depth <= 12:
             raise ValueError(f"adaptive_depth must lie in [0, 12], got {self.adaptive_depth}")
 
-    def doubled(self) -> "GridSpec":
-        return GridSpec(2 * self.nu, 2 * self.nv, self.adaptive_depth)
+
+def _ladder_fault(grid: GridSpec, levels: int):
+    """Why a doubling ladder of `levels` levels cannot end at grid, or None:
+    its sides must divide by 2^(levels-1), and its coarsest level keep at
+    least MIN_CELLS cells per axis."""
+    factor = 1 << (levels - 1)
+    if min(grid.nu, grid.nv) < MIN_CELLS * factor:
+        return f"the coarsest level would fall below {MIN_CELLS}x{MIN_CELLS} cells"
+    if grid.nu % factor or grid.nv % factor:
+        return f"the sides are not divisible by {factor}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -573,8 +582,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     """The one quadrature driver: every integral of the package goes through it.
 
     Returns one `_Pass` per level of the doubling ladder that ends at G =
-    `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; the caller checks
-    that G's sides divide); a single grid is the one-level case. Without
+    `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; ValueError when
+    `_ladder_fault` rejects it); a single grid is the one-level case. Without
     thresholds each level's midpoints get one geometry evaluation at the
     order the fields declare. With thresholds they get one at order 2, for
     the order-2 fields' whole-surface sums, |hring|^2 and |H|, and one at
@@ -597,6 +606,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     KF finest levels over G, with the peaks, and the rest as a ladder of
     its own over G/2^KF, which re-probes about 1/2^KF of G's tree.
     """
+    fault = _ladder_fault(grid, levels)
+    if fault:
+        raise ValueError(f"{levels} doubling levels cannot end at {grid.nu}x{grid.nv}: {fault}")
     if levels > KF:
         low = GridSpec(grid.nu >> KF, grid.nv >> KF, grid.adaptive_depth)
         coarse = _ladder_pass(spec, low, fields, eps_values, levels - KF)
@@ -767,20 +779,27 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     return _region_pass(spec, eps_values, grid)[0][-1]
 
 
+def _chi(total_R):
+    """(estimate, rounded, far) of chi from the integral of R dA: total_R /
+    4 pi, its nearest integer, and whether the two lie more than 0.05 apart,
+    which signals an under-resolved grid (topology makes chi an integer)."""
+    est = total_R / (4.0 * math.pi)
+    rounded = int(round(est))
+    return est, rounded, abs(est - rounded) > 0.05
+
+
 def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
     """(chi_estimate, chi_rounded) from the total curvature integral.
 
     chi_estimate = (integral of R dA) / 4 pi. Warns when the estimate is
-    not within 0.05 of an integer, which signals an under-resolved grid
-    (topology makes the exact value an integer).
+    not within 0.05 of an integer (see `_chi`).
     """
     if not spec.is_closed:
         raise ValueError(
             f"'{spec.name}' is not closed; the Euler characteristic needs a closed surface"
         )
-    chi = integrate(spec, TOTAL_R, grid, ALL) / (4.0 * math.pi)
-    rounded = int(round(chi))
-    if abs(chi - rounded) > 0.05:
+    chi, rounded, far = _chi(integrate(spec, TOTAL_R, grid, ALL))
+    if far:
         warnings.warn(
             f"Euler characteristic estimate {chi:.4f} is far from an integer; "
             "the grid is likely too coarse for this surface",
@@ -790,30 +809,23 @@ def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
     return chi, rounded
 
 
-def convergence_study(spec: ImmersionSpec, field, region: Region, grids) -> ConvergenceStudy:
-    """Observed-order diagnostics across a ladder of doubling grids.
+def convergence_study(
+    spec: ImmersionSpec, field, region: Region, grid: GridSpec, levels: int = 3
+) -> ConvergenceStudy:
+    """Observed-order diagnostics across the doubling ladder of `levels`
+    levels ending at grid, G/2^(levels-1), ..., G/2, G.
 
-    Needs at least three levels, each doubling nu and nv, all with one
-    adaptive_depth: up to KF levels are one pass, whose levels share one
-    refinement tree (see `_ladder_pass`). Orders and error estimates per
-    level come from `_richardson`; the study reports those of the finest
-    level.
+    Needs at least three levels, and a ladder `_ladder_fault` accepts: up
+    to KF levels are one pass, whose levels share one refinement tree (see
+    `_ladder_pass`). Orders and error estimates per level come from
+    `_richardson`; the study reports those of the finest level.
     """
-    grids = tuple(grids)
-    if len(grids) < 3:
+    if levels < 3:
         raise ValueError("convergence study needs at least 3 grid levels")
-    for a, b in zip(grids, grids[1:]):
-        if b.nu != 2 * a.nu or b.nv != 2 * a.nv:
-            raise ValueError(
-                f"grid levels must double: {a.nu}x{a.nv} followed by {b.nu}x{b.nv}"
-            )
-    depths = [g.adaptive_depth for g in grids]
-    if len(set(depths)) > 1:
-        raise ValueError(
-            f"grid levels must share one adaptive_depth (the levels of each ladder"
-            f" pass share one refinement tree), got depths {depths}"
-        )
-    values = _field_ladder(spec, field, grids[-1], region, len(grids))
+    values = _field_ladder(spec, field, grid, region, levels)
+    grids = [
+        GridSpec(grid.nu >> m, grid.nv >> m, grid.adaptive_depth) for m in reversed(range(levels))
+    ]
     rows = tuple(
         ConvergenceRow(g, v, order, err)
         for g, v, (order, err) in zip(grids, values, _richardson(values))

@@ -150,17 +150,6 @@ def classify_trend(values) -> str:
     return "plateau"
 
 
-def _richardson_levels(grid: GridSpec):
-    """The number of ladder levels, G/4, G/2 and G, of the Richardson error bar."""
-    if grid.nu % 4 or grid.nv % 4 or min(grid.nu, grid.nv) < 64:
-        raise VerifierInputError(
-            f"grid {grid.nu}x{grid.nv} has no exact quarter grid of at least 16x16"
-            " for the error bar: use sides divisible by 4 and at least 64, or pass"
-            " --tol (tol_margin) to fix the tolerance"
-        )
-    return 3
-
-
 def _gradient_terms(ri):
     """(term1, term2) = (2 I_grad_hring, I_grad_H) / eps^4 of one threshold."""
     return (2.0 / ri.eps**4) * ri.I_grad_hring, (1.0 / ri.eps**4) * ri.I_grad_H
@@ -169,11 +158,6 @@ def _gradient_terms(ri):
 def _terms(ri, c_const):
     """(lhs, term1, term2) of one threshold row."""
     return (c_const * ri.vol_omega_c, *_gradient_terms(ri))
-
-
-def _chi(total_R):
-    est = total_R / FOUR_PI
-    return est, int(round(est))
 
 
 def verify_prel(
@@ -198,7 +182,13 @@ def verify_prel(
     _require_closed(spec)
     ladder = _check_ladder(eps_ladder)
     cor_ladder = [] if eps0 is None else _corollary_ladder(eps0)
-    n_levels = 1 if tol_margin is not None else _richardson_levels(grid)
+    n_levels = 1 if tol_margin is not None else 3
+    fault = quad._ladder_fault(grid, n_levels)
+    if fault:
+        raise VerifierInputError(
+            f"grid {grid.nu}x{grid.nv} has no error bar over G/4, G/2 and G: {fault};"
+            " pass --tol (tol_margin) to fix the tolerance"
+        )
 
     # one pass over both ladders; each reads its own rows by threshold
     union = sorted(set(ladder) | set(cor_ladder), reverse=True)
@@ -211,9 +201,9 @@ def verify_prel(
     if cor_ladder:
         cor_rows = [passes[-1][union.index(e)] for e in cor_ladder]
         corollary = _corollary_record(spec, grid, cor_rows, peaks[union.index(cor_ladder[0])])
-    chi_est, chi_round = _chi(integrals[0].total_R)
+    chi_est, chi_round, far = quad._chi(integrals[0].total_R)
     warnings = []
-    if abs(chi_est - chi_round) > 0.05:
+    if far:
         warnings.append(
             f"Euler characteristic estimate {chi_est:.4f} is far from an integer;"
             " refine the grid"
@@ -302,7 +292,7 @@ def _corollary_record(spec, grid, integrals, peak):
     eps0 = integrals[0].eps
     notes = []
     if spec.is_closed:
-        chi_est, chi_round = _chi(integrals[0].total_R)
+        chi_est, chi_round, _ = quad._chi(integrals[0].total_R)
         if chi_round != 2:
             raise VerifierInputError(
                 f"Euler characteristic is {chi_round}, not 2: the sufficient"
@@ -390,7 +380,7 @@ def sharpness_gap(spec: ImmersionSpec, eps_ladder, grid: GridSpec):
         )
     ladder = _check_ladder(eps_ladder)
     rows = []
-    for ri in quad.region_integrals(spec, ladder, grid):
+    for ri in quad._region_pass(spec, ladder, grid)[0][-1]:
         term1, term2 = _gradient_terms(ri)
         gap = term2 - term1 - EIGHT_PI
         if term2 == 0.0:

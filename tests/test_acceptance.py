@@ -27,6 +27,7 @@ from test_geometry import (
     SCALARS,
     rigid_motion_spec,
     sample_points,
+    substitute,
     swapped_spec,
 )
 
@@ -236,7 +237,7 @@ def test_a7_invariance(capsys):
         scaled = replace(
             spec,
             components=tuple(
-                ex.substitute(c, {"u": ex.Binary("*", ex.Number(2.0), ex.Var("u"))})
+                substitute(c, {"u": ex.Binary("*", ex.Number(2.0), ex.Var("u"))})
                 for c in spec.components
             ),
             u_range=(spec.u_range[0] / 2.0, spec.u_range[1] / 2.0),

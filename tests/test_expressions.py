@@ -172,6 +172,11 @@ def test_readme_function_list_matches_parser():
     for name in listed:
         ex.parse(f"{name}(u)")
     assert set(listed) == set(ex.FUNCTIONS)
+    powers = re.search(r"arithmetic operators with (.+?) for powers", readme, re.S).group(1)
+    named = re.findall(r"`([^`]+)`", powers)
+    assert named
+    for op in named:
+        ex.parse(f"u{op}2")
 
 
 def test_eval_number_rejects_variables():

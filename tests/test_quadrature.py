@@ -36,7 +36,6 @@ def test_gridspec_validation():
         q.GridSpec(64, 64, 13)
     with pytest.raises(ValueError):
         q.GridSpec(64, 64, -1)
-    assert q.GridSpec(32, 48).doubled() == q.GridSpec(64, 96)
 
 
 def test_region_validation():
@@ -76,21 +75,24 @@ def test_eps_list_validation():
 
 def test_convergence_input_validation():
     sph = preset("sphere")
-    with pytest.raises(ValueError):
-        q.convergence_study(sph, area_field, q.ALL, [q.GridSpec(16, 16), q.GridSpec(32, 32)])
-    with pytest.raises(ValueError):
-        q.convergence_study(
-            sph, area_field, q.ALL,
-            [q.GridSpec(16, 16), q.GridSpec(32, 32), q.GridSpec(48, 48)],
-        )
+    with pytest.raises(ValueError, match="at least 3"):
+        q.convergence_study(sph, area_field, q.ALL, q.GridSpec(32, 32), 2)
+    with pytest.raises(ValueError, match="not divisible by 4"):
+        q.convergence_study(sph, area_field, q.ALL, q.GridSpec(64, 66), 3)
+    with pytest.raises(ValueError, match="below 16x16"):
+        q.convergence_study(sph, area_field, q.ALL, q.GridSpec(48, 48), 3)
 
 
-def test_convergence_rejects_mixed_depths():
-    # the levels of a ladder pass share one refinement tree (a ladder of
-    # more than KF levels runs as two passes, each with its own), so one depth
-    grids = [q.GridSpec(16, 16, 2), q.GridSpec(32, 32, 6), q.GridSpec(64, 64, 6)]
-    with pytest.raises(ValueError, match=r"adaptive_depth.*\[2, 6, 6\]"):
-        q.convergence_study(preset("ellipsoid_rev"), area_field, q.sublevel(0.1), grids)
+@pytest.mark.parametrize("eps_values", [(), (0.1,)], ids=["whole", "sublevel"])
+def test_ladder_pass_rejects_a_ladder_that_does_not_double(eps_values):
+    # 66 = 4 * 16 + 2: the levels would be 16, 33 and 66 cells, not a
+    # doubling ladder, and the coarse lattices would not be G's
+    ell = preset("ellipsoid_rev")
+    with pytest.raises(ValueError, match=r"cannot end at 66x66: the sides are not divisible by 4"):
+        q._ladder_pass(ell, q.GridSpec(66, 66, 2), (q.AREA,), eps_values, 3)
+    # a ladder longer than KF is checked before it splits into two passes
+    with pytest.raises(ValueError, match=r"coarsest level would fall below 16x16"):
+        q._ladder_pass(ell, q.GridSpec(64, 64, 2), (q.AREA,), eps_values, 4)
 
 
 def test_chunked_gathers_batches_in_order():
@@ -905,8 +907,7 @@ def test_euler_characteristic_warns_off_integer():
 
 def test_sphere_area_order_two():
     # [DERIVED] midpoint rule on a non-periodic axis: second order
-    grids = [q.GridSpec(n, n) for n in (32, 64, 128, 256)]
-    st = q.convergence_study(preset("sphere"), area_field, q.ALL, grids)
+    st = q.convergence_study(preset("sphere"), area_field, q.ALL, q.GridSpec(256, 256), 4)
     assert st.rows[2].estimated_order == pytest.approx(2.0, abs=0.2)
     assert st.rows[3].estimated_order == pytest.approx(2.0, abs=0.2)
     assert st.value == pytest.approx(4 * math.pi, rel=1e-5)
@@ -917,15 +918,13 @@ def test_sphere_area_order_two():
 
 
 def test_error_estimates_shrink_with_refinement():
-    grids = [q.GridSpec(n, n) for n in (32, 64, 128, 256, 512)]
-    st = q.convergence_study(preset("sphere"), area_field, q.ALL, grids)
+    st = q.convergence_study(preset("sphere"), area_field, q.ALL, q.GridSpec(512, 512), 5)
     d = [abs(b.value - a.value) for a, b in zip(st.rows, st.rows[1:])]
     assert all(y < x for x, y in zip(d, d[1:]))
 
 
 def test_rows_carry_their_error_estimates():
-    grids = [q.GridSpec(n, n) for n in (16, 32, 64, 128)]
-    st = q.convergence_study(preset("sphere"), area_field, q.ALL, grids)
+    st = q.convergence_study(preset("sphere"), area_field, q.ALL, q.GridSpec(128, 128), 4)
     assert [r.error_estimate for r in st.rows[:2]] == [None, None]
     for k in (2, 3):
         r = st.rows[k]
@@ -937,17 +936,15 @@ def test_rows_carry_their_error_estimates():
 def test_exactly_converged_sequence():
     # doubly periodic smooth integrand: midpoint sums are identical once
     # resolved, giving zero differences and a zero error estimate
-    grids = [q.GridSpec(n, n) for n in (16, 32, 64)]
-    st = q.convergence_study(preset("torus"), area_field, q.ALL, grids)
+    st = q.convergence_study(preset("torus"), area_field, q.ALL, q.GridSpec(64, 64))
     assert st.order == math.inf
     assert st.error_estimate == 0.0
 
 
 def test_unresolved_oscillation_reports_unstable():
     # aliased integrand: differences do not decrease monotonically
-    grids = [q.GridSpec(n, n) for n in (16, 32, 64)]
     st = q.convergence_study(
-        preset("ellipsoid_rev"), lambda pg: np.cos(997.0 * pg.u), q.ALL, grids
+        preset("ellipsoid_rev"), lambda pg: np.cos(997.0 * pg.u), q.ALL, q.GridSpec(64, 64)
     )
     assert st.order == "unstable"
     assert st.error_estimate > 0
