@@ -17,7 +17,14 @@ conformal term p, the shape vectors, the normal and h through order - 2.
 |hring|^2 is tr(B^2) with the mixed tensor B = g^-1 hring.
 `classification_values` reads the order-2 values (|hring|^2, |H| and
 sqrt(det g)); `fundamental_forms` stacks the raw partials into arrays,
-each tensor component contiguous.
+each tensor component contiguous. Both run stage one on a tape
+(`tape.py`) for 1-D batches: the first node of the first batch of a spec
+and order runs `_forms` on arrays that log each numpy ufunc call, and
+every batch replays that list into buffers, bit for bit the same values
+without the jet layer's Python work. The jet code stays the one statement of the
+math. The domain checks of the jet path are guards on the tape; a batch
+that fails one goes through `_forms` itself, which raises its error, as
+does any other (u, v) and a chart the recorder refuses.
 Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
 (two-term sums per component, no einsum): Christoffel symbols, covariant
 derivatives, norms and curvature. The residuals of the identities under
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import jets, tape
 from .errors import SingularEvaluationError
 from .expressions import _locate
 from .jets import derivative
@@ -127,6 +134,12 @@ def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _g_order(order: int) -> int:
+    """The order of g's jets in `_forms`; never below order - 2, so lambda
+    and the tangent products at it also serve h."""
+    return 2 if order > 2 else 0
+
+
 def _forms(spec: ImmersionSpec, u, v, order: int):
     """Jets of (g, h, H, hring, |hring|^2) at (u, v) from an order-`order` chart.
 
@@ -137,9 +150,7 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
     prefix slice, so no value changes.
     """
     c = spec.ambient_c
-    # never below order - 2, so lambda and the tangent products at g_order
-    # also serve h
-    g_order = 2 if order > 2 else 0
+    g_order = _g_order(order)
     try:
         f = evaluate_chart(spec, u, v, order)
         fu = tuple(derivative(comp, du=1) for comp in f)
@@ -211,13 +222,65 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
         norm2 = b00 * b00 + 2.0 * (b01 * b10) + b11 * b11
     except SingularEvaluationError as err:
         raise _locate(err, u, v) from None
+    return _nest(g00, g01, g11, h00, h01, h11, Hj, hr00, hr01, hr11, norm2)
+
+
+def _nest(g00, g01, g11, h00, h01, h11, H, r00, r01, r11, norm2):
+    """`_forms`' result from its eleven distinct jets."""
     return (
         ((g00, g01), (g01, g11)),
         ((h00, h01), (h01, h11)),
-        Hj,
-        ((hr00, hr01), (hr01, hr11)),
+        H,
+        ((r00, r01), (r01, r11)),
         norm2,
     )
+
+
+def _leaves(forms):
+    """The coefficients of the distinct jets of a `_forms` result, in
+    `_nest`'s order."""
+    g, h, H, r, norm2 = forms
+    distinct = (
+        g[0][0], g[0][1], g[1][1], h[0][0], h[0][1], h[1][1], H, r[0][0], r[0][1], r[1][1], norm2
+    )
+    return [c for jet in distinct for c in jet.coeffs]
+
+
+def _from_leaves(leaves, order: int):
+    """`_forms`' result at jet order `order` from its `_leaves`."""
+    distinct, k = [], 0
+    for o in (_g_order(order),) * 3 + (order - 2,) * 8:
+        n = jets._NCOEFF[o]
+        distinct.append(jets.Jet2(o, leaves[k : k + n]))
+        k += n
+    return _nest(*distinct)
+
+
+def _taped_forms(spec: ImmersionSpec, u, v, order: int):
+    """`_forms`, bit for bit, through the spec's tape for this order when
+    u and v are equal-shaped 1-D float arrays (every batch of the
+    quadrature layer). The first such batch records the tape on its first
+    node, and every batch replays it. A spec the tape refuses, a batch a
+    guard rejects or whose first node is singular (the jet path then
+    raises its error) and any other (u, v) take the jet path."""
+    if not (
+        isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
+        and u.ndim == 1 and u.shape == v.shape and u.size
+        and u.dtype == v.dtype == np.float64
+    ):
+        return _forms(spec, u, v, order)
+    tapes = spec.tapes
+    if order not in tapes:
+        try:
+            tapes[order] = tape.record(
+                lambda a, b: _leaves(_forms(spec, a, b, order)), u[:1], v[:1]
+            )
+        except SingularEvaluationError:
+            return _forms(spec, u, v, order)
+    leaves = tapes[order] and tapes[order].replay(u, v)
+    if leaves is None:
+        return _forms(spec, u, v, order)
+    return _from_leaves(leaves, order)
 
 
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
@@ -230,7 +293,7 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
     """
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
-    g, h, H, hring, norm2 = _forms(spec, u, v, order)
+    g, h, H, hring, norm2 = _taped_forms(spec, u, v, order)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
 
     def partials(jet, through):
@@ -546,7 +609,7 @@ def classification_values(spec: ImmersionSpec, u, v):
     probes, the area element of each refined leaf. Each value is
     bit-identical to the same field of `point_geometry` at any order.
     """
-    g, _, H, _, norm2 = _forms(spec, u, v, 2)
+    g, _, H, _, norm2 = _taped_forms(spec, u, v, 2)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     g = _stack(g, 0, shape)
     return (

@@ -15,7 +15,9 @@ Coefficients are stored densely in graded order
 so truncating to a lower order is a prefix slice. Arithmetic between two
 jets truncates to the smaller order; plain numbers are promoted to
 constant jets. All operations are pure: no jet is ever mutated after
-construction, and coefficient arrays may be shared between jets.
+construction, and coefficient arrays may be shared between jets. An
+ndarray subclass passed to `constant` or `variable` is kept, so the
+recording arrays of `tape.py` stay recorded.
 
 Arithmetic skips what it can prove trivial. A slot holding a scalar zero
 (a Python or NumPy scalar, or a 0-d array) contributes no product, and a
@@ -199,7 +201,7 @@ def constant(x, order: int) -> Jet2:
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
     coeffs = [_ZERO] * _NCOEFF[order]
-    coeffs[0] = np.asarray(x, dtype=np.float64)
+    coeffs[0] = np.asanyarray(x, dtype=np.float64)
     return Jet2(order, coeffs)
 
 
@@ -214,7 +216,7 @@ def variable(which: str, at, order: int) -> Jet2:
     if which not in ("u", "v"):
         raise ValueError(f"variable must be 'u' or 'v', got {which!r}")
     coeffs = [_ZERO] * _NCOEFF[order]
-    coeffs[0] = np.asarray(at, dtype=np.float64)
+    coeffs[0] = np.asanyarray(at, dtype=np.float64)
     coeffs[coeff_index(1, 0) if which == "u" else coeff_index(0, 1)] = np.float64(1.0)
     return Jet2(order, coeffs)
 
@@ -401,7 +403,7 @@ def pow_const(jet: Jet2, exponent: float) -> Jet2:
     if p == int(p):
         n = int(p)
         if n == 0:
-            return constant(np.ones(np.shape(jet.value)), jet.order)
+            return constant(1.0, jet.order)
         base = jet if n > 0 else _reciprocal(jet)
         n = abs(n)
         # binary exponentiation

@@ -125,6 +125,23 @@ def _ladder_fault(grid: GridSpec, levels: int):
     return None
 
 
+def _thresholds_fault(eps_values):
+    """Why a threshold ladder cannot be integrated, or None: it must be
+    non-empty, within (0, 1] (where the paper's explicit constant holds)
+    and strictly decreasing."""
+    if not eps_values:
+        return "threshold ladder must not be empty"
+    for e in eps_values:
+        if not 0.0 < e <= 1.0:
+            return (
+                f"threshold {e} rejected: the explicit constant is valid only for"
+                " thresholds in (0, 1]"
+            )
+    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
+        return "threshold ladder must be strictly decreasing"
+    return None
+
+
 @dataclass(frozen=True)
 class Region:
     kind: str
@@ -769,13 +786,9 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     which also gives each leaf its area element and |H|.
     """
     eps_values = [float(e) for e in eps_list]
-    if not eps_values:
-        raise ValueError("eps_list must not be empty")
-    for e in eps_values:
-        if not 0.0 < e <= 1.0:
-            raise ValueError(f"thresholds must lie in (0, 1], got {e}")
-    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("thresholds must be strictly decreasing")
+    fault = _thresholds_fault(eps_values)
+    if fault:
+        raise ValueError(fault)
     return _region_pass(spec, eps_values, grid)[0][-1]
 
 

@@ -46,6 +46,12 @@ class ImmersionSpec:
         """`expressions.share_plan` of the components, made once per spec."""
         return ex.share_plan(self.components)
 
+    @cached_property
+    def tapes(self) -> dict:
+        """`tape.Tape` of `geometry._forms` per jet order (None where the
+        chart cannot be taped), recorded at the first batch of each."""
+        return {}
+
     def component_sources(self) -> tuple[str, str, str]:
         return tuple(ex.to_source(c) for c in self.components)
 

@@ -1,0 +1,176 @@
+"""Record a numpy computation once as a flat list of ufunc calls; replay it.
+
+Operator-overloading differentiation pays its interpretive cost on every
+evaluation: each jet product re-checks which slots are scalar zeros or
+ones, builds tuples and allocates fresh temporaries, only to make numpy
+calls whose list depends on nothing but the chart and the jet order. A
+tape records that list once and replays it (Griewank & Walther, *Evaluating
+Derivatives*, 2008, ch. 6).
+
+`record(fn, *inputs)` runs fn on 1-D arrays wrapped in an ndarray
+subclass whose `__array_ufunc__` computes each real result, logs the ufunc
+and its operands (earlier values or scalar constants) and returns the
+result wrapped again. A reduction becomes a guard holding its recorded
+outcome. The returned `Tape` drops the calls no output or guard reads and
+gives each value a buffer, which a later value takes over after the
+value's last read; outputs keep theirs. `Tape.replay(*inputs)` allocates
+the buffers and runs the calls in the recorded order with
+`ufunc(*operands, out)`, so every value is bit-identical to the direct
+computation, and at most as many batch arrays are alive as values were
+at once. It returns None when a guard disagrees; the caller then
+computes that batch directly.
+
+fn is refused (`record` returns no tape) when the recording meets a
+batch-shaped array it did not record, an `out=` argument, or a ufunc
+method other than a call or a reduction to a scalar.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class _Refused(Exception):
+    """The computation reads something a tape cannot replay."""
+
+
+class _Traced(np.ndarray):
+    """A recorded value: a real result that knows its recorder and its
+    slot there. Views derived by other means than a ufunc call have
+    neither."""
+
+    _rec = None
+    _slot = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if self._rec is None:
+            raise _Refused("a view of a recorded value")
+        return self._rec.call(ufunc, method, inputs, kwargs)
+
+
+class _Recorder:
+    def __init__(self, shape):
+        self.shape = shape
+        self.steps = []  # (ufunc, operands, slot) or (ufunc, kwargs, slot, outcome)
+        self.dtypes = []  # per slot
+
+    def wrap(self, array):
+        traced = array.view(_Traced)
+        traced._rec = self
+        traced._slot = len(self.dtypes)
+        self.dtypes.append(array.dtype)
+        return traced
+
+    def operand(self, x):
+        """x as (slot, None) for a recorded value, (None, x) for a constant."""
+        if isinstance(x, _Traced):
+            if x._rec is not self:
+                raise _Refused("a value this tape did not record")
+            return x._slot, None
+        if isinstance(x, np.ndarray) and x.ndim:
+            raise _Refused("an array the tape did not record")
+        return None, x
+
+    def call(self, ufunc, method, inputs, kwargs):
+        out = kwargs.pop("out", None)
+        if any(x is not None for x in (out if isinstance(out, tuple) else (out,))):
+            raise _Refused("an out= argument")
+        operands = [self.operand(x) for x in inputs]
+        plain = [x.view(np.ndarray) if isinstance(x, _Traced) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if method == "reduce" and np.ndim(result) == 0:
+            self.steps.append((ufunc, kwargs, operands[0][0], result))
+            return result
+        if method != "__call__" or kwargs or ufunc.nout != 1 or result.shape != self.shape:
+            raise _Refused(f"{ufunc.__name__}.{method}")
+        traced = self.wrap(result)
+        self.steps.append((ufunc, operands, traced._slot))
+        return traced
+
+
+def record(fn, *inputs):
+    """The Tape of one run of fn on the equal-shaped 1-D float arrays
+    `inputs`, or None when fn cannot be taped; fn returns a list of arrays
+    and scalars. Recording costs Python work per call, not per node, so a
+    one-node batch records as well as a full one."""
+    rec = _Recorder(inputs[0].shape)
+    try:
+        outputs = [rec.operand(x) for x in fn(*(rec.wrap(np.asarray(x)) for x in inputs))]
+    except _Refused:
+        return None
+    return Tape(rec, len(inputs), outputs)
+
+
+class Tape:
+    """The recorded calls that reach an output or a guard, each value
+    assigned a buffer by liveness.
+
+    Buffers 0 .. n_inputs - 1 are the inputs; each later one is allocated
+    per replay and holds every value assigned to it in turn.
+    """
+
+    def __init__(self, rec: _Recorder, n_inputs: int, outputs):
+        # keep the guards and the calls whose value something kept reads
+        live = {slot for slot, _ in outputs}
+        kept = []
+        for step in reversed(rec.steps):
+            if step[2] not in live and len(step) == 3:
+                continue
+            live.update(_reads(step))
+            kept.append(step)
+        kept.reverse()
+        last = {s: i for i, step in enumerate(kept) for s in _reads(step)}
+        last.update((slot, len(kept)) for slot, _ in outputs)
+
+        # a value's buffer is freed after its last read and taken by a
+        # later value of its dtype, which may be the call reading it (an
+        # elementwise ufunc may write over its operand); inputs and
+        # outputs are never freed
+        buffer_of = {None: None, **{s: s for s in range(n_inputs)}}
+        self._dtypes, free = [], {}
+        runs, calls = [], []
+        for i, step in enumerate(kept):
+            for s in set(_reads(step)):
+                if last[s] == i and s >= n_inputs:
+                    free[rec.dtypes[s]].append(buffer_of[s])
+            if len(step) == 4:
+                ufunc, kwargs, slot, outcome = step
+                runs.append((calls, (ufunc.reduce, buffer_of[slot], kwargs, outcome)))
+                calls = []
+                continue
+            ufunc, operands, slot = step
+            dtype = rec.dtypes[slot]
+            pool = free.setdefault(dtype, [])
+            if pool:
+                buffer_of[slot] = pool.pop()
+            else:
+                buffer_of[slot] = n_inputs + len(self._dtypes)
+                self._dtypes.append(dtype)
+            calls.append((ufunc, [(buffer_of[s], c) for s, c in (*operands, (slot, None))]))
+        runs.append((calls, None))
+        self._runs = runs
+        self._outputs = [(buffer_of[s], c) for s, c in outputs]
+        self.n_ops = sum(len(step) == 3 for step in kept)
+        self.n_buffers = len(self._dtypes)
+
+    def replay(self, *inputs):
+        """The outputs for inputs of the recorded kind, or None where a guard
+        disagrees. Buffers are allocated per replay, so the outputs belong
+        to the caller."""
+        n = inputs[0].size
+        bufs = [*inputs, *(np.empty(n, dtype) for dtype in self._dtypes)]
+        for calls, guard in self._runs:
+            for ufunc, operands in calls:
+                ufunc(*[c if b is None else bufs[b] for b, c in operands])
+            if guard is not None:
+                reduce, b, kwargs, outcome = guard
+                if reduce(bufs[b], **kwargs) != outcome:
+                    return None
+        return [c if b is None else bufs[b] for b, c in self._outputs]
+
+
+def _reads(step):
+    """The slots a step reads: a call's value operands, a guard's input."""
+    if len(step) == 4:
+        return [step[2]]
+    return [s for s, _ in step[1] if s is not None]

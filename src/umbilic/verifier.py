@@ -105,16 +105,9 @@ def _params_of(spec):
 
 def _check_ladder(values):
     vals = [float(e) for e in values]
-    if not vals:
-        raise VerifierInputError("threshold ladder must not be empty")
-    for e in vals:
-        if not 0.0 < e <= 1.0:
-            raise VerifierInputError(
-                f"threshold {e} rejected: the explicit constant is valid only for"
-                " thresholds in (0, 1]"
-            )
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise VerifierInputError("threshold ladder must be strictly decreasing")
+    fault = quad._thresholds_fault(vals)
+    if fault:
+        raise VerifierInputError(fault)
     return vals
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from umbilic import expressions as ex
 from umbilic import geometry as geo
-from umbilic import jets
+from umbilic import jets, tape
 from umbilic.errors import SingularEvaluationError
 from umbilic.surfaces import ImmersionSpec, interior_axes, load_definition, preset
 
@@ -40,6 +40,14 @@ def plane_spec():
         name="plane", components=comps, u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
         periodic_u=False, periodic_v=False, ambient_c=0.0,
         params=MappingProxyType({}),
+    )
+
+
+def chart_spec(chart):
+    return ImmersionSpec(
+        name="chart", components=tuple(ex.parse(s) for s in chart),
+        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), periodic_u=False, periodic_v=False,
+        ambient_c=0.0, params=MappingProxyType({}),
     )
 
 
@@ -217,11 +225,7 @@ def test_fundamental_forms_rejects_unknown_order():
     ids=["chart-domain", "degenerate-normal"],
 )
 def test_classification_values_locate_singular_node(chart, bad_u):
-    spec = ImmersionSpec(
-        name="singular", components=tuple(ex.parse(s) for s in chart),
-        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), periodic_u=False, periodic_v=False,
-        ambient_c=0.0, params=MappingProxyType({}),
-    )
+    spec = chart_spec(chart)
     us, vs = np.array([0.5, bad_u, 0.75]), np.array([0.1, 0.2, 0.3])
     with pytest.raises(SingularEvaluationError) as info:
         geo.classification_values(spec, us, vs)
@@ -673,17 +677,33 @@ MUL_BOUNDS = {
     "squashed_ball_c-1": {"class": 110, 3: 115, 4: 118},
 }
 
+# (ufunc calls, buffers) of the tape of `geometry._forms` per jet order, on
+# the charts of MUL_BOUNDS; a ratchet like it
+TAPE_BOUNDS = {
+    "ellipsoid_rev": {2: (109, 17), 3: (551, 59), 4: (1385, 98)},
+    "squashed_ball_c-1": {2: (193, 32), 3: (1056, 91), 4: (2563, 153)},
+}
+
+
+def bounds_spec(name, tmp_path):
+    if name == "ellipsoid_rev":
+        return preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    path = tmp_path / "squashed_ball.ini"
+    path.write_text(SQUASHED_BALL.format(c=-1.0))
+    return load_definition(path)
+
+
+def grid_batch(spec, side=8):
+    us, vs = interior_axes(spec, side, side)
+    return (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))
+
 
 @pytest.mark.parametrize("name", sorted(MUL_BOUNDS))
 def test_jet_products_per_kernel_call_stay_bounded(name, monkeypatch, tmp_path):
-    if name == "ellipsoid_rev":
-        spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
-    else:
-        path = tmp_path / "squashed_ball.ini"
-        path.write_text(SQUASHED_BALL.format(c=-1.0))
-        spec = load_definition(path)
-    us, vs = interior_axes(spec, 8, 8)
-    uu, vv = (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))
+    # each kernel's first call on a fresh spec records its tape, so the
+    # count is that of one jet-path evaluation
+    spec = bounds_spec(name, tmp_path)
+    uu, vv = grid_batch(spec)
     count = [0]
     original = jets.Jet2.__mul__
 
@@ -702,3 +722,75 @@ def test_jet_products_per_kernel_call_stay_bounded(name, monkeypatch, tmp_path):
         count[0] = 0
         kernel()
         assert count[0] <= MUL_BOUNDS[name][key], (key, count[0])
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_BOUNDS))
+def test_tape_calls_and_buffers_stay_bounded(name, tmp_path):
+    spec = bounds_spec(name, tmp_path)
+    uu, vv = grid_batch(spec)
+    geo.classification_values(spec, uu, vv)
+    for order in (3, 4):
+        geo.fundamental_forms(spec, uu, vv, order)
+    for order, (ops, buffers) in TAPE_BOUNDS[name].items():
+        recorded = spec.tapes[order]
+        assert recorded.n_ops <= ops, (order, recorded.n_ops)
+        assert recorded.n_buffers <= buffers, (order, recorded.n_buffers)
+
+
+# -- recorded jet evaluation -------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_tape_is_the_jet_path(spec, order):
+    # the first batch records on its first node; all three replay, the last
+    # at another size
+    for n, seed in ((300, 1), (300, 2), (113, 3)):
+        us, vs = sample_points(spec, n, seed)
+        taped = geo._leaves(geo._taped_forms(spec, us, vs, order))
+        assert isinstance(spec.tapes[order], tape.Tape)
+        assert_same_bits(taped, geo._leaves(geo._forms(spec, us, vs, order)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("name,params", ALL_PRESETS)
+def test_taped_forms_are_the_jet_path_bit_for_bit(name, params, order):
+    assert_tape_is_the_jet_path(preset(name, params), order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_taped_squashed_ball_is_the_jet_path_bit_for_bit(squashed_ball, order):
+    assert_tape_is_the_jet_path(squashed_ball, order)
+
+
+def test_zeroth_power_chart_is_taped():
+    # u^0 is the constant jet 1, not a batch of ones the tape would refuse
+    spec = chart_spec(("u", "v", "u^0*v*v + 0.5*u*u"))
+    for order in (2, 3):
+        assert_tape_is_the_jet_path(spec, order)
+
+
+def test_replayed_singular_batch_raises_the_jet_path_error():
+    # the sqrt(u) chart, recorded where u > 0; the domain guard of the
+    # replay sends the batch holding u = -0.25 through the jet path
+    chart = ("sqrt(u)", "v", "u")
+    spec = chart_spec(chart)
+    vs = np.array([0.1, 0.2, 0.3])
+    geo.classification_values(spec, np.array([0.5, 0.25, 0.75]), vs)
+    assert isinstance(spec.tapes[2], tape.Tape)
+    bad = np.array([0.5, -0.25, 0.75])
+    with pytest.raises(SingularEvaluationError) as taped:
+        geo.classification_values(spec, bad, vs)
+    with pytest.raises(SingularEvaluationError) as plain:
+        geo._forms(chart_spec(chart), bad, vs, 2)
+    got, want = taped.value, plain.value
+    assert (str(got), got.point, got.span, got.value, got.index) == (
+        str(want), want.point, want.span, want.value, want.index,
+    )
+    assert got.point == (-0.25, 0.2)

@@ -43,6 +43,19 @@ def test_ladder_validation():
         V.verify_prel(sph, [0.5, -0.1], G128)
 
 
+@pytest.mark.parametrize(
+    "ladder, text",
+    [([], "must not be empty"), ([1.5], "threshold 1.5 rejected"),
+     ([0.1, 0.5], "strictly decreasing"), ([0.5, float("nan")], "threshold nan rejected")],
+)
+def test_verifier_and_region_integrals_share_the_ladder_rule(ladder, text):
+    with pytest.raises(VerifierInputError, match=text) as verifier_err:
+        V.verify_prel(preset("sphere"), ladder, G128)
+    with pytest.raises(ValueError, match=text) as region_err:
+        q.region_integrals(preset("sphere"), ladder, GridSpec(16, 16, 2))
+    assert str(region_err.value) == str(verifier_err.value)
+
+
 def test_open_chart_rejected():
     with pytest.raises(VerifierInputError):
         V.verify_prel(preset("graph_bump"), [0.5], G128)
