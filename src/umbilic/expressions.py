@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import jets
@@ -308,27 +307,12 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
 
     Singular evaluations (division by zero, log/sqrt domain) are re-raised
     with the offending subexpression's source span and the parameter point
-    attached.
-    """
-    return eval_jets((ast,), u, v, order, params)[0]
-
-
-def eval_jets(asts, u, v, order: int, params=None, plan=None) -> tuple[jets.Jet2, ...]:
-    """`eval_jet` of each tree, evaluating shared work once, with the same bits.
-
-    A compound subexpression whose source text occurs more than once among
-    the trees is evaluated once (spans differ between trees, text does
-    not), and an argument of more than one `jets.PAIRED` call has its two
-    values computed once. Only such results are held, and only until the
-    call returns. Which nodes share work is `plan`, the `share_plan` of
-    the trees; a caller that evaluates the same trees again passes it, and
-    without it the plan is made here.
+    attached. Repeated work, within a tree or across chart components, is
+    evaluated each time; a recording (`tape.py`) keeps each repeated call once.
     """
     params = params or {}
     uj = jets.variable("u", u, order)
     vj = jets.variable("v", v, order)
-    texts, pairs = plan if plan is not None else share_plan(asts)
-    held = {}
 
     def rec(node: Expr) -> jets.Jet2:
         if isinstance(node, Number):
@@ -346,74 +330,26 @@ def eval_jets(asts, u, v, order: int, params=None, plan=None) -> tuple[jets.Jet2
                     position=node.span[0] + 1,
                     hint="bind it in the parameter table",
                 ) from None
-        text = texts.get(id(node))
-        if text in held:
-            return held[text]
         try:
             if isinstance(node, Binary):
                 left = rec(node.left)
                 if node.op == "^":
-                    jet = jets.pow_const(left, node.right.value)
-                else:
-                    jet = _BINARY[node.op](left, rec(node.right))
-            elif node.op == "neg":
-                jet = -rec(node.child)
-            elif node.op in jets.PAIRED:
-                child, key = rec(node.child), pairs.get(id(node))
-                if key is not None and key not in held:
-                    held[key] = tuple(f(child.value) for f in key[0])
-                jet = jets.paired(node.op, child, held.get(key))
-            else:
-                jet = jets.ELEMENTARY[node.op](rec(node.child))
+                    return jets.pow_const(left, node.right.value)
+                return _BINARY[node.op](left, rec(node.right))
+            if node.op == "neg":
+                return -rec(node.child)
+            return jets.ELEMENTARY[node.op](rec(node.child))
         except SingularEvaluationError as err:
             if err.span is None:
                 raise _locate(err, u, v, node.span)
             raise
-        if text is not None:
-            held[text] = jet
-        return jet
 
     try:
-        return tuple(rec(ast) for ast in asts)
+        return rec(ast)
     finally:
-        # rec refers to itself; breaking that cycle frees the held results
-        # and the (u, v) views now, not at the next garbage collection
+        # rec refers to itself; breaking that cycle frees the (u, v) views
+        # now, not at the next garbage collection
         del rec
-
-
-def _pair_key(node: Unary):
-    return jets.PAIRED[node.op][0], to_source(node.child)
-
-
-def share_plan(asts):
-    """The work `eval_jets` can share among the trees: ({id(node): source
-    text} of each compound node whose text occurs more than once,
-    {id(node): `_pair_key`} of each `jets.PAIRED` call whose argument is
-    shared). Node ids identify nodes only while the trees live, so the plan
-    belongs with them."""
-    found = [item for ast in asts for item in _share_keys(ast)]
-    counts = Counter(key for _, key in found)
-    shared = [(id(node), key) for node, key in found if counts[key] > 1]
-    return (
-        {i: key for i, key in shared if isinstance(key, str)},
-        {i: key for i, key in shared if not isinstance(key, str)},
-    )
-
-
-def _share_keys(node: Expr):
-    """(node, key) for the work `eval_jets` can share in node's tree: the
-    source text of each compound node, and `_pair_key` of each
-    `jets.PAIRED` call."""
-    if isinstance(node, Unary):
-        yield from _share_keys(node.child)
-        if node.op in jets.PAIRED:
-            yield node, _pair_key(node)
-    elif isinstance(node, Binary):
-        yield from _share_keys(node.left)
-        yield from _share_keys(node.right)
-    else:
-        return
-    yield node, to_source(node)
 
 
 def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluationError:

@@ -290,13 +290,12 @@ def _affine_slopes(jet: Jet2):
 
 
 def _check_domain(value, ok_mask, fn_name: str):
-    bad = ~ok_mask
-    if np.any(bad):
+    if not np.all(ok_mask):
         if np.ndim(value) == 0:
             raise SingularEvaluationError(
                 f"{fn_name}: argument outside domain", value=float(value)
             )
-        idx = int(np.argmax(np.ravel(bad)))
+        idx = int(np.argmin(np.ravel(ok_mask)))
         raise SingularEvaluationError(
             f"{fn_name}: argument outside domain",
             value=float(np.ravel(value)[idx]),
@@ -316,7 +315,8 @@ def _reciprocal(jet: Jet2) -> Jet2:
 
 # name -> (the two values of the argument the jet is built from, derivatives
 # 0-3 as functions of them, so a jet builds only those through its order);
-# sin and cos (sinh and cosh) of one argument share values
+# sin and cos (sinh and cosh) of one argument compute the same two values,
+# which a recording (`tape.py`) keeps once
 PAIRED = {
     "sin": ((np.sin, np.cos), (lambda s, c: s, lambda s, c: c, lambda s, c: -s, lambda s, c: -c)),
     "cos": ((np.sin, np.cos), (lambda s, c: c, lambda s, c: -s, lambda s, c: -c, lambda s, c: s)),
@@ -325,10 +325,10 @@ PAIRED = {
 }
 
 
-def paired(name: str, jet: Jet2, values=None) -> Jet2:
-    """The `PAIRED` function `name` of jet, from its two values if given."""
+def paired(name: str, jet: Jet2) -> Jet2:
+    """The `PAIRED` function `name` of jet."""
     fns, derivs = PAIRED[name]
-    values = values or [f(jet.value) for f in fns]
+    values = [f(jet.value) for f in fns]
     return _compose(jet, [derivs[k % 4](*values) for k in range(jet.order + 1)])
 
 

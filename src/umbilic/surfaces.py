@@ -42,11 +42,6 @@ class ImmersionSpec:
         return replace(self, params=MappingProxyType(merged))
 
     @cached_property
-    def share_plan(self):
-        """`expressions.share_plan` of the components, made once per spec."""
-        return ex.share_plan(self.components)
-
-    @cached_property
     def tapes(self) -> dict:
         """`tape.Tape` of `geometry._forms` per jet order (None where the
         chart cannot be taped), recorded at the first batch of each."""
@@ -74,8 +69,9 @@ class ImmersionSpec:
 
 def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
     """The three component jets of the chart at (u, v); batched if u, v are
-    arrays. Work the components share is done once (`expressions.eval_jets`)."""
-    return ex.eval_jets(spec.components, u, v, order, spec.params, spec.share_plan)
+    arrays. Work the components share is evaluated in each; a recording
+    (`tape.py`) keeps each repeated call once."""
+    return tuple(ex.eval_jet(c, u, v, order, spec.params) for c in spec.components)
 
 
 def interior_axes(spec: ImmersionSpec, nu: int, nv: int):

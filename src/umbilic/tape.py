@@ -7,18 +7,21 @@ calls whose list depends on nothing but the chart and the jet order. A
 tape records that list once and replays it (Griewank & Walther, *Evaluating
 Derivatives*, 2008, ch. 6).
 
-`record(fn, *inputs)` runs fn on 1-D arrays wrapped in an ndarray
-subclass whose `__array_ufunc__` computes each real result, logs the ufunc
-and its operands (earlier values or scalar constants) and returns the
-result wrapped again. A reduction becomes a guard holding its recorded
-outcome. The returned `Tape` drops the calls no output or guard reads and
+`record(fn, *inputs)` runs fn on 1-D arrays wrapped in an ndarray subclass
+whose `__array_ufunc__` computes each real result, logs the ufunc and its
+operands (earlier values or scalar constants) and returns the result
+wrapped again. A reduction becomes a guard holding its recorded outcome. A
+call repeated on the same values and constants returns the earlier result
+(value numbering), so repeated work, such as a subexpression two chart
+components share, is recorded once and a repeated reduction keeps one
+guard. The returned `Tape` drops the calls no output or guard reads and
 gives each value a buffer, which a later value takes over after the
 value's last read; outputs keep theirs. `Tape.replay(*inputs)` allocates
 the buffers and runs the calls in the recorded order with
 `ufunc(*operands, out)`, so every value is bit-identical to the direct
-computation, and at most as many batch arrays are alive as values were
-at once. It returns None when a guard disagrees; the caller then
-computes that batch directly.
+computation, and at most as many batch arrays are alive as values were at
+once. It returns None when a guard disagrees; the caller then computes
+that batch directly.
 
 fn is refused (`record` returns no tape) when the recording meets a
 batch-shaped array it did not record, an `out=` argument, or a ufunc
@@ -53,6 +56,7 @@ class _Recorder:
         self.shape = shape
         self.steps = []  # (ufunc, operands, slot) or (ufunc, kwargs, slot, outcome)
         self.dtypes = []  # per slot
+        self.seen = {}  # call key -> its result or outcome
 
     def wrap(self, array):
         traced = array.view(_Traced)
@@ -76,14 +80,23 @@ class _Recorder:
         if any(x is not None for x in (out if isinstance(out, tuple) else (out,))):
             raise _Refused("an out= argument")
         operands = [self.operand(x) for x in inputs]
+        # value numbering: a repeat of an earlier call (same slots; constants by
+        # type, dtype and bits, so 0.0 and -0.0, 2 and 2.0 differ) returns its result
+        key = (ufunc, method, tuple(sorted(kwargs.items())), tuple(
+            s if s is not None else (type(c), np.asarray(c).dtype.str, np.asarray(c).tobytes())
+            for s, c in operands
+        ))
+        if key in self.seen:
+            return self.seen[key]
         plain = [x.view(np.ndarray) if isinstance(x, _Traced) else x for x in inputs]
         result = getattr(ufunc, method)(*plain, **kwargs)
         if method == "reduce" and np.ndim(result) == 0:
             self.steps.append((ufunc, kwargs, operands[0][0], result))
+            self.seen[key] = result
             return result
         if method != "__call__" or kwargs or ufunc.nout != 1 or result.shape != self.shape:
             raise _Refused(f"{ufunc.__name__}.{method}")
-        traced = self.wrap(result)
+        traced = self.seen[key] = self.wrap(result)
         self.steps.append((ufunc, operands, traced._slot))
         return traced
 

@@ -7,7 +7,7 @@ import pytest
 
 from umbilic import expressions as ex
 from umbilic import geometry as geo
-from umbilic import jets, tape
+from umbilic import tape
 from umbilic.errors import SingularEvaluationError
 from umbilic.surfaces import ImmersionSpec, interior_axes, load_definition, preset
 
@@ -666,22 +666,15 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
     assert_residuals_match_einsum(squashed_ball)
 
 
-# -- jet products per kernel call ---------------------------------------------------
+# -- tape size ----------------------------------------------------------------------
 
-# Jet2.__mul__ calls per kernel call on an 8x8 batch, counted as
-# perfbench/tracer.jet_mul_counts does (the count does not depend on the batch
-# size). A ratchet: a change that adds products fails here, and one that
-# removes some lowers the bounds to the new counts.
-MUL_BOUNDS = {
-    "ellipsoid_rev": {"class": 64, 3: 67, 4: 70},
-    "squashed_ball_c-1": {"class": 110, 3: 115, 4: 118},
-}
-
-# (ufunc calls, buffers) of the tape of `geometry._forms` per jet order, on
-# the charts of MUL_BOUNDS; a ratchet like it
+# (ufunc calls, buffers) of the tape of `geometry._forms` per jet order on a
+# c = 0 preset and a c = -1 definition file. A ratchet: a change that adds
+# calls fails here, and one that removes some lowers the bounds to the new
+# counts.
 TAPE_BOUNDS = {
-    "ellipsoid_rev": {2: (109, 17), 3: (551, 59), 4: (1385, 98)},
-    "squashed_ball_c-1": {2: (193, 32), 3: (1056, 91), 4: (2563, 153)},
+    "ellipsoid_rev": {2: (101, 17), 3: (494, 59), 4: (1270, 98)},
+    "squashed_ball_c-1": {2: (182, 30), 3: (965, 88), 4: (2388, 152)},
 }
 
 
@@ -696,32 +689,6 @@ def bounds_spec(name, tmp_path):
 def grid_batch(spec, side=8):
     us, vs = interior_axes(spec, side, side)
     return (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))
-
-
-@pytest.mark.parametrize("name", sorted(MUL_BOUNDS))
-def test_jet_products_per_kernel_call_stay_bounded(name, monkeypatch, tmp_path):
-    # each kernel's first call on a fresh spec records its tape, so the
-    # count is that of one jet-path evaluation
-    spec = bounds_spec(name, tmp_path)
-    uu, vv = grid_batch(spec)
-    count = [0]
-    original = jets.Jet2.__mul__
-
-    def counting(a, b):
-        count[0] += 1
-        return original(a, b)
-
-    monkeypatch.setattr(jets.Jet2, "__mul__", counting)
-    monkeypatch.setattr(jets.Jet2, "__rmul__", counting)
-    kernels = {
-        "class": lambda: geo.classification_values(spec, uu, vv),
-        3: lambda: geo.fundamental_forms(spec, uu, vv, 3),
-        4: lambda: geo.fundamental_forms(spec, uu, vv, 4),
-    }
-    for key, kernel in kernels.items():
-        count[0] = 0
-        kernel()
-        assert count[0] <= MUL_BOUNDS[name][key], (key, count[0])
 
 
 @pytest.mark.parametrize("name", sorted(TAPE_BOUNDS))
@@ -758,10 +725,31 @@ def assert_tape_is_the_jet_path(spec, order):
         assert_same_bits(taped, geo._leaves(geo._forms(spec, us, vs, order)))
 
 
+# a definition file whose components repeat 2 + cos(u) and take sinh and
+# cosh of one argument, work the tape records once
+SHARED_FILE = """
+[surface]
+name = shared_parts
+x = (2 + cos(u))*cos(v)
+y = (2 + cos(u))*sin(v)
+z = sin(u) + 0.1*sinh(u/4)*cosh(u/4)
+u_range = 0, 2*pi
+v_range = 0, 2*pi
+periodic_u = true
+periodic_v = true
+"""
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
-@pytest.mark.parametrize("name,params", ALL_PRESETS)
-def test_taped_forms_are_the_jet_path_bit_for_bit(name, params, order):
-    assert_tape_is_the_jet_path(preset(name, params), order)
+@pytest.mark.parametrize("name,params", [*ALL_PRESETS, ("shared_parts", None)])
+def test_taped_forms_are_the_jet_path_bit_for_bit(name, params, order, tmp_path):
+    if params is None:
+        path = tmp_path / "shared.ini"
+        path.write_text(SHARED_FILE)
+        spec = load_definition(path)
+    else:
+        spec = preset(name, params)
+    assert_tape_is_the_jet_path(spec, order)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

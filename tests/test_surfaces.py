@@ -195,42 +195,6 @@ def test_load_definition_rejects_rank_deficient(tmp_path):
 
 # -- shared subexpressions ---------------------------------------------------------
 
-SHARED_FILE = """
-[surface]
-name = shared_parts
-x = (2 + cos(u))*cos(v)
-y = (2 + cos(u))*sin(v)
-z = sin(u) + 0.1*sinh(u/4)*cosh(u/4)
-u_range = 0, 2*pi
-v_range = 0, 2*pi
-periodic_u = true
-periodic_v = true
-"""
-
-
-def _shared_specs(tmp_path):
-    path = tmp_path / "shared.ini"
-    path.write_text(SHARED_FILE)
-    return [preset("ellipsoid_rev"), preset("torus"), load_definition(path)]
-
-
-@pytest.mark.parametrize("order", [2, 3, 4])
-def test_evaluate_chart_matches_each_component_alone(order, tmp_path):
-    # sharing repeated subexpressions and sin/cos values across components
-    # must not change a single bit of any coefficient
-    rng = np.random.default_rng(5)
-    for spec in _shared_specs(tmp_path):
-        (u0, u1), (v0, v1) = spec.interior_ranges()
-        us, vs = rng.uniform(u0, u1, 257), rng.uniform(v0, v1, 257)
-        shared = evaluate_chart(spec, us, vs, order)
-        for comp, jet in zip(spec.components, shared):
-            alone = ex.eval_jet(comp, us, vs, order, spec.params)
-            assert jet.order == alone.order == order
-            for a, b in zip(jet.coeffs, alone.coeffs):
-                a, b = np.asarray(a), np.asarray(b)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), spec.name
-
-
 def test_shared_singular_subexpression_is_located():
     # sqrt(u - 1) occurs in x and y; the error carries the span of its first
     # occurrence and the failing node

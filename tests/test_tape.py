@@ -35,6 +35,47 @@ def test_buffers_are_shared_by_liveness_and_dead_calls_dropped():
     assert recorded.n_buffers == 2
 
 
+def assert_replay_is_direct(recorded, fn, *inputs):
+    for got, want in zip(recorded.replay(*inputs), fn(*inputs)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_a_repeated_call_is_recorded_once():
+    def fn(a, b):
+        # a * b + 1 and sin(a) twice each; the second 1.0 is another float
+        # object with the same bits
+        return [np.sin(a) * (a * b + 1.0), np.sin(a) + (a * b + float("1"))]
+
+    recorded = tape.record(fn, U, V)
+    # a * b, + 1.0, sin, the product and the sum
+    assert recorded.n_ops == 5
+    assert_replay_is_direct(recorded, fn, U * 2.0, V - 1.0)
+
+
+def test_a_repeated_reduction_keeps_one_guard():
+    def fn(a, b):
+        if np.any(~(a > 0.0)) or np.any(~(a > 0.0)):
+            raise ValueError("outside domain")
+        return [np.sqrt(a) * b]
+
+    recorded = tape.record(fn, U, V)
+    assert sum(guard is not None for _, guard in recorded._runs) == 1
+    assert recorded.n_ops == 4  # a > 0, its inversion, sqrt, the product
+    assert_replay_is_direct(recorded, fn, U + 1.0, V)
+    assert recorded.replay(np.array([0.5, -0.25]), np.array([0.0, 1.0])) is None
+
+
+def test_constants_of_other_sign_or_dtype_are_not_merged():
+    def fn(a, b):
+        return [a * 0.0, a * -0.0, a + 2, a + 2.0]
+
+    recorded = tape.record(fn, U, V)
+    assert recorded.n_ops == 4
+    got = recorded.replay(-U, V)
+    assert np.all(np.signbit(got[0])) and not np.any(np.signbit(got[1]))
+    assert_replay_is_direct(recorded, fn, -U, V)
+
+
 def test_a_guard_that_disagrees_stops_the_replay():
     recorded = tape.record(checked_sqrt, U, V)
     assert recorded.replay(np.array([0.5, -0.25]), np.array([0.0, 1.0])) is None
