@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         if eps_flag:
             sp.add_argument("--eps", default=None, metavar="LIST",
                             help="comma-separated threshold ladder, descending")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (command-specific)")
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
         sp.add_argument("--format", default="both", choices=("json", "csv", "both"))
@@ -67,8 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("identities", help="residuals of the curvature identities"),
                 eps_flag=False)
     sp.add_argument("--n", type=int, default=1000, help="number of sample points")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance (default 1e-8, times 100 for bochner)")
 
     sp = common(sub.add_parser("verify", help="volume inequality along a threshold ladder"))
+    sp.add_argument("--tol", type=float, default=None,
+                    help="fixed margin tolerance for every row (runs G only, no error bar)")
     sp.add_argument("--eps0", type=float, default=None,
                     help="also evaluate the sufficient conditions at this threshold")
     sp.add_argument("--hsup-override", type=float, default=None, dest="hsup_override",
@@ -215,11 +217,12 @@ def _write_csv(path: Path, header, rows, config_lines):
         writer.writerows(rows)
 
 
-def _emit(args, spec, grid, config, rows, verdict, csv_header, csv_rows, **fields):
+def _emit(args, spec, grid, config, rows, verdict, csv_header, **fields):
     """Write the command's report and rows into --out, as --format asks. The
     config echo adds the command's `config` keys to the resolved source,
     grid, seed and version; `fields` override the report's chi, H_sup and
-    C_const (None) and errors ([])."""
+    C_const (None) and errors ([]). Each CSV row holds its report row's
+    `csv_header` values, strings as they are and anything else by repr."""
     # output routing (--out, --format) stays out of the payload so reruns
     # into different directories produce identical reports
     cfg = {
@@ -250,6 +253,8 @@ def _emit(args, spec, grid, config, rows, verdict, csv_header, csv_rows, **field
         written.append(p)
     if args.format in ("csv", "both"):
         p = out / f"{args.command}_rows.csv"
+        csv_rows = [[r[k] if isinstance(r[k], str) else repr(r[k]) for k in csv_header]
+                    for r in rows]
         _write_csv(p, csv_header, csv_rows, _config_lines(cfg, spec))
         written.append(p)
     for p in written:
@@ -295,13 +300,8 @@ def cmd_identities(args, params) -> int:
         })
 
     verdict = "PASS" if all_ok else "FAIL"
-    csv_rows = [
-        [r["identity"], repr(r["max_residual"]), repr(r["mean_residual"]),
-         repr(r["tolerance"]), r["passed"]]
-        for r in rows
-    ]
     _emit(args, spec, grid, {"n": args.n, "tol": tol}, rows, verdict,
-          ("identity", "max_residual", "mean_residual", "tolerance", "passed"), csv_rows)
+          ("identity", "max_residual", "mean_residual", "tolerance", "passed"))
     print(f"identities: {verdict} "
           f"(worst {max(r['max_residual'] for r in rows):.3e} over {args.n} points)")
     return 0 if all_ok else 1
@@ -328,8 +328,7 @@ def cmd_verify(args, params) -> int:
     if report.corollary is not None:
         skip = ("surface", "params", "grid", "chi_estimate", "chi_rounded")
         fields["corollary"] = {k: v for k, v in asdict(report.corollary).items() if k not in skip}
-    csv_rows = [[repr(r[k]) for k in VERIFY_CSV_COLUMNS] for r in rows]
-    _emit(args, spec, grid, config, rows, report.verdict, VERIFY_CSV_COLUMNS, csv_rows,
+    _emit(args, spec, grid, config, rows, report.verdict, VERIFY_CSV_COLUMNS,
           chi={"estimate": report.chi_estimate, "rounded": report.chi_rounded},
           H_sup=report.H_sup, C_const=report.C_const, errors=list(report.warnings), **fields)
 
@@ -356,9 +355,8 @@ def cmd_sweep(args, params) -> int:
          "trend": trend}
         for r in rows
     ]
-    csv_rows = [[repr(r.eps), repr(r.sharp_gap), repr(r.normalized_gap), trend] for r in rows]
     _emit(args, spec, grid, {"eps": [float(e) for e in ladder]}, report_rows, trend,
-          ("eps", "sharp_gap", "normalized_gap", "trend"), csv_rows)
+          ("eps", "sharp_gap", "normalized_gap", "trend"))
     print(f"sweep: |normalized gap| trend is {trend}")
     for r in rows:
         print(f"  eps={r.eps:<6g} gap={r.sharp_gap:+.6e} normalized={r.normalized_gap:+.6e}")
@@ -408,14 +406,9 @@ def cmd_convergence(args, params) -> int:
             "error_estimate": "" if row.error_estimate is None else row.error_estimate,
         })
 
-    csv_rows = [
-        [r["grid"], repr(r["value"]), r["estimated_order"],
-         "" if r["error_estimate"] == "" else repr(r["error_estimate"])]
-        for r in rows
-    ]
     verdict = order_cell(study.order) or "n/a"
     _emit(args, spec, grid, {"field": args.field, "levels": args.levels, "eps": args.eps},
-          rows, verdict, ("grid", "value", "estimated_order", "error_estimate"), csv_rows)
+          rows, verdict, ("grid", "value", "estimated_order", "error_estimate"))
     print(f"convergence: value={study.value!r} order={verdict} "
           f"error~{study.error_estimate:.3e}")
     return 0

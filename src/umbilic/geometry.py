@@ -7,24 +7,24 @@ lambda identically 1 and every ambient correction vanish exactly.
 
 Evaluation runs in two stages. Stage one is `_forms` at jet order 2, 3
 or 4: one pass of jet arithmetic from the chart to the first and second
-fundamental forms, H, the trace-free part and its squared norm, truncated
-to the order the caller needs (Taylor-mode propagation, as in Griewank &
-Walther, *Evaluating Derivatives*, 2008). Each intermediate carries only
-the partials its consumers read: the chart through `order`, its tangents
-through order - 1; their dot products, lambda and lambda^2 like g, which
-is read as values at order 2 and through d2g from order 3 on; the
-conformal term p, the shape vectors, the normal and h through order - 2.
-|hring|^2 is tr(B^2) with the mixed tensor B = g^-1 hring.
-`classification_values` reads the order-2 values (|hring|^2, |H| and
-sqrt(det g)); `fundamental_forms` stacks the raw partials into arrays,
-each tensor component contiguous. Both run stage one on a tape
-(`tape.py`) for 1-D batches: the first node of the first batch of a spec
-and order runs `_forms` on arrays that log each numpy ufunc call, and
-every batch replays that list into buffers, bit for bit the same values
-without the jet layer's Python work. The jet code stays the one statement of the
-math. The domain checks of the jet path are guards on the tape; a batch
-that fails one goes through `_forms` itself, which raises its error, as
-does any other (u, v) and a chart the recorder refuses.
+fundamental forms, H, the trace-free part and its squared norm
+(Taylor-mode propagation, as in Griewank & Walther, *Evaluating
+Derivatives*, 2008). Each intermediate carries the order its arithmetic
+gives, and `_forms` returns the raw partials a `PointGeometry` reads, cut
+in one place (`_reads`): g as values at order 2 and through d2g from
+order 3 on, the rest through order - 2. |hring|^2 is tr(B^2) with the
+mixed tensor B = g^-1 hring. `_evaluate` runs stage one for every (u, v)
+on a tape (`tape.py`): the first node of the first non-empty batch of a
+spec and order runs `_forms` on arrays that log each numpy ufunc call,
+and every batch, flattened to 1-D, replays that list into buffers, bit
+for bit the same values without the jet layer's Python work. The tape
+drops the calls no output reads, so the partials nothing reads are never
+computed. The jet code stays the one statement of the math. The domain
+checks of the jet path are guards on the tape; a batch that fails one
+goes through `_forms` itself, which raises its error, as do an empty
+batch and a chart the recorder refuses. `classification_values` reads
+the order-2 values (|hring|^2, |H| and sqrt(det g)); `fundamental_forms`
+stacks the raw partials into arrays, each tensor component contiguous.
 Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
 (two-term sums per component, no einsum): Christoffel symbols, covariant
 derivatives, norms and curvature. The residuals of the identities under
@@ -115,17 +115,18 @@ class PointGeometry:
 
 
 def _stack(jet, k: int, shape) -> np.ndarray:
-    """The raw partials of derivative order k of a jet, or of a 2x2 nested
-    tuple of jets, as an array: batch axes, then k derivative axes, then the
-    tensor axes (the module's index conventions). The array is a transposed
-    view whose components each lie contiguous in memory, so the
-    per-component arithmetic of `covariant_data` runs on contiguous arrays."""
+    """The raw partials of derivative order k of a jet's coefficient list, or
+    of a 2x2 nested tuple of them, as an array: batch axes, then k derivative
+    axes, then the tensor axes (the module's index conventions). The array
+    is a transposed view whose components each lie contiguous in memory, so
+    the per-component arithmetic of `covariant_data` runs on contiguous
+    arrays."""
     tensor = (2, 2) if isinstance(jet, tuple) else ()
     out = np.empty((2,) * k + tensor + shape)
     for d in np.ndindex(*(2,) * k):
+        slot = jets.coeff_index(d.count(0), d.count(1))
         for t in np.ndindex(*tensor):
-            entry = jet[t[0]][t[1]] if t else jet
-            out[d + t] = entry.partial(d.count(0), d.count(1))
+            out[d + t] = (jet[t[0]][t[1]] if t else jet)[slot]
     n = out.ndim - len(shape)
     return out.transpose(tuple(range(n, out.ndim)) + tuple(range(n)))
 
@@ -134,23 +135,23 @@ def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _g_order(order: int) -> int:
-    """The order of g's jets in `_forms`; never below order - 2, so lambda
-    and the tangent products at it also serve h."""
-    return 2 if order > 2 else 0
+def _reads(order: int):
+    """The order through which `PointGeometry` reads each of `_forms`' eleven
+    jets (g00, g01, g11, h00, h01, h11, H, hring00, hring01, hring11,
+    |hring|^2): g through 2 from order 3 on (d2g is the highest that anything
+    reads) and values at order 2; the rest through order - 2."""
+    return (2 if order > 2 else 0,) * 3 + (order - 2,) * 8
 
 
 def _forms(spec: ImmersionSpec, u, v, order: int):
-    """Jets of (g, h, H, hring, |hring|^2) at (u, v) from an order-`order` chart.
+    """The raw partials of (g, h, H, hring, |hring|^2) at (u, v) from an
+    order-`order` chart: the coefficients of each of the eleven distinct
+    jets through its `_reads` order, in one flat list.
 
-    g carries partials through order 2 from order 3 on (d2g is the highest
-    that anything reads) and values only at order 2; the rest carry them
-    through order - 2. g, h and hring are 2x2 nested tuples of jets. Each
-    intermediate is built at the order its consumers read; truncation is a
-    prefix slice, so no value changes.
+    Each intermediate carries the order its arithmetic gives; what no
+    output reads is dropped by the tape, not here.
     """
     c = spec.ambient_c
-    g_order = _g_order(order)
     try:
         f = evaluate_chart(spec, u, v, order)
         fu = tuple(derivative(comp, du=1) for comp in f)
@@ -162,15 +163,16 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             (1, 1): tuple(derivative(comp, dv=2) for comp in f),
         }
 
-        # Euclidean products of the tangents, through g_order like g
-        fg = [[jets.truncate(x, g_order) for x in t] for t in fd]
-        euc = {(i, j): _dot3(fg[i], fg[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
+        # Euclidean products of the tangents
+        euc = {(i, j): _dot3(fd[i], fd[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
         if c != 0.0:
-            f1 = tuple(jets.truncate(x, g_order) for x in f)
-            lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f1, f1))
+            # lambda through g's read order, the one cut here: it changes no
+            # value read, but without it some calls are recorded first in unread
+            # work and stay live longer (155 buffers, not 152, at order 4, c = -1)
+            lam = jets.truncate(1.0 / (1.0 + (c / 4.0) * _dot3(f, f)), _reads(order)[0])
             lam2 = lam * lam
-            # p_k = d(log lambda)/dx^k along the chart, through order - 2 like h
-            p = tuple(jets.truncate(x, order - 2) * lam * (-c / 2.0) for x in f)
+            # p_k = d(log lambda)/dx^k along the chart
+            p = tuple(x * lam * (-c / 2.0) for x in f)
             p_dot_fd = (_dot3(p, fu), _dot3(p, fv))
 
         g00, g01, g11 = (lam2 * e if c != 0.0 else e for e in euc.values())
@@ -188,11 +190,10 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             other = cross if i == j else [fd[j][k] * p_dot_fd[i] for k in range(3)]
             return tuple(base[k] + cross[k] + other[k] - e * p[k] for k in range(3))
 
-        # the normal and its norm, like h, through order - 2
-        tu, tv = ([jets.truncate(x, order - 2) for x in t] for t in fd)
-        nx = tu[1] * tv[2] - tu[2] * tv[1]
-        ny = tu[2] * tv[0] - tu[0] * tv[2]
-        nz = tu[0] * tv[1] - tu[1] * tv[0]
+        # the normal and its norm
+        nx = fu[1] * fv[2] - fu[2] * fv[1]
+        ny = fu[2] * fv[0] - fu[0] * fv[2]
+        nz = fu[0] * fv[1] - fu[1] * fv[0]
         n = (nx, ny, nz)
         inv_norm = 1.0 / jets.sqrt(_dot3(n, n))
 
@@ -202,18 +203,16 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
 
         h00, h01, h11 = form_entry(0, 0), form_entry(0, 1), form_entry(1, 1)
 
-        # nothing above order - 2 of g reaches H, hring or |hring|^2
-        t00, t01, t11 = (jets.truncate(x, order - 2) for x in (g00, g01, g11))
-        inv_det = 1.0 / (t00 * t11 - t01 * t01)
+        inv_det = 1.0 / (g00 * g11 - g01 * g01)
         # 2x2 inverse, entries as jets
-        gi00 = t11 * inv_det
-        gi01 = -1.0 * t01 * inv_det
-        gi11 = t00 * inv_det
+        gi00 = g11 * inv_det
+        gi01 = -1.0 * g01 * inv_det
+        gi11 = g00 * inv_det
         Hj = gi00 * h00 + 2.0 * (gi01 * h01) + gi11 * h11
 
-        hr00 = h00 - 0.5 * (Hj * t00)
-        hr01 = h01 - 0.5 * (Hj * t01)
-        hr11 = h11 - 0.5 * (Hj * t11)
+        hr00 = h00 - 0.5 * (Hj * g00)
+        hr01 = h01 - 0.5 * (Hj * g01)
+        hr11 = h11 - 0.5 * (Hj * g11)
         # |hring|^2 = tr(B^2) with the mixed tensor B^i_j = g^{ik} hring_kj
         b00 = gi00 * hr00 + gi01 * hr01
         b01 = gi00 * hr01 + gi01 * hr11
@@ -222,65 +221,32 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
         norm2 = b00 * b00 + 2.0 * (b01 * b10) + b11 * b11
     except SingularEvaluationError as err:
         raise _locate(err, u, v) from None
-    return _nest(g00, g01, g11, h00, h01, h11, Hj, hr00, hr01, hr11, norm2)
+    distinct = (g00, g01, g11, h00, h01, h11, Hj, hr00, hr01, hr11, norm2)
+    return [x for jet, o in zip(distinct, _reads(order)) for x in jet.coeffs[: jets._NCOEFF[o]]]
 
 
-def _nest(g00, g01, g11, h00, h01, h11, H, r00, r01, r11, norm2):
-    """`_forms`' result from its eleven distinct jets."""
-    return (
-        ((g00, g01), (g01, g11)),
-        ((h00, h01), (h01, h11)),
-        H,
-        ((r00, r01), (r01, r11)),
-        norm2,
-    )
+def _evaluate(spec: ImmersionSpec, u, v, order: int):
+    """`_forms` at (u, v) of any shape, each output in the broadcast shape.
 
-
-def _leaves(forms):
-    """The coefficients of the distinct jets of a `_forms` result, in
-    `_nest`'s order."""
-    g, h, H, r, norm2 = forms
-    distinct = (
-        g[0][0], g[0][1], g[1][1], h[0][0], h[0][1], h[1][1], H, r[0][0], r[0][1], r[1][1], norm2
-    )
-    return [c for jet in distinct for c in jet.coeffs]
-
-
-def _from_leaves(leaves, order: int):
-    """`_forms`' result at jet order `order` from its `_leaves`."""
-    distinct, k = [], 0
-    for o in (_g_order(order),) * 3 + (order - 2,) * 8:
-        n = jets._NCOEFF[o]
-        distinct.append(jets.Jet2(o, leaves[k : k + n]))
-        k += n
-    return _nest(*distinct)
-
-
-def _taped_forms(spec: ImmersionSpec, u, v, order: int):
-    """`_forms`, bit for bit, through the spec's tape for this order when
-    u and v are equal-shaped 1-D float arrays (every batch of the
-    quadrature layer). The first such batch records the tape on its first
-    node, and every batch replays it. A spec the tape refuses, a batch a
-    guard rejects or whose first node is singular (the jet path then
-    raises its error) and any other (u, v) take the jet path."""
-    if not (
-        isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
-        and u.ndim == 1 and u.shape == v.shape and u.size
-        and u.dtype == v.dtype == np.float64
-    ):
-        return _forms(spec, u, v, order)
+    u and v are broadcast and flattened to 1-D float64 and replay the
+    spec's tape for this order, which the first non-empty call records on
+    its first node. `_forms` runs on the caller's (u, v) itself for an
+    empty batch, a chart the recorder refuses, and a batch a guard
+    rejects or whose first node is singular, where it raises its error.
+    """
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
     tapes = spec.tapes
-    if order not in tapes:
+    if a.size and order not in tapes:
         try:
-            tapes[order] = tape.record(
-                lambda a, b: _leaves(_forms(spec, a, b, order)), u[:1], v[:1]
-            )
+            tapes[order] = tape.record(lambda *ab: _forms(spec, *ab, order), a[:1], b[:1])
         except SingularEvaluationError:
-            return _forms(spec, u, v, order)
-    leaves = tapes[order] and tapes[order].replay(u, v)
-    if leaves is None:
-        return _forms(spec, u, v, order)
-    return _from_leaves(leaves, order)
+            pass
+    recorded = tapes.get(order) if a.size else None
+    out = recorded.replay(a, b) if recorded else None
+    if out is None:
+        return [np.broadcast_to(x, shape) for x in _forms(spec, u, v, order)]
+    return [np.broadcast_to(x, a.shape).reshape(shape) for x in out]
 
 
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
@@ -293,7 +259,10 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
     """
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
-    g, h, H, hring, norm2 = _taped_forms(spec, u, v, order)
+    flat = iter(_evaluate(spec, u, v, order))
+    g00, g01, g11, h00, h01, h11, H, r00, r01, r11, norm2 = (
+        [next(flat) for _ in range(jets._NCOEFF[o])] for o in _reads(order)
+    )
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
 
     def partials(jet, through):
@@ -307,10 +276,10 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         ambient_c=float(spec.ambient_c),
         batch_shape=shape,
     )
-    pg.g, pg.dg, pg.d2g = partials(g, g[0][0].order)
-    pg.h, pg.dh, pg.d2h = partials(h, order - 2)
+    pg.g, pg.dg, pg.d2g = partials(((g00, g01), (g01, g11)), _reads(order)[0])
+    pg.h, pg.dh, pg.d2h = partials(((h00, h01), (h01, h11)), order - 2)
     pg.H, pg.dH, pg.d2H = partials(H, order - 2)
-    pg.hring, pg.dhring, pg.d2hring = partials(hring, order - 2)
+    pg.hring, pg.dhring, pg.d2hring = partials(((r00, r01), (r01, r11)), order - 2)
     pg.hring_norm2, pg.d_hring_norm2, pg.d2_hring_norm2 = partials(norm2, order - 2)
     return pg
 
@@ -609,11 +578,5 @@ def classification_values(spec: ImmersionSpec, u, v):
     probes, the area element of each refined leaf. Each value is
     bit-identical to the same field of `point_geometry` at any order.
     """
-    g, _, H, _, norm2 = _taped_forms(spec, u, v, 2)
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    g = _stack(g, 0, shape)
-    return (
-        np.maximum(_stack(norm2, 0, shape), 0.0),
-        np.abs(_stack(H, 0, shape)),
-        np.sqrt(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2),
-    )
+    g00, g01, g11, *_, H, _, _, _, norm2 = _evaluate(spec, u, v, 2)
+    return np.maximum(norm2, 0.0), np.abs(H), np.sqrt(g00 * g11 - g01**2)

@@ -28,9 +28,9 @@ weight (9 of 15 products at order 2). `_compose` applies a univariate
 function; an affine argument, one whose first partials are scalars and
 whose higher partials are scalar zeros, as every chart variable is, gets
 f^(a+b) du^a dv^b placed straight into each slot, and any other argument
-goes through a Horner scheme. The elementary functions build derivative
-arrays only through the argument's order; each one kept is the same
-expression at every order, so truncation commutes with them bit for bit.
+goes through a Horner scheme. Each derivative an elementary function
+builds is the same expression at every order, so truncation commutes with
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -314,22 +314,21 @@ def _reciprocal(jet: Jet2) -> Jet2:
 
 
 # name -> (the two values of the argument the jet is built from, derivatives
-# 0-3 as functions of them, so a jet builds only those through its order);
-# sin and cos (sinh and cosh) of one argument compute the same two values,
-# which a recording (`tape.py`) keeps once
+# 0-3 as functions of them); sin and cos (sinh and cosh) of one argument
+# compute the same two values, which a recording (`tape.py`) keeps once
 PAIRED = {
-    "sin": ((np.sin, np.cos), (lambda s, c: s, lambda s, c: c, lambda s, c: -s, lambda s, c: -c)),
-    "cos": ((np.sin, np.cos), (lambda s, c: c, lambda s, c: -s, lambda s, c: -c, lambda s, c: s)),
-    "sinh": ((np.sinh, np.cosh), (lambda s, c: s, lambda s, c: c) * 2),
-    "cosh": ((np.sinh, np.cosh), (lambda s, c: c, lambda s, c: s) * 2),
+    "sin": ((np.sin, np.cos), lambda s, c: (s, c, -s, -c)),
+    "cos": ((np.sin, np.cos), lambda s, c: (c, -s, -c, s)),
+    "sinh": ((np.sinh, np.cosh), lambda s, c: (s, c) * 2),
+    "cosh": ((np.sinh, np.cosh), lambda s, c: (c, s) * 2),
 }
 
 
 def paired(name: str, jet: Jet2) -> Jet2:
     """The `PAIRED` function `name` of jet."""
     fns, derivs = PAIRED[name]
-    values = [f(jet.value) for f in fns]
-    return _compose(jet, [derivs[k % 4](*values) for k in range(jet.order + 1)])
+    d = derivs(*(f(jet.value) for f in fns))
+    return _compose(jet, [d[k % 4] for k in range(jet.order + 1)])
 
 
 def sin(jet: Jet2) -> Jet2:
@@ -356,40 +355,27 @@ def exp(jet: Jet2) -> Jet2:
 def log(jet: Jet2) -> Jet2:
     x = jet.value
     _check_domain(x, x > 0.0, "log")
-    inv = 1.0 / x if jet.order else None
-    return _compose(jet, [d() for d in (
-        lambda: np.log(x),
-        lambda: inv,
-        lambda: -(inv**2),
-        lambda: 2.0 * inv**3,
-        lambda: -6.0 * inv**4,
-    )[: jet.order + 1]])
+    inv = 1.0 / x
+    return _compose(jet, [np.log(x), inv, -(inv**2), 2.0 * inv**3, -6.0 * inv**4])
 
 
 def sqrt(jet: Jet2) -> Jet2:
     x = jet.value
     _check_domain(x, x > 0.0, "sqrt")
     s = np.sqrt(x)
-    inv = 1.0 / x if jet.order else None
-    return _compose(jet, [d() for d in (
-        lambda: s,
-        lambda: 0.5 * s * inv,
-        lambda: -0.25 * s * inv**2,
-        lambda: 0.375 * s * inv**3,
-        lambda: -0.9375 * s * inv**4,
-    )[: jet.order + 1]])
+    inv = 1.0 / x
+    return _compose(jet, [
+        s, 0.5 * s * inv, -0.25 * s * inv**2, 0.375 * s * inv**3, -0.9375 * s * inv**4,
+    ])
 
 
 def atan(jet: Jet2) -> Jet2:
     x = jet.value
-    w = 1.0 + x * x if jet.order else None
-    return _compose(jet, [d() for d in (
-        lambda: np.arctan(x),
-        lambda: 1.0 / w,
-        lambda: -2.0 * x / w**2,
-        lambda: (6.0 * x * x - 2.0) / w**3,
-        lambda: (24.0 * x - 24.0 * x**3) / w**4,
-    )[: jet.order + 1]])
+    w = 1.0 + x * x
+    return _compose(jet, [
+        np.arctan(x), 1.0 / w, -2.0 * x / w**2, (6.0 * x * x - 2.0) / w**3,
+        (24.0 * x - 24.0 * x**3) / w**4,
+    ])
 
 
 def pow_const(jet: Jet2, exponent: float) -> Jet2:

@@ -44,7 +44,7 @@ class ImmersionSpec:
     @cached_property
     def tapes(self) -> dict:
         """`tape.Tape` of `geometry._forms` per jet order (None where the
-        chart cannot be taped), recorded at the first batch of each."""
+        chart cannot be taped), recorded by the first non-empty call of each."""
         return {}
 
     def component_sources(self) -> tuple[str, str, str]:

@@ -111,6 +111,10 @@ def record(fn, *inputs):
         outputs = [rec.operand(x) for x in fn(*(rec.wrap(np.asarray(x)) for x in inputs))]
     except _Refused:
         return None
+    finally:
+        # each recorded value points at rec, and rec.seen back at it: clear
+        # the cycle so the recording is freed now, not at the next collection
+        rec.seen.clear()
     return Tape(rec, len(inputs), outputs)
 
 

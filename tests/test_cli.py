@@ -392,6 +392,23 @@ def test_non_finite_tol_is_an_input_error(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "ellipsoid_rev", "--tol", "1"] + SMALL,
+        ["convergence", "--preset", "sphere", "--grid", "64x64", "--tol", "-5"],
+    ],
+    ids=["sweep", "convergence"],
+)
+def test_tol_is_refused_where_nothing_reads_it(argv, tmp_path, capsys):
+    # only identities and verify take --tol; elsewhere it is an unknown
+    # surface parameter
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+    assert not list(tmp_path.iterdir())
+
+
 VERIFY_SPHERE = ["verify", "--preset", "sphere", "--eps", "0.5"]
 
 

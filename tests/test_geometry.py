@@ -716,14 +716,35 @@ def assert_same_bits(got, want):
 
 
 def assert_tape_is_the_jet_path(spec, order):
-    # the first batch records on its first node; all three replay, the last
-    # at another size
-    for n, seed in ((300, 1), (300, 2), (113, 3)):
-        us, vs = sample_points(spec, n, seed)
-        taped = geo._leaves(geo._taped_forms(spec, us, vs, order))
+    # a scalar point records on its own; every later input replays: two
+    # batches, one at another size, and a 2-D meshgrid. Each output is the
+    # jet path's on the same input, bit for bit, in the input's shape
+    u0, v0 = (float(x[0]) for x in sample_points(spec, 1, 4))
+    us, vs = sample_points(spec, 6, 5)
+    inputs = [
+        (u0, v0),
+        *(sample_points(spec, n, seed) for n, seed in ((300, 1), (300, 2), (113, 3))),
+        np.meshgrid(us, vs[:4], indexing="ij"),
+    ]
+    for us, vs in inputs:
+        taped = geo._evaluate(spec, us, vs, order)
         assert isinstance(spec.tapes[order], tape.Tape)
-        assert_same_bits(taped, geo._leaves(geo._forms(spec, us, vs, order)))
+        shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
+        assert_same_bits(
+            taped, [np.broadcast_to(x, shape) for x in geo._forms(spec, us, vs, order)]
+        )
 
+
+# a chart through sqrt, log, atan, sinh and cosh, which no preset calls
+ELEMENTARY_FILE = """
+[surface]
+name = elementary
+x = u
+y = v
+z = 0.3*sqrt(2 + cos(u)) + 0.2*log(3 + sin(v)) + 0.1*atan(u*v) + 0.05*sinh(u)*cosh(v)
+u_range = -1, 1
+v_range = -1, 1
+"""
 
 # a definition file whose components repeat 2 + cos(u) and take sinh and
 # cosh of one argument, work the tape records once
@@ -741,11 +762,13 @@ periodic_v = true
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
-@pytest.mark.parametrize("name,params", [*ALL_PRESETS, ("shared_parts", None)])
+@pytest.mark.parametrize(
+    "name,params", [*ALL_PRESETS, ("shared_parts", None), ("elementary", None)]
+)
 def test_taped_forms_are_the_jet_path_bit_for_bit(name, params, order, tmp_path):
     if params is None:
-        path = tmp_path / "shared.ini"
-        path.write_text(SHARED_FILE)
+        path = tmp_path / f"{name}.ini"
+        path.write_text({"shared_parts": SHARED_FILE, "elementary": ELEMENTARY_FILE}[name])
         spec = load_definition(path)
     else:
         spec = preset(name, params)
@@ -782,3 +805,25 @@ def test_replayed_singular_batch_raises_the_jet_path_error():
         str(want), want.point, want.span, want.value, want.index,
     )
     assert got.point == (-0.25, 0.2)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_an_empty_batch_gives_empty_arrays(order):
+    spec = preset("torus")
+    empty = np.empty(0)
+    for value in geo.classification_values(spec, empty, empty):
+        assert isinstance(value, np.ndarray) and value.shape == (0,)
+    pg = geo.point_geometry(spec, empty, empty, order)
+    assert pg.g.shape == (0, 2, 2) and pg.hring_norm2.shape == (0,)
+    assert order not in spec.tapes
+
+
+def test_chart_constants_come_in_the_batch_shape():
+    # the plane's forms are chart constants, so its tape makes no call
+    spec = plane_spec()
+    us, vs = np.meshgrid(np.linspace(-0.5, 0.5, 3), np.linspace(-0.5, 0.5, 4))
+    values = geo.classification_values(spec, us, vs)
+    assert spec.tapes[2].n_ops == 0
+    for value, want in zip(values, (0.0, 0.0, 1.0)):
+        assert isinstance(value, np.ndarray) and value.shape == (4, 3)
+        assert np.all(value == want)

@@ -375,9 +375,9 @@ _ORDER4_ARGUMENTS = {
 @pytest.mark.parametrize("arg", sorted(_ORDER4_ARGUMENTS))
 @pytest.mark.parametrize("name", sorted(_UNARY))
 def test_functions_commute_with_truncation_bit_for_bit(name, arg, order):
-    # f of the order-k jet is f of the order-4 jet truncated to k: a
-    # function builds derivatives only through its argument's order, each
-    # the same expression at every order
+    # f of the order-k jet is f of the order-4 jet truncated to k: each
+    # derivative a function builds is the same expression at every order,
+    # and a slot reads only the derivatives through its own order
     x = _ORDER4_ARGUMENTS[arg]()
     assert (jets._affine_slopes(x) is not None) == (arg == "affine")
     low = _UNARY[name](truncate(x, order))
