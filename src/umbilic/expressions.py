@@ -11,6 +11,9 @@ to be a numeric literal (optionally negated or parenthesized); anything
 else is rejected at parse time so that jet composition stays smooth.
 General powers can always be spelled exp(b*log(a)).
 
+One evaluator, `eval_jet`, reads every tree: charts at jet order >= 1 and,
+through `eval_number`, constants (a definition file's numeric fields) at 0.
+
 ASTs compare structurally (spans are ignored), and `to_source` prints a
 canonical form that reparses to an identical tree.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from . import jets
 from .errors import ParseError, SingularEvaluationError
 
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "log", "sqrt", "atan")
+FUNCTIONS = tuple(jets.ELEMENTARY)
 CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("u", "v")
 
@@ -304,6 +307,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     """Evaluate to a Jet2 at (u, v); both may be numpy arrays for batches.
+    At order 0 the tree is a constant: u, v are None and a variable is a ParseError.
 
     Singular evaluations (division by zero, log/sqrt domain) are re-raised
     with the offending subexpression's source span and the parameter point
@@ -311,8 +315,9 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     evaluated each time; a recording (`tape.py`) keeps each repeated call once.
     """
     params = params or {}
-    uj = jets.variable("u", u, order)
-    vj = jets.variable("v", v, order)
+    if order:
+        uj = jets.variable("u", u, order)
+        vj = jets.variable("v", v, order)
 
     def rec(node: Expr) -> jets.Jet2:
         if isinstance(node, Number):
@@ -320,6 +325,11 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
         if isinstance(node, Const):
             return jets.constant(CONSTANTS[node.name], order)
         if isinstance(node, Var):
+            if not order:
+                raise ParseError(
+                    f"variable {node.name!r} not allowed in a constant expression",
+                    position=node.span[0] + 1,
+                )
             return uj if node.name == "u" else vj
         if isinstance(node, Param):
             try:
@@ -356,12 +366,13 @@ def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluation
     """err with the (u, v) point it occurred at, and span when given.
 
     A scalar (u, v) is the point itself; in a batch it is the entry at the
-    error's flat index. A point the error already carries is kept.
+    error's flat index. A point the error already carries is kept; a
+    constant (u None) has none.
     """
     import numpy as np
 
     point = err.point
-    if point is None:
+    if point is None and u is not None:
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if not shape:
             point = (float(u), float(v))
@@ -373,36 +384,9 @@ def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluation
 
 
 def eval_number(ast: Expr, params=None) -> float:
-    """Evaluate a constant expression (no u, v) to a plain float."""
-    params = params or {}
-
-    def rec(node: Expr) -> float:
-        if isinstance(node, Number):
-            return node.value
-        if isinstance(node, Const):
-            return CONSTANTS[node.name]
-        if isinstance(node, Var):
-            raise ParseError(
-                f"variable {node.name!r} not allowed in a constant expression",
-                position=node.span[0] + 1,
-            )
-        if isinstance(node, Param):
-            try:
-                return float(params[node.name])
-            except KeyError:
-                raise ParseError(
-                    f"unknown identifier {node.name!r}", position=node.span[0] + 1
-                ) from None
-        if isinstance(node, Unary):
-            x = rec(node.child)
-            return -x if node.op == "neg" else getattr(math, node.op)(x)
-        a = rec(node.left)
-        if node.op == "^":
-            return a ** node.right.value
-        b = rec(node.right)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
-
-    return rec(ast)
+    """Evaluate a constant expression (no u, v) to a plain float: `eval_jet`
+    at order 0, with the chart's arithmetic and domain checks."""
+    return float(eval_jet(ast, None, None, 0, params).value)
 
 
 # -- canonical printing ------------------------------------------------------

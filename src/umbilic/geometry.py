@@ -166,10 +166,7 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
         # Euclidean products of the tangents
         euc = {(i, j): _dot3(fd[i], fd[j]) for i, j in ((0, 0), (0, 1), (1, 1))}
         if c != 0.0:
-            # lambda through g's read order, the one cut here: it changes no
-            # value read, but without it some calls are recorded first in unread
-            # work and stay live longer (155 buffers, not 152, at order 4, c = -1)
-            lam = jets.truncate(1.0 / (1.0 + (c / 4.0) * _dot3(f, f)), _reads(order)[0])
+            lam = 1.0 / (1.0 + (c / 4.0) * _dot3(f, f))
             lam2 = lam * lam
             # p_k = d(log lambda)/dx^k along the chart
             p = tuple(x * lam * (-c / 2.0) for x in f)
@@ -185,10 +182,10 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
             if c == 0.0:
                 return base
             e = euc[key]
-            cross = [fd[i][k] * p_dot_fd[j] for k in range(3)]
-            # at i == j the two cross terms are one product
-            other = cross if i == j else [fd[j][k] * p_dot_fd[i] for k in range(3)]
-            return tuple(base[k] + cross[k] + other[k] - e * p[k] for k in range(3))
+            return tuple(
+                base[k] + fd[i][k] * p_dot_fd[j] + fd[j][k] * p_dot_fd[i] - e * p[k]
+                for k in range(3)
+            )
 
         # the normal and its norm
         nx = fu[1] * fv[2] - fu[2] * fv[1]

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry
-from .surfaces import ImmersionSpec
+from .surfaces import ImmersionSpec, interior_axes
 
 # nodes per evaluation batch; bounds peak memory of the jet pipeline
 CHUNK = 16384
@@ -232,13 +232,9 @@ def _axes(spec: ImmersionSpec, grid: GridSpec):
 
 
 def _lattice(spec: ImmersionSpec, grid: GridSpec, *, centers):
-    """Base-cell midpoints (nu x nv) or corners ((nu+1) x (nv+1)), flat row-major."""
-    u0, v0, du, dv = _axes(spec, grid)
-    off = 0.5 if centers else 0.0
-    n_u, n_v = (grid.nu, grid.nv) if centers else (grid.nu + 1, grid.nv + 1)
-    us = u0 + (np.arange(n_u) + off) * du
-    vs = v0 + (np.arange(n_v) + off) * dv
-    U, V = np.meshgrid(us, vs, indexing="ij")
+    """`interior_axes` meshed: base-cell midpoints (nu x nv) or corners
+    ((nu+1) x (nv+1)), flat row-major."""
+    U, V = np.meshgrid(*interior_axes(spec, grid.nu, grid.nv, centers=centers), indexing="ij")
     return U.ravel(), V.ravel()
 
 

@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import expressions as ex
-from .errors import ConformalBallError, ParseError, SpecValidationError
+from .errors import ConformalBallError, ParseError, SingularEvaluationError, SpecValidationError
 
 RANK_TOL = 1e-8
 
@@ -74,15 +74,19 @@ def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
     return tuple(ex.eval_jet(c, u, v, order, spec.params) for c in spec.components)
 
 
-def interior_axes(spec: ImmersionSpec, nu: int, nv: int):
-    """Midpoint sample coordinates along each axis of `spec.interior_ranges()`.
+def interior_axes(spec: ImmersionSpec, nu: int, nv: int, *, centers=True):
+    """Sample coordinates along each axis of `spec.interior_ranges()` split
+    into nu x nv cells: the cell midpoints, or with centers=False the nu + 1
+    and nv + 1 corners, which run from one end of the range to the other.
+    The package's one sample lattice: quadrature meshes it.
 
     Periodic axes cover their full period. Midpoints never touch the
     (open) boundary even with zero margin.
     """
     (u0, u1), (v0, v1) = spec.interior_ranges()
-    us = u0 + (np.arange(nu) + 0.5) * (u1 - u0) / nu
-    vs = v0 + (np.arange(nv) + 0.5) * (v1 - v0) / nv
+    off, extra = (0.5, 0) if centers else (0.0, 1)
+    us = u0 + (np.arange(nu + extra) + off) * ((u1 - u0) / nu)
+    vs = v0 + (np.arange(nv + extra) + off) * ((v1 - v0) / nv)
     return us, vs
 
 
@@ -277,8 +281,8 @@ def load_definition(path) -> ImmersionSpec:
     """Read a surface definition file (INI format, see README) and validate it.
 
     Sections: [surface] with the chart and domain, optional [params] with
-    name = value bindings. Numeric values may be constant expressions
-    ("pi/2", "2*pi").
+    name = value bindings. Numeric values are finite constant expressions
+    ("pi/2", "2*pi"), evaluated with the chart's arithmetic.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -292,46 +296,40 @@ def load_definition(path) -> ImmersionSpec:
     for key in _REQUIRED_KEYS:
         if key not in surf:
             raise SpecValidationError(f"{path}: missing required key {key!r}")
-    params = {}
-    if cp.has_section("params"):
-        for k, raw in cp["params"].items():
-            params[k] = _const(raw, f"{path}: params.{k}", {})
+    raw_params = cp["params"] if cp.has_section("params") else {}
+    params = {k: _const(raw, f"{path}: params.{k}", {}) for k, raw in raw_params.items()}
 
     def rng(key):
-        raw = surf[key]
-        parts = raw.split(",")
+        parts = surf[key].split(",")
         if len(parts) != 2:
             raise SpecValidationError(
-                f"{path}: {key} must be two comma-separated numbers, got {raw!r}"
+                f"{path}: {key} must be two comma-separated numbers, got {surf[key]!r}"
             )
-        return (_const(parts[0], f"{path}: {key}", params),
-                _const(parts[1], f"{path}: {key}", params))
+        return tuple(_const(x, f"{path}: {key}", params) for x in parts)
 
     try:
-        components = tuple(
-            ex.parse(surf[k], known_params=set(params)) for k in ("x", "y", "z")
+        spec = _spec(
+            surf["name"].strip(), tuple(surf[k] for k in "xyz"),
+            rng("u_range"), rng("v_range"),
+            periodic_u=surf.getboolean("periodic_u", fallback=False),
+            periodic_v=surf.getboolean("periodic_v", fallback=False),
+            c=_const(surf.get("c", "0"), f"{path}: c", params),
+            params=params,
+            margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
+            closed=surf.getboolean("closed", fallback=False),
         )
     except ParseError as err:
         raise SpecValidationError(f"{path}: bad component expression: {err}") from err
-
-    spec = ImmersionSpec(
-        name=surf["name"].strip(),
-        components=components,
-        u_range=rng("u_range"),
-        v_range=rng("v_range"),
-        periodic_u=surf.getboolean("periodic_u", fallback=False),
-        periodic_v=surf.getboolean("periodic_v", fallback=False),
-        ambient_c=_const(surf.get("c", "0"), f"{path}: c", params),
-        params=MappingProxyType(params),
-        singular_margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
-        is_closed=surf.getboolean("closed", fallback=False),
-    )
     validate(spec)
     return spec
 
 
 def _const(raw: str, where: str, params: dict) -> float:
     try:
-        return float(ex.eval_number(ex.parse(raw.strip(), known_params=set(params)), params))
-    except ex.ParseError as err:
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned
+            x = ex.eval_number(ex.parse(raw.strip(), known_params=set(params)), params)
+    except (ParseError, SingularEvaluationError) as err:
         raise SpecValidationError(f"{where}: {err}") from err
+    if not math.isfinite(x):
+        raise SpecValidationError(f"{where}: must be finite, got {x}")
+    return x

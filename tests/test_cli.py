@@ -275,9 +275,16 @@ def test_sweep_rejects_near_spherical(tmp_path, capsys):
 # -- convergence -------------------------------------------------------------------
 
 
-def test_convergence_sphere_area(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field, exact",
+    [([], 4.0 * math.pi), (["--field", "total_R"], 8.0 * math.pi),
+     # the sphere is totally umbilic, so the sublevel region is all of it
+     (["--field", "vol", "--eps", "0.1"], 4.0 * math.pi)],
+    ids=["area", "total_R", "vol"],
+)
+def test_convergence_sphere_area(field, exact, tmp_path, capsys):
     code = run(
-        ["convergence", "--preset", "sphere", "--grid", "128x128", "--levels", "3"],
+        ["convergence", "--preset", "sphere", "--grid", "128x128", "--levels", "3"] + field,
         tmp_path,
     )
     assert code == 0
@@ -286,7 +293,7 @@ def test_convergence_sphere_area(tmp_path, capsys):
     assert len(payload["rows"]) == 3
     assert payload["rows"][0]["grid"] == "32x32"
     assert payload["rows"][-1]["grid"] == "128x128"
-    assert payload["rows"][-1]["value"] == pytest.approx(4.0 * math.pi, rel=1e-3)
+    assert payload["rows"][-1]["value"] == pytest.approx(exact, rel=1e-3)
     assert float(payload["verdict"]) == pytest.approx(2.0, abs=0.2)
     lines = read_csv_lines(tmp_path, "convergence")
     body = [l for l in lines if not l.startswith("# ")]
@@ -324,6 +331,21 @@ def test_definition_file_param_override(tmp_path):
     code = run(["verify", "--file", str(path), "--k", "0.8", "--eps", "0.3"] + SMALL, tmp_path)
     assert code == 0
     assert read_json(tmp_path, "verify")["surface"]["params"] == {"k": 0.8}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("u_range", "0, 1/0"), ("u_range", "0, log(0)"), ("u_range", "0, (-2)^0.5"),
+     ("u_range", "0, 10^400"), ("c", "1e308*10")],
+)
+def test_bad_numeric_field_is_an_input_error(key, value, tmp_path, capsys):
+    fields = {"u_range": "0, 1", "v_range": "0, 1", key: value}
+    path = tmp_path / "plane.ini"
+    path.write_text("[surface]\nname = plane\nx = u\ny = v\nz = 0\n"
+                    + "".join(f"{k} = {x}\n" for k, x in fields.items()))
+    code = run(["convergence", "--file", str(path), "--grid", "64x64", "--levels", "3"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {key}: ")
 
 
 def test_ambient_override_revalidates(tmp_path):

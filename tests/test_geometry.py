@@ -674,7 +674,7 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
 # counts.
 TAPE_BOUNDS = {
     "ellipsoid_rev": {2: (101, 17), 3: (494, 59), 4: (1270, 98)},
-    "squashed_ball_c-1": {2: (182, 30), 3: (965, 88), 4: (2388, 152)},
+    "squashed_ball_c-1": {2: (182, 28), 3: (965, 84), 4: (2388, 149)},
 }
 
 

@@ -94,6 +94,11 @@ def test_margin_excluded_from_samples():
     # periodic axis keeps its full period, no margin shaved
     assert vs[0] == pytest.approx(0.5 * 2 * math.pi / 64)
     assert vs[-1] == pytest.approx(2 * math.pi - 0.5 * 2 * math.pi / 64)
+    # the corners run from one end of the interior range to the other
+    us, vs = interior_axes(spec, 64, 64, centers=False)
+    assert len(us) == len(vs) == 65
+    assert us[0] == m and us[-1] == pytest.approx(math.pi - m)
+    assert vs[0] == 0.0 and vs[-1] == pytest.approx(2 * math.pi)
 
 
 def test_with_params_builds_new_spec():
@@ -141,6 +146,9 @@ def test_load_definition(tmp_path):
     assert not spec.is_closed
     z = evaluate_chart(spec, 0.3, 0.1, order=1)[2]
     assert float(z.value) == pytest.approx(0.2 * math.sin(0.6) * math.cos(0.1))
+    # "x + 0" and "x - 0" are x, bit for bit: a range evaluates with the chart's arithmetic
+    p.write_text(GOOD_FILE.replace("u_range = -pi, pi", "u_range = -pi + 0, pi - 0"))
+    assert load_definition(p).u_range == spec.u_range == (-math.pi, math.pi)
 
 
 def test_load_definition_missing_key(tmp_path):
@@ -174,13 +182,22 @@ def test_load_definition_undeclared_param(tmp_path):
 
 
 def test_load_definition_bad_range(tmp_path):
+    plane = "[surface]\nname = plane\nx = u\ny = v\nz = 0\n"
     p = tmp_path / "surf.ini"
-    p.write_text(
-        "[surface]\nname = broken\nx = u\ny = v\nz = 0\n"
-        "u_range = 0\nv_range = 0, 1\n"
-    )
+    p.write_text(plane + "u_range = 0\nv_range = 0, 1\n")
     with pytest.raises(SpecValidationError):
         load_definition(p)
+    # a constant outside an operation's domain, or one that is not finite, is
+    # an input error that names the key; none escapes as a Python exception
+    for key, bad in [
+        ("u_range", "0, 1/0"), ("u_range", "0, log(0)"), ("u_range", "0, (-2)^0.5"),
+        ("u_range", "0, 10^400"), ("c", "1e308*10"),
+    ]:
+        fields = {"u_range": "0, 1", "v_range": "0, 1", key: bad}
+        p.write_text(plane + "".join(f"{k} = {x}\n" for k, x in fields.items()))
+        with pytest.raises(SpecValidationError) as exc:
+            load_definition(p)
+        assert f"{p}: {key}: " in str(exc.value), bad
 
 
 def test_load_definition_rejects_rank_deficient(tmp_path):
