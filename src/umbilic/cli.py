@@ -274,15 +274,10 @@ def cmd_identities(args, params) -> int:
     (u0, u1), (v0, v1) = spec.interior_ranges()
     us, vs = rng.uniform(u0, u1, args.n), rng.uniform(v0, v1, args.n)
 
-    names = ("codazzi", "div", "smo", "norm", "bochner")
-
-    def residuals(u, v):
-        pg = geometry.point_geometry(spec, u, v, 4)
-        norms = geometry.identity_residuals(pg).normalized()
-        norms["bochner"] = geometry.bochner_residual(pg).normalized()
-        return tuple(norms[k] for k in names)
-
-    stats = dict(zip(names, quadrature._chunked(residuals, us, vs)))
+    names = geometry.RESIDUALS
+    stats = dict(zip(names, quadrature._chunked(
+        lambda u, v: geometry.residual_norms(spec, u, v), us, vs
+    )))
 
     rows = []
     all_ok = True

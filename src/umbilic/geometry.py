@@ -13,24 +13,38 @@ Derivatives*, 2008). Each intermediate carries the order its arithmetic
 gives, and `_forms` returns the raw partials a `PointGeometry` reads, cut
 in one place (`_reads`): g as values at order 2 and through d2g from
 order 3 on, the rest through order - 2. |hring|^2 is tr(B^2) with the
-mixed tensor B = g^-1 hring. `_evaluate` runs stage one for every (u, v)
-on a tape (`tape.py`): the first node of the first non-empty batch of a
-spec and order runs `_forms` on arrays that log each numpy ufunc call,
-and every batch, flattened to 1-D, replays that list into buffers, bit
-for bit the same values without the jet layer's Python work. The tape
-drops the calls no output reads, so the partials nothing reads are never
-computed. The jet code stays the one statement of the math. The domain
-checks of the jet path are guards on the tape; a batch that fails one
-goes through `_forms` itself, which raises its error, as do an empty
-batch and a chart the recorder refuses. `classification_values` reads
-the order-2 values (|hring|^2, |H| and sqrt(det g)); `fundamental_forms`
-stacks the raw partials into arrays, each tensor component contiguous.
-Stage two, `covariant_data`, is explicit 2x2 algebra on those arrays
-(two-term sums per component, no einsum): Christoffel symbols, covariant
-derivatives, norms and curvature. The residuals of the identities under
-test use the same helpers (`_apply2`, `_inner`, `_nabla`, `_norm_sq`):
-`identity_residuals` and `intrinsic_scalar_curvature` need order-3
-geometry, `bochner_residual` order 4; each raises ValueError on less.
+mixed tensor B = g^-1 hring.
+
+Stage two, `_Geometry`, is explicit 2x2 algebra stated once per
+component: each tensor is a dict from index tuples to one array per
+component (g as g00, g01, g10 = g01, g11; Gamma^k_ij as [k, i, j]), and
+each contraction a two-term sum per component (`_apply`, `_nabla`,
+`_inner`, `_norm_sq`): det g and its guard, the metric inverse, R, and
+from order 3 on Christoffel symbols, covariant derivatives and norms,
+each computed on first read. The residuals of the identities under test
+use the same helpers: `identity_residuals` and
+`intrinsic_scalar_curvature` need order-3 geometry, `bochner_residual`
+order 4; each raises ValueError on less.
+
+Every evaluation runs on a tape (`tape.py`), one per (surface, jet order,
+kernel), recorded on the first node of the first non-empty batch and
+replayed, bit for bit the same values without the Python work, on every
+1-D batch after. Stage one's tape (`_evaluate`) records `_forms` on
+arrays that log each numpy ufunc call. A kernel's tape (`_kernel`) runs
+from (u, v) to what its caller reads, such as the quadrature's |H| and
+field * dA or the normalized residuals of `identities`: it records
+`_forms` and stage two in one run, so the calls no output reads, in
+either stage, are never computed. The jet code and the
+component algebra stay the one statement of the math. The domain checks
+of the jet path and the degenerate-metric check are guards on the tape;
+a batch that fails one runs without the tape and raises its error, as do
+an empty batch and a computation the recorder refuses.
+
+`classification_values` reads the order-2 values (|hring|^2, |H| and
+sqrt(det g)). The public `PointGeometry` holds the same fields stacked
+into arrays, each tensor component contiguous: `fundamental_forms` stacks
+stage one, `covariant_data` stage two, computed by the same component
+functions.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -51,12 +65,15 @@ trail): ``dg[..., k, i, j]`` is the raw partial d_k g_ij, and
 ``d2g[..., l, k, i, j]`` is d_l d_k g_ij; likewise for h. Christoffels
 are ``gamma[..., k, i, j]`` = Gamma^k_ij. H is the full trace g^{ij} h_ij
 (the sum of principal curvatures, not their average) and every formula
-in this module is calibrated to that convention.
+in this module is calibrated to that convention. A component dict holds
+the same index tuples: ``dg[k, i, j]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -66,7 +83,7 @@ from .expressions import _locate
 from .jets import derivative
 from .surfaces import ImmersionSpec, evaluate_chart
 
-# -- stage one: jets -> raw partial arrays -------------------------------------
+# -- stage one: jets -> raw partials -------------------------------------------
 
 
 @dataclass
@@ -114,21 +131,47 @@ class PointGeometry:
     R: np.ndarray = None
 
 
-def _stack(jet, k: int, shape) -> np.ndarray:
-    """The raw partials of derivative order k of a jet's coefficient list, or
-    of a 2x2 nested tuple of them, as an array: batch axes, then k derivative
-    axes, then the tensor axes (the module's index conventions). The array
-    is a transposed view whose components each lie contiguous in memory, so
-    the per-component arithmetic of `covariant_data` runs on contiguous
-    arrays."""
-    tensor = (2, 2) if isinstance(jet, tuple) else ()
-    out = np.empty((2,) * k + tensor + shape)
-    for d in np.ndindex(*(2,) * k):
+# the raw partials, per quantity through derivative order 2
+_RAW = (
+    ("g", "dg", "d2g"),
+    ("h", "dh", "d2h"),
+    ("H", "dH", "d2H"),
+    ("hring", "dhring", "d2hring"),
+    ("hring_norm2", "d_hring_norm2", "d2_hring_norm2"),
+)
+
+# stage two's fields, in PointGeometry order, per jet order
+_COVARIANT = ("detg", "sqrt_detg", "ginv", "R")
+_COVARIANT3 = ("gamma", "nabla_hring", "nabla_hring_norm2", "gradH_norm2", "hring_up", "trace_hring")
+
+# the index tuples of each rank, in lexicographic order
+_KEYS = tuple(tuple(product((0, 1), repeat=r)) for r in range(5))
+
+
+def _stacked(T, shape) -> np.ndarray:
+    """A component dict (or a scalar's array) as one array: batch axes, then
+    the index axes (the module's index conventions). The array is a
+    transposed view whose components each lie contiguous in memory."""
+    if not isinstance(T, dict):
+        T = {(): T}
+    rank = len(next(iter(T)))
+    out = np.empty((2,) * rank + shape)
+    for idx, x in T.items():
+        out[idx] = x
+    return out.transpose(tuple(range(rank, out.ndim)) + tuple(range(rank)))
+
+
+def _partials(jet, k: int):
+    """The raw partials of derivative order k of a jet's coefficient list,
+    or of a 2x2 nested tuple of them, as a component dict keyed (derivative
+    indices..., tensor indices...); a scalar's value as it is."""
+    tensor = isinstance(jet, tuple)
+    out = {}
+    for d in _KEYS[k]:
         slot = jets.coeff_index(d.count(0), d.count(1))
-        for t in np.ndindex(*tensor):
+        for t in _KEYS[2] if tensor else ((),):
             out[d + t] = (jet[t[0]][t[1]] if t else jet)[slot]
-    n = out.ndim - len(shape)
-    return out.transpose(tuple(range(n, out.ndim)) + tuple(range(n)))
+    return out if k or tensor else out[()]
 
 
 def _dot3(a, b):
@@ -141,6 +184,22 @@ def _reads(order: int):
     |hring|^2): g through 2 from order 3 on (d2g is the highest that anything
     reads) and values at order 2; the rest through order - 2."""
     return (2 if order > 2 else 0,) * 3 + (order - 2,) * 8
+
+
+def _raw(flat, order: int) -> dict:
+    """`_forms`' flat list as the raw-partial fields of a `PointGeometry`,
+    each a component dict (None above its `_reads` order)."""
+    it = iter(flat)
+    g00, g01, g11, h00, h01, h11, H, r00, r01, r11, norm2 = (
+        [next(it) for _ in range(jets._NCOEFF[o])] for o in _reads(order)
+    )
+    quantities = (((g00, g01), (g01, g11)), ((h00, h01), (h01, h11)), H,
+                  ((r00, r01), (r01, r11)), norm2)
+    raw = {}
+    for names, jet, through in zip(_RAW, quantities, (_reads(order)[0],) + (order - 2,) * 4):
+        for k, name in enumerate(names):
+            raw[name] = _partials(jet, k) if k <= through else None
+    return raw
 
 
 def _forms(spec: ImmersionSpec, u, v, order: int):
@@ -222,25 +281,33 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
     return [x for jet, o in zip(distinct, _reads(order)) for x in jet.coeffs[: jets._NCOEFF[o]]]
 
 
+def _tape_of(spec: ImmersionSpec, key, fn, *cols):
+    """The spec's tape under key, recorded from fn on the first node of the
+    1-D cols by the first call with a non-empty batch; None when fn cannot
+    be taped (the recorder refuses it) or is singular on that node, where
+    the next call tries again."""
+    tapes = spec.tapes
+    if key not in tapes and cols[0].size:
+        try:
+            tapes[key] = tape.record(fn, *(c[:1] for c in cols))
+        except SingularEvaluationError:
+            return None
+    return tapes.get(key)
+
+
 def _evaluate(spec: ImmersionSpec, u, v, order: int):
     """`_forms` at (u, v) of any shape, each output in the broadcast shape.
 
     u and v are broadcast and flattened to 1-D float64 and replay the
-    spec's tape for this order, which the first non-empty call records on
-    its first node. `_forms` runs on the caller's (u, v) itself for an
-    empty batch, a chart the recorder refuses, and a batch a guard
-    rejects or whose first node is singular, where it raises its error.
+    spec's tape for this order. `_forms` runs on the caller's (u, v)
+    itself for an empty batch, a chart the recorder refuses, and a batch a
+    guard rejects or whose first node is singular, where it raises its
+    error.
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
-    tapes = spec.tapes
-    if a.size and order not in tapes:
-        try:
-            tapes[order] = tape.record(lambda *ab: _forms(spec, *ab, order), a[:1], b[:1])
-        except SingularEvaluationError:
-            pass
-    recorded = tapes.get(order) if a.size else None
-    out = recorded.replay(a, b) if recorded else None
+    recorded = _tape_of(spec, order, lambda *ab: _forms(spec, *ab, order), a, b)
+    out = recorded.replay(a, b) if recorded and a.size else None
     if out is None:
         return [np.broadcast_to(x, shape) for x in _forms(spec, u, v, order)]
     return [np.broadcast_to(x, a.shape).reshape(shape) for x in out]
@@ -256,16 +323,7 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
     """
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
-    flat = iter(_evaluate(spec, u, v, order))
-    g00, g01, g11, h00, h01, h11, H, r00, r01, r11, norm2 = (
-        [next(flat) for _ in range(jets._NCOEFF[o])] for o in _reads(order)
-    )
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-
-    def partials(jet, through):
-        """Stacked partials of derivative order 0..through, None above."""
-        return [_stack(jet, k, shape) for k in range(through + 1)] + [None] * (2 - through)
-
     pg = PointGeometry(
         u=np.asarray(u, dtype=np.float64),
         v=np.asarray(v, dtype=np.float64),
@@ -273,50 +331,180 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
         ambient_c=float(spec.ambient_c),
         batch_shape=shape,
     )
-    pg.g, pg.dg, pg.d2g = partials(((g00, g01), (g01, g11)), _reads(order)[0])
-    pg.h, pg.dh, pg.d2h = partials(((h00, h01), (h01, h11)), order - 2)
-    pg.H, pg.dH, pg.d2H = partials(H, order - 2)
-    pg.hring, pg.dhring, pg.d2hring = partials(((r00, r01), (r01, r11)), order - 2)
-    pg.hring_norm2, pg.d_hring_norm2, pg.d2_hring_norm2 = partials(norm2, order - 2)
+    for name, value in _raw(_evaluate(spec, u, v, order), order).items():
+        setattr(pg, name, None if value is None else _stacked(value, shape))
     return pg
 
 
-# -- stage two: covariant completion -------------------------------------------
+# -- stage two: the 2x2 algebra per component ----------------------------------
+
+
+def _apply(M, T, p):
+    """M applied to index p of T: out[.., x, ..] = M[x, 0] T[.., 0, ..] +
+    M[x, 1] T[.., 1, ..]."""
+    out = {}
+    for idx in T:
+        x, head, tail = idx[p], idx[:p], idx[p + 1 :]
+        out[idx] = M[x, 0] * T[head + (0,) + tail] + M[x, 1] * T[head + (1,) + tail]
+    return out
+
+
+def _nabla(dT, T, gamma):
+    """Covariant derivative of a tensor T of any rank with lower indices:
+    nabla_k T_a..b = d_k T_a..b - sum_l Gamma^l_ka T_l..b - ... - sum_l Gamma^l_kb T_a..l,
+    with d_k T in dT (derivative index first). The index terms are
+    subtracted in index order."""
+    out = dict(dT)
+    rank = len(next(iter(T)))
+    for k in range(2):
+        gk = {(a, l): gamma[l, k, a] for a, l in _KEYS[2]}  # gk[a, l] = Gamma^l_ka
+        for p in range(rank):
+            term = _apply(gk, T, p)
+            for idx in T:
+                out[(k,) + idx] = out[(k,) + idx] - term[idx]
+    return out
+
+
+def _inner(a, b):
+    """The sum of a[i] * b[i] over the index tuples i, lexicographically."""
+    keys = sorted(a)
+    total = a[keys[0]] * b[keys[0]]
+    for i in keys[1:]:
+        total = total + a[i] * b[i]
+    return total
+
+
+def _norm_sq(T, ginv):
+    """|T|^2 of a tensor with lower indices, raised in index order."""
+    up = T
+    for p in range(len(next(iter(T)))):
+        up = _apply(ginv, up, p)
+    return np.maximum(_inner(up, T), 0.0)
+
+
+def _norm(T, ginv):
+    return np.sqrt(_norm_sq(T, ginv))
+
+
+class _Geometry:
+    """Stage two at a batch of nodes: the raw partials as component dicts
+    (a scalar as its array) under their `PointGeometry` names, and the
+    covariant fields, each computed on first read, None where the jet
+    order does not fill it."""
+
+    def __init__(self, raw: dict, order: int, ambient_c, u, v, batch_shape):
+        self.__dict__.update(raw)
+        self.order, self.ambient_c = order, ambient_c
+        self.u, self.v, self.batch_shape = u, v, batch_shape
+
+    @classmethod
+    def of(cls, pg: PointGeometry) -> "_Geometry":
+        """The raw partials a PointGeometry holds, split into components."""
+        n = len(pg.batch_shape)
+        raw = {}
+        for name in (name for names in _RAW for name in names):
+            x = getattr(pg, name)
+            if x is not None and x.ndim > n:
+                x = {idx: x[(..., *idx)] for idx in _KEYS[x.ndim - n]}
+            raw[name] = x
+        return cls(raw, pg.order, pg.ambient_c, pg.u, pg.v, pg.batch_shape)
+
+    @cached_property
+    def detg(self):
+        g = self.g
+        detg = g[0, 0] * g[1, 1] - np.square(g[0, 1])
+        if np.any(detg <= 0):
+            bad = int(np.argmax(np.ravel(detg <= 0)))
+            raise SingularEvaluationError(
+                "induced metric is degenerate", value=float(np.ravel(detg)[bad]), index=bad
+            )
+        return detg
+
+    @cached_property
+    def sqrt_detg(self):
+        return np.sqrt(self.detg)
+
+    @cached_property
+    def ginv(self):
+        g, detg = self.g, self.detg
+        off = -g[0, 1] / detg
+        return {(0, 0): g[1, 1] / detg, (0, 1): off, (1, 0): off, (1, 1): g[0, 0] / detg}
+
+    @cached_property
+    def R(self):
+        return 0.5 * np.square(self.H) - self.hring_norm2 + 2.0 * self.ambient_c
+
+    @cached_property
+    def gamma(self):
+        """Gamma^k_ij = 1/2 g^{kl} X_ijl, X_ijl = d_i g_jl + d_j g_il - d_l g_ij."""
+        if self.order < 3:
+            return None
+        dg = self.dg
+        X = {(i, j, l): dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for i, j, l in _KEYS[3]}
+        up = _apply(self.ginv, X, 2)
+        return {(k, i, j): 0.5 * up[i, j, k] for k, i, j in _KEYS[3]}
+
+    @cached_property
+    def nabla_hring(self):
+        return None if self.order < 3 else _nabla(self.dhring, self.hring, self.gamma)
+
+    @cached_property
+    def nabla_hring_norm2(self):
+        return None if self.order < 3 else _norm_sq(self.nabla_hring, self.ginv)
+
+    @cached_property
+    def gradH_norm2(self):
+        return None if self.order < 3 else _norm_sq(self.dH, self.ginv)
+
+    @cached_property
+    def hring_up(self):
+        return None if self.order < 3 else _apply(self.ginv, _apply(self.ginv, self.hring, 1), 0)
+
+    @cached_property
+    def trace_hring(self):
+        return None if self.order < 3 else _inner(self.ginv, self.hring)
+
+    @cached_property
+    def dgamma(self):
+        """d_m Gamma^k_ij as [m, k, i, j]. With d_m g^kl = -g^ka d_m g_ab g^bl,
+        d_m Gamma^k_ij = g^kl (1/2 d_m X_ijl - d_m g_lb Gamma^b_ij)."""
+        d2g, dg, gamma = self.d2g, self.dg, self.gamma
+        Y = {
+            (m, l, i, j): 0.5 * (d2g[m, i, j, l] + d2g[m, j, i, l] - d2g[m, l, i, j])
+            for m, l, i, j in _KEYS[4]
+        }
+        for m in range(2):
+            term = _apply({(x, y): dg[m, x, y] for x, y in _KEYS[2]}, gamma, 0)
+            for l, i, j in _KEYS[3]:
+                Y[m, l, i, j] = Y[m, l, i, j] - term[l, i, j]
+        return _apply(self.ginv, Y, 1)
+
+
+class _Fields:
+    """What an integrand reads of a `_Geometry`: a scalar field as it is, a
+    tensor stacked as `PointGeometry` holds it. A recording refuses the
+    stacked copy, which no tape holds, so a field that reads one runs
+    without a tape."""
+
+    def __init__(self, geom: _Geometry):
+        self._geom = geom
+
+    def __getattr__(self, name):
+        value = getattr(self._geom, name)
+        if not isinstance(value, dict):
+            return value
+        if tape.recording(self._geom.u):
+            raise tape.Refused(f"the stacked {name}")
+        return _stacked(value, self._geom.batch_shape)
 
 
 def covariant_data(pg: PointGeometry) -> PointGeometry:
     """Fill det g, its root, the metric inverse and R in place; from order 3
     on also Christoffels, covariant derivatives and norms."""
-    g, dg, hring = pg.g, pg.dg, pg.hring
-    detg = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.any(detg <= 0):
-        bad = int(np.argmax(np.ravel(detg <= 0)))
-        raise SingularEvaluationError(
-            "induced metric is degenerate", value=float(np.ravel(detg)[bad]), index=bad
-        )
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / detg
-    ginv[..., 1, 1] = g[..., 0, 0] / detg
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / detg
-
-    pg.detg = detg
-    pg.sqrt_detg = np.sqrt(detg)
-    pg.ginv = ginv
-    pg.R = 0.5 * pg.H**2 - pg.hring_norm2 + 2.0 * pg.ambient_c
-    if pg.order == 2:
-        return pg
-
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), built as [i, j, k]
-    X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma = np.moveaxis(0.5 * _apply2(ginv, X, -1), -1, -3)
-    nabla_hring = _nabla(pg.dhring, hring, gamma)
-
-    pg.gamma = gamma
-    pg.nabla_hring = nabla_hring
-    pg.gradH_norm2 = _norm_sq(pg.dH, ginv, 1)
-    pg.hring_up = _apply2(ginv, _apply2(ginv, hring, -1), -2)
-    pg.trace_hring = _inner(ginv, hring, 2)
-    pg.nabla_hring_norm2 = _norm_sq(nabla_hring, ginv, 3)
+    geom = _Geometry.of(pg)
+    for name in _COVARIANT + (_COVARIANT3 if pg.order > 2 else ()):
+        value = getattr(geom, name)
+        setattr(pg, name, _stacked(value, pg.batch_shape) if isinstance(value, dict) else value)
     return pg
 
 
@@ -324,68 +512,38 @@ def point_geometry(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
     return covariant_data(fundamental_forms(spec, u, v, order))
 
 
-def _apply2(M, T, axis):
-    """M applied to the tensor index of T at `axis` (negative):
-    out[.., x, ..] = M[x, 0] T[.., 0, ..] + M[x, 1] T[.., 1, ..], one node
-    array per component (einsum would run a batched matmul per 2x2 block)."""
-    T = np.moveaxis(T, axis, -1)
-    out = np.empty_like(T)
-    for *rest, x in np.ndindex(T.shape[M.ndim - 2 :]):
-        t0, t1 = T[(..., *rest, 0)], T[(..., *rest, 1)]
-        out[(..., *rest, x)] = M[..., x, 0] * t0 + M[..., x, 1] * t1
-    return np.moveaxis(out, -1, axis)
-
-
-def _nabla(dT, T, gamma):
-    """Covariant derivative of a tensor T of any rank with lower indices:
-    nabla_k T_a..b = d_k T_a..b - sum_l Gamma^l_ka T_l..b - ... - sum_l Gamma^l_kb T_a..l,
-    with d_k T in dT (derivative index first). The index terms are
-    subtracted in index order, in place into one copy of dT."""
-    rank = T.ndim - gamma.ndim + 3
-    out = dT.copy(order="K")
-    for k in range(2):
-        gk = np.swapaxes(gamma[..., :, k, :], -1, -2)  # gk[a, l] = Gamma^l_ka
-        for axis in range(-rank, 0):
-            out[(..., k) + (slice(None),) * rank] -= _apply2(gk, T, axis)
-    return out
-
-
-def _inner(a, b, rank):
-    """The sum over the last `rank` (tensor) indices of a * b."""
-    idx = [(...,) + i for i in np.ndindex((2,) * rank)]
-    total = a[idx[0]] * b[idx[0]]
-    for i in idx[1:]:
-        total = total + a[i] * b[i]
-    return total
-
-
-def _norm_sq(T, ginv, rank):
-    """|T|^2 of a tensor with `rank` lower indices, raised in index order."""
-    up = T
-    for axis in range(-rank, 0):
-        up = _apply2(ginv, up, axis)
-    return np.maximum(_inner(up, T, rank), 0.0)
-
-
-def _norm(T, ginv, rank):
-    return np.sqrt(_norm_sq(T, ginv, rank))
-
-
-def _dgamma(pg: PointGeometry):
-    """d_m Gamma^k_ij as [m, k, i, j]. With d_m g^kl = -g^ka d_m g_ab g^bl,
-    d_m Gamma^k_ij = g^kl (1/2 d_m X_ijl - d_m g_lb Gamma^b_ij), X as in
-    `covariant_data`."""
-    d2g = pg.d2g
-    dX = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)  # [m, i, j, l]
-    Y = 0.5 * np.moveaxis(dX, -1, -3)  # [m, l, i, j]
-    for m in range(2):
-        Y[..., m, :, :, :] -= _apply2(pg.dg[..., m, :, :], pg.gamma, -3)
-    return _apply2(pg.ginv, Y, -3)
-
-
 def _require(pg: PointGeometry, order: int, what: str):
     if pg.order < order:
         raise ValueError(f"{what} needs geometry of jet order {order} or more, got {pg.order}")
+
+
+# -- recorded kernels --------------------------------------------------------------
+
+
+def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v, *cols):
+    """fn(geometry, *cols) on the 1-D batch (u, v), where geometry is the
+    `_Geometry` of the batch at jet order `order`: a list of arrays of the
+    batch's length (fn may return scalars).
+
+    The spec's tape under (order, key) computes it from (u, v) and cols:
+    recorded through `_forms` on the first node of the first non-empty
+    call, replayed on every batch after. fn runs without it, on
+    `_evaluate`'s stage one, for an empty batch, a computation the
+    recorder refuses and a batch a guard rejects, where it raises its
+    error. key names fn: equal keys must mean the same computation.
+    """
+
+    def run(flat, a, b, *rest):
+        return fn(_Geometry(_raw(flat, order), order, spec.ambient_c, a, b, a.shape), *rest)
+
+    recorded = _tape_of(
+        spec, (order, key), lambda a, b, *rest: run(_forms(spec, a, b, order), a, b, *rest),
+        u, v, *cols,
+    )
+    out = recorded.replay(u, v, *cols) if recorded and u.size else None
+    if out is None:
+        out = run(_evaluate(spec, u, v, order), u, v, *cols)
+    return [x if np.shape(x) == u.shape else np.broadcast_to(x, u.shape) for x in out]
 
 
 # -- identity residuals ----------------------------------------------------------
@@ -423,44 +581,43 @@ def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
     the Smoczyk-type gradient identity, and the |nabla h|^2 splitting.
     Needs order-3 geometry."""
     _require(pg, 3, "identity_residuals")
-    ginv, g, dH = pg.ginv, pg.g, pg.dH
-    nh = pg.nabla_hring
+    return _identities(_Geometry.of(pg))
+
+
+def _identities(p: _Geometry) -> IdentityResiduals:
+    ginv, g, dH, nh = p.ginv, p.g, p.dH, p.nabla_hring
+    K1, K2, K3 = _KEYS[1:4]
 
     # nabla_k hring_ij - nabla_j hring_ik = 1/2 (nabla_j H g_ik - nabla_k H g_ij)
     T1 = nh
-    T2 = np.swapaxes(nh, -3, -1)  # nabla_j hring_ik as [k, i, j]
-    T3 = 0.5 * (g[..., :, :, None] * dH[..., None, None, :])
-    T4 = 0.5 * (dH[..., :, None, None] * g[..., None, :, :])
-    r_codazzi = _norm(T1 - T2 - T3 + T4, ginv, 3)
-    s_codazzi = sum(_norm(T, ginv, 3) for T in (T1, T2, T3, T4))
+    T2 = {(k, i, j): nh[j, i, k] for k, i, j in K3}  # nabla_j hring_ik
+    T3 = {(k, i, j): 0.5 * (g[k, i] * dH[j,]) for k, i, j in K3}
+    T4 = {(k, i, j): 0.5 * (dH[k,] * g[i, j]) for k, i, j in K3}
+    r_codazzi = _norm({x: T1[x] - T2[x] - T3[x] + T4[x] for x in K3}, ginv)
+    s_codazzi = sum(_norm(T, ginv) for T in (T1, T2, T3, T4))
 
     # g^{jk} nabla_k hring_ij = 1/2 nabla_i H
-    D = _inner(ginv[..., None, :, :], np.swapaxes(nh, -3, -2), 2)
-    r_div = _norm(D - 0.5 * dH, ginv, 1)
-    s_div = _norm(D, ginv, 1) + 0.5 * _norm(dH, ginv, 1)
+    D = {(i,): _inner(ginv, {(k, j): nh[k, i, j] for k, j in K2}) for i in range(2)}
+    r_div = _norm({x: D[x] - 0.5 * dH[x] for x in K1}, ginv)
+    s_div = _norm(D, ginv) + 0.5 * _norm(dH, ginv)
 
     # 2|hring|^2 (|nabla hring|^2 - 1/2 |nabla H|^2)
     #   = 4 |nabla|hring||^2 |hring|^2 - 2 hring^{ij} nabla_i|hring|^2 nabla_j H
     # with nabla_i |hring|^2 = 2 hring^{kl} nabla_i hring_kl and
     # |nabla|hring||^2 |hring|^2 = 1/4 |nabla(|hring|^2)|^2 (smooth at umbilics)
-    n2 = pg.hring_norm2
-    dn2 = 2.0 * _inner(pg.hring_up[..., None, :, :], nh, 2)
-    t_a = 2.0 * n2 * (pg.nabla_hring_norm2 - 0.5 * pg.gradH_norm2)
-    t_b = _norm_sq(dn2, ginv, 1)
-    t_c = 2.0 * _inner(dn2, _apply2(pg.hring_up, dH, -1), 1)
+    n2, nh2, gH2 = p.hring_norm2, p.nabla_hring_norm2, p.gradH_norm2
+    dn2 = {(k,): 2.0 * _inner(p.hring_up, {(i, j): nh[k, i, j] for i, j in K2}) for k in range(2)}
+    t_a = 2.0 * n2 * (nh2 - 0.5 * gH2)
+    t_b = _norm_sq(dn2, ginv)
+    t_c = 2.0 * _inner(dn2, _apply(p.hring_up, dH, 0))
     r_smo = np.abs(t_a - t_b + t_c)
-    s_smo = (
-        2.0 * n2 * pg.nabla_hring_norm2
-        + n2 * pg.gradH_norm2
-        + np.abs(t_b)
-        + np.abs(t_c)
-    )
+    s_smo = 2.0 * n2 * nh2 + n2 * gH2 + np.abs(t_b) + np.abs(t_c)
 
     # |nabla h|^2 = |nabla hring|^2 + 1/2 |nabla H|^2, with nabla h assembled
     # independently from the raw partials of h
-    nh_sq = _norm_sq(_nabla(pg.dh, pg.h, pg.gamma), ginv, 3)
-    r_norm = np.abs(nh_sq - pg.nabla_hring_norm2 - 0.5 * pg.gradH_norm2)
-    s_norm = nh_sq + pg.nabla_hring_norm2 + 0.5 * pg.gradH_norm2
+    nh_sq = _norm_sq(_nabla(p.dh, p.h, p.gamma), ginv)
+    r_norm = np.abs(nh_sq - nh2 - 0.5 * gH2)
+    s_norm = nh_sq + nh2 + 0.5 * gH2
 
     return IdentityResiduals(r_codazzi, s_codazzi, r_div, s_div, r_smo, s_smo, r_norm, s_norm)
 
@@ -497,49 +654,66 @@ def bochner_residual(pg: PointGeometry) -> BochnerResidual:
     with |nabla|hring||^2 |hring|^2 written as 1/4 |nabla(|hring|^2)|^2.
     """
     _require(pg, 4, "bochner_residual")
-    ginv, gamma, hring = pg.ginv, pg.gamma, pg.hring
-    dgamma = _dgamma(pg)
+    return _bochner(_Geometry.of(pg))
+
+
+def _bochner(p: _Geometry) -> BochnerResidual:
+    ginv, gamma, hring, R = p.ginv, p.gamma, p.hring, p.R
+    K2, K3 = _KEYS[2:4]
 
     # d_l (nabla_k hring_ij), then its covariant derivative nabla_l nabla_k hring_ij
-    dnab = np.empty_like(pg.d2hring)
+    dnab = {}
     for l in range(2):
-        dnab[..., l, :, :, :] = _nabla(
-            _nabla(pg.d2hring[..., l, :, :, :], pg.dhring[..., l, :, :], gamma),
-            hring, dgamma[..., l, :, :, :],
+        d = _nabla(
+            {x: p.d2hring[(l,) + x] for x in K3}, {x: p.dhring[(l,) + x] for x in K2}, gamma
         )
-    nabla2 = _nabla(dnab, pg.nabla_hring, gamma)  # [l, k, i, j]
-    lap_hring = _inner(ginv[..., None, None, :, :], np.moveaxis(nabla2, (-4, -3), (-2, -1)), 2)
+        d = _nabla(d, hring, {x: p.dgamma[(l,) + x] for x in K3})
+        dnab.update(((l,) + x, y) for x, y in d.items())
+    nabla2 = _nabla(dnab, p.nabla_hring, gamma)  # [l, k, i, j]
+    lap_hring = {(i, j): _inner(ginv, {lk: nabla2[lk + (i, j)] for lk in K2}) for i, j in K2}
 
-    hessH = _nabla(pg.d2H, pg.dH, gamma)
-    lapH = _inner(ginv, hessH, 2)
+    hessH = _nabla(p.d2H, p.dH, gamma)
+    lapH = _inner(ginv, hessH)
+    half_lapH = 0.5 * lapH
 
-    T = (
-        lap_hring
-        - pg.R[..., None, None] * hring
-        - hessH
-        + 0.5 * lapH[..., None, None] * pg.g
-    )
-    r_tensor = _norm(T, ginv, 2)
+    T = {x: lap_hring[x] - R * hring[x] - hessH[x] + half_lapH * p.g[x] for x in K2}
+    r_tensor = _norm(T, ginv)
     s_tensor = (
-        _norm(lap_hring, ginv, 2)
-        + np.abs(pg.R) * _norm(hring, ginv, 2)
-        + _norm(hessH, ginv, 2)
+        _norm(lap_hring, ginv)
+        + np.abs(R) * _norm(hring, ginv)
+        + _norm(hessH, ginv)
         + 0.5 * np.abs(lapH) * np.sqrt(2.0)
     )
 
-    n2, dn2 = pg.hring_norm2, pg.d_hring_norm2
-    lap_n2 = _inner(ginv, _nabla(pg.d2_hring_norm2, dn2, gamma), 2)
+    n2, dn2 = p.hring_norm2, p.d_hring_norm2
+    lap_n2 = _inner(ginv, _nabla(p.d2_hring_norm2, dn2, gamma))
 
     t1 = 0.5 * lap_n2 * n2
-    t2 = 0.5 * _norm_sq(dn2, ginv, 1)  # = 2 |nabla|hring||^2 |hring|^2
-    t3 = _inner(dn2, _apply2(pg.hring_up, pg.dH, -1), 1)
-    t4 = 0.5 * pg.gradH_norm2 * n2
-    t5 = pg.R * n2 * n2
-    t6 = _inner(pg.hring_up, hessH, 2) * n2
+    t2 = 0.5 * _norm_sq(dn2, ginv)  # = 2 |nabla|hring||^2 |hring|^2
+    t3 = _inner(dn2, _apply(p.hring_up, p.dH, 0))
+    t4 = 0.5 * p.gradH_norm2 * n2
+    t5 = R * n2 * n2
+    t6 = _inner(p.hring_up, hessH) * n2
     r_scalar = np.abs(t1 - t2 + t3 - t4 - t5 - t6)
     s_scalar = np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4) + np.abs(t5) + np.abs(t6)
 
     return BochnerResidual(r_tensor, s_tensor, r_scalar, s_scalar)
+
+
+# the normalized residuals `identities` checks, in report order
+RESIDUALS = ("codazzi", "div", "smo", "norm", "bochner")
+
+
+def _residual_norms(p: _Geometry):
+    norms = _identities(p).normalized()
+    norms["bochner"] = _bochner(p).normalized()
+    return [norms[k] for k in RESIDUALS]
+
+
+def residual_norms(spec: ImmersionSpec, u, v):
+    """The `RESIDUALS` normalized at the 1-D batch (u, v) from order-4
+    geometry, through the spec's recorded kernel."""
+    return _kernel(spec, "residuals", 4, _residual_norms, u, v)
 
 
 # -- intrinsic curvature cross-check ------------------------------------------------
@@ -552,16 +726,19 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
     _require(pg, 3, "intrinsic_scalar_curvature")
     if pg.gamma is None:
         covariant_data(pg)
-    gamma = pg.gamma
-    dgamma = _dgamma(pg)
+    p = _Geometry.of(pg)
+    gamma, dgamma = p.gamma, p.dgamma
+    K2 = _KEYS[2]
     # Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_ka Gamma^a_ij - Gamma^k_ia Gamma^a_kj
-    ric = dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
-    ric = ric - (dgamma[..., :, 0, 0, :] + dgamma[..., :, 1, 1, :])
-    tr_gamma = gamma[..., 0, 0, :] + gamma[..., 1, 1, :]
-    ric = ric + _inner(tr_gamma[..., None, None, :], np.moveaxis(gamma, -3, -1), 1)
+    ric = {(i, j): dgamma[0, 0, i, j] + dgamma[1, 1, i, j] for i, j in K2}
+    ric = {(i, j): ric[i, j] - (dgamma[i, 0, 0, j] + dgamma[i, 1, 1, j]) for i, j in K2}
+    tr_gamma = {(a,): gamma[0, 0, a] + gamma[1, 1, a] for a in range(2)}
+    ric = {(i, j): ric[i, j] + _inner(tr_gamma, {(a,): gamma[a, i, j] for a in range(2)})
+           for i, j in K2}
     for k in range(2):
-        ric = ric - _apply2(gamma[..., k, :, :], gamma[..., :, k, :], -2)
-    return _inner(pg.ginv, ric, 2)
+        term = _apply({x: gamma[(k,) + x] for x in K2}, {(a, b): gamma[a, k, b] for a, b in K2}, 0)
+        ric = {x: ric[x] - term[x] for x in K2}
+    return _inner(p.ginv, ric)
 
 
 # -- cheap classification fields ------------------------------------------------

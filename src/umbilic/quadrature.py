@@ -35,7 +35,9 @@ node.
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
 order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
-them alone skip the order-3 jets and the covariant derivatives.
+them alone skip the order-3 jets and the covariant derivatives. Each
+evaluation is one recorded kernel (`geometry._kernel`) from (u, v) to |H|,
+the peaks and field * dA; what no field reads is never computed.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -172,7 +174,12 @@ class Field:
     """An integrand: fn maps a PointGeometry batch to a scalar array (or a
     constant); order is the lowest jet order whose geometry fills what fn
     reads (see `geometry`). A field that reads beyond its order gets None
-    there, and the pass raises instead of integrating it."""
+    there, and the pass raises instead of integrating it. fn is recorded
+    on one node and replayed (`geometry._kernel`), and the recording is kept
+    with the spec for every later pass with the same fields: fn computes with
+    numpy ufuncs on whole arrays, takes no Python number out of them, and
+    reads no state that changes between calls. One that reads a stacked
+    tensor runs without a tape."""
 
     fn: Callable
     order: int = 3
@@ -271,44 +278,53 @@ def _order(fields):
 
 
 def _density(field, pg):
-    """field(pg) over the batch: the integrand per unit area."""
+    """field(pg): the integrand per unit area (a scalar for a constant)."""
     value = field(pg)
     if value is None:
         raise ValueError(
             f"integrand read a quantity that jet order {pg.order} does not fill;"
             " declare a higher order with Field"
         )
-    return np.broadcast_to(np.asarray(value, dtype=float), pg.batch_shape)
+    return np.asanyarray(value, dtype=float)
 
 
 def _full(spec, fields, us, vs, *, with_n2=False, peaks=()):
     """Geometry at the highest order the fields and peaks declare (2 for
     none): (max |H| per batch, [|hring|^2,] peak(pg) per peak, then
-    field(pg) * dA per field)."""
+    field(pg) * dA per field). One recorded kernel per (fields, peaks,
+    with_n2) computes all but the batch maximum."""
     order = _order((*fields, *peaks))
 
-    def kernel(u, v):
-        pg = geometry.point_geometry(spec, u, v, order)
-        head = (np.max(np.abs(pg.H), keepdims=True),)
-        if with_n2:
-            head += (pg.hring_norm2,)
-        head += tuple(np.asarray(p(pg), dtype=float) for p in peaks)
-        return head + tuple(_density(f, pg) * pg.sqrt_detg for f in fields)
+    def kernel(geom):
+        pg = geometry._Fields(geom)
+        head = [np.abs(geom.H)] + ([geom.hring_norm2] if with_n2 else [])
+        head += [np.asanyarray(p(pg), dtype=float) for p in peaks]
+        return head + [_density(f, pg) * geom.sqrt_detg for f in fields]
 
-    return _chunked(kernel, us, vs)
+    def batch(u, v):
+        key = ("full", tuple(fields), tuple(peaks), with_n2)
+        abs_h, *rest = geometry._kernel(spec, key, order, kernel, u, v)
+        return (np.max(abs_h, keepdims=True), *rest)
+
+    return _chunked(batch, us, vs)
 
 
 def _anchored(spec, fields, us, vs, weights):
     """Per field, the sum of field(pg) * weights over the nodes (us, vs):
     each ancestor's density times the area its deep inside leaves cover.
-    One full-geometry evaluation per node, summed per batch."""
+    One recorded kernel per field tuple computes the products; each batch
+    sums them."""
     order = _order(fields)
 
-    def kernel(u, v, w):
-        pg = geometry.point_geometry(spec, u, v, order)
-        return tuple(np.sum(_density(f, pg) * w, keepdims=True) for f in fields)
+    def kernel(geom, w):
+        pg = geometry._Fields(geom)
+        return [_density(f, pg) * w for f in fields]
 
-    return [float(np.sum(s)) for s in _chunked(kernel, us, vs, weights)]
+    def batch(u, v, w):
+        products = geometry._kernel(spec, ("anchored", tuple(fields)), order, kernel, u, v, w)
+        return tuple(np.sum(x, keepdims=True) for x in products)
+
+    return [float(np.sum(s)) for s in _chunked(batch, us, vs, weights)]
 
 
 # -- sublevel-set cell classification --------------------------------------------

@@ -37,14 +37,19 @@ class ImmersionSpec:
     is_closed: bool = False
 
     def with_params(self, **updates) -> "ImmersionSpec":
+        """The spec with some parameters replaced; each must be finite, as a
+        definition file's are (SpecValidationError names the first that is
+        not)."""
         merged = dict(self.params)
-        merged.update(updates)
+        merged.update((k, _finite(x, f"{self.name}: parameter {k}")) for k, x in updates.items())
         return replace(self, params=MappingProxyType(merged))
 
     @cached_property
     def tapes(self) -> dict:
-        """`tape.Tape` of `geometry._forms` per jet order (None where the
-        chart cannot be taped), recorded by the first non-empty call of each."""
+        """The recorded evaluations of this chart (`tape.Tape`, None where it
+        cannot be taped), each recorded by the first non-empty call that
+        needs it: stage one (`geometry._forms`) under its jet order, and
+        each kernel (`geometry._kernel`) under (jet order, what it reads)."""
         return {}
 
     def component_sources(self) -> tuple[str, str, str]:
@@ -267,7 +272,7 @@ def preset(name: str, params: dict | None = None) -> ImmersionSpec:
         raise SpecValidationError(
             f"{name}: unknown parameter(s) {sorted(bad)}; accepts {sorted(allowed)}"
         )
-    spec = fn(**{k: float(x) for k, x in params.items()})
+    spec = fn(**{k: _finite(float(x), f"{name}: parameter {k}") for k, x in params.items()})
     validate(spec)
     return spec
 
@@ -285,6 +290,7 @@ def load_definition(path) -> ImmersionSpec:
     ("pi/2", "2*pi"), evaluated with the chart's arithmetic.
     """
     cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str  # keys and parameter names keep their case, as chart names do
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -299,6 +305,12 @@ def load_definition(path) -> ImmersionSpec:
     raw_params = cp["params"] if cp.has_section("params") else {}
     params = {k: _const(raw, f"{path}: params.{k}", {}) for k, raw in raw_params.items()}
 
+    def flag(key):
+        try:
+            return surf.getboolean(key, fallback=False)
+        except ValueError as err:
+            raise SpecValidationError(f"{path}: {key}: {err}") from None
+
     def rng(key):
         parts = surf[key].split(",")
         if len(parts) != 2:
@@ -311,12 +323,12 @@ def load_definition(path) -> ImmersionSpec:
         spec = _spec(
             surf["name"].strip(), tuple(surf[k] for k in "xyz"),
             rng("u_range"), rng("v_range"),
-            periodic_u=surf.getboolean("periodic_u", fallback=False),
-            periodic_v=surf.getboolean("periodic_v", fallback=False),
+            periodic_u=flag("periodic_u"),
+            periodic_v=flag("periodic_v"),
             c=_const(surf.get("c", "0"), f"{path}: c", params),
             params=params,
             margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
-            closed=surf.getboolean("closed", fallback=False),
+            closed=flag("closed"),
         )
     except ParseError as err:
         raise SpecValidationError(f"{path}: bad component expression: {err}") from err
@@ -330,6 +342,12 @@ def _const(raw: str, where: str, params: dict) -> float:
             x = ex.eval_number(ex.parse(raw.strip(), known_params=set(params)), params)
     except (ParseError, SingularEvaluationError) as err:
         raise SpecValidationError(f"{where}: {err}") from err
+    return _finite(x, where)
+
+
+def _finite(x: float, where: str) -> float:
+    """x, or SpecValidationError naming where when it is inf or nan: every
+    number a chart reads, from a file or an override, must be finite."""
     if not math.isfinite(x):
         raise SpecValidationError(f"{where}: must be finite, got {x}")
     return x

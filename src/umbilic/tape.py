@@ -25,15 +25,19 @@ that batch directly.
 
 fn is refused (`record` returns no tape) when the recording meets a
 batch-shaped array it did not record, an `out=` argument, or a ufunc
-method other than a call or a reduction to a scalar.
+method other than a call or a reduction to a scalar, or when fn raises
+`Refused` itself (`recording` tells it whether it runs on recorded
+values).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-class _Refused(Exception):
+class Refused(Exception):
     """The computation reads something a tape cannot replay."""
 
 
@@ -47,8 +51,28 @@ class _Traced(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if self._rec is None:
-            raise _Refused("a view of a recorded value")
+            raise Refused("a view of a recorded value")
         return self._rec.call(ufunc, method, inputs, kwargs)
+
+    # the arithmetic operators make the call numpy's would, without its
+    # dispatch: most of a recording's calls come from them
+    def _binary(ufunc):
+        def op(self, other):
+            return self.__array_ufunc__(ufunc, "__call__", self, other)
+
+        def rop(self, other):
+            return self.__array_ufunc__(ufunc, "__call__", other, self)
+
+        return op, rop
+
+    __add__, __radd__ = _binary(np.add)
+    __sub__, __rsub__ = _binary(np.subtract)
+    __mul__, __rmul__ = _binary(np.multiply)
+    __truediv__, __rtruediv__ = _binary(np.true_divide)
+    del _binary
+
+    def __neg__(self):
+        return self.__array_ufunc__(np.negative, "__call__", self)
 
 
 class _Recorder:
@@ -56,6 +80,7 @@ class _Recorder:
         self.shape = shape
         self.steps = []  # (ufunc, operands, slot) or (ufunc, kwargs, slot, outcome)
         self.dtypes = []  # per slot
+        self.values = []  # per slot, the plain array
         self.seen = {}  # call key -> its result or outcome
 
     def wrap(self, array):
@@ -63,42 +88,62 @@ class _Recorder:
         traced._rec = self
         traced._slot = len(self.dtypes)
         self.dtypes.append(array.dtype)
+        self.values.append(array)
         return traced
 
     def operand(self, x):
         """x as (slot, None) for a recorded value, (None, x) for a constant."""
         if isinstance(x, _Traced):
             if x._rec is not self:
-                raise _Refused("a value this tape did not record")
+                raise Refused("a value this tape did not record")
             return x._slot, None
         if isinstance(x, np.ndarray) and x.ndim:
-            raise _Refused("an array the tape did not record")
+            raise Refused("an array the tape did not record")
         return None, x
 
     def call(self, ufunc, method, inputs, kwargs):
-        out = kwargs.pop("out", None)
-        if any(x is not None for x in (out if isinstance(out, tuple) else (out,))):
-            raise _Refused("an out= argument")
+        if kwargs:
+            out = kwargs.pop("out", None)
+            if out is not None and any(x is not None for x in (out if isinstance(out, tuple) else (out,))):
+                raise Refused("an out= argument")
         operands = [self.operand(x) for x in inputs]
-        # value numbering: a repeat of an earlier call (same slots; constants by
-        # type, dtype and bits, so 0.0 and -0.0, 2 and 2.0 differ) returns its result
-        key = (ufunc, method, tuple(sorted(kwargs.items())), tuple(
-            s if s is not None else (type(c), np.asarray(c).dtype.str, np.asarray(c).tobytes())
-            for s, c in operands
+        # value numbering: a repeat of an earlier call (same slots, equal
+        # constants) returns its result
+        key = (ufunc, method, tuple(sorted(kwargs.items())) if kwargs else (), *(
+            s if s is not None else _constant_key(c) for s, c in operands
         ))
-        if key in self.seen:
-            return self.seen[key]
-        plain = [x.view(np.ndarray) if isinstance(x, _Traced) else x for x in inputs]
-        result = getattr(ufunc, method)(*plain, **kwargs)
+        seen = self.seen.get(key)
+        if seen is not None:
+            return seen
+        values = self.values
+        result = getattr(ufunc, method)(*[c if s is None else values[s] for s, c in operands], **kwargs)
         if method == "reduce" and np.ndim(result) == 0:
             self.steps.append((ufunc, kwargs, operands[0][0], result))
             self.seen[key] = result
             return result
         if method != "__call__" or kwargs or ufunc.nout != 1 or result.shape != self.shape:
-            raise _Refused(f"{ufunc.__name__}.{method}")
+            raise Refused(f"{ufunc.__name__}.{method}")
         traced = self.seen[key] = self.wrap(result)
         self.steps.append((ufunc, operands, traced._slot))
         return traced
+
+
+def _constant_key(c):
+    """c as a value-numbering key: equal keys mean bit-identical constants of
+    one type, so 0.0 and -0.0, or 2 and 2.0, never merge. Python and NumPy
+    floats and Python ints key on their value (with the sign apart, as 0.0
+    == -0.0); anything else on its dtype and bytes."""
+    if isinstance(c, float):
+        return type(c), c, math.copysign(1.0, c)
+    if type(c) is int:
+        return int, c
+    a = np.asarray(c)
+    return type(c), a.dtype.str, a.tobytes()
+
+
+def recording(x) -> bool:
+    """x is a value a recording is making."""
+    return isinstance(x, _Traced)
 
 
 def record(fn, *inputs):
@@ -109,7 +154,7 @@ def record(fn, *inputs):
     rec = _Recorder(inputs[0].shape)
     try:
         outputs = [rec.operand(x) for x in fn(*(rec.wrap(np.asarray(x)) for x in inputs))]
-    except _Refused:
+    except Refused:
         return None
     finally:
         # each recorded value points at rec, and rec.seen back at it: clear
@@ -127,16 +172,19 @@ class Tape:
     """
 
     def __init__(self, rec: _Recorder, n_inputs: int, outputs):
-        # keep the guards and the calls whose value something kept reads
+        # keep the guards and the calls whose value something kept reads;
+        # a step reads a call's value operands or a guard's input
         live = {slot for slot, _ in outputs}
         kept = []
         for step in reversed(rec.steps):
-            if step[2] not in live and len(step) == 3:
+            guard = len(step) == 4
+            if not guard and step[2] not in live:
                 continue
-            live.update(_reads(step))
-            kept.append(step)
+            reads = [step[2]] if guard else [s for s, _ in step[1] if s is not None]
+            live.update(reads)
+            kept.append((step, reads))
         kept.reverse()
-        last = {s: i for i, step in enumerate(kept) for s in _reads(step)}
+        last = {s: i for i, (_, reads) in enumerate(kept) for s in reads}
         last.update((slot, len(kept)) for slot, _ in outputs)
 
         # a value's buffer is freed after its last read and taken by a
@@ -144,30 +192,31 @@ class Tape:
         # elementwise ufunc may write over its operand); inputs and
         # outputs are never freed
         buffer_of = {None: None, **{s: s for s in range(n_inputs)}}
-        self._dtypes, free = [], {}
+        dtypes, free = rec.dtypes, {}
+        self._dtypes = []
         runs, calls = [], []
-        for i, step in enumerate(kept):
-            for s in set(_reads(step)):
+        for i, (step, reads) in enumerate(kept):
+            for s in reads:
                 if last[s] == i and s >= n_inputs:
-                    free[rec.dtypes[s]].append(buffer_of[s])
+                    last[s] = None  # a value read twice by one call is freed once
+                    free[dtypes[s]].append(buffer_of[s])
             if len(step) == 4:
                 ufunc, kwargs, slot, outcome = step
                 runs.append((calls, (ufunc.reduce, buffer_of[slot], kwargs, outcome)))
                 calls = []
                 continue
             ufunc, operands, slot = step
-            dtype = rec.dtypes[slot]
-            pool = free.setdefault(dtype, [])
+            pool = free.setdefault(dtypes[slot], [])
             if pool:
                 buffer_of[slot] = pool.pop()
             else:
                 buffer_of[slot] = n_inputs + len(self._dtypes)
-                self._dtypes.append(dtype)
-            calls.append((ufunc, [(buffer_of[s], c) for s, c in (*operands, (slot, None))]))
+                self._dtypes.append(dtypes[slot])
+            calls.append((ufunc, [(buffer_of[s], c) for s, c in operands], buffer_of[slot]))
         runs.append((calls, None))
         self._runs = runs
         self._outputs = [(buffer_of[s], c) for s, c in outputs]
-        self.n_ops = sum(len(step) == 3 for step in kept)
+        self.n_ops = sum(len(step) == 3 for step, _ in kept)
         self.n_buffers = len(self._dtypes)
 
     def replay(self, *inputs):
@@ -177,17 +226,10 @@ class Tape:
         n = inputs[0].size
         bufs = [*inputs, *(np.empty(n, dtype) for dtype in self._dtypes)]
         for calls, guard in self._runs:
-            for ufunc, operands in calls:
-                ufunc(*[c if b is None else bufs[b] for b, c in operands])
+            for ufunc, operands, out in calls:
+                ufunc(*[c if b is None else bufs[b] for b, c in operands], out=bufs[out])
             if guard is not None:
                 reduce, b, kwargs, outcome = guard
                 if reduce(bufs[b], **kwargs) != outcome:
                     return None
         return [c if b is None else bufs[b] for b, c in self._outputs]
-
-
-def _reads(step):
-    """The slots a step reads: a call's value operands, a guard's input."""
-    if len(step) == 4:
-        return [step[2]]
-    return [s for s, _ in step[1] if s is not None]

@@ -348,6 +348,43 @@ def test_bad_numeric_field_is_an_input_error(key, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: {key}: ")
 
 
+@pytest.mark.parametrize(
+    "source, flag, value",
+    [(["--file", "BALL"], "--k", "nan"), (["--preset", "graph_bump"], "--A", "inf")],
+    ids=["file-nan", "preset-inf"],
+)
+def test_non_finite_parameter_override_names_the_parameter(source, flag, value, tmp_path, capsys):
+    # a non-finite parameter used to reach the chart check, which failed
+    # with "SVD did not converge"
+    path = tmp_path / "ball.ini"
+    path.write_text(SQUASHED_BALL)
+    argv = ["convergence", *(str(path) if x == "BALL" else x for x in source), flag, value,
+            "--grid", "64x64", "--levels", "3"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"parameter {flag[2:]}: must be finite, got {value}" in err
+
+
+def test_parameter_names_are_case_sensitive(tmp_path, capsys):
+    path = tmp_path / "saddle.ini"
+    path.write_text("[surface]\nname = saddle\nx = u\ny = v\nz = K*u*v + k*u\n"
+                    "u_range = -1, 1\nv_range = -1, 1\n\n[params]\nK = 2\nk = 0.5\n")
+    code = run(["convergence", "--file", str(path), "--field", "area", "--grid", "64x64",
+                "--levels", "3"], tmp_path)
+    assert code == 0, capsys.readouterr().err
+    assert read_json(tmp_path, "convergence")["surface"]["params"] == {"K": 2.0, "k": 0.5}
+
+
+def test_bad_boolean_names_the_file_and_key(tmp_path, capsys):
+    path = tmp_path / "plane.ini"
+    path.write_text("[surface]\nname = plane\nx = u\ny = v\nz = 0\n"
+                    "u_range = 0, 1\nv_range = 0, 1\nperiodic_u = maybe\n")
+    code = run(["convergence", "--file", str(path), "--grid", "64x64", "--levels", "3"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: periodic_u: ") and "maybe" in err
+
+
 def test_ambient_override_revalidates(tmp_path):
     code = run(["verify", "--preset", "sphere", "--c", "1.0", "--eps", "0.5"] + SMALL, tmp_path)
     assert code == 0

@@ -1,17 +1,23 @@
 import math
 from dataclasses import fields, replace
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from umbilic import expressions as ex
 from umbilic import geometry as geo
+from umbilic import quadrature as q
 from umbilic import tape
-from umbilic.errors import SingularEvaluationError
-from umbilic.surfaces import ImmersionSpec, interior_axes, load_definition, preset
+from umbilic.errors import SingularEvaluationError, SpecValidationError
+from umbilic.surfaces import ImmersionSpec, interior_axes, load_definition, preset, validate
+from umbilic.verifier import _COND_PEAKS
 
 from oracles import fd_partial
+from test_expressions import _compound
 
 RNG_SEED = 61409
 
@@ -668,13 +674,30 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
 
 # -- tape size ----------------------------------------------------------------------
 
-# (ufunc calls, buffers) of the tape of `geometry._forms` per jet order on a
-# c = 0 preset and a c = -1 definition file. A ratchet: a change that adds
-# calls fails here, and one that removes some lowers the bounds to the new
-# counts.
+# (ufunc calls, buffers) of each tape on a c = 0 preset and a c = -1
+# definition file: `geometry._forms` per jet order, and each recorded kernel
+# of `KERNELS`. A ratchet: a change that adds calls fails here, and one that
+# removes some lowers the bounds to the new counts.
 TAPE_BOUNDS = {
-    "ellipsoid_rev": {2: (101, 17), 3: (494, 59), 4: (1270, 98)},
-    "squashed_ball_c-1": {2: (182, 28), 3: (965, 84), 4: (2388, 149)},
+    "ellipsoid_rev": {
+        2: (101, 17), 3: (494, 59), 4: (1270, 98),
+        "full_o2": (112, 16), "region_o3": (543, 39), "anchored_o3": (541, 39),
+        "residuals_o4": (2820, 113),
+    },
+    "squashed_ball_c-1": {
+        2: (182, 28), 3: (965, 84), 4: (2388, 149),
+        "full_o2": (193, 28), "region_o3": (901, 75), "anchored_o3": (899, 75),
+        "residuals_o4": (3938, 149),
+    },
+}
+
+# the kernels the CLI records: the whole-surface order-2 pass with |hring|^2,
+# the region pass at order 3, its ancestors, and the identities' residuals
+KERNELS = {
+    "full_o2": lambda spec, u, v: q._full(spec, [q.AREA, q.TOTAL_R], u, v, with_n2=True),
+    "region_o3": lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
+    "anchored_o3": lambda spec, u, v: q._anchored(spec, q._REGION_FIELDS, u, v, np.ones(u.size)),
+    "residuals_o4": geo.residual_norms,
 }
 
 
@@ -691,6 +714,13 @@ def grid_batch(spec, side=8):
     return (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))
 
 
+def kernel_tape(spec, name, uu, vv):
+    # a kernel records its own tape from (u, v), and no stage-one tape
+    KERNELS[name](spec, uu, vv)
+    (recorded,) = spec.tapes.values()
+    return recorded
+
+
 @pytest.mark.parametrize("name", sorted(TAPE_BOUNDS))
 def test_tape_calls_and_buffers_stay_bounded(name, tmp_path):
     spec = bounds_spec(name, tmp_path)
@@ -698,10 +728,13 @@ def test_tape_calls_and_buffers_stay_bounded(name, tmp_path):
     geo.classification_values(spec, uu, vv)
     for order in (3, 4):
         geo.fundamental_forms(spec, uu, vv, order)
-    for order, (ops, buffers) in TAPE_BOUNDS[name].items():
-        recorded = spec.tapes[order]
-        assert recorded.n_ops <= ops, (order, recorded.n_ops)
-        assert recorded.n_buffers <= buffers, (order, recorded.n_buffers)
+    for key, (ops, buffers) in TAPE_BOUNDS[name].items():
+        if key in KERNELS:
+            recorded = kernel_tape(bounds_spec(name, tmp_path), key, uu, vv)
+        else:
+            recorded = spec.tapes[key]
+        assert recorded.n_ops <= ops, (key, recorded.n_ops)
+        assert recorded.n_buffers <= buffers, (key, recorded.n_buffers)
 
 
 # -- recorded jet evaluation -------------------------------------------------------
@@ -827,3 +860,109 @@ def test_chart_constants_come_in_the_batch_shape():
     for value, want in zip(values, (0.0, 0.0, 1.0)):
         assert isinstance(value, np.ndarray) and value.shape == (4, 3)
         assert np.all(value == want)
+
+
+# -- recorded kernels ------------------------------------------------------------
+
+
+def test_kernel_guard_raises_the_degenerate_metric_error():
+    # two tangents that differ by 1e-9: stage one passes (its det g is
+    # nonzero), and det g rounds to +-8.9e-16 by node. The kernel records
+    # where det g > 0; the batch holding a node where it is < 0 fails the
+    # guard and runs without the tape, raising the public path's error
+    chart = ("cos(u + v) + 1e-9*u*v", "sin(u + v) + 1e-9*u*u", "u + v + 1e-9*v*v")
+    us, vs = np.array([0.10, 0.12, 0.14]), np.full(3, 0.3)
+    for order, fields in ((2, [q.AREA]), (3, q._REGION_FIELDS)):
+        spec = chart_spec(chart)
+        q._full(spec, fields, us[:2], vs[:2])
+        assert any(isinstance(t, tape.Tape) for k, t in spec.tapes.items() if k != order)
+        with pytest.raises(SingularEvaluationError) as taped:
+            q._full(spec, fields, us, vs)
+        with pytest.raises(SingularEvaluationError) as public:
+            geo.point_geometry(chart_spec(chart), us, vs, order)
+        got, want = taped.value, public.value
+        assert str(got).startswith("induced metric is degenerate")
+        assert (str(got), got.value, got.index) == (str(want), want.value, want.index)
+        assert got.index == 2 and got.value < 0
+
+
+# a graph chart z = 0.3 f(u, v) on [0.5, 1.5]^2, f of depth 2 to 4 over the
+# chart language (the canonical-printing strategy's operators)
+_chart_leaf = st.one_of(
+    st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(ex.Number),
+    st.sampled_from(["u", "v"]).map(ex.Var),
+    st.sampled_from(["pi", "e"]).map(ex.Const),
+)
+
+
+def _chart_ast(depth):
+    return _chart_leaf if depth == 0 else st.one_of(_chart_leaf, _compound(_chart_ast(depth - 1)))
+
+
+# at least two operations deep: a lone leaf or one operation is a plane or
+# a near-trivial graph
+_chart_f = _compound(_compound(_chart_ast(2)))
+
+
+def graph_spec(f):
+    z = ex.Binary("*", ex.Number(0.3), f)
+    return ImmersionSpec(
+        name="graph", components=(ex.Var("u"), ex.Var("v"), z), u_range=(0.5, 1.5),
+        v_range=(0.5, 1.5), periodic_u=False, periodic_v=False, ambient_c=0.0,
+        params=MappingProxyType({}),
+    )
+
+
+FIELDS, PEAKS = q._REGION_FIELDS, _COND_PEAKS
+
+
+def kernel_outputs(spec, us, vs):
+    # the classification, the region pass at order 3 (with |hring|^2 and the
+    # sufficiency peaks) and the identities' residuals at order 4
+    return [
+        *geo.classification_values(spec, us, vs),
+        *q._full(spec, FIELDS, us, vs, with_n2=True, peaks=PEAKS),
+        *geo.residual_norms(spec, us, vs),
+    ]
+
+
+def public_outputs(spec, us, vs):
+    # the same values from the stacked PointGeometry API
+    pg = geo.point_geometry(spec, us, vs, 2)
+    out = [np.maximum(pg.hring_norm2, 0.0), np.abs(pg.H), pg.sqrt_detg]
+    pg = geo.point_geometry(spec, us, vs, 3)
+    out += [np.max(np.abs(pg.H), keepdims=True), pg.hring_norm2]
+    out += [np.asarray(p(pg), dtype=float) for p in PEAKS]
+    out += [np.broadcast_to(np.asarray(f(pg), dtype=float), pg.batch_shape) * pg.sqrt_detg
+            for f in FIELDS]
+    pg = geo.point_geometry(spec, us, vs, 4)
+    norms = geo.identity_residuals(pg).normalized()
+    norms["bochner"] = geo.bochner_residual(pg).normalized()
+    return out + [norms[k] for k in geo.RESIDUALS]
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_chart_f, st.integers(0, 2**16))
+def test_recorded_kernels_are_the_direct_and_public_paths(f, seed):
+    # the recorded kernels against the same kernels and the stacked API run
+    # with nothing recorded (stage one on the jets), bit for bit
+    rng = np.random.default_rng(seed)
+    us, vs = rng.uniform(0.5, 1.5, 24), rng.uniform(0.5, 1.5, 24)
+    with np.errstate(all="ignore"):
+        try:
+            validate(graph_spec(f))
+            geo._forms(graph_spec(f), us, vs, 4)
+        except (SpecValidationError, SingularEvaluationError, np.linalg.LinAlgError):
+            # an invalid chart; one whose values overflow still fails
+            # validation with LinAlgError (a ROADMAP follow-up)
+            assume(False)
+        spec = graph_spec(f)
+        recorded = kernel_outputs(spec, us, vs)
+        # stage one at order 2 (the classification) and the two kernels
+        assert len(spec.tapes) == 3
+        assert all(isinstance(t, tape.Tape) for t in spec.tapes.values())
+        with mock.patch.object(tape, "record", lambda fn, *inputs: None):
+            direct = kernel_outputs(graph_spec(f), us, vs)
+            public = public_outputs(graph_spec(f), us, vs)
+    assert_same_bits(recorded, direct)
+    assert_same_bits(recorded, public)

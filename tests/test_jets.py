@@ -76,6 +76,21 @@ def test_product_rule_u2_v():
     assert float(f.partial(0, 2)) == pytest.approx(0.0)
 
 
+def test_number_minus_jet():
+    # [TRIVIAL] 3 - u v at (2, 0.5): value 2, d_u = -0.5, d_v = -2, d_uv = -1;
+    # the same coefficients as the constant jet minus the jet, bit for bit
+    u, v = U(np.array([2.0]), 3), V(np.array([0.5]), 3)
+    f = u * v
+    got = 3.0 - f
+    assert got.order == 3
+    assert [float(np.ravel(got.partial(*ab))[0]) for ab in ((0, 0), (1, 0), (0, 1), (1, 1))] == [
+        2.0, -0.5, -2.0, -1.0,
+    ]
+    want = constant(3.0, 3) - f
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_reciprocal_derivatives():
     # [DERIVED] d^k(1/u) at u=2: 1/2, -1/4, 1/4, -3/8, 3/4
     f = 1.0 / U(2.0, 4)

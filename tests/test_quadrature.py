@@ -162,13 +162,13 @@ def test_empty_inside_set_makes_no_order3_call(monkeypatch):
     # either region, so the fields' own order is never evaluated
     tor, g = preset("torus"), q.GridSpec(64, 64, 4)
     orders = []
-    real = q.geometry.point_geometry
+    real = q.geometry._kernel
 
-    def recording(spec, u, v, order=3):
+    def recording(spec, key, order, fn, u, v, *cols):
         orders.append(order)
-        return real(spec, u, v, order)
+        return real(spec, key, order, fn, u, v, *cols)
 
-    monkeypatch.setattr(q.geometry, "point_geometry", recording)
+    monkeypatch.setattr(q.geometry, "_kernel", recording)
     rows = q.region_integrals(tor, (0.4, 0.1), g)
     assert set(orders) == {2}
     for row in rows:
@@ -188,6 +188,20 @@ def test_field_reading_above_its_order_raises(fn, error):
     # an order-2 field gets no gradients: it must fail, not integrate nan
     with pytest.raises(error):
         q.integrate(preset("sphere"), q.Field(fn, order=2), q.GridSpec(16, 16))
+
+
+def test_field_reading_a_stacked_tensor_runs_without_a_tape():
+    # the stacked PointGeometry arrays are not on any tape: the recorder
+    # refuses such a field, and its kernel runs directly, with the public
+    # path's values
+    spec, g = preset("ellipsoid_rev"), q.GridSpec(32, 32)
+    field = q.Field(lambda pg: pg.g[..., 0, 0] + pg.ginv[..., 1, 1], order=2)
+    got = q.integrate(spec, field, g)
+    kernels = {k: t for k, t in spec.tapes.items() if isinstance(k, tuple)}
+    assert len(kernels) == 1 and None in kernels.values()
+    pg = point_geometry(spec, *q._lattice(spec, g, centers=True), 2)
+    _, _, du, dv = q._axes(spec, g)
+    assert got == float(np.sum(field(pg) * pg.sqrt_detg)) * (du * dv)
 
 
 def test_mixed_fields_evaluate_at_the_highest_order():
@@ -586,13 +600,13 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
                 keys.update(zip(iu.tolist(), iv.tolist()))
         ancestors += len(keys)
     nodes = {2: 0, 3: 0}
-    real = q.geometry.point_geometry
+    real = q.geometry._kernel
 
-    def counting(spec, u, v, order=3):
+    def counting(spec, key, order, fn, u, v, *cols):
         nodes[order] += np.size(u)
-        return real(spec, u, v, order)
+        return real(spec, key, order, fn, u, v, *cols)
 
-    monkeypatch.setattr(q.geometry, "point_geometry", counting)
+    monkeypatch.setattr(q.geometry, "_kernel", counting)
     q.region_integrals(spec, eps_values, g)
     assert nodes[2] == g.nu * g.nv
     assert nodes[3] == inner + shallow + ancestors
