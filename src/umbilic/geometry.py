@@ -26,25 +26,21 @@ use the same helpers: `identity_residuals` and
 `intrinsic_scalar_curvature` need order-3 geometry, `bochner_residual`
 order 4; each raises ValueError on less.
 
-Every evaluation runs on a tape (`tape.py`), one per (surface, jet order,
-kernel), recorded on the first node of the first non-empty batch and
-replayed, bit for bit the same values without the Python work, on every
-1-D batch after. Stage one's tape (`_evaluate`) records `_forms` on
-arrays that log each numpy ufunc call. A kernel's tape (`_kernel`) runs
-from (u, v) to what its caller reads, such as the quadrature's |H| and
-field * dA or the normalized residuals of `identities`: it records
-`_forms` and stage two in one run, so the calls no output reads, in
-either stage, are never computed. The jet code and the
-component algebra stay the one statement of the math. The domain checks
-of the jet path and the degenerate-metric check are guards on the tape;
-a batch that fails one runs without the tape and raises its error, as do
-an empty batch and a computation the recorder refuses.
-
-`classification_values` reads the order-2 values (|hring|^2, |H| and
-sqrt(det g)). The public `PointGeometry` holds the same fields stacked
-into arrays, each tensor component contiguous: `fundamental_forms` stacks
-stage one, `covariant_data` stage two, computed by the same component
-functions.
+Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
+(surface, jet order, kernel) from (u, v) to what its caller reads,
+recorded on the first node of the first non-empty batch and replayed, bit
+for bit the same values without the Python work, on every batch after.
+The kernels are the order-2 classification ("class": |hring|^2, |H| and
+sqrt(det g)), the quadrature's |H| and field * dA, the normalized
+residuals of `identities`, and stage one alone ("forms": `_forms`' flat
+list, which `PointGeometry` reads). A recording runs `_forms` and stage
+two in one pass, so the calls no output reads are never computed. The
+domain checks of the jet path and the degenerate-metric check are guards
+on the tape. An empty batch, a computation the recorder refuses and a
+batch that fails a guard run without the tape, on the "forms" kernel's
+stage one; that kernel falls back to `_forms`, which raises the jet
+path's error. `fundamental_forms` and `point_geometry` stack the fields
+of one `_Geometry`, each tensor component contiguous in memory.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -90,8 +86,8 @@ from .surfaces import ImmersionSpec, evaluate_chart
 class PointGeometry:
     """All curvature data at a (batch of) parameter point(s).
 
-    Raw-partial fields are filled by `fundamental_forms`; everything from
-    `detg` down is filled in place by `covariant_data`. Order 2 fills the
+    Raw-partial fields are filled by `fundamental_forms`; `point_geometry`
+    also fills everything from `detg` down. Order 2 fills the
     values, detg, sqrt_detg, ginv and R; order 3 adds every first partial,
     d2g and the rest of the covariant fields; order 4 adds the second
     partials (d2h, d2H, ...). Fields an order does not fill stay None.
@@ -140,9 +136,9 @@ _RAW = (
     ("hring_norm2", "d_hring_norm2", "d2_hring_norm2"),
 )
 
-# stage two's fields, in PointGeometry order, per jet order
-_COVARIANT = ("detg", "sqrt_detg", "ginv", "R")
-_COVARIANT3 = ("gamma", "nabla_hring", "nabla_hring_norm2", "gradH_norm2", "hring_up", "trace_hring")
+# stage two's fields, in PointGeometry order (gamma to trace_hring None at order 2)
+_COVARIANT = ("detg", "sqrt_detg", "ginv", "gamma", "nabla_hring", "nabla_hring_norm2",
+              "gradH_norm2", "hring_up", "trace_hring", "R")
 
 # the index tuples of each rank, in lexicographic order
 _KEYS = tuple(tuple(product((0, 1), repeat=r)) for r in range(5))
@@ -281,38 +277,6 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
     return [x for jet, o in zip(distinct, _reads(order)) for x in jet.coeffs[: jets._NCOEFF[o]]]
 
 
-def _tape_of(spec: ImmersionSpec, key, fn, *cols):
-    """The spec's tape under key, recorded from fn on the first node of the
-    1-D cols by the first call with a non-empty batch; None when fn cannot
-    be taped (the recorder refuses it) or is singular on that node, where
-    the next call tries again."""
-    tapes = spec.tapes
-    if key not in tapes and cols[0].size:
-        try:
-            tapes[key] = tape.record(fn, *(c[:1] for c in cols))
-        except SingularEvaluationError:
-            return None
-    return tapes.get(key)
-
-
-def _evaluate(spec: ImmersionSpec, u, v, order: int):
-    """`_forms` at (u, v) of any shape, each output in the broadcast shape.
-
-    u and v are broadcast and flattened to 1-D float64 and replay the
-    spec's tape for this order. `_forms` runs on the caller's (u, v)
-    itself for an empty batch, a chart the recorder refuses, and a batch a
-    guard rejects or whose first node is singular, where it raises its
-    error.
-    """
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
-    recorded = _tape_of(spec, order, lambda *ab: _forms(spec, *ab, order), a, b)
-    out = recorded.replay(a, b) if recorded and a.size else None
-    if out is None:
-        return [np.broadcast_to(x, shape) for x in _forms(spec, u, v, order)]
-    return [np.broadcast_to(x, a.shape).reshape(shape) for x in out]
-
-
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
     """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
 
@@ -321,18 +285,29 @@ def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometr
     partials of g; order 4 adds the second partials of h needed by the
     Laplacian-level residuals. u, v may be arrays (one batch).
     """
+    return _point(spec, u, v, order, ())
+
+
+def point_geometry(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
+    """`fundamental_forms` with the covariant fields (see `PointGeometry`)."""
+    return _point(spec, u, v, order, _COVARIANT)
+
+
+def _point(spec: ImmersionSpec, u, v, order: int, covariant) -> PointGeometry:
+    """A PointGeometry of the raw partials and the covariant fields named,
+    stacked from the one `_Geometry` of stage one's "forms" kernel."""
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    pg = PointGeometry(
-        u=np.asarray(u, dtype=np.float64),
-        v=np.asarray(v, dtype=np.float64),
-        order=order,
-        ambient_c=float(spec.ambient_c),
-        batch_shape=shape,
-    )
-    for name, value in _raw(_evaluate(spec, u, v, order), order).items():
-        setattr(pg, name, None if value is None else _stacked(value, shape))
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    pg = PointGeometry(u, v, order, float(spec.ambient_c), shape)
+    raw = _raw(_kernel(spec, "forms", order, _flat, u, v), order)
+    geom = _Geometry(raw, order, spec.ambient_c, u, v, shape)
+    for name in (*raw, *covariant):
+        value = getattr(geom, name)
+        if value is not None and (name in raw or isinstance(value, dict)):
+            value = _stacked(value, shape)
+        setattr(pg, name, value)
     return pg
 
 
@@ -498,20 +473,6 @@ class _Fields:
         return _stacked(value, self._geom.batch_shape)
 
 
-def covariant_data(pg: PointGeometry) -> PointGeometry:
-    """Fill det g, its root, the metric inverse and R in place; from order 3
-    on also Christoffels, covariant derivatives and norms."""
-    geom = _Geometry.of(pg)
-    for name in _COVARIANT + (_COVARIANT3 if pg.order > 2 else ()):
-        value = getattr(geom, name)
-        setattr(pg, name, _stacked(value, pg.batch_shape) if isinstance(value, dict) else value)
-    return pg
-
-
-def point_geometry(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
-    return covariant_data(fundamental_forms(spec, u, v, order))
-
-
 def _require(pg: PointGeometry, order: int, what: str):
     if pg.order < order:
         raise ValueError(f"{what} needs geometry of jet order {order} or more, got {pg.order}")
@@ -521,29 +482,46 @@ def _require(pg: PointGeometry, order: int, what: str):
 
 
 def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v, *cols):
-    """fn(geometry, *cols) on the 1-D batch (u, v), where geometry is the
-    `_Geometry` of the batch at jet order `order`: a list of arrays of the
-    batch's length (fn may return scalars).
+    """fn(geometry, *cols) at (u, v) of any shape, where geometry is the
+    `_Geometry` of the nodes at jet order `order` and cols are 1-D columns
+    of the flattened batch's length: a list of arrays in the broadcast
+    shape of (u, v) (fn may return scalars).
 
-    The spec's tape under (order, key) computes it from (u, v) and cols:
-    recorded through `_forms` on the first node of the first non-empty
-    call, replayed on every batch after. fn runs without it, on
-    `_evaluate`'s stage one, for an empty batch, a computation the
-    recorder refuses and a batch a guard rejects, where it raises its
-    error. key names fn: equal keys must mean the same computation.
+    The spec's tape under (order, key) computes it: recorded through
+    `_forms` on the first node of the first non-empty call, replayed on
+    every batch after. Without it (an empty batch, a computation the
+    recorder refuses, a batch a guard rejects) fn runs on the "forms"
+    kernel's stage one, and that kernel on `_forms`, which raises the jet
+    path's error. key names fn: equal keys must mean the same computation.
     """
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
+    inputs = (a, b, *cols)
 
     def run(flat, a, b, *rest):
-        return fn(_Geometry(_raw(flat, order), order, spec.ambient_c, a, b, a.shape), *rest)
+        raw = dict(_raw(flat, order), flat=flat)
+        return fn(_Geometry(raw, order, spec.ambient_c, a, b, a.shape), *rest)
 
-    recorded = _tape_of(
-        spec, (order, key), lambda a, b, *rest: run(_forms(spec, a, b, order), a, b, *rest),
-        u, v, *cols,
-    )
-    out = recorded.replay(u, v, *cols) if recorded and u.size else None
+    tapes = spec.tapes
+    if (order, key) not in tapes and a.size:
+        try:
+            tapes[order, key] = tape.record(
+                lambda a, b, *rest: run(_forms(spec, a, b, order), a, b, *rest),
+                *(x[:1] for x in inputs))
+        except SingularEvaluationError:
+            pass  # a singular first node: the next call records
+    recorded = tapes.get((order, key))
+    out = recorded.replay(*inputs) if recorded and a.size else None
     if out is None:
-        out = run(_evaluate(spec, u, v, order), u, v, *cols)
-    return [x if np.shape(x) == u.shape else np.broadcast_to(x, u.shape) for x in out]
+        flat = (_forms(spec, a, b, order) if key == "forms"
+                else _kernel(spec, "forms", order, _flat, a, b))
+        out = run(flat, *inputs)
+    return [x.reshape(shape) if np.shape(x) == a.shape else np.broadcast_to(x, shape) for x in out]
+
+
+def _flat(geom: _Geometry):
+    """The "forms" kernel: `_forms`' flat list, as recorded."""
+    return geom.flat
 
 
 # -- identity residuals ----------------------------------------------------------
@@ -724,8 +702,6 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
     Levi-Civita connection. Independent of h; used to cross-check the traced
     Gauss relation R = 1/2 H^2 - |hring|^2 + 2c. Needs order-3 geometry."""
     _require(pg, 3, "intrinsic_scalar_curvature")
-    if pg.gamma is None:
-        covariant_data(pg)
     p = _Geometry.of(pg)
     gamma, dgamma = p.gamma, p.dgamma
     K2 = _KEYS[2]
@@ -752,5 +728,9 @@ def classification_values(spec: ImmersionSpec, u, v):
     probes, the area element of each refined leaf. Each value is
     bit-identical to the same field of `point_geometry` at any order.
     """
-    g00, g01, g11, *_, H, _, _, _, norm2 = _evaluate(spec, u, v, 2)
-    return np.maximum(norm2, 0.0), np.abs(H), np.sqrt(g00 * g11 - g01**2)
+    return tuple(_kernel(spec, "class", 2, _classes, u, v))
+
+
+def _classes(geom: _Geometry):
+    g = geom.g
+    return [np.maximum(geom.hring_norm2, 0.0), np.abs(geom.H), np.sqrt(g[0, 0] * g[1, 1] - g[0, 1]**2)]

@@ -261,7 +261,13 @@ def _compose(jet: Jet2, derivs: Sequence[np.ndarray]) -> Jet2:
         du, dv = slopes
         out = [derivs[0]]
         for a, b in _PAIRS[1 : _NCOEFF[order]]:
-            scale = du**a * dv**b
+            try:
+                scale = du**a * dv**b
+            except OverflowError:  # a float power raises where an array's goes to inf
+                raise SingularEvaluationError(
+                    "chain rule: a power of the argument's slope overflows",
+                    value=max(du, dv, key=abs),
+                ) from None
             d = derivs[a + b]
             out.append(_ZERO if scale == 0.0 else d if scale == 1.0 else d * scale)
         return Jet2(order, out)

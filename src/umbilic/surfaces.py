@@ -48,8 +48,8 @@ class ImmersionSpec:
     def tapes(self) -> dict:
         """The recorded evaluations of this chart (`tape.Tape`, None where it
         cannot be taped), each recorded by the first non-empty call that
-        needs it: stage one (`geometry._forms`) under its jet order, and
-        each kernel (`geometry._kernel`) under (jet order, what it reads)."""
+        needs it: every kernel (`geometry._kernel`) under (jet order, what
+        it reads), stage one on its own under (jet order, "forms")."""
         return {}
 
     def component_sources(self) -> tuple[str, str, str]:
@@ -98,10 +98,11 @@ def interior_axes(spec: ImmersionSpec, nu: int, nv: int, *, centers=True):
 def validate(spec: ImmersionSpec, n: int = 64) -> None:
     """Reject charts that are degenerate or leave the conformal model.
 
-    Checks on an n x n midpoint grid: (a) for ambient_c < 0, the image
-    stays strictly inside the conformal ball (|c|/4)|f|^2 < 1; (b) the
-    chart Jacobian has rank 2 in the ambient metric (smallest singular
-    value of lambda * J above RANK_TOL).
+    Checks on an n x n midpoint grid: (a) the chart's values and first
+    partials are finite; (b) for ambient_c < 0, the image stays strictly
+    inside the conformal ball (|c|/4)|f|^2 < 1; (c) the chart Jacobian has
+    rank 2 in the ambient metric (smallest singular value of lambda * J
+    above RANK_TOL).
     """
     if spec.singular_margin < 0:
         raise SpecValidationError(f"{spec.name}: singular_margin must be >= 0")
@@ -109,8 +110,20 @@ def validate(spec: ImmersionSpec, n: int = 64) -> None:
         raise SpecValidationError(f"{spec.name}: empty parameter domain")
     us, vs = interior_axes(spec, n, n)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
-    f = evaluate_chart(spec, uu.ravel(), vv.ravel(), order=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # check (a) reports it
+        f = evaluate_chart(spec, uu.ravel(), vv.ravel(), order=1)
     vals = np.stack([np.broadcast_to(c.value, uu.size) for c in f], axis=-1)
+    jac = np.empty((uu.size, 3, 2))
+    for k, comp in enumerate(f):
+        jac[:, k, 0] = np.broadcast_to(comp.partial(1, 0), uu.size)
+        jac[:, k, 1] = np.broadcast_to(comp.partial(0, 1), uu.size)
+    finite = np.all(np.isfinite(vals), axis=-1) & np.all(np.isfinite(jac), axis=(1, 2))
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise SpecValidationError(
+            f"{spec.name}: chart value or first partial is not finite "
+            f"at u={uu.ravel()[i]:.6g}, v={vv.ravel()[i]:.6g}"
+        )
     c = spec.ambient_c
     if c < 0:
         ball = (abs(c) / 4.0) * np.sum(vals * vals, axis=-1)
@@ -121,12 +134,9 @@ def validate(spec: ImmersionSpec, n: int = 64) -> None:
                 f"{spec.name}: image leaves the conformal ball of the c={c} model "
                 f"((|c|/4)|f|^2 = {worst:.6g} at u={uu.ravel()[i]:.6g}, v={vv.ravel()[i]:.6g})"
             )
-    lam = 1.0 / (1.0 + (c / 4.0) * np.sum(vals * vals, axis=-1))
-    jac = np.empty((uu.size, 3, 2))
-    for k, comp in enumerate(f):
-        jac[:, k, 0] = np.broadcast_to(comp.partial(1, 0), uu.size)
-        jac[:, k, 1] = np.broadcast_to(comp.partial(0, 1), uu.size)
-    sv = np.linalg.svd(lam[:, None, None] * jac, compute_uv=False)
+    # lambda = 1 at c = 0, without forming |f|^2, which may overflow
+    lam = 1.0 if c == 0 else 1.0 / (1.0 + (c / 4.0) * np.sum(vals * vals, axis=-1))[:, None, None]
+    sv = np.linalg.svd(lam * jac, compute_uv=False)
     worst_sv = float(np.min(sv[:, -1]))
     if worst_sv <= RANK_TOL:
         i = int(np.argmin(sv[:, -1]))

@@ -151,6 +151,16 @@ def test_verify_fail_exit_code(tmp_path):
     assert read_json(tmp_path, "verify")["verdict"] == "FAIL"
 
 
+def test_verify_reports_chi_far_from_an_integer(tmp_path, capsys):
+    argv = ["verify", "--preset", "ellipsoid_rev", "--a", "1", "--b", "8", "--eps", "0.5",
+            "--grid", "16x16", "--depth", "0", "--tol", "1.0"]
+    assert run(argv, tmp_path) == 1
+    note = "Euler characteristic estimate 2.2344 is far from an integer; refine the grid"
+    assert f"  note: {note}\n" in capsys.readouterr().out
+    payload = read_json(tmp_path, "verify")
+    assert payload["chi"]["rounded"] == 2 and payload["errors"][0] == note
+
+
 def test_verify_with_sufficiency_check(tmp_path):
     code = run(
         ["verify", "--preset", "sphere", "--eps", "0.5", "--eps0", "0.5"] + SMALL,
@@ -383,6 +393,42 @@ def test_bad_boolean_names_the_file_and_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: periodic_u: ") and "maybe" in err
+
+
+def graph_file(tmp_path, z):
+    path = tmp_path / "graph.ini"
+    path.write_text(f"[surface]\nname = graph\nx = u\ny = v\nz = {z}\n"
+                    "u_range = 0.5, 1.5\nv_range = 0.5, 1.5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["identities", "--n", "200"], ["convergence", "--field", "area", "--levels", "3"]]
+)
+def test_overflowing_chain_rule_factor_is_an_input_error(command, tmp_path, capsys):
+    # the affine argument u*1e200 has the slope 1e200, whose square
+    # overflows a float power: an input error, not a traceback
+    argv = [*command, "--file", graph_file(tmp_path, "0.3*(1/(u*1e200))")]
+    assert run(argv + (["--grid", "64x64"] if "--levels" in command else []), tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: chain rule: a power of the argument's slope")
+
+
+def test_chart_values_that_overflow_when_squared_validate(tmp_path, capsys):
+    # a translated plane at z = 3e202: |f|^2 overflows, which lambda = 1
+    # (c = 0) never forms
+    argv = ["convergence", "--field", "area", "--file", graph_file(tmp_path, "0.3*(1/1e-203)"),
+            "--grid", "64x64", "--levels", "3"]
+    assert run(argv, tmp_path) == 0, capsys.readouterr().err
+    assert [row["value"] for row in read_json(tmp_path, "convergence")["rows"]] == [1.0] * 3
+
+
+def test_non_finite_chart_value_names_the_point(tmp_path, capsys):
+    argv = ["convergence", "--field", "area", "--file",
+            graph_file(tmp_path, "sinh(exp(cosh(u - pi)))"), "--grid", "64x64", "--levels", "3"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph: chart value or first partial is not finite at u=")
+    assert ", v=" in err
 
 
 def test_ambient_override_revalidates(tmp_path):

@@ -190,6 +190,18 @@ def test_coarse_grid_flags_unstable_h_sup():
     assert rep.verdict == "PASS"
 
 
+def test_coarse_grid_flags_chi_far_from_an_integer():
+    # a prolate ellipsoid (b = 8) on 16 x 16 base cells: total_R / 4 pi
+    # lands 0.23 from the nearest integer
+    rep = V.verify_prel(
+        preset("ellipsoid_rev", {"a": 1, "b": 8}), (0.5,), GridSpec(16, 16, 0), tol_margin=1.0
+    )
+    assert rep.chi_estimate == pytest.approx(2.2344, abs=1e-4) and rep.chi_rounded == 2
+    assert rep.warnings[0] == (
+        "Euler characteristic estimate 2.2344 is far from an integer; refine the grid"
+    )
+
+
 def test_report_determinism():
     a = V.verify_prel(preset("ellipsoid_rev"), [0.5, 0.1], G128)
     b = V.verify_prel(preset("ellipsoid_rev"), [0.5, 0.1], G128)
