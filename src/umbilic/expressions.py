@@ -11,8 +11,9 @@ to be a numeric literal (optionally negated or parenthesized); anything
 else is rejected at parse time so that jet composition stays smooth.
 General powers can always be spelled exp(b*log(a)).
 
-One evaluator, `eval_jet`, reads every tree: charts at jet order >= 1 and,
-through `eval_number`, constants (a definition file's numeric fields) at 0.
+One evaluator, `eval_jet`, reads every tree: charts at jet order >= 1 (a
+chart's constant subtrees at 0) and, through `eval_number`, constants (a
+definition file's numeric fields) at 0.
 
 ASTs compare structurally (spans are ignored), and `to_source` prints a
 canonical form that reparses to an identical tree.
@@ -309,6 +310,11 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
     """Evaluate to a Jet2 at (u, v); both may be numpy arrays for batches.
     At order 0 the tree is a constant: u, v are None and a variable is a ParseError.
 
+    A subtree without u or v evaluates at order 0, as `eval_number` does,
+    and enters the tree as a constant jet: its derivatives are zero, and
+    building them could only overflow. Its value is the one order `order`
+    gives, bit for bit.
+
     Singular evaluations (division by zero, log/sqrt domain) are re-raised
     with the offending subexpression's source span and the parameter point
     attached. Repeated work, within a tree or across chart components, is
@@ -319,11 +325,15 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
         uj = jets.variable("u", u, order)
         vj = jets.variable("v", v, order)
 
+    def lift(jet: jets.Jet2) -> jets.Jet2:
+        return jet if jet.order == order else jets.constant(jet.value, order)
+
     def rec(node: Expr) -> jets.Jet2:
+        """node's jet: of order 0 when node holds no variable, else of order `order`."""
         if isinstance(node, Number):
-            return jets.constant(node.value, order)
+            return jets.constant(node.value, 0)
         if isinstance(node, Const):
-            return jets.constant(CONSTANTS[node.name], order)
+            return jets.constant(CONSTANTS[node.name], 0)
         if isinstance(node, Var):
             if not order:
                 raise ParseError(
@@ -333,7 +343,7 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
             return uj if node.name == "u" else vj
         if isinstance(node, Param):
             try:
-                return jets.constant(float(params[node.name]), order)
+                return jets.constant(float(params[node.name]), 0)
             except KeyError:
                 raise ParseError(
                     f"unknown identifier {node.name!r}",
@@ -345,7 +355,10 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
                 left = rec(node.left)
                 if node.op == "^":
                     return jets.pow_const(left, node.right.value)
-                return _BINARY[node.op](left, rec(node.right))
+                right = rec(node.right)
+                if left.order != right.order:
+                    left, right = lift(left), lift(right)
+                return _BINARY[node.op](left, right)
             if node.op == "neg":
                 return -rec(node.child)
             return jets.ELEMENTARY[node.op](rec(node.child))
@@ -355,7 +368,7 @@ def eval_jet(ast: Expr, u, v, order: int, params=None) -> jets.Jet2:
             raise
 
     try:
-        return rec(ast)
+        return lift(rec(ast))
     finally:
         # rec refers to itself; breaking that cycle frees the (u, v) views
         # now, not at the next garbage collection

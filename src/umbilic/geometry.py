@@ -30,17 +30,17 @@ Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
 (surface, jet order, kernel) from (u, v) to what its caller reads,
 recorded on the first node of the first non-empty batch and replayed, bit
 for bit the same values without the Python work, on every batch after.
-The kernels are the order-2 classification ("class": |hring|^2, |H| and
-sqrt(det g)), the quadrature's |H| and field * dA, the normalized
-residuals of `identities`, and stage one alone ("forms": `_forms`' flat
-list, which `PointGeometry` reads). A recording runs `_forms` and stage
-two in one pass, so the calls no output reads are never computed. The
-domain checks of the jet path and the degenerate-metric check are guards
-on the tape. An empty batch, a computation the recorder refuses and a
-batch that fails a guard run without the tape, on the "forms" kernel's
-stage one; that kernel falls back to `_forms`, which raises the jet
-path's error. `fundamental_forms` and `point_geometry` stack the fields
-of one `_Geometry`, each tensor component contiguous in memory.
+The kernels are the quadrature's node kernel (`_nodes`, which
+`classification_values` runs at order 2), the normalized residuals of
+`identities`, and stage one alone ("forms": `_forms`' flat list, which
+`PointGeometry` reads). A recording runs `_forms` and stage two in one
+pass, so the calls no output reads are never computed. The domain checks
+of the jet path and the degenerate-metric check are guards on the tape.
+An empty batch, a computation the recorder refuses and a batch that
+fails a guard run without the tape, on the "forms" kernel's stage one;
+that kernel falls back to `_forms`, which raises the jet path's error.
+`fundamental_forms` and `point_geometry` stack the fields of one
+`_Geometry`, each tensor component contiguous in memory.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -481,11 +481,10 @@ def _require(pg: PointGeometry, order: int, what: str):
 # -- recorded kernels --------------------------------------------------------------
 
 
-def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v, *cols):
-    """fn(geometry, *cols) at (u, v) of any shape, where geometry is the
-    `_Geometry` of the nodes at jet order `order` and cols are 1-D columns
-    of the flattened batch's length: a list of arrays in the broadcast
-    shape of (u, v) (fn may return scalars).
+def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
+    """fn(geometry) at (u, v) of any shape, where geometry is the
+    `_Geometry` of the nodes at jet order `order`: a list of arrays in the
+    broadcast shape of (u, v) (fn may return scalars).
 
     The spec's tape under (order, key) computes it: recorded through
     `_forms` on the first node of the first non-empty call, replayed on
@@ -496,26 +495,24 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v, *cols):
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
-    inputs = (a, b, *cols)
 
-    def run(flat, a, b, *rest):
+    def run(flat, a, b):
         raw = dict(_raw(flat, order), flat=flat)
-        return fn(_Geometry(raw, order, spec.ambient_c, a, b, a.shape), *rest)
+        return fn(_Geometry(raw, order, spec.ambient_c, a, b, a.shape))
 
     tapes = spec.tapes
     if (order, key) not in tapes and a.size:
         try:
             tapes[order, key] = tape.record(
-                lambda a, b, *rest: run(_forms(spec, a, b, order), a, b, *rest),
-                *(x[:1] for x in inputs))
+                lambda a, b: run(_forms(spec, a, b, order), a, b), a[:1], b[:1])
         except SingularEvaluationError:
             pass  # a singular first node: the next call records
     recorded = tapes.get((order, key))
-    out = recorded.replay(*inputs) if recorded and a.size else None
+    out = recorded.replay(a, b) if recorded and a.size else None
     if out is None:
         flat = (_forms(spec, a, b, order) if key == "forms"
                 else _kernel(spec, "forms", order, _flat, a, b))
-        out = run(flat, *inputs)
+        out = run(flat, a, b)
     return [x.reshape(shape) if np.shape(x) == a.shape else np.broadcast_to(x, shape) for x in out]
 
 
@@ -717,20 +714,35 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
     return _inner(p.ginv, ric)
 
 
-# -- cheap classification fields ------------------------------------------------
+# -- the quadrature's node kernel ------------------------------------------------
 
 
 def classification_values(spec: ImmersionSpec, u, v):
-    """(|hring|^2, |H|, sqrt(det g)) from a minimal order-2 evaluation.
+    """(|hring|^2 clipped at 0, |H|, sqrt(det g)) from the order-2 node
+    kernel: the quadrature's classification, H envelope and leaf area
+    elements at cell corners and refinement probes. Each value is
+    bit-identical to the same field of `point_geometry` at any order, and a
+    node where det g <= 0 raises the same degenerate-metric error."""
+    n2, abs_h, sqrt_detg = _nodes(spec, 2, u, v, classify=True)
+    return np.maximum(n2, 0.0), abs_h, sqrt_detg
 
-    Used by the quadrature layer at cell corners and refinement probes:
-    the sublevel classification, the H envelope and, at the child-center
-    probes, the area element of each refined leaf. Each value is
-    bit-identical to the same field of `point_geometry` at any order.
-    """
-    return tuple(_kernel(spec, "class", 2, _classes, u, v))
 
+def _nodes(spec: ImmersionSpec, order: int, u, v, *, classify, peaks=(), densities=()):
+    """The quadrature's kernel at the nodes (u, v), from jet order `order`:
+    |hring|^2 and |H| when classify is set, sqrt(det g), each peak, then
+    each field of densities per unit area, peaks and fields reading a
+    PointGeometry (`_Fields`). One tape per (order, classify, peaks, fields)."""
 
-def _classes(geom: _Geometry):
-    g = geom.g
-    return [np.maximum(geom.hring_norm2, 0.0), np.abs(geom.H), np.sqrt(g[0, 0] * g[1, 1] - g[0, 1]**2)]
+    def kernel(geom):
+        pg = _Fields(geom)
+        out = [geom.hring_norm2, np.abs(geom.H)] if classify else []
+        out += [geom.sqrt_detg, *(np.asanyarray(p(pg), dtype=float) for p in peaks)]
+        for field in densities:
+            value = field(pg)
+            if value is None:
+                raise ValueError(f"integrand read a quantity that jet order {order} does not"
+                                 " fill; declare a higher order with Field")
+            out.append(np.asanyarray(value, dtype=float))
+        return out
+
+    return _kernel(spec, ("nodes", classify, tuple(peaks), tuple(densities)), order, kernel, u, v)

@@ -358,11 +358,21 @@ def exp(jet: Jet2) -> Jet2:
     return _compose(jet, [e] * (jet.order + 1))
 
 
+def _through(jet: Jet2, *derivs) -> list:
+    """Each of the thunks derivs (f, f', f'', ...) called, through the jet's
+    order: a derivative the jet does not hold is never computed, so it
+    cannot overflow either."""
+    return [d() for d in derivs[: jet.order + 1]]
+
+
 def log(jet: Jet2) -> Jet2:
     x = jet.value
     _check_domain(x, x > 0.0, "log")
     inv = 1.0 / x
-    return _compose(jet, [np.log(x), inv, -(inv**2), 2.0 * inv**3, -6.0 * inv**4])
+    return _compose(jet, _through(
+        jet, lambda: np.log(x), lambda: inv, lambda: -(inv**2), lambda: 2.0 * inv**3,
+        lambda: -6.0 * inv**4,
+    ))
 
 
 def sqrt(jet: Jet2) -> Jet2:
@@ -370,18 +380,19 @@ def sqrt(jet: Jet2) -> Jet2:
     _check_domain(x, x > 0.0, "sqrt")
     s = np.sqrt(x)
     inv = 1.0 / x
-    return _compose(jet, [
-        s, 0.5 * s * inv, -0.25 * s * inv**2, 0.375 * s * inv**3, -0.9375 * s * inv**4,
-    ])
+    return _compose(jet, _through(
+        jet, lambda: s, lambda: 0.5 * s * inv, lambda: -0.25 * s * inv**2,
+        lambda: 0.375 * s * inv**3, lambda: -0.9375 * s * inv**4,
+    ))
 
 
 def atan(jet: Jet2) -> Jet2:
     x = jet.value
     w = 1.0 + x * x
-    return _compose(jet, [
-        np.arctan(x), 1.0 / w, -2.0 * x / w**2, (6.0 * x * x - 2.0) / w**3,
-        (24.0 * x - 24.0 * x**3) / w**4,
-    ])
+    return _compose(jet, _through(
+        jet, lambda: np.arctan(x), lambda: 1.0 / w, lambda: -2.0 * x / w**2,
+        lambda: (6.0 * x * x - 2.0) / w**3, lambda: (24.0 * x - 24.0 * x**3) / w**4,
+    ))
 
 
 def pow_const(jet: Jet2, exponent: float) -> Jet2:

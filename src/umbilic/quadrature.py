@@ -35,9 +35,10 @@ node.
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
 order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
-them alone skip the order-3 jets and the covariant derivatives. Each
-evaluation is one recorded kernel (`geometry._kernel`) from (u, v) to |H|,
-the peaks and field * dA; what no field reads is never computed.
+them alone skip the order-3 jets and the covariant derivatives. Every
+node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
+it classifies, sqrt(det g), the peaks and the field densities, which the
+pass weighs by dA, or by an ancestor's leaf area, outside the tape.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -172,17 +173,21 @@ def sublevel(eps: float) -> Region:
 @dataclass(frozen=True)
 class Field:
     """An integrand: fn maps a PointGeometry batch to a scalar array (or a
-    constant); order is the lowest jet order whose geometry fills what fn
-    reads (see `geometry`). A field that reads beyond its order gets None
-    there, and the pass raises instead of integrating it. fn is recorded
-    on one node and replayed (`geometry._kernel`), and the recording is kept
-    with the spec for every later pass with the same fields: fn computes with
-    numpy ufuncs on whole arrays, takes no Python number out of them, and
-    reads no state that changes between calls. One that reads a stacked
-    tensor runs without a tape."""
+    constant); order (2, 3 or 4) is the lowest jet order whose geometry
+    fills what fn reads (see `geometry`). A field that reads beyond its
+    order gets None there, and the pass raises instead of integrating it.
+    fn is recorded on one node and replayed (`geometry._nodes`), and the
+    recording is kept with the spec for every later pass with the same
+    fields: fn computes with numpy ufuncs on whole arrays, takes no Python
+    number out of them, and reads no state that changes between calls. One
+    that reads a stacked tensor runs without a tape."""
 
     fn: Callable
     order: int = 3
+
+    def __post_init__(self):
+        if self.order not in (2, 3, 4):
+            raise ValueError(f"a Field's jet order must be 2, 3 or 4, got {self.order}")
 
     def __call__(self, pg):
         return self.fn(pg)
@@ -277,52 +282,32 @@ def _order(fields):
     return max((f.order if isinstance(f, Field) else 3 for f in fields), default=2)
 
 
-def _density(field, pg):
-    """field(pg): the integrand per unit area (a scalar for a constant)."""
-    value = field(pg)
-    if value is None:
-        raise ValueError(
-            f"integrand read a quantity that jet order {pg.order} does not fill;"
-            " declare a higher order with Field"
-        )
-    return np.asanyarray(value, dtype=float)
-
-
-def _full(spec, fields, us, vs, *, with_n2=False, peaks=()):
+def _full(spec, fields, us, vs, *, classify=False, peaks=()):
     """Geometry at the highest order the fields and peaks declare (2 for
-    none): (max |H| per batch, [|hring|^2,] peak(pg) per peak, then
-    field(pg) * dA per field). One recorded kernel per (fields, peaks,
-    with_n2) computes all but the batch maximum."""
+    none), from the node kernel: with classify, max |H| per batch and
+    |hring|^2; then peak(pg) per peak and field(pg) * dA per field, each
+    product a new array (two outputs of a replay may share one buffer)."""
     order = _order((*fields, *peaks))
 
-    def kernel(geom):
-        pg = geometry._Fields(geom)
-        head = [np.abs(geom.H)] + ([geom.hring_norm2] if with_n2 else [])
-        head += [np.asanyarray(p(pg), dtype=float) for p in peaks]
-        return head + [_density(f, pg) * geom.sqrt_detg for f in fields]
-
     def batch(u, v):
-        key = ("full", tuple(fields), tuple(peaks), with_n2)
-        abs_h, *rest = geometry._kernel(spec, key, order, kernel, u, v)
-        return (np.max(abs_h, keepdims=True), *rest)
+        out = geometry._nodes(spec, order, u, v, classify=classify, peaks=peaks, densities=fields)
+        head = [np.max(out[1], keepdims=True), out[0]] if classify else []
+        sqrt_detg, *rest = out[2:] if classify else out
+        k = len(peaks)
+        return (*head, *rest[:k], *(d * sqrt_detg for d in rest[k:]))
 
     return _chunked(batch, us, vs)
 
 
-def _anchored(spec, fields, us, vs, weights):
+def _anchored(spec, fields, us, vs, weights, peaks):
     """Per field, the sum of field(pg) * weights over the nodes (us, vs):
-    each ancestor's density times the area its deep inside leaves cover.
-    One recorded kernel per field tuple computes the products; each batch
-    sums them."""
-    order = _order(fields)
-
-    def kernel(geom, w):
-        pg = geometry._Fields(geom)
-        return [_density(f, pg) * w for f in fields]
+    each ancestor's density times the area its deep inside leaves cover,
+    from the node kernel of the pass's inside nodes, summed per batch."""
+    order = _order((*fields, *peaks))
 
     def batch(u, v, w):
-        products = geometry._kernel(spec, ("anchored", tuple(fields)), order, kernel, u, v, w)
-        return tuple(np.sum(x, keepdims=True) for x in products)
+        out = geometry._nodes(spec, order, u, v, classify=False, peaks=peaks, densities=fields)
+        return tuple(np.sum(d * w, keepdims=True) for d in out[1 + len(peaks):])
 
     return [float(np.sum(s)) for s in _chunked(batch, us, vs, weights)]
 
@@ -536,7 +521,7 @@ def _base_cells(
     return straddle, corners, mm
 
 
-def _tree_sums(spec, grid, fields, eps, state, levels, sums):
+def _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums):
     """Add the inside leaves of G's refinement tree at threshold eps to
     each level's sums (one per-field list per level, levels <= KF); return
     the max |H| over the inside leaves of G itself (-inf for none).
@@ -547,7 +532,8 @@ def _tree_sums(spec, grid, fields, eps, state, levels, sums):
     the densities of its ancestor KF halvings below level k's base cell,
     the tree node at G-depth KF - k >= 1, evaluated after the tree once
     per node that has inside leaves. Only one weight per ancestor is kept
-    across the tree, never per-leaf arrays.
+    across the tree, never per-leaf arrays. Both evaluations take the
+    pass's peaks, unread here, to replay its inside midpoints' kernel.
     """
     _, _, du, dv = _axes(spec, grid)
     anchors = {KF - k: [] for k in range(levels)}
@@ -562,7 +548,7 @@ def _tree_sums(spec, grid, fields, eps, state, levels, sums):
         hi = leaf.hi[inside]
         deep = KF - leaf.depth + 1  # the first level for which the leaf is deep
         if leaf.lo < min(levels, deep):
-            _, *values = _full(spec, fields, leaf.us[inside], leaf.vs[inside])
+            values = _full(spec, fields, leaf.us[inside], leaf.vs[inside], peaks=peaks)[len(peaks) :]
             for k in range(leaf.lo, min(levels, deep)):
                 _add(sums[k], values, hi >= k, leaf.area)
         w = leaf.sqrt_detg[inside] * leaf.area
@@ -576,7 +562,7 @@ def _tree_sums(spec, grid, fields, eps, state, levels, sums):
     for k, wk in weights.items():
         hit = wk > 0
         us, vs = (np.concatenate(c)[hit] for c in zip(*anchors[KF - k]))
-        for f, total in enumerate(_anchored(spec, fields, us, vs, wk[hit])):
+        for f, total in enumerate(_anchored(spec, fields, us, vs, wk[hit], peaks)):
             sums[k][f] += total
     return h_sup
 
@@ -592,6 +578,7 @@ class _Pass:
             order-2 fields have one (None for the rest, which nothing reads)
     region  per threshold, per field, over the sublevel region
     h_sup   max |H| over the base midpoints and every threshold's inside leaves
+            (None without thresholds: no node outputs |H|, nothing reads it)
     h_odd   max |H| over the base corners whose two indices are both odd,
             which are the base midpoints of the half grid when nu and nv
             are even (None without thresholds: no corners are evaluated)
@@ -618,29 +605,30 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     the order-2 fields' whole-surface sums, |hring|^2 and |H|, and one at
     the fields' order (with the peaks) only where |hring| is below the
     largest threshold, a set that holds every midpoint a region sum reads
-    since the regions are nested. G's corners get one order-2 evaluation, and level m reads G's lattice: its
-    corners are G's corners at indices k 2^m, its midpoints those at
-    2^(m-1) + k 2^m, bit for bit. Its straddling cells descend through
-    cells that lattice has classified, then ride G's refinement tree (see
-    `_refined_leaves`), so each probe and inside leaf is evaluated once.
-    Inside leaves more than KF halvings below their level's base cell take
-    the field densities of their ancestor KF halvings below it, a node of
-    G's tree (see `_tree_sums`). Coarse levels are reduced, and their
-    arrays freed, before G's midpoints are evaluated. Coarse levels carry
-    sums only: their sup |H| would need per-node |H| arrays, and nothing
-    reads it. Each of `peaks`, a function of a PointGeometry batch, is
-    evaluated raw (no dA) at G's midpoints only.
+    since the regions are nested. G's corners get one order-2 evaluation,
+    and level m reads G's lattice: its corners are G's corners at indices
+    k 2^m, its midpoints those at 2^(m-1) + k 2^m, bit for bit. Its
+    straddling cells descend through cells that lattice has classified,
+    then ride G's refinement tree (see `_refined_leaves`), so each probe
+    and inside leaf is evaluated once. Inside leaves more than KF halvings
+    below their level's base cell take the field densities of their
+    ancestor KF halvings below it, a node of G's tree (see `_tree_sums`).
+    Coarse levels are reduced, and their arrays freed, before G's
+    midpoints are evaluated. Coarse levels carry sums only: their sup |H|
+    would need per-node |H| arrays, and nothing reads it. Each of `peaks`,
+    a function of a PointGeometry batch, is evaluated raw (no dA) with the
+    fields, so those nodes replay one kernel; only G's midpoints' count.
 
     So one pass spans at most KF levels. A longer ladder runs as two: the
-    KF finest levels over G, with the peaks, and the rest as a ladder of
-    its own over G/2^KF, which re-probes about 1/2^KF of G's tree.
+    KF finest levels over G, and the rest as a ladder of its own over
+    G/2^KF, which re-probes about 1/2^KF of G's tree.
     """
     fault = _ladder_fault(grid, levels)
     if fault:
         raise ValueError(f"{levels} doubling levels cannot end at {grid.nu}x{grid.nv}: {fault}")
     if levels > KF:
         low = GridSpec(grid.nu >> KF, grid.nv >> KF, grid.adaptive_depth)
-        coarse = _ladder_pass(spec, low, fields, eps_values, levels - KF)
+        coarse = _ladder_pass(spec, low, fields, eps_values, levels - KF, peaks)
         coarse = tuple(replace(p, h_sup=None, h_odd=None, peaks=None) for p in coarse)
         return coarse + _ladder_pass(spec, grid, fields, eps_values, KF, peaks)
     depth = grid.adaptive_depth
@@ -668,31 +656,30 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         _, _, du, dv = _axes(spec, g)
         cell_area = du * dv
         us, vs = _lattice(spec, g, centers=True)
-        level_peaks = peaks if m == 0 else ()
         if classify:
-            h_max, n2_center, *arrays = _full(spec, [fields[k] for k in low], us, vs, with_n2=True)
+            h_max, n2_center, *arrays = _full(spec, [fields[k] for k in low], us, vs, classify=True)
             whole[m] = [None] * len(fields)
             for k, a in zip(low, arrays):
                 whole[m][k] = float(np.sum(a)) * cell_area
+            if m == 0:
+                h_sup = float(np.max(h_max))
             inner = n2_center < top_eps * top_eps
-            if _order((*fields, *level_peaks)) == 2:
+            if not peaks and _order(fields) == 2:
                 inner[:] = True  # the order-2 evaluation already filled every field
             elif inner.any():
-                _, *arrays = _full(spec, fields, us[inner], vs[inner], peaks=level_peaks)
+                arrays = _full(spec, fields, us[inner], vs[inner], peaks=peaks)
             else:
-                arrays = [np.empty(0)] * (len(level_peaks) + len(fields))
+                arrays = [np.empty(0)] * (len(peaks) + len(fields))
+            values, arrays = arrays[: len(peaks)], arrays[len(peaks) :]
+            if m == 0 and peaks:
+                peak_max = tuple(
+                    tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
+                    for ins in (n2_center[inner] < eps * eps for eps in eps_values)
+                )
         else:
-            h_max, *arrays = _full(spec, fields, us, vs)
+            arrays = _full(spec, fields, us, vs)
             whole[m] = [float(np.sum(a)) * cell_area for a in arrays]
         del us, vs
-        if m == 0:
-            h_sup = float(np.max(h_max))
-        if level_peaks:
-            values = [arrays.pop(0) for _ in peaks]
-            peak_max = tuple(
-                tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
-                for ins in (n2_center[inner] < eps * eps for eps in eps_values)
-            )
         for i, eps in enumerate(eps_values):
             inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
             sums_i = [level[i] for level in sums]
@@ -707,7 +694,7 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
                 inside_center.ravel()[straddle], mm[straddle],
             )
-            h_sup = max(h_sup, _tree_sums(spec, grid, fields, eps, state, levels, sums_i))
+            h_sup = max(h_sup, _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums_i))
         del arrays
     fine = (h_sup, h_odd, peak_max)
     return tuple(
@@ -805,32 +792,33 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
 
 
 def _chi(total_R):
-    """(estimate, rounded, far) of chi from the integral of R dA: total_R /
-    4 pi, its nearest integer, and whether the two lie more than 0.05 apart,
-    which signals an under-resolved grid (topology makes chi an integer)."""
+    """(estimate, rounded, faults) of chi from the integral of R dA: total_R
+    / 4 pi, its nearest integer, and a message per sign of a coarse grid:
+    the two lie over 0.05 apart (topology makes chi an integer), or the
+    integer is odd (each closed chart is torus-like or has polar caps)."""
     est = total_R / (4.0 * math.pi)
     rounded = int(round(est))
-    return est, rounded, abs(est - rounded) > 0.05
+    faults = [fault for fault, found in (
+        ("is far from an integer", abs(est - rounded) > 0.05),
+        (f"rounds to the odd value {rounded}, which no closed chart gives", rounded % 2),
+    ) if found]
+    return est, rounded, [f"Euler characteristic estimate {est:.4f} {f}" for f in faults]
 
 
 def euler_characteristic(spec: ImmersionSpec, grid: GridSpec):
     """(chi_estimate, chi_rounded) from the total curvature integral.
 
     chi_estimate = (integral of R dA) / 4 pi. Warns when the estimate is
-    not within 0.05 of an integer (see `_chi`).
+    not within 0.05 of an integer or rounds to an odd one (see `_chi`).
     """
     if not spec.is_closed:
         raise ValueError(
             f"'{spec.name}' is not closed; the Euler characteristic needs a closed surface"
         )
-    chi, rounded, far = _chi(integrate(spec, TOTAL_R, grid, ALL))
-    if far:
-        warnings.warn(
-            f"Euler characteristic estimate {chi:.4f} is far from an integer; "
-            "the grid is likely too coarse for this surface",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    chi, rounded, faults = _chi(integrate(spec, TOTAL_R, grid, ALL))
+    for fault in faults:
+        message = f"{fault}; the grid is likely too coarse for this surface"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return chi, rounded
 
 

@@ -49,7 +49,9 @@ class ImmersionSpec:
         """The recorded evaluations of this chart (`tape.Tape`, None where it
         cannot be taped), each recorded by the first non-empty call that
         needs it: every kernel (`geometry._kernel`) under (jet order, what
-        it reads), stage one on its own under (jet order, "forms")."""
+        it computes), which is ("nodes", classify, peaks, fields) for the
+        quadrature's node kernel, "residuals" for the identities' and
+        "forms" for stage one on its own."""
         return {}
 
     def component_sources(self) -> tuple[str, str, str]:

@@ -194,13 +194,8 @@ def verify_prel(
     if cor_ladder:
         cor_rows = [passes[-1][union.index(e)] for e in cor_ladder]
         corollary = _corollary_record(spec, grid, cor_rows, peaks[union.index(cor_ladder[0])])
-    chi_est, chi_round, far = quad._chi(integrals[0].total_R)
-    warnings = []
-    if far:
-        warnings.append(
-            f"Euler characteristic estimate {chi_est:.4f} is far from an integer;"
-            " refine the grid"
-        )
+    chi_est, chi_round, faults = quad._chi(integrals[0].total_R)
+    warnings = [f"{fault}; refine the grid" for fault in faults]
 
     # h_coarse: max |H| at the odd corners, the half grid's midpoints
     h_measured = integrals[0].H_sup

@@ -7,6 +7,7 @@ to exit codes, file schema, and determinism.
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -159,6 +160,17 @@ def test_verify_reports_chi_far_from_an_integer(tmp_path, capsys):
     assert f"  note: {note}\n" in capsys.readouterr().out
     payload = read_json(tmp_path, "verify")
     assert payload["chi"]["rounded"] == 2 and payload["errors"][0] == note
+
+
+def test_verify_reports_an_odd_chi(tmp_path, capsys):
+    argv = ["verify", "--preset", "ellipsoid_rev", "--a", "5", "--b", "0.3", "--eps", "0.5",
+            "--grid", "16x16", "--depth", "0", "--tol", "1.0"]
+    assert run(argv, tmp_path) == 0
+    note = ("Euler characteristic estimate 1.0030 rounds to the odd value 1, which no closed"
+            " chart gives; refine the grid")
+    assert f"  note: {note}\n" in capsys.readouterr().out
+    payload = read_json(tmp_path, "verify")
+    assert payload["chi"]["rounded"] == 1 and payload["errors"][0] == note
 
 
 def test_verify_with_sufficiency_check(tmp_path):
@@ -420,6 +432,20 @@ def test_chart_values_that_overflow_when_squared_validate(tmp_path, capsys):
             "--grid", "64x64", "--levels", "3"]
     assert run(argv, tmp_path) == 0, capsys.readouterr().err
     assert [row["value"] for row in read_json(tmp_path, "convergence")["rows"]] == [1.0] * 3
+
+
+@pytest.mark.parametrize(
+    "z", ["0.3*(1/1e-203)", "u + sqrt(1e-200)", "u + log(1e-300)", "u + 1e-200^-1.5"]
+)
+def test_chart_constants_build_no_derivatives(z, tmp_path, capsys):
+    # a subtree without u or v evaluates at jet order 0: the derivatives of
+    # 1/x, sqrt, log and a power at these constants overflow, and a chart
+    # reads none of them
+    argv = ["convergence", "--field", "area", "--file", graph_file(tmp_path, z),
+            "--grid", "64x64", "--levels", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv, tmp_path) == 0, capsys.readouterr().err
 
 
 def test_non_finite_chart_value_names_the_point(tmp_path, capsys):

@@ -683,27 +683,27 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
 TAPE_BOUNDS = {
     "ellipsoid_rev": {
         "forms_o2": (101, 17), "forms_o3": (494, 59), "forms_o4": (1270, 98),
-        "class_o2": (106, 16), "full_o2": (112, 16), "region_o3": (543, 39),
-        "anchored_o3": (541, 39), "residuals_o4": (2820, 113),
+        "class_o2": (106, 16), "whole_o2": (110, 16), "region_o3": (537, 39),
+        "area_o2": (46, 10), "residuals_o4": (2820, 113),
     },
     "squashed_ball_c-1": {
         "forms_o2": (182, 28), "forms_o3": (965, 84), "forms_o4": (2388, 149),
-        "class_o2": (187, 28), "full_o2": (193, 28), "region_o3": (901, 75),
-        "anchored_o3": (899, 75), "residuals_o4": (3938, 149),
+        "class_o2": (187, 28), "whole_o2": (191, 28), "region_o3": (895, 75),
+        "area_o2": (63, 12), "residuals_o4": (3938, 149),
     },
 }
 
 # the kernels the CLI records: the order-2 classification, the whole-surface
-# order-2 pass with |hring|^2, the region pass at order 3, its ancestors, and
-# the identities' residuals; and stage one, which the public PointGeometry
-# reads
+# order-2 pass that also classifies, the region pass at order 3 (whose
+# ancestors replay it), the area-only whole-surface pass and the identities'
+# residuals; and stage one, which the public PointGeometry reads
 KERNELS = {
     **{f"forms_o{order}": lambda spec, u, v, order=order: geo.fundamental_forms(spec, u, v, order)
        for order in (2, 3, 4)},
     "class_o2": geo.classification_values,
-    "full_o2": lambda spec, u, v: q._full(spec, [q.AREA, q.TOTAL_R], u, v, with_n2=True),
+    "whole_o2": lambda spec, u, v: q._full(spec, [q.AREA, q.TOTAL_R], u, v, classify=True),
     "region_o3": lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
-    "anchored_o3": lambda spec, u, v: q._anchored(spec, q._REGION_FIELDS, u, v, np.ones(u.size)),
+    "area_o2": lambda spec, u, v: q._full(spec, [q.AREA], u, v),
     "residuals_o4": geo.residual_norms,
 }
 
@@ -739,19 +739,27 @@ def test_tape_calls_and_buffers_stay_bounded(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(TAPE_BOUNDS))
 def test_no_cli_path_falls_back(name, tmp_path):
-    # what the CLI commands evaluate replays each kernel's own tape: none is
-    # refused, and none falls back to the "forms" kernel's stage one. Depth 5
-    # takes deep leaves' densities from their ancestors (the anchored kernel)
-    spec, grid = bounds_spec(name, tmp_path), q.GridSpec(64, 64, 5)
-    V.verify_prel(spec, (0.5, 0.2), grid, eps0=0.5)
+    # what each CLI command evaluates, on a fresh spec, replays its kernels'
+    # own tapes: none is refused, none falls back to the "forms" kernel's
+    # stage one, and the command records one tape per kernel. Depth 5 takes
+    # deep leaves' densities from their ancestors, which replay the tape of
+    # the other inside nodes
+    grid = q.GridSpec(64, 64, 5)
+    commands = {
+        "verify": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid), 3),
+        "verify --eps0": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid, eps0=0.5), 3),
+        "convergence vol": (lambda spec: q.convergence_study(spec, q.AREA, q.sublevel(0.3), grid), 3),
+        "convergence area": (lambda spec: q.convergence_study(spec, q.AREA, q.ALL, grid), 1),
+        "convergence total_R": (lambda spec: q.convergence_study(spec, q.TOTAL_R, q.ALL, grid), 1),
+        "identities": (lambda spec: geo.residual_norms(spec, *sample_points(spec, 200)), 1),
+    }
     if name == "ellipsoid_rev":
-        V.sharpness_gap(spec, (0.5, 0.2), grid)
-    for field, region in ((q.AREA, q.ALL), (q.TOTAL_R, q.ALL), (q.AREA, q.sublevel(0.3))):
-        q.convergence_study(spec, field, region, grid)
-    geo.residual_norms(spec, *sample_points(spec, 200))
-    assert all(isinstance(t, tape.Tape) for t in spec.tapes.values())
-    kinds = {key if isinstance(key, str) else key[0] for _, key in spec.tapes}
-    assert kinds == {"class", "full", "anchored", "residuals"}
+        commands["sweep"] = (lambda spec: V.sharpness_gap(spec, (0.5, 0.2), grid), 3)
+    for command, (run, count) in commands.items():
+        spec = bounds_spec(name, tmp_path)
+        run(spec)
+        assert all(isinstance(t, tape.Tape) for t in spec.tapes.values()), command
+        assert len(spec.tapes) == count, (command, list(spec.tapes))
 
 
 # -- recorded jet evaluation -------------------------------------------------------
@@ -844,7 +852,8 @@ def test_replayed_singular_batch_raises_the_jet_path_error():
     spec = chart_spec(chart)
     vs = np.array([0.1, 0.2, 0.3])
     geo.classification_values(spec, np.array([0.5, 0.25, 0.75]), vs)
-    assert isinstance(spec.tapes[2, "class"], tape.Tape)
+    (recorded,) = spec.tapes.values()
+    assert isinstance(recorded, tape.Tape)
     bad = np.array([0.5, -0.25, 0.75])
     with pytest.raises(SingularEvaluationError) as taped:
         geo.classification_values(spec, bad, vs)
@@ -873,7 +882,8 @@ def test_chart_constants_come_in_the_batch_shape():
     spec = plane_spec()
     us, vs = np.meshgrid(np.linspace(-0.5, 0.5, 3), np.linspace(-0.5, 0.5, 4))
     values = geo.classification_values(spec, us, vs)
-    assert spec.tapes[2, "class"].n_ops == 0
+    (recorded,) = spec.tapes.values()
+    assert recorded.n_ops == 0
     for value, want in zip(values, (0.0, 0.0, 1.0)):
         assert isinstance(value, np.ndarray) and value.shape == (4, 3)
         assert np.all(value == want)
@@ -884,18 +894,23 @@ def test_chart_constants_come_in_the_batch_shape():
 
 def test_kernel_guard_raises_the_degenerate_metric_error():
     # two tangents that differ by 1e-9: stage one passes (its det g is
-    # nonzero), and det g rounds to +-8.9e-16 by node. The kernel records
-    # where det g > 0; the batch holding a node where it is < 0 fails the
-    # guard and runs without the tape, raising the public path's error
+    # nonzero), and det g rounds to +-8.9e-16 by node. Each kernel, the
+    # classification's included, records where det g > 0; the batch holding
+    # a node where it is < 0 fails the guard and runs without the tape,
+    # raising the public path's error
     chart = ("cos(u + v) + 1e-9*u*v", "sin(u + v) + 1e-9*u*u", "u + v + 1e-9*v*v")
     us, vs = np.array([0.10, 0.12, 0.14]), np.full(3, 0.3)
-    for order, fields in ((2, [q.AREA]), (3, q._REGION_FIELDS)):
+    for order, evaluate in (
+        (2, geo.classification_values),
+        (2, lambda spec, u, v: q._full(spec, [q.AREA], u, v)),
+        (3, lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v)),
+    ):
         spec = chart_spec(chart)
-        q._full(spec, fields, us[:2], vs[:2])
+        evaluate(spec, us[:2], vs[:2])
         (recorded,) = spec.tapes.values()
         assert isinstance(recorded, tape.Tape)
         with pytest.raises(SingularEvaluationError) as taped:
-            q._full(spec, fields, us, vs)
+            evaluate(spec, us, vs)
         with pytest.raises(SingularEvaluationError) as public:
             geo.point_geometry(chart_spec(chart), us, vs, order)
         got, want = taped.value, public.value
@@ -939,7 +954,7 @@ def kernel_outputs(spec, us, vs):
     # sufficiency peaks) and the identities' residuals at order 4
     return [
         *geo.classification_values(spec, us, vs),
-        *q._full(spec, FIELDS, us, vs, with_n2=True, peaks=PEAKS),
+        *q._full(spec, FIELDS, us, vs, classify=True, peaks=PEAKS),
         *geo.residual_norms(spec, us, vs),
     ]
 

@@ -219,6 +219,12 @@ def test_field_reading_a_stacked_tensor_runs_without_a_tape(monkeypatch):
     assert got == float(np.sum(field(pg) * pg.sqrt_detg)) * (du * dv)
 
 
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_field_names_a_jet_order_geometry_does_not_evaluate(order):
+    with pytest.raises(ValueError, match=f"jet order must be 2, 3 or 4, got {order}$"):
+        q.Field(lambda pg: pg.R, order=order)
+
+
 def test_mixed_fields_evaluate_at_the_highest_order():
     # one order-3 field lifts the whole pass, so order-2 fields beside it
     # still see their values
@@ -266,7 +272,7 @@ def _straddling(spec, g, eps):
     _, _, du, dv = q._axes(spec, g)
     ug, vg = q._lattice(spec, g, centers=False)
     n2_corner, _, _ = q._classified(spec, ug, vg)
-    _, n2_center, base = q._full(spec, (r_field,), *q._lattice(spec, g, centers=True), with_n2=True)
+    _, n2_center, base = q._full(spec, (r_field,), *q._lattice(spec, g, centers=True), classify=True)
     inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
     all_in, straddle, corners = q._base_split(
         (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
@@ -288,7 +294,7 @@ def _outside_r(spec, g, eps):
     total = float(np.sum(base[outside])) * du * dv
     for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
         if (~inside).any():
-            _, vals = q._full(spec, (r_field,), us[~inside], vs[~inside], with_n2=False)
+            (vals,) = q._full(spec, (r_field,), us[~inside], vs[~inside])
             total += float(np.sum(vals)) * area
     return total
 
@@ -617,11 +623,11 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
     nodes = {2: 0, 3: 0}
     real = q.geometry._kernel
 
-    def counting(spec, key, order, fn, u, v, *cols):
-        # the full and anchored kernels; the classification's is keyed "class"
-        if isinstance(key, tuple):
+    def counting(spec, key, order, fn, u, v):
+        # the node kernels with field densities; the classification has none
+        if key[0] == "nodes" and key[3]:
             nodes[order] += np.size(u)
-        return real(spec, key, order, fn, u, v, *cols)
+        return real(spec, key, order, fn, u, v)
 
     monkeypatch.setattr(q.geometry, "_kernel", counting)
     q.region_integrals(spec, eps_values, g)
@@ -931,6 +937,14 @@ def test_euler_characteristic_warns_off_integer():
     with pytest.warns(RuntimeWarning):
         est, rounded = q.euler_characteristic(fake, q.GridSpec(64, 64))
     assert abs(est - rounded) > 0.05
+
+
+def test_euler_characteristic_warns_on_an_odd_value():
+    # total_R / 4 pi lands 0.003 from 1 on a flat oblate ellipsoid at 16 x 16
+    spec = preset("ellipsoid_rev", {"a": 5, "b": 0.3})
+    with pytest.warns(RuntimeWarning, match="rounds to the odd value 1, which no closed chart"):
+        _, rounded = q.euler_characteristic(spec, q.GridSpec(16, 16))
+    assert rounded == 1
 
 
 # -- convergence studies ----------------------------------------------------------------

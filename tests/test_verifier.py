@@ -202,6 +202,19 @@ def test_coarse_grid_flags_chi_far_from_an_integer():
     )
 
 
+def test_coarse_grid_flags_an_odd_chi():
+    # a flat oblate ellipsoid (a = 5, b = 0.3) on 16 x 16 base cells: total_R
+    # / 4 pi lands 0.003 from 1, an odd value, which no closed chart gives
+    rep = V.verify_prel(
+        preset("ellipsoid_rev", {"a": 5, "b": 0.3}), (0.5,), GridSpec(16, 16, 0), tol_margin=1.0
+    )
+    assert rep.chi_estimate == pytest.approx(1.0030, abs=1e-4) and rep.chi_rounded == 1
+    assert rep.warnings[0] == (
+        "Euler characteristic estimate 1.0030 rounds to the odd value 1, which no closed"
+        " chart gives; refine the grid"
+    )
+
+
 def test_report_determinism():
     a = V.verify_prel(preset("ellipsoid_rev"), [0.5, 0.1], G128)
     b = V.verify_prel(preset("ellipsoid_rev"), [0.5, 0.1], G128)
