@@ -33,7 +33,8 @@ class SingularEvaluationError(UmbilicError):
     charts. ``value`` is the offending number, ``index`` the flat batch
     index it occurred at, ``point`` the (u, v) parameter point once the
     caller can supply it, ``span`` the source span of the expression
-    node when evaluation came from parsed text.
+    node when evaluation came from parsed text. ``message`` is the text
+    before those details.
     """
 
     def __init__(
@@ -45,6 +46,7 @@ class SingularEvaluationError(UmbilicError):
         point: tuple[float, float] | None = None,
         span: tuple[int, int] | None = None,
     ):
+        self.message = message
         self.value = value
         self.index = index
         self.point = point
@@ -62,10 +64,12 @@ class SingularEvaluationError(UmbilicError):
         self,
         point: tuple[float, float] | None = None,
         span: tuple[int, int] | None = None,
+        where: str | None = None,
     ) -> "SingularEvaluationError":
-        """Return a copy enriched with the parameter point / source span."""
+        """Return a copy enriched with the parameter point / source span, and
+        with the message prefixed by ``where: `` when given."""
         return SingularEvaluationError(
-            self.args[0].split(";")[0],
+            self.message if where is None else f"{where}: {self.message}",
             value=self.value,
             index=self.index,
             point=point if point is not None else self.point,

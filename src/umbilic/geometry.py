@@ -29,7 +29,9 @@ order 4; each raises ValueError on less.
 Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
 (surface, jet order, kernel) from (u, v) to what its caller reads,
 recorded on the first node of the first non-empty batch and replayed, bit
-for bit the same values without the Python work, on every batch after.
+for bit the same values without the Python work, on every batch after. A
+lattice's column of u and row of v replay unbroadcast: the tape's u-only
+and v-only calls run once per row and once per column.
 The kernels are the quadrature's node kernel (`_nodes`, which
 `classification_values` runs at order 2), the normalized residuals of
 `identities`, and stage one alone ("forms": `_forms`' flat list, which
@@ -67,6 +69,7 @@ the same index tuples: ``dg[k, i, j]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -488,32 +491,45 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
 
     The spec's tape under (order, key) computes it: recorded through
     `_forms` on the first node of the first non-empty call, replayed on
-    every batch after. Without it (an empty batch, a computation the
-    recorder refuses, a batch a guard rejects) fn runs on the "forms"
+    every batch after. A lattice's column of u (R, 1) and row of v (1, C)
+    replay unbroadcast, so the tape's u-only and v-only calls run R and C
+    times, not R * C (see `tape`); any other input replays flat. Without
+    the tape (an empty batch, a computation the recorder refuses, a batch
+    a guard rejects) fn runs on the flat broadcast through the "forms"
     kernel's stage one, and that kernel on `_forms`, which raises the jet
     path's error. key names fn: equal keys must mean the same computation.
     """
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel() for x in (u, v))
+    u, v = (np.asarray(x, dtype=np.float64) for x in (u, v))
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    size = math.prod(shape)
+    lattice = u.ndim == v.ndim == 2 and u.shape[1] == v.shape[0] == 1
 
-    def run(flat, a, b):
-        raw = dict(_raw(flat, order), flat=flat)
+    def flat():
+        return [np.broadcast_to(x, shape).ravel() for x in (u, v)]
+
+    def run(forms, a, b):
+        raw = dict(_raw(forms, order), flat=forms)
         return fn(_Geometry(raw, order, spec.ambient_c, a, b, a.shape))
 
     tapes = spec.tapes
-    if (order, key) not in tapes and a.size:
+    if (order, key) not in tapes and size:
         try:
+            # the first node of the broadcast is each input's first entry
             tapes[order, key] = tape.record(
-                lambda a, b: run(_forms(spec, a, b, order), a, b), a[:1], b[:1])
+                lambda a, b: run(_forms(spec, a, b, order), a, b),
+                *(x.reshape(-1)[:1] for x in (u, v)))
         except SingularEvaluationError:
             pass  # a singular first node: the next call records
     recorded = tapes.get((order, key))
-    out = recorded.replay(a, b) if recorded and a.size else None
+    inputs = (u, v) if lattice else flat()
+    out = recorded.replay(*inputs) if recorded and size else None
     if out is None:
-        flat = (_forms(spec, a, b, order) if key == "forms"
-                else _kernel(spec, "forms", order, _flat, a, b))
-        out = run(flat, a, b)
-    return [x.reshape(shape) if np.shape(x) == a.shape else np.broadcast_to(x, shape) for x in out]
+        a, b = flat() if lattice else inputs
+        forms = (_forms(spec, a, b, order) if key == "forms"
+                 else _kernel(spec, "forms", order, _flat, a, b))
+        out = run(forms, a, b)
+    return [x.reshape(shape) if np.ndim(x) and np.size(x) == size else np.broadcast_to(x, shape)
+            for x in out]
 
 
 def _flat(geom: _Geometry):

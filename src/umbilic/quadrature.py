@@ -38,7 +38,12 @@ order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
 them alone skip the order-3 jets and the covariant derivatives. Every
 node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
 it classifies, sqrt(det g), the peaks and the field densities, which the
-pass weighs by dA, or by an ancestor's leaf area, outside the tape.
+pass weighs by dA, or by an ancestor's leaf area, outside the tape. A base
+lattice (corners or midpoints) reaches the kernel as a column of u and a
+row of v, batched by whole rows and never meshed, so the kernel's u-only
+and v-only calls run once per row and once per column (`_lattice`,
+`_chunked`); refinement probes, inside midpoints and leaves are flat node
+arrays.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -244,30 +249,43 @@ def _axes(spec: ImmersionSpec, grid: GridSpec):
 
 
 def _lattice(spec: ImmersionSpec, grid: GridSpec, *, centers):
-    """`interior_axes` meshed: base-cell midpoints (nu x nv) or corners
-    ((nu+1) x (nv+1)), flat row-major."""
-    U, V = np.meshgrid(*interior_axes(spec, grid.nu, grid.nv, centers=centers), indexing="ij")
-    return U.ravel(), V.ravel()
+    """`interior_axes` as a lattice: the column of u (R, 1) and the row of v
+    (1, C) of the base-cell midpoints (nu x nv) or corners ((nu+1) x
+    (nv+1)), never meshed. Node k of the lattice, row-major, is (u[i, 0],
+    v[0, j]) with (i, j) = divmod(k, C)."""
+    us, vs = interior_axes(spec, grid.nu, grid.nv, centers=centers)
+    return us[:, None], vs[None, :]
 
 
 def _chunked(kernel, *cols):
-    """kernel(*batch) -> tuple of arrays, run on CHUNK-node batches of the
-    equal-length node arrays cols (us, vs, ...) and gathered.
+    """kernel(*batch) -> tuple of arrays, run on batches of about CHUNK
+    nodes and gathered into flat arrays.
 
-    The arrays must be non-empty. An output of one element per batch (a
-    batch maximum or sum) gathers to one element per batch. Batches are
-    written into preallocated outputs, so no result is ever held twice.
+    cols are equal-length node arrays (us, vs, ...), cut into CHUNK-node
+    batches, or a lattice's column of u and row of v (see `_lattice`), cut
+    into whole rows, max(1, CHUNK // width) per batch, and gathered
+    row-major. The nodes must be non-empty. An output of one element per
+    batch (a batch maximum or sum) gathers to one element per batch.
+    Batches are written into preallocated outputs, so no result is ever
+    held twice.
     """
-    n = cols[0].size
-    for k, i in enumerate(range(0, n, CHUNK)):
-        part = kernel(*(c[i : i + CHUNK] for c in cols))
-        if n <= CHUNK:
-            return part
-        if i == 0:
-            outs = tuple(np.empty(n if a.size > 1 else -(-n // CHUNK), a.dtype) for a in part)
+    if cols[0].ndim == 2:
+        us, vs = cols
+        rows = max(1, CHUNK // vs.size)
+        n, step = us.size * vs.size, rows * vs.size
+        batches = ((us[i : i + rows], vs) for i in range(0, us.shape[0], rows))
+    else:
+        n, step = cols[0].size, CHUNK
+        batches = (tuple(c[i : i + CHUNK] for c in cols) for i in range(0, n, CHUNK))
+    for k, batch in enumerate(batches):
+        part = [np.reshape(a, -1) for a in kernel(*batch)]
+        if n <= step:
+            return tuple(part)
+        if k == 0:
+            outs = tuple(np.empty(n if a.size > 1 else -(-n // step), a.dtype) for a in part)
         for out, a in zip(outs, part):
             if out.size == n:
-                out[i : i + CHUNK] = a
+                out[k * step : k * step + a.size] = a
             else:
                 out[k] = a[0]
     return outs
@@ -644,9 +662,6 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         n2_corner = n2_corner.reshape(grid.nu + 1, grid.nv + 1)
         h_odd = float(np.max(h_corner.reshape(grid.nu + 1, grid.nv + 1)[1::2, 1::2]))
         del h_corner
-        cu0 = ug.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-        cv0 = vg.reshape(grid.nu + 1, grid.nv + 1)[:-1, :-1].ravel()
-        del ug, vg
         low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
         top_eps = max(eps_values)
 
@@ -667,7 +682,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             if not peaks and _order(fields) == 2:
                 inner[:] = True  # the order-2 evaluation already filled every field
             elif inner.any():
-                arrays = _full(spec, fields, us[inner], vs[inner], peaks=peaks)
+                iu, iv = np.divmod(np.flatnonzero(inner), g.nv)
+                arrays = _full(spec, fields, us[iu, 0], vs[0, iv], peaks=peaks)
+                del iu, iv
             else:
                 arrays = [np.empty(0)] * (len(peaks) + len(fields))
             values, arrays = arrays[: len(peaks)], arrays[len(peaks) :]
@@ -690,8 +707,10 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             if m:
                 held[i] = mm.reshape(g.nu, g.nv)
                 continue
+            # the straddling cells' lower corners, from G's corner axes
+            iu, iv = np.divmod(np.flatnonzero(straddle), grid.nv)
             state = (
-                cu0[straddle], cv0[straddle], *(c[straddle] for c in corners),
+                ug[iu, 0], vg[0, iv], *(c[straddle] for c in corners),
                 inside_center.ravel()[straddle], mm[straddle],
             )
             h_sup = max(h_sup, _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums_i))

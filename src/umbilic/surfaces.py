@@ -35,6 +35,8 @@ class ImmersionSpec:
     # closed = compact without boundary under the declared periodicity;
     # gates every global-integral check (Gauss-Bonnet, inequality runs)
     is_closed: bool = False
+    # the definition file the chart was read from (None for a preset)
+    source: str | None = None
 
     def with_params(self, **updates) -> "ImmersionSpec":
         """The spec with some parameters replaced; each must be finite, as a
@@ -77,15 +79,24 @@ class ImmersionSpec:
 def evaluate_chart(spec: ImmersionSpec, u, v, order: int):
     """The three component jets of the chart at (u, v); batched if u, v are
     arrays. Work the components share is evaluated in each; a recording
-    (`tape.py`) keeps each repeated call once."""
-    return tuple(ex.eval_jet(c, u, v, order, spec.params) for c in spec.components)
+    (`tape.py`) keeps each repeated call once. A SingularEvaluationError
+    names its component after the chart's file (or preset name), as
+    `<path>: z: ...`, since its source span is within that component."""
+    out = []
+    for key, component in zip("xyz", spec.components):
+        try:
+            out.append(ex.eval_jet(component, u, v, order, spec.params))
+        except SingularEvaluationError as err:
+            raise err.with_context(where=f"{spec.source or spec.name}: {key}") from None
+    return tuple(out)
 
 
 def interior_axes(spec: ImmersionSpec, nu: int, nv: int, *, centers=True):
     """Sample coordinates along each axis of `spec.interior_ranges()` split
     into nu x nv cells: the cell midpoints, or with centers=False the nu + 1
     and nv + 1 corners, which run from one end of the range to the other.
-    The package's one sample lattice: quadrature meshes it.
+    The package's one sample lattice: quadrature reads it as a column of u
+    and a row of v, never meshed.
 
     Periodic axes cover their full period. Midpoints never touch the
     (open) boundary even with zero margin.
@@ -154,7 +165,7 @@ _PI = math.pi
 
 
 def _spec(name, xyz, u_range, v_range, *, periodic_u=False, periodic_v=False,
-          c=0.0, params=None, margin=0.0, closed=False) -> ImmersionSpec:
+          c=0.0, params=None, margin=0.0, closed=False, source=None) -> ImmersionSpec:
     params = dict(params or {})
     components = tuple(ex.parse(s, known_params=set(params)) for s in xyz)
     return ImmersionSpec(
@@ -168,6 +179,7 @@ def _spec(name, xyz, u_range, v_range, *, periodic_u=False, periodic_v=False,
         params=MappingProxyType(params),
         singular_margin=float(margin),
         is_closed=closed,
+        source=source,
     )
 
 
@@ -341,6 +353,7 @@ def load_definition(path) -> ImmersionSpec:
             params=params,
             margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
             closed=flag("closed"),
+            source=str(path),
         )
     except ParseError as err:
         raise SpecValidationError(f"{path}: bad component expression: {err}") from err

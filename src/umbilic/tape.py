@@ -23,6 +23,20 @@ computation, and at most as many batch arrays are alive as values were at
 once. It returns None when a guard disagrees; the caller then computes
 that batch directly.
 
+A call whose value depends on one input only is a one-input call; the
+others are mixed (`Tape.calls`). Inputs of one shape replay every call at
+that shape. Inputs that broadcast, such as a lattice's column of u (R, 1)
+and row of v (1, C), replay each one-input call at its input's shape, R
+or C values, and each mixed call at the broadcast shape, R * C. A
+one-input value is copied to the broadcast shape once, where a mixed
+call, a guard or an output first reads it, so every mixed call runs on
+contiguous operands of one shape (numpy broadcasting a stride-0 operand
+inside the call is slower than the copy). That schedule is derived from
+the one-shape schedule on its first use, so a tape that only replays flat
+batches never builds it. numpy's elementwise ufuncs give an element the
+same bits at any length, offset or stride of the array holding it (the
+tests compare both schedules with the direct computation bit for bit).
+
 fn is refused (`record` returns no tape) when the recording meets a
 batch-shaped array it did not record, an `out=` argument, or a ufunc
 method other than a call or a reduction to a scalar, or when fn raises
@@ -33,6 +47,8 @@ values).
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,12 +179,68 @@ def record(fn, *inputs):
     return Tape(rec, len(inputs), outputs)
 
 
+class _Plan(NamedTuple):
+    """One replay schedule: runs of (fn, operands, out buffer) calls, each
+    run ended by a guard (ufunc, kwargs, buffer, outcome) or None after
+    the last; each allocated buffer's (dtype, input), input None for the
+    broadcast shape; and the outputs."""
+
+    runs: list
+    buffers: list
+    outputs: list
+
+
+def _broadcast(x, out):
+    """The one call a tape adds: x copied to the broadcast shape of out."""
+    np.copyto(out, x)
+
+
+def _plan(steps, outputs, n_inputs, kind) -> _Plan:
+    """Buffers by liveness for steps (calls and guards over slots) and the
+    outputs; kind(slot) is the (dtype, input) a value's buffer has.
+
+    A value's buffer is freed after its last read and taken by a later
+    value of its kind, which may be the call reading it (an elementwise
+    ufunc may write over its operand); inputs and outputs are never freed.
+    """
+
+    def reads(step):
+        return [step[2]] if len(step) == 4 else [s for s, _ in step[1] if s is not None]
+
+    last = {s: i for i, step in enumerate(steps) for s in reads(step)}
+    last.update((slot, len(steps)) for slot, _ in outputs)
+    buffer_of = {None: None, **{s: s for s in range(n_inputs)}}
+    free, buffers, runs, calls = {}, [], [], []
+    for i, step in enumerate(steps):
+        for s in reads(step):
+            if last[s] == i and s >= n_inputs:
+                last[s] = None  # a value read twice by one call is freed once
+                free[kind(s)].append(buffer_of[s])
+        if len(step) == 4:
+            ufunc, kwargs, slot, outcome = step
+            runs.append((calls, (ufunc, kwargs, buffer_of[slot], outcome)))
+            calls = []
+            continue
+        fn, operands, slot = step
+        pool = free.setdefault(kind(slot), [])
+        if pool:
+            buffer_of[slot] = pool.pop()
+        else:
+            buffer_of[slot] = n_inputs + len(buffers)
+            buffers.append(kind(slot))
+        calls.append((fn, [(buffer_of[s], c) for s, c in operands], buffer_of[slot]))
+    runs.append((calls, None))
+    return _Plan(runs, buffers, [(buffer_of[s], c) for s, c in outputs])
+
+
 class Tape:
     """The recorded calls that reach an output or a guard, each value
     assigned a buffer by liveness.
 
     Buffers 0 .. n_inputs - 1 are the inputs; each later one is allocated
-    per replay and holds every value assigned to it in turn.
+    per replay and holds every value assigned to it in turn. Inputs that
+    broadcast replay a second schedule, derived from the first on first
+    use.
     """
 
     def __init__(self, rec: _Recorder, n_inputs: int, outputs):
@@ -180,56 +252,96 @@ class Tape:
             guard = len(step) == 4
             if not guard and step[2] not in live:
                 continue
-            reads = [step[2]] if guard else [s for s, _ in step[1] if s is not None]
-            live.update(reads)
-            kept.append((step, reads))
+            live.update([step[2]] if guard else [s for s, _ in step[1] if s is not None])
+            kept.append(step)
         kept.reverse()
-        last = {s: i for i, (_, reads) in enumerate(kept) for s in reads}
-        last.update((slot, len(kept)) for slot, _ in outputs)
+        dtypes = rec.dtypes
+        self._inputs = dtypes[:n_inputs]
+        self._flat = _plan(kept, outputs, n_inputs, lambda s: (dtypes[s], None))
+        self.n_ops = sum(len(step) == 3 for step in kept)
+        self.n_buffers = len(self._flat.buffers)
 
-        # a value's buffer is freed after its last read and taken by a
-        # later value of its dtype, which may be the call reading it (an
-        # elementwise ufunc may write over its operand); inputs and
-        # outputs are never freed
-        buffer_of = {None: None, **{s: s for s in range(n_inputs)}}
-        dtypes, free = rec.dtypes, {}
-        self._dtypes = []
-        runs, calls = [], []
-        for i, (step, reads) in enumerate(kept):
-            for s in reads:
-                if last[s] == i and s >= n_inputs:
-                    last[s] = None  # a value read twice by one call is freed once
-                    free[dtypes[s]].append(buffer_of[s])
+    def _slots(self):
+        """(steps, dtypes, outputs) over value slots, rebuilt from the
+        one-shape schedule: each call's value takes the next slot after the
+        inputs, and a read of a buffer reads the value last written to it."""
+        n, (runs, buffers, outputs) = len(self._inputs), self._flat
+        held = list(range(n + len(buffers)))  # per buffer, the slot it holds
+        dtypes, steps = list(self._inputs), []
+        for calls, guard in runs:
+            for fn, operands, out in calls:
+                operands = [(None if b is None else held[b], c) for b, c in operands]
+                held[out] = len(dtypes)
+                dtypes.append(buffers[out - n][0])
+                steps.append((fn, operands, held[out]))
+            if guard is not None:
+                ufunc, kwargs, b, outcome = guard
+                steps.append((ufunc, kwargs, held[b], outcome))
+        return steps, dtypes, [(None if b is None else held[b], c) for b, c in outputs]
+
+    @property
+    def calls(self):
+        """Each kept call as (ufunc, mixed), in order: mixed when its value
+        depends on more than one input, so it runs at the broadcast shape."""
+        runs, buffers, _ = self._split
+        n = len(self._inputs)
+        return [(fn, buffers[out - n][1] is None)
+                for calls, _ in runs for fn, _, out in calls if fn is not _broadcast]
+
+    @cached_property
+    def _split(self) -> _Plan:
+        """The schedule for inputs that broadcast: a one-input value is
+        computed at its input's shape and copied to the broadcast shape
+        once, before the first mixed call, guard or output that reads it."""
+        steps, dtypes, outputs = self._slots()
+        n = len(self._inputs)
+        home = {s: s for s in range(n)}  # per slot, the one input it depends on, or None
+        for step in steps:
+            if len(step) == 3:
+                homes = {home[s] for s, _ in step[1] if s is not None}
+                home[step[2]] = homes.pop() if len(homes) == 1 else None
+        split, wide = [], {}
+
+        def full(s):
+            # s as read at the broadcast shape; its copy is put in place
+            # before the step that reads it
+            if s is None or home[s] is None:
+                return s
+            if s not in wide:
+                w = wide[s] = len(dtypes)
+                dtypes.append(dtypes[s])
+                home[w] = None
+                split.append((_broadcast, [(s, None)], w))
+            return wide[s]
+
+        for step in steps:
             if len(step) == 4:
                 ufunc, kwargs, slot, outcome = step
-                runs.append((calls, (ufunc.reduce, buffer_of[slot], kwargs, outcome)))
-                calls = []
-                continue
-            ufunc, operands, slot = step
-            pool = free.setdefault(dtypes[slot], [])
-            if pool:
-                buffer_of[slot] = pool.pop()
-            else:
-                buffer_of[slot] = n_inputs + len(self._dtypes)
-                self._dtypes.append(dtypes[slot])
-            calls.append((ufunc, [(buffer_of[s], c) for s, c in operands], buffer_of[slot]))
-        runs.append((calls, None))
-        self._runs = runs
-        self._outputs = [(buffer_of[s], c) for s, c in outputs]
-        self.n_ops = sum(len(step) == 3 for step, _ in kept)
-        self.n_buffers = len(self._dtypes)
+                step = (ufunc, kwargs, full(slot), outcome)
+            elif home[step[2]] is None:
+                fn, operands, slot = step
+                step = (fn, [(full(s), c) for s, c in operands], slot)
+            split.append(step)
+        outputs = [(full(s), c) for s, c in outputs]
+        return _plan(split, outputs, n, lambda s: (dtypes[s], home[s]))
 
     def replay(self, *inputs):
         """The outputs for inputs of the recorded kind, or None where a guard
-        disagrees. Buffers are allocated per replay, so the outputs belong
-        to the caller."""
-        n = inputs[0].size
-        bufs = [*inputs, *(np.empty(n, dtype) for dtype in self._dtypes)]
-        for calls, guard in self._runs:
-            for ufunc, operands, out in calls:
-                ufunc(*[c if b is None else bufs[b] for b, c in operands], out=bufs[out])
+        disagrees. Inputs of one shape replay the recorded calls as they
+        are. Inputs that broadcast (a column of u and a row of v) compute
+        each one-input call at its input's shape and each mixed call at
+        the broadcast shape, which every output has. Buffers are allocated
+        per replay, so the outputs belong to the caller."""
+        shapes = [np.shape(x) for x in inputs]
+        runs, buffers, outputs = self._flat if len(set(shapes)) == 1 else self._split
+        shape = np.broadcast_shapes(*shapes)
+        bufs = [*inputs, *(np.empty(shape if i is None else shapes[i], dtype)
+                           for dtype, i in buffers)]
+        for calls, guard in runs:
+            for fn, operands, out in calls:
+                fn(*[c if b is None else bufs[b] for b, c in operands], out=bufs[out])
             if guard is not None:
-                reduce, b, kwargs, outcome = guard
-                if reduce(bufs[b], **kwargs) != outcome:
+                ufunc, kwargs, b, outcome = guard
+                if ufunc.reduce(bufs[b], **kwargs) != outcome:
                     return None
-        return [c if b is None else bufs[b] for b, c in self._outputs]
+        return [c if b is None else bufs[b] for b, c in outputs]

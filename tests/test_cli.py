@@ -419,10 +419,26 @@ def graph_file(tmp_path, z):
 )
 def test_overflowing_chain_rule_factor_is_an_input_error(command, tmp_path, capsys):
     # the affine argument u*1e200 has the slope 1e200, whose square
-    # overflows a float power: an input error, not a traceback
-    argv = [*command, "--file", graph_file(tmp_path, "0.3*(1/(u*1e200))")]
+    # overflows a float power: an input error, not a traceback, naming the
+    # file and the component its source span lies in
+    path = graph_file(tmp_path, "0.3*(1/(u*1e200))")
+    argv = [*command, "--file", path]
     assert run(argv + (["--grid", "64x64"] if "--levels" in command else []), tmp_path) == 2
-    assert capsys.readouterr().err.startswith("error: chain rule: a power of the argument's slope")
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: z: chain rule: a power of the argument's slope")
+
+
+def test_chart_domain_error_names_the_file_and_component(tmp_path, capsys):
+    # sqrt(u - 1) leaves its domain at u < 1 on the validation grid
+    path = tmp_path / "graph.ini"
+    path.write_text("[surface]\nname = graph\nx = u\ny = sqrt(u - 1)\nz = v\n"
+                    "u_range = 0.5, 1.5\nv_range = 0.5, 1.5\n")
+    argv = ["convergence", "--field", "area", "--file", str(path), "--grid", "64x64",
+            "--levels", "3"]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: y: sqrt: argument outside domain; value=")
+    assert "at (u, v)=(" in err and err.rstrip().endswith("source span 0..11")
 
 
 def test_chart_values_that_overflow_when_squared_validate(tmp_path, capsys):

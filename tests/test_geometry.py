@@ -705,6 +705,7 @@ KERNELS = {
     "region_o3": lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
     "area_o2": lambda spec, u, v: q._full(spec, [q.AREA], u, v),
     "residuals_o4": geo.residual_norms,
+    "total_R_o2": lambda spec, u, v: q._full(spec, [q.TOTAL_R], u, v),
 }
 
 
@@ -735,6 +736,17 @@ def test_tape_calls_and_buffers_stay_bounded(name, tmp_path):
         recorded = kernel_tape(bounds_spec(name, tmp_path), key, uu, vv)
         assert recorded.n_ops <= ops, (key, recorded.n_ops)
         assert recorded.n_buffers <= buffers, (key, recorded.n_buffers)
+
+
+@pytest.mark.parametrize("name, key", [("ellipsoid_rev", "class_o2"),
+                                       ("squashed_ball_c-1", "total_R_o2")])
+def test_trig_calls_read_one_input(name, key, tmp_path):
+    # a ratchet on the lattice replay's gain: the chart's sin and cos calls
+    # each read u alone or v alone, so a lattice runs them once per row or
+    # column. A change that mixes u and v before them fails here
+    recorded = kernel_tape(bounds_spec(name, tmp_path), key, *grid_batch(bounds_spec(name, tmp_path)))
+    trig = [mixed for ufunc, mixed in recorded.calls if ufunc in (np.sin, np.cos)]
+    assert len(trig) == 4 and not any(trig)
 
 
 @pytest.mark.parametrize("name", sorted(TAPE_BOUNDS))
@@ -917,6 +929,107 @@ def test_kernel_guard_raises_the_degenerate_metric_error():
         assert str(got).startswith("induced metric is degenerate")
         assert (str(got), got.value, got.index) == (str(want), want.value, want.index)
         assert got.index == 2 and got.value < 0
+
+
+# -- lattice replay ------------------------------------------------------------------
+
+# the quadrature's node kernels: the classification, the whole-surface order-2
+# pass that also classifies, the region pass at order 3 without and with the
+# sufficiency peaks, and the area-only and total_R whole-surface passes
+NODE_KERNELS = {
+    "class_o2": geo.classification_values,
+    "whole_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=True,
+                                              densities=(q.AREA, q.TOTAL_R)),
+    "region_o3": lambda spec, u, v: geo._nodes(spec, 3, u, v, classify=False,
+                                               densities=q._REGION_FIELDS),
+    "region_o3_peaks": lambda spec, u, v: geo._nodes(spec, 3, u, v, classify=False,
+                                                     peaks=_COND_PEAKS, densities=q._REGION_FIELDS),
+    "area_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=False, densities=(q.AREA,)),
+    "total_R_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=False,
+                                                densities=(q.TOTAL_R,)),
+}
+
+LATTICE_SURFACES = [*ALL_PRESETS, ("squashed_ball", None), ("elementary", None), ("plane", None)]
+
+
+def lattice_surface(name, params, tmp_path):
+    if name == "plane":
+        return plane_spec()
+    if params is None:
+        path = tmp_path / f"{name}.ini"
+        path.write_text({"squashed_ball": SQUASHED_BALL.format(c=-1.0),
+                         "elementary": ELEMENTARY_FILE}[name])
+        return load_definition(path)
+    return preset(name, params)
+
+
+def flat_nodes(u, v):
+    """(u, v) broadcast and raveled: a column/row pair as the flat node
+    arrays of its nodes, row-major."""
+    return [x.ravel() for x in np.broadcast_arrays(u, v)]
+
+
+@pytest.mark.parametrize("kernel", sorted(NODE_KERNELS))
+@pytest.mark.parametrize("name,params", LATTICE_SURFACES)
+def test_lattice_replay_is_the_flat_replay_and_the_jet_path(name, params, kernel, tmp_path):
+    # a column of u and a row of v replay unbroadcast: each output comes in
+    # the lattice's shape, the plane's constants included, and holds the
+    # flat replay's bits and those of the kernel run on `_forms`
+    spec, run = lattice_surface(name, params, tmp_path), NODE_KERNELS[kernel]
+    us, vs = interior_axes(spec, 7, 9)
+    u, v = us[:, None], vs[None, :]
+    flat = run(spec, *flat_nodes(u, v))
+    (recorded,) = spec.tapes.values()
+    assert isinstance(recorded, tape.Tape)
+    with mock.patch.object(geo, "_forms", side_effect=AssertionError("not replayed")):
+        lattice = run(spec, u, v)
+    with mock.patch.object(tape, "record", lambda fn, *inputs: None):
+        direct = run(lattice_surface(name, params, tmp_path), *flat_nodes(u, v))
+    assert all(np.shape(x) == (7, 9) for x in lattice)
+    assert_same_bits([np.reshape(x, -1) for x in lattice], flat)
+    assert_same_bits(flat, direct)
+
+
+def test_plane_constants_come_in_the_lattice_shape():
+    spec = plane_spec()
+    u, v = np.linspace(-0.5, 0.5, 3)[:, None], np.linspace(-0.5, 0.5, 4)[None, :]
+    geo.classification_values(spec, *flat_nodes(u, v))
+    values = geo.classification_values(spec, u, v)
+    for value, want in zip(values, (0.0, 0.0, 1.0)):
+        assert isinstance(value, np.ndarray) and value.shape == (3, 4)
+        assert np.all(value == want)
+
+
+@pytest.mark.parametrize("vs", [[0.3], [0.3, 0.32]], ids=["degenerate-metric", "division"])
+def test_lattice_singular_node_raises_the_flat_path_error(vs):
+    # the chart of test_kernel_guard_raises_the_degenerate_metric_error on a
+    # 3 x 1 lattice, whose last node has det g < 0, and a 3 x 2 one, whose
+    # fourth node divides by zero in stage one first. Each kernel, recorded
+    # at the first node, fails a guard on the lattice and raises the flat
+    # path's error at the same node
+    chart = ("cos(u + v) + 1e-9*u*v", "sin(u + v) + 1e-9*u*u", "u + v + 1e-9*v*v")
+    u, v = np.array([0.10, 0.12, 0.14])[:, None], np.array(vs)[None, :]
+    a, b = flat_nodes(u, v)
+    for evaluate in (
+        geo.classification_values,
+        lambda spec, u, v: q._full(spec, [q.AREA], u, v),
+        lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
+    ):
+        spec = chart_spec(chart)
+        evaluate(spec, a[:1], b[:1])
+        (recorded,) = spec.tapes.values()
+        assert isinstance(recorded, tape.Tape)
+        with pytest.raises(SingularEvaluationError) as taped:
+            evaluate(spec, u, v)
+        with pytest.raises(SingularEvaluationError) as flat:
+            evaluate(chart_spec(chart), a, b)
+        got, want = taped.value, flat.value
+        assert (str(got), got.point, got.value, got.index) == (
+            str(want), want.point, want.value, want.index)
+    if len(vs) == 1:
+        assert str(got).startswith("induced metric is degenerate") and got.index == 2
+    else:
+        assert "division" in str(got) and got.point == (0.12, 0.32)
 
 
 # a graph chart z = 0.3 f(u, v) on [0.5, 1.5]^2, f of depth 2 to 4 over the

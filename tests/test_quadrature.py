@@ -12,7 +12,7 @@ from umbilic.errors import SingularEvaluationError
 from umbilic.geometry import classification_values, point_geometry
 from umbilic.surfaces import POLAR_MARGIN, preset
 from oracles import revolution_integrals
-from tests.test_geometry import plane_spec
+from tests.test_geometry import flat_nodes, plane_spec
 
 
 def area_field(pg):
@@ -104,6 +104,30 @@ def test_chunked_gathers_batches_in_order():
     top, both = q._chunked(lambda u, v: (np.max(u, keepdims=True), u - v), us, vs)
     assert top.tolist() == [q.CHUNK - 1, 2 * q.CHUNK - 1, n - 1]
     assert np.array_equal(both, 2.0 * us)
+
+
+@pytest.mark.parametrize("rows, width", [
+    (70, 513),  # 31 rows per batch, which does not fill CHUNK, and a last partial batch
+    (3, q.CHUNK + 5),  # a row wider than CHUNK: one row per batch
+    (4, 100),  # a single batch
+])
+def test_chunked_gathers_lattice_rows_in_order(rows, width):
+    # a column of u and a row of v run in batches of whole rows and gather
+    # row-major; a per-batch output (the maximum) gathers one per batch
+    us, vs = np.arange(rows, dtype=float)[:, None], np.arange(width, dtype=float)[None, :]
+    batches = []
+
+    def kernel(u, v):
+        batches.append(u.shape)
+        return np.max(u, keepdims=True), u * width + v
+
+    top, index = q._chunked(kernel, us, vs)
+    per = max(1, q.CHUNK // width)
+    starts = range(0, rows, per)
+    assert batches == [(min(per, rows - i), 1) for i in starts]
+    assert top.tolist() == [min(i + per, rows) - 1 for i in starts]
+    assert index.shape == (rows * width,)
+    assert np.array_equal(index, np.arange(rows * width, dtype=float))
 
 
 # -- whole-surface integrals -------------------------------------------------------
@@ -264,15 +288,20 @@ def test_sphere_sublevel_is_everything():
     assert q.integrate(sph, area_field, g, q.sublevel(0.05)) == a
 
 
+def lattice_nodes(spec, g, *, centers):
+    """A `q._lattice` pair as the flat node arrays of its nodes, row-major."""
+    return flat_nodes(*q._lattice(spec, g, centers=centers))
+
+
 def _straddling(spec, g, eps):
     """(base-center values of |hring|^2 and field * dA, mask of the base cells
     counted outside before refinement, du, dv, refinement state of the
     straddling cells), classified as a one-level pass does: at depth 0 every
     cell whose center is outside, else the all-out cells."""
     _, _, du, dv = q._axes(spec, g)
-    ug, vg = q._lattice(spec, g, centers=False)
+    ug, vg = lattice_nodes(spec, g, centers=False)
     n2_corner, _, _ = q._classified(spec, ug, vg)
-    _, n2_center, base = q._full(spec, (r_field,), *q._lattice(spec, g, centers=True), classify=True)
+    _, n2_center, base = q._full(spec, (r_field,), *lattice_nodes(spec, g, centers=True), classify=True)
     inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
     all_in, straddle, corners = q._base_split(
         (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
@@ -561,9 +590,9 @@ def test_region_sums_match_a_brute_force_ancestor_rule(name, eps_values):
     g = q.GridSpec(64, 64, 5)
     (got,) = q._ladder_pass(spec, g, q._REGION_FIELDS, eps_values)
     u0, v0, du, dv = q._axes(spec, g)
-    mid = point_geometry(spec, *q._lattice(spec, g, centers=True))
+    mid = point_geometry(spec, *lattice_nodes(spec, g, centers=True))
     base = _field_values(mid) * mid.sqrt_detg
-    n2_corner, _, _ = classification_values(spec, *q._lattice(spec, g, centers=False))
+    n2_corner, _, _ = classification_values(spec, *lattice_nodes(spec, g, centers=False))
     n2_corner = n2_corner.reshape(g.nu + 1, g.nv + 1)
     h_sup = float(np.max(np.abs(mid.H)))
     fu, fv = du / 2**q.KF, dv / 2**q.KF
@@ -626,7 +655,7 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
     def counting(spec, key, order, fn, u, v):
         # the node kernels with field densities; the classification has none
         if key[0] == "nodes" and key[3]:
-            nodes[order] += np.size(u)
+            nodes[order] += np.broadcast(u, v).size
         return real(spec, key, order, fn, u, v)
 
     monkeypatch.setattr(q.geometry, "_kernel", counting)
@@ -649,7 +678,7 @@ def test_classification_nodes_stay_bounded(monkeypatch):
     real = q._classified
 
     def counting(spec, us, vs):
-        sizes.append(us.size)
+        sizes.append(np.broadcast(us, vs).size)
         return real(spec, us, vs)
 
     monkeypatch.setattr(q, "_classified", counting)
@@ -866,7 +895,7 @@ def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
         trees, coarse = [[]], [[]]
 
         def recording(spec, us, vs):
-            trees[-1] += zip(us.tolist(), vs.tolist())
+            trees[-1] += zip(*(a.tolist() for a in flat_nodes(us, vs)))
             return real_classified(spec, us, vs)
 
         def refined(*args):

@@ -61,7 +61,7 @@ def test_a_repeated_reduction_keeps_one_guard():
         return [np.sqrt(a) * b]
 
     recorded = tape.record(fn, U, V)
-    assert sum(guard is not None for _, guard in recorded._runs) == 1
+    assert sum(guard is not None for _, guard in recorded._flat.runs) == 1
     assert recorded.n_ops == 4  # a > 0, its inversion, sqrt, the product
     assert_replay_is_direct(recorded, fn, U + 1.0, V)
     assert recorded.replay(np.array([0.5, -0.25]), np.array([0.0, 1.0])) is None
@@ -96,6 +96,36 @@ def test_a_guard_that_disagrees_stops_the_replay():
 )
 def test_untapeable_computations_are_refused(fn):
     assert tape.record(fn, U, V) is None
+
+
+def lattice_fn(a, b):
+    # u-only calls (sin, its square), a v-only guard and call, mixed calls
+    # reading a u-only value twice and an input directly, and outputs that
+    # are a constant, an input, a u-only value and a mixed one
+    if np.any(~(b > -5.0)):
+        raise ValueError("outside domain")
+    s = np.sin(a)
+    t = s * s
+    w = np.exp(b) + 1.0
+    m = t * w + s
+    return [np.float64(3.0), a, t, m * b, m - t]
+
+
+def test_broadcast_inputs_replay_as_the_flat_inputs_bit_for_bit():
+    recorded = tape.record(lattice_fn, U[:1], V[:1])
+    mixed = [m for _, m in recorded.calls]
+    # sin, its square, b > -5, its inversion, exp, + 1 one input each; then
+    # t * w, + s, * b and - t mixed
+    assert mixed == [False] * 6 + [True] * 4
+    u, v = U[:, None], V[None, :5]
+    a, b = (x.ravel() for x in np.broadcast_arrays(u, v))
+    got, want = recorded.replay(u, v), recorded.replay(a, b)
+    assert got[0] is want[0]
+    for x, y in zip(got[1:], want[1:]):
+        assert x.shape == (7, 5) and x.tobytes() == y.tobytes()
+    assert_replay_is_direct(recorded, lattice_fn, a, b)
+    # the v-only guard disagrees on the lattice too
+    assert recorded.replay(u, v - 10.0) is None
 
 
 def traced_alive():
