@@ -145,6 +145,11 @@ def _resolve_surface(args, params) -> surfaces.ImmersionSpec:
             spec = spec.with_params(**params)
             surfaces.validate(spec)
     elif args.preset:
+        if (args.c is not None and args.preset in surfaces.PRESET_NAMES
+                and "c" in surfaces.preset_defaults(args.preset)):
+            # the preset's own c parameter, so the header names it and the
+            # preset's conformal-ball check runs
+            params = {**params, "c": args.c}
         spec = surfaces.preset(args.preset, params or None)
     else:
         raise ValueError("choose a surface with --preset or --file")

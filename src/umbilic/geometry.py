@@ -41,8 +41,10 @@ of the jet path and the degenerate-metric check are guards on the tape.
 An empty batch, a computation the recorder refuses and a batch that
 fails a guard run without the tape, on the "forms" kernel's stage one;
 that kernel falls back to `_forms`, which raises the jet path's error.
-`fundamental_forms` and `point_geometry` stack the fields of one
-`_Geometry`, each tensor component contiguous in memory.
+
+A `PointGeometry` is a read-only view of one `_Geometry`, the one public
+form of stage two: `point_geometry` and `fundamental_forms` return one,
+and the node kernel hands one to integrands and peaks.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -85,51 +87,6 @@ from .surfaces import ImmersionSpec, evaluate_chart
 # -- stage one: jets -> raw partials -------------------------------------------
 
 
-@dataclass
-class PointGeometry:
-    """All curvature data at a (batch of) parameter point(s).
-
-    Raw-partial fields are filled by `fundamental_forms`; `point_geometry`
-    also fills everything from `detg` down. Order 2 fills the
-    values, detg, sqrt_detg, ginv and R; order 3 adds every first partial,
-    d2g and the rest of the covariant fields; order 4 adds the second
-    partials (d2h, d2H, ...). Fields an order does not fill stay None.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    order: int
-    ambient_c: float
-    batch_shape: tuple
-
-    g: np.ndarray = None
-    dg: np.ndarray = None
-    d2g: np.ndarray = None
-    h: np.ndarray = None
-    dh: np.ndarray = None
-    d2h: np.ndarray = None
-    H: np.ndarray = None
-    dH: np.ndarray = None
-    d2H: np.ndarray = None
-    hring: np.ndarray = None
-    dhring: np.ndarray = None
-    d2hring: np.ndarray = None
-    hring_norm2: np.ndarray = None
-    d_hring_norm2: np.ndarray = None
-    d2_hring_norm2: np.ndarray = None
-
-    detg: np.ndarray = None
-    sqrt_detg: np.ndarray = None
-    ginv: np.ndarray = None
-    gamma: np.ndarray = None
-    nabla_hring: np.ndarray = None
-    nabla_hring_norm2: np.ndarray = None
-    gradH_norm2: np.ndarray = None
-    hring_up: np.ndarray = None
-    trace_hring: np.ndarray = None
-    R: np.ndarray = None
-
-
 # the raw partials, per quantity through derivative order 2
 _RAW = (
     ("g", "dg", "d2g"),
@@ -139,9 +96,46 @@ _RAW = (
     ("hring_norm2", "d_hring_norm2", "d2_hring_norm2"),
 )
 
-# stage two's fields, in PointGeometry order (gamma to trace_hring None at order 2)
-_COVARIANT = ("detg", "sqrt_detg", "ginv", "gamma", "nabla_hring", "nabla_hring_norm2",
+
+class PointGeometry:
+    """All curvature data at a (batch of) parameter point(s): a read-only
+    view of one `_Geometry`.
+
+    Each of `FIELDS` reads from the geometry on first access and is kept:
+    a scalar field as it is, a tensor stacked (see the module's index
+    conventions). Order 2 fills the values, detg, sqrt_detg, ginv and R;
+    order 3 adds every first partial, d2g and the rest of the covariant
+    fields; order 4 adds the second partials (d2h, d2H, ...). Fields an
+    order does not fill read None. During a recording a tensor is refused
+    (`tape.Refused`): no tape holds its stacked copy, so a field that reads
+    one runs without a tape. Assigning a field raises, since the residuals
+    read the geometry, not the view.
+    """
+
+    FIELDS = ("u", "v", "order", "ambient_c", "batch_shape",
+              *(name for names in _RAW for name in names),
+              "detg", "sqrt_detg", "ginv", "gamma", "nabla_hring", "nabla_hring_norm2",
               "gradH_norm2", "hring_up", "trace_hring", "R")
+
+    def __init__(self, geom: _Geometry):
+        object.__setattr__(self, "_geom", geom)
+
+    def __getattr__(self, name):
+        # a field's first read; the instance dict answers every later one
+        if name not in PointGeometry.FIELDS:
+            raise AttributeError(f"PointGeometry has no field {name!r}")
+        geom = self._geom
+        value = getattr(geom, name)
+        if isinstance(value, dict):
+            if tape.recording(geom.u):
+                raise tape.Refused(f"the stacked {name}")
+            value = _stacked(value, geom.batch_shape)
+        self.__dict__[name] = value
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointGeometry is read-only: cannot assign {name!r}")
+
 
 # the index tuples of each rank, in lexicographic order
 _KEYS = tuple(tuple(product((0, 1), repeat=r)) for r in range(5))
@@ -281,36 +275,27 @@ def _forms(spec: ImmersionSpec, u, v, order: int):
 
 
 def fundamental_forms(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
-    """Raw partials of g, h, H, the trace-free part, and |hring|^2 at (u, v).
+    """The `PointGeometry` at (u, v) from an order-`order` chart: raw
+    partials of g, h, H, the trace-free part and |hring|^2, and the
+    covariant fields on demand.
 
     order 2 provides values only; order 3 adds the first partials of h
     (enough for all first covariant derivatives) and the first and second
     partials of g; order 4 adds the second partials of h needed by the
     Laplacian-level residuals. u, v may be arrays (one batch).
     """
-    return _point(spec, u, v, order, ())
+    if order not in (2, 3, 4):
+        raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    forms = _kernel(spec, "forms", order, _flat, u, v)
+    return PointGeometry(_Geometry(forms, order, spec.ambient_c, u, v))
 
 
 def point_geometry(spec: ImmersionSpec, u, v, order: int = 3) -> PointGeometry:
-    """`fundamental_forms` with the covariant fields (see `PointGeometry`)."""
-    return _point(spec, u, v, order, _COVARIANT)
-
-
-def _point(spec: ImmersionSpec, u, v, order: int, covariant) -> PointGeometry:
-    """A PointGeometry of the raw partials and the covariant fields named,
-    stacked from the one `_Geometry` of stage one's "forms" kernel."""
-    if order not in (2, 3, 4):
-        raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    pg = PointGeometry(u, v, order, float(spec.ambient_c), shape)
-    raw = _raw(_kernel(spec, "forms", order, _flat, u, v), order)
-    geom = _Geometry(raw, order, spec.ambient_c, u, v, shape)
-    for name in (*raw, *covariant):
-        value = getattr(geom, name)
-        if value is not None and (name in raw or isinstance(value, dict)):
-            value = _stacked(value, shape)
-        setattr(pg, name, value)
+    """`fundamental_forms` once its det g is read: a node where det g <= 0
+    raises the degenerate-metric error here, not at a later read."""
+    pg = fundamental_forms(spec, u, v, order)
+    pg.detg
     return pg
 
 
@@ -365,27 +350,15 @@ def _norm(T, ginv):
 
 
 class _Geometry:
-    """Stage two at a batch of nodes: the raw partials as component dicts
-    (a scalar as its array) under their `PointGeometry` names, and the
-    covariant fields, each computed on first read, None where the jet
-    order does not fill it."""
+    """Stage two at the nodes (u, v): `_forms`' flat list (`flat`), its raw
+    partials as component dicts (a scalar as its array) under their
+    `PointGeometry` names, and the covariant fields, each computed on first
+    read, None where the jet order does not fill it."""
 
-    def __init__(self, raw: dict, order: int, ambient_c, u, v, batch_shape):
-        self.__dict__.update(raw)
-        self.order, self.ambient_c = order, ambient_c
-        self.u, self.v, self.batch_shape = u, v, batch_shape
-
-    @classmethod
-    def of(cls, pg: PointGeometry) -> "_Geometry":
-        """The raw partials a PointGeometry holds, split into components."""
-        n = len(pg.batch_shape)
-        raw = {}
-        for name in (name for names in _RAW for name in names):
-            x = getattr(pg, name)
-            if x is not None and x.ndim > n:
-                x = {idx: x[(..., *idx)] for idx in _KEYS[x.ndim - n]}
-            raw[name] = x
-        return cls(raw, pg.order, pg.ambient_c, pg.u, pg.v, pg.batch_shape)
+    def __init__(self, flat, order: int, ambient_c, u, v):
+        self.__dict__.update(_raw(flat, order))
+        self.flat, self.order, self.ambient_c, self.u, self.v = flat, order, ambient_c, u, v
+        self.batch_shape = np.broadcast_shapes(np.shape(u), np.shape(v))
 
     @cached_property
     def detg(self):
@@ -393,9 +366,10 @@ class _Geometry:
         detg = g[0, 0] * g[1, 1] - np.square(g[0, 1])
         if np.any(detg <= 0):
             bad = int(np.argmax(np.ravel(detg <= 0)))
-            raise SingularEvaluationError(
+            err = SingularEvaluationError(
                 "induced metric is degenerate", value=float(np.ravel(detg)[bad]), index=bad
             )
+            raise _locate(err, self.u, self.v)
         return detg
 
     @cached_property
@@ -458,24 +432,6 @@ class _Geometry:
         return _apply(self.ginv, Y, 1)
 
 
-class _Fields:
-    """What an integrand reads of a `_Geometry`: a scalar field as it is, a
-    tensor stacked as `PointGeometry` holds it. A recording refuses the
-    stacked copy, which no tape holds, so a field that reads one runs
-    without a tape."""
-
-    def __init__(self, geom: _Geometry):
-        self._geom = geom
-
-    def __getattr__(self, name):
-        value = getattr(self._geom, name)
-        if not isinstance(value, dict):
-            return value
-        if tape.recording(self._geom.u):
-            raise tape.Refused(f"the stacked {name}")
-        return _stacked(value, self._geom.batch_shape)
-
-
 def _require(pg: PointGeometry, order: int, what: str):
     if pg.order < order:
         raise ValueError(f"{what} needs geometry of jet order {order} or more, got {pg.order}")
@@ -508,8 +464,7 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
         return [np.broadcast_to(x, shape).ravel() for x in (u, v)]
 
     def run(forms, a, b):
-        raw = dict(_raw(forms, order), flat=forms)
-        return fn(_Geometry(raw, order, spec.ambient_c, a, b, a.shape))
+        return fn(_Geometry(forms, order, spec.ambient_c, a, b))
 
     tapes = spec.tapes
     if (order, key) not in tapes and size:
@@ -572,7 +527,7 @@ def identity_residuals(pg: PointGeometry) -> IdentityResiduals:
     the Smoczyk-type gradient identity, and the |nabla h|^2 splitting.
     Needs order-3 geometry."""
     _require(pg, 3, "identity_residuals")
-    return _identities(_Geometry.of(pg))
+    return _identities(pg._geom)
 
 
 def _identities(p: _Geometry) -> IdentityResiduals:
@@ -645,7 +600,7 @@ def bochner_residual(pg: PointGeometry) -> BochnerResidual:
     with |nabla|hring||^2 |hring|^2 written as 1/4 |nabla(|hring|^2)|^2.
     """
     _require(pg, 4, "bochner_residual")
-    return _bochner(_Geometry.of(pg))
+    return _bochner(pg._geom)
 
 
 def _bochner(p: _Geometry) -> BochnerResidual:
@@ -715,7 +670,7 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
     Levi-Civita connection. Independent of h; used to cross-check the traced
     Gauss relation R = 1/2 H^2 - |hring|^2 + 2c. Needs order-3 geometry."""
     _require(pg, 3, "intrinsic_scalar_curvature")
-    p = _Geometry.of(pg)
+    p = pg._geom
     gamma, dgamma = p.gamma, p.dgamma
     K2 = _KEYS[2]
     # Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_ka Gamma^a_ij - Gamma^k_ia Gamma^a_kj
@@ -747,10 +702,10 @@ def _nodes(spec: ImmersionSpec, order: int, u, v, *, classify, peaks=(), densiti
     """The quadrature's kernel at the nodes (u, v), from jet order `order`:
     |hring|^2 and |H| when classify is set, sqrt(det g), each peak, then
     each field of densities per unit area, peaks and fields reading a
-    PointGeometry (`_Fields`). One tape per (order, classify, peaks, fields)."""
+    `PointGeometry`. One tape per (order, classify, peaks, fields)."""
 
     def kernel(geom):
-        pg = _Fields(geom)
+        pg = PointGeometry(geom)
         out = [geom.hring_norm2, np.abs(geom.H)] if classify else []
         out += [geom.sqrt_detg, *(np.asanyarray(p(pg), dtype=float) for p in peaks)]
         for field in densities:

@@ -177,15 +177,17 @@ def sublevel(eps: float) -> Region:
 
 @dataclass(frozen=True)
 class Field:
-    """An integrand: fn maps a PointGeometry batch to a scalar array (or a
-    constant); order (2, 3 or 4) is the lowest jet order whose geometry
-    fills what fn reads (see `geometry`). A field that reads beyond its
-    order gets None there, and the pass raises instead of integrating it.
-    fn is recorded on one node and replayed (`geometry._nodes`), and the
-    recording is kept with the spec for every later pass with the same
-    fields: fn computes with numpy ufuncs on whole arrays, takes no Python
-    number out of them, and reads no state that changes between calls. One
-    that reads a stacked tensor runs without a tape."""
+    """An integrand: fn maps a PointGeometry batch, the view that
+    `point_geometry` returns, to a scalar array (or a constant); order (2,
+    3 or 4) is the lowest jet order whose geometry fills what fn reads (see
+    `geometry`). A field that reads beyond its order gets None there, and
+    the pass raises instead of integrating it. fn is recorded on one node
+    and replayed (`geometry._nodes`), and the recording is kept with the
+    spec for every later pass with the same fields: fn computes with numpy
+    ufuncs on whole arrays, takes no Python number out of them, and reads
+    no state that changes between calls. A tensor field (g, ginv, ...) is
+    stacked on its first read, which no tape holds, so a field that reads
+    one runs without a tape."""
 
     fn: Callable
     order: int = 3

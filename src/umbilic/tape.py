@@ -31,11 +31,12 @@ or C values, and each mixed call at the broadcast shape, R * C. A
 one-input value is copied to the broadcast shape once, where a mixed
 call, a guard or an output first reads it, so every mixed call runs on
 contiguous operands of one shape (numpy broadcasting a stride-0 operand
-inside the call is slower than the copy). That schedule is derived from
-the one-shape schedule on its first use, so a tape that only replays flat
-batches never builds it. numpy's elementwise ufuncs give an element the
-same bits at any length, offset or stride of the array holding it (the
-tests compare both schedules with the direct computation bit for bit).
+inside the call is slower than the copy). The tape keeps its recorded
+steps and derives that schedule from them on its first use, so a tape
+that only replays flat batches never builds it. numpy's elementwise
+ufuncs give an element the same bits at any length, offset or stride of
+the array holding it (the tests compare both schedules with the direct
+computation bit for bit).
 
 fn is refused (`record` returns no tape) when the recording meets a
 batch-shaped array it did not record, an `out=` argument, or a ufunc
@@ -239,8 +240,8 @@ class Tape:
 
     Buffers 0 .. n_inputs - 1 are the inputs; each later one is allocated
     per replay and holds every value assigned to it in turn. Inputs that
-    broadcast replay a second schedule, derived from the first on first
-    use.
+    broadcast replay a second schedule, derived from the kept steps on
+    first use.
     """
 
     def __init__(self, rec: _Recorder, n_inputs: int, outputs):
@@ -256,36 +257,17 @@ class Tape:
             kept.append(step)
         kept.reverse()
         dtypes = rec.dtypes
-        self._inputs = dtypes[:n_inputs]
+        self._steps, self._dtypes, self._outputs, self._n = kept, dtypes, outputs, n_inputs
         self._flat = _plan(kept, outputs, n_inputs, lambda s: (dtypes[s], None))
         self.n_ops = sum(len(step) == 3 for step in kept)
         self.n_buffers = len(self._flat.buffers)
-
-    def _slots(self):
-        """(steps, dtypes, outputs) over value slots, rebuilt from the
-        one-shape schedule: each call's value takes the next slot after the
-        inputs, and a read of a buffer reads the value last written to it."""
-        n, (runs, buffers, outputs) = len(self._inputs), self._flat
-        held = list(range(n + len(buffers)))  # per buffer, the slot it holds
-        dtypes, steps = list(self._inputs), []
-        for calls, guard in runs:
-            for fn, operands, out in calls:
-                operands = [(None if b is None else held[b], c) for b, c in operands]
-                held[out] = len(dtypes)
-                dtypes.append(buffers[out - n][0])
-                steps.append((fn, operands, held[out]))
-            if guard is not None:
-                ufunc, kwargs, b, outcome = guard
-                steps.append((ufunc, kwargs, held[b], outcome))
-        return steps, dtypes, [(None if b is None else held[b], c) for b, c in outputs]
 
     @property
     def calls(self):
         """Each kept call as (ufunc, mixed), in order: mixed when its value
         depends on more than one input, so it runs at the broadcast shape."""
         runs, buffers, _ = self._split
-        n = len(self._inputs)
-        return [(fn, buffers[out - n][1] is None)
+        return [(fn, buffers[out - self._n][1] is None)
                 for calls, _ in runs for fn, _, out in calls if fn is not _broadcast]
 
     @cached_property
@@ -293,8 +275,7 @@ class Tape:
         """The schedule for inputs that broadcast: a one-input value is
         computed at its input's shape and copied to the broadcast shape
         once, before the first mixed call, guard or output that reads it."""
-        steps, dtypes, outputs = self._slots()
-        n = len(self._inputs)
+        steps, dtypes, n = self._steps, list(self._dtypes), self._n
         home = {s: s for s in range(n)}  # per slot, the one input it depends on, or None
         for step in steps:
             if len(step) == 3:
@@ -322,7 +303,7 @@ class Tape:
                 fn, operands, slot = step
                 step = (fn, [(full(s), c) for s, c in operands], slot)
             split.append(step)
-        outputs = [(full(s), c) for s, c in outputs]
+        outputs = [(full(s), c) for s, c in self._outputs]
         return _plan(split, outputs, n, lambda s: (dtypes[s], home[s]))
 
     def replay(self, *inputs):

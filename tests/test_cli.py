@@ -482,6 +482,19 @@ def test_ambient_override_revalidates(tmp_path):
     assert abs(payload["H_sup"] - 2.0) > 1e-3
 
 
+def test_ambient_override_sets_the_presets_c_parameter(tmp_path, capsys):
+    # centered_sphere_spaceform declares c: --c sets it, so the report's
+    # parameters reproduce its ambient, and the preset's own check runs
+    argv = ["convergence", "--preset", "centered_sphere_spaceform", "--c", "-1",
+            "--field", "area", "--grid", "64x64", "--levels", "3"]
+    assert run(argv, tmp_path) == 0
+    surface = read_json(tmp_path, "convergence")["surface"]
+    assert surface["params"]["c"] == surface["c"] == -1.0
+    argv[argv.index("-1")] = "-16"
+    assert run(argv, tmp_path) == 2
+    assert "does not fit inside the conformal ball of the c=-16.0 model" in capsys.readouterr().err
+
+
 # -- error handling ----------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from types import MappingProxyType
 from unittest import mock
 
@@ -248,6 +248,36 @@ def test_degenerate_metric_raises():
     )
     with pytest.raises(SingularEvaluationError):
         geo.point_geometry(bad, 0.5, 0.5)
+
+
+# -- the PointGeometry view --------------------------------------------------------
+
+
+def test_point_geometry_reads_each_field_once():
+    pg = geo.point_geometry(preset("torus"), *sample_points(preset("torus"), 5), order=3)
+    for name in ("u", "g", "dg", "H", "detg", "ginv", "gamma", "nabla_hring", "R"):
+        assert getattr(pg, name) is getattr(pg, name), name
+
+
+@pytest.mark.parametrize("name", ["H", "g", "R", "batch_shape", "unknown"])
+def test_point_geometry_is_read_only(name):
+    # the residuals read the geometry behind the view, so an edited copy
+    # would silently disagree with it
+    pg = geo.point_geometry(preset("torus"), 0.3, 0.4)
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(pg, name, 0.0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_fundamental_forms_computes_covariant_fields_on_demand(order):
+    spec = preset("ellipsoid_tri")
+    us, vs = sample_points(spec, 50)
+    forms, full = geo.fundamental_forms(spec, us, vs, order), geo.point_geometry(spec, us, vs, order)
+    assert np.array_equal(forms.R, full.R)
+    if order == 2:
+        assert forms.gradH_norm2 is None and full.gradH_norm2 is None
+    else:
+        assert np.array_equal(forms.gradH_norm2, full.gradH_norm2)
 
 
 # -- identity residuals -----------------------------------------------------------
@@ -615,11 +645,10 @@ def test_squashed_ball_orders_agree_bit_for_bit(squashed_ball):
     assert float(np.max(pgs[0].hring_norm2)) > 0.1  # far from totally umbilic
     for low, high in zip(pgs, pgs[1:]):
         shared = [
-            f.name for f in fields(low)
-            if isinstance(getattr(low, f.name), np.ndarray)
-            and getattr(high, f.name) is not None
+            name for name in geo.PointGeometry.FIELDS
+            if isinstance(getattr(low, name), np.ndarray) and getattr(high, name) is not None
         ]
-        assert len(shared) >= 10
+        assert len(shared) >= 11  # u, v and the nine order-2 arrays
         for name in shared:
             assert np.array_equal(getattr(low, name), getattr(high, name)), (low.order, name)
 
@@ -927,8 +956,9 @@ def test_kernel_guard_raises_the_degenerate_metric_error():
             geo.point_geometry(chart_spec(chart), us, vs, order)
         got, want = taped.value, public.value
         assert str(got).startswith("induced metric is degenerate")
-        assert (str(got), got.value, got.index) == (str(want), want.value, want.index)
-        assert got.index == 2 and got.value < 0
+        assert (str(got), got.point, got.value, got.index) == (
+            str(want), want.point, want.value, want.index)
+        assert got.index == 2 and got.value < 0 and got.point == (0.14, 0.3)
 
 
 # -- lattice replay ------------------------------------------------------------------
@@ -1028,6 +1058,7 @@ def test_lattice_singular_node_raises_the_flat_path_error(vs):
             str(want), want.point, want.value, want.index)
     if len(vs) == 1:
         assert str(got).startswith("induced metric is degenerate") and got.index == 2
+        assert got.point == (0.14, 0.3)
     else:
         assert "division" in str(got) and got.point == (0.12, 0.32)
 
