@@ -379,8 +379,10 @@ def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluation
     """err with the (u, v) point it occurred at, and span when given.
 
     A scalar (u, v) is the point itself; in a batch it is the entry at the
-    error's flat index. A point the error already carries is kept; a
-    constant (u None) has none.
+    error's flat index, or the first entry for an error without one, which
+    was raised for the whole batch and so holds at every node. A point the
+    error already carries is kept; a constant (u None) and an empty batch
+    have none.
     """
     import numpy as np
 
@@ -389,10 +391,11 @@ def _locate(err: SingularEvaluationError, u, v, span=None) -> SingularEvaluation
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if not shape:
             point = (float(u), float(v))
-        elif err.index is not None:
+        elif math.prod(shape):
             uu = np.broadcast_to(u, shape).ravel()
             vv = np.broadcast_to(v, shape).ravel()
-            point = (float(uu[err.index]), float(vv[err.index]))
+            index = err.index or 0
+            point = (float(uu[index]), float(vv[index]))
     return err.with_context(point=point, span=span)
 
 

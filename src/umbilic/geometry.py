@@ -72,7 +72,8 @@ the same index tuples: ``dg[k, i, j]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from itertools import product
 
@@ -716,4 +717,36 @@ def _nodes(spec: ImmersionSpec, order: int, u, v, *, classify, peaks=(), densiti
             out.append(np.asanyarray(value, dtype=float))
         return out
 
-    return _kernel(spec, ("nodes", classify, tuple(peaks), tuple(densities)), order, kernel, u, v)
+    key = ("nodes", classify, tuple(map(_code_key, peaks)), tuple(map(_code_key, densities)))
+    return _kernel(spec, key, order, kernel, u, v)
+
+
+def _code_key(fn):
+    """fn as a node-kernel key: a function as its code and the values it
+    captures (closure cells, defaults and the module globals its code
+    names), so an equal fresh lambda reuses a tape and a changed captured
+    value records another; a dataclass instance (a quadrature `Field`) as
+    its type and its fields' keys. A captured number keys as
+    `tape._constant_key` keys a constant (1 and 1.0, 0.0 and -0.0 stay
+    apart), any other value as itself. Any other callable, or one with an
+    unhashable or unset captured value, keys as itself."""
+
+    def value(x):
+        return tape._constant_key(x) if isinstance(x, (int, float, complex, np.generic)) else x
+
+    def function(f):
+        if not isinstance(f, types.FunctionType):
+            return value(f)
+        code, scope, kw = f.__code__, f.__globals__, f.__kwdefaults__ or {}
+        captured = [*(cell.cell_contents for cell in f.__closure__ or ()),
+                    *(f.__defaults__ or ()), *(kw[n] for n in sorted(kw)),
+                    *(scope[n] for n in code.co_names if n in scope)]
+        return (code, *map(value, captured))
+
+    try:
+        key = ((type(fn), *(function(getattr(fn, f.name)) for f in fields(fn)))
+               if is_dataclass(fn) and not isinstance(fn, type) else function(fn))
+        hash(key)
+    except (TypeError, ValueError):  # an unhashable value; a closure cell not yet set
+        return fn
+    return key

@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry
+from . import geometry, tape
 from .surfaces import ImmersionSpec, interior_axes
 
 # nodes per evaluation batch; bounds peak memory of the jet pipeline
@@ -184,10 +184,15 @@ class Field:
     the pass raises instead of integrating it. fn is recorded on one node
     and replayed (`geometry._nodes`), and the recording is kept with the
     spec for every later pass with the same fields: fn computes with numpy
-    ufuncs on whole arrays, takes no Python number out of them, and reads
-    no state that changes between calls. A tensor field (g, ginv, ...) is
-    stacked on its first read, which no tape holds, so a field that reads
-    one runs without a tape."""
+    ufuncs on whole arrays and takes no Python number out of them. The
+    recording is keyed by fn's code and the values it captures (closure
+    cells, defaults and the module globals it names), so an equal fresh
+    lambda reuses it and a captured value that changes, rebound to another
+    number say, records anew. What can still go stale is a mutable value
+    changed in place, such as an array fn reads whose entries are
+    overwritten between calls. A tensor field (g, ginv, ...) is stacked on
+    its first read, which no tape holds, so a field that reads one runs
+    without a tape."""
 
     fn: Callable
     order: int = 3
@@ -270,6 +275,13 @@ def _chunked(kernel, *cols):
     batch (a batch maximum or sum) gathers to one element per batch.
     Batches are written into preallocated outputs, so no result is ever
     held twice.
+
+    This is the one batch loop: it runs inside `tape.reusing()`, so a tape
+    the kernel replays binds its buffers once per loop (and once more for a
+    last, shorter batch), not once per batch. A replay's outputs stay valid
+    until the next replay, so each batch's part is copied into the gathered
+    outputs at once; a single batch's part is returned as it is, and the
+    binding that holds it is freed when the loop is left.
     """
     if cols[0].ndim == 2:
         us, vs = cols
@@ -279,17 +291,18 @@ def _chunked(kernel, *cols):
     else:
         n, step = cols[0].size, CHUNK
         batches = (tuple(c[i : i + CHUNK] for c in cols) for i in range(0, n, CHUNK))
-    for k, batch in enumerate(batches):
-        part = [np.reshape(a, -1) for a in kernel(*batch)]
-        if n <= step:
-            return tuple(part)
-        if k == 0:
-            outs = tuple(np.empty(n if a.size > 1 else -(-n // step), a.dtype) for a in part)
-        for out, a in zip(outs, part):
-            if out.size == n:
-                out[k * step : k * step + a.size] = a
-            else:
-                out[k] = a[0]
+    with tape.reusing():
+        for k, batch in enumerate(batches):
+            part = [np.reshape(a, -1) for a in kernel(*batch)]
+            if n <= step:
+                return tuple(part)
+            if k == 0:
+                outs = tuple(np.empty(n if a.size > 1 else -(-n // step), a.dtype) for a in part)
+            for out, a in zip(outs, part):
+                if out.size == n:
+                    out[k * step : k * step + a.size] = a
+                else:
+                    out[k] = a[0]
     return outs
 
 

@@ -12,16 +12,28 @@ whose `__array_ufunc__` computes each real result, logs the ufunc and its
 operands (earlier values or scalar constants) and returns the result
 wrapped again. A reduction becomes a guard holding its recorded outcome. A
 call repeated on the same values and constants returns the earlier result
-(value numbering), so repeated work, such as a subexpression two chart
+(value numbering; an add or a multiply in either operand order), so
+repeated work, such as a subexpression two chart
 components share, is recorded once and a repeated reduction keeps one
 guard. The returned `Tape` drops the calls no output or guard reads and
 gives each value a buffer, which a later value takes over after the
-value's last read; outputs keep theirs. `Tape.replay(*inputs)` allocates
-the buffers and runs the calls in the recorded order with
-`ufunc(*operands, out)`, so every value is bit-identical to the direct
-computation, and at most as many batch arrays are alive as values were at
-once. It returns None when a guard disagrees; the caller then computes
-that batch directly.
+value's last read; outputs keep theirs. `Tape.replay(*inputs)` runs the
+calls in the recorded order with `ufunc(*operands, out)`, so every value
+is bit-identical to the direct computation, and at most as many batch
+arrays are alive as values were at once. It returns None when a guard
+disagrees; the caller then computes that batch directly.
+
+A replay binds the schedule to buffers allocated for its input shapes,
+each call a ufunc and an operand tuple ending in its out buffer
+(`Tape._bind`), copies the inputs in, runs the calls, checks the guards
+and returns the bound output buffers. Outside a batch loop every replay
+binds afresh, so its outputs belong to the caller. Inside `reusing()`, a
+batch loop's scope, the latest binding serves the next replay of the same
+tape at the same shapes, so a replay's outputs stay valid until the next
+replay; leaving the loop frees the binding. Binding once per loop saves
+rebuilding operand lists per call and allocating every buffer per batch
+(a CHUNK-node float64 buffer sits at glibc's mmap threshold, so each fresh
+one page-faults again).
 
 A call whose value depends on one input only is a one-input call; the
 others are mixed (`Tape.calls`). Inputs of one shape replay every call at
@@ -48,7 +60,8 @@ values).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from contextlib import contextmanager
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -126,9 +139,10 @@ class _Recorder:
         operands = [self.operand(x) for x in inputs]
         # value numbering: a repeat of an earlier call (same slots, equal
         # constants) returns its result
-        key = (ufunc, method, tuple(sorted(kwargs.items())) if kwargs else (), *(
-            s if s is not None else _constant_key(c) for s, c in operands
-        ))
+        args = [s if s is not None else _constant_key(c) for s, c in operands]
+        if ufunc in _COMMUTATIVE and method == "__call__" and _swapped(*args):
+            args.reverse()
+        key = (ufunc, method, tuple(sorted(kwargs.items())) if kwargs else (), *args)
         seen = self.seen.get(key)
         if seen is not None:
             return seen
@@ -143,6 +157,18 @@ class _Recorder:
         traced = self.seen[key] = self.wrap(result)
         self.steps.append((ufunc, operands, traced._slot))
         return traced
+
+
+# IEEE add and multiply commute bit for bit, so b * a is a repeat of a * b.
+# maximum and minimum do not: np.maximum(-0.0, 0.0) is 0.0 and
+# np.maximum(0.0, -0.0) is -0.0
+_COMMUTATIVE = (np.add, np.multiply)
+
+
+def _swapped(a, b):
+    """Two operand keys (a slot or a constant's key) out of their canonical
+    order: slots ascending, a constant after a slot."""
+    return type(b) is int and (type(a) is not int or b < a)
 
 
 def _constant_key(c):
@@ -234,14 +260,46 @@ def _plan(steps, outputs, n_inputs, kind) -> _Plan:
     return _Plan(runs, buffers, [(buffer_of[s], c) for s, c in outputs])
 
 
+class _Binding(NamedTuple):
+    """A schedule over buffers allocated once, for one tape and one tuple of
+    input shapes: the input buffers; runs of (fn, operand tuple) calls, the
+    out buffer last, each run ended by a guard (reduce, buffer, kwargs,
+    outcome) or None after the last; and the outputs."""
+
+    tape: object
+    shapes: tuple
+    inputs: list
+    runs: list
+    outputs: list
+
+
+# the binding the innermost batch loop keeps (`reusing`): None outside one,
+# else a one-item list holding its latest binding, or None before its first
+_loop = None
+
+
+@contextmanager
+def reusing():
+    """A batch loop's scope: inside, a replay of the same tape at the same
+    input shapes as the latest replay runs on that replay's binding, so a
+    replay's outputs stay valid only until the next replay; another tape
+    or other shapes replace the binding. Leaving frees the binding (its
+    last outputs then belong to the caller) and restores an outer scope's."""
+    global _loop
+    outer, _loop = _loop, [None]
+    try:
+        yield
+    finally:
+        _loop = outer
+
+
 class Tape:
     """The recorded calls that reach an output or a guard, each value
     assigned a buffer by liveness.
 
-    Buffers 0 .. n_inputs - 1 are the inputs; each later one is allocated
-    per replay and holds every value assigned to it in turn. Inputs that
-    broadcast replay a second schedule, derived from the kept steps on
-    first use.
+    Buffers 0 .. n_inputs - 1 are the inputs; each later one holds every
+    value assigned to it in turn. Inputs that broadcast replay a second
+    schedule, derived from the kept steps on first use.
     """
 
     def __init__(self, rec: _Recorder, n_inputs: int, outputs):
@@ -306,23 +364,60 @@ class Tape:
         outputs = [(full(s), c) for s, c in self._outputs]
         return _plan(split, outputs, n, lambda s: (dtypes[s], home[s]))
 
+    def _bind(self, shapes) -> _Binding:
+        """The schedule for inputs of these shapes over buffers allocated
+        here: inputs of one shape take the flat schedule, inputs that
+        broadcast the lattice one."""
+        runs, buffers, outputs = self._flat if len(set(shapes)) == 1 else self._split
+        shape = np.broadcast_shapes(*shapes)
+        bufs = [*(np.empty(s, self._dtypes[i]) for i, s in enumerate(shapes)),
+                *(np.empty(shape if i is None else shapes[i], dtype) for dtype, i in buffers)]
+
+        def bound(b, c):
+            return c if b is None else bufs[b]
+
+        def call(fn, operands, out):
+            args = tuple(bound(b, c) for b, c in operands)
+            # a positional out is faster than out=, but numpy 2.4 deprecates
+            # it for these two
+            if fn is np.maximum or fn is np.minimum:
+                return partial(fn, out=bufs[out]), args
+            return fn, (*args, bufs[out])
+
+        return _Binding(self, shapes, bufs[: self._n], [
+            ([call(*c) for c in calls],
+             guard and (guard[0].reduce, bufs[guard[2]], guard[1], guard[3]))
+            for calls, guard in runs
+        ], [bound(b, c) for b, c in outputs])
+
+    def _binding(self, shapes) -> _Binding:
+        """A fresh binding outside `reusing`; inside, the loop's binding,
+        replaced unless it is this tape's at these shapes."""
+        loop = _loop
+        if loop is None:
+            return self._bind(shapes)
+        kept = loop[0]
+        if kept is None or kept.tape is not self or kept.shapes != shapes:
+            loop[0] = kept = None  # freed before the next is allocated
+            loop[0] = kept = self._bind(shapes)
+        return kept
+
     def replay(self, *inputs):
         """The outputs for inputs of the recorded kind, or None where a guard
         disagrees. Inputs of one shape replay the recorded calls as they
         are. Inputs that broadcast (a column of u and a row of v) compute
         each one-input call at its input's shape and each mixed call at
-        the broadcast shape, which every output has. Buffers are allocated
-        per replay, so the outputs belong to the caller."""
-        shapes = [np.shape(x) for x in inputs]
-        runs, buffers, outputs = self._flat if len(set(shapes)) == 1 else self._split
-        shape = np.broadcast_shapes(*shapes)
-        bufs = [*inputs, *(np.empty(shape if i is None else shapes[i], dtype)
-                           for dtype, i in buffers)]
-        for calls, guard in runs:
-            for fn, operands, out in calls:
-                fn(*[c if b is None else bufs[b] for b, c in operands], out=bufs[out])
+        the broadcast shape, which every output has. Outside `reusing` the
+        outputs belong to the caller; inside, they are the loop binding's
+        buffers, which the next replay writes over."""
+        binding = self._binding(tuple(np.shape(x) for x in inputs))
+        for buffer, x in zip(binding.inputs, inputs):
+            np.copyto(buffer, x)
+        for calls, guard in binding.runs:
+            for fn, operands in calls:
+                fn(*operands)
             if guard is not None:
-                ufunc, kwargs, b, outcome = guard
-                if ufunc.reduce(bufs[b], **kwargs) != outcome:
+                reduce, buffer, kwargs, outcome = guard
+                if reduce(buffer, **kwargs) != outcome:
                     return None
-        return [c if b is None else bufs[b] for b, c in outputs]
+        return list(binding.outputs)

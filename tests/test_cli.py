@@ -420,12 +420,14 @@ def graph_file(tmp_path, z):
 def test_overflowing_chain_rule_factor_is_an_input_error(command, tmp_path, capsys):
     # the affine argument u*1e200 has the slope 1e200, whose square
     # overflows a float power: an input error, not a traceback, naming the
-    # file and the component its source span lies in
+    # file, the component its source span lies in and a point (the error
+    # holds at every node of its batch)
     path = graph_file(tmp_path, "0.3*(1/(u*1e200))")
     argv = [*command, "--file", path]
     assert run(argv + (["--grid", "64x64"] if "--levels" in command else []), tmp_path) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {path}: z: chain rule: a power of the argument's slope")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: z: chain rule: a power of the argument's slope")
+    assert "at (u, v)=(" in err
 
 
 def test_chart_domain_error_names_the_file_and_component(tmp_path, capsys):

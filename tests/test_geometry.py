@@ -711,14 +711,14 @@ def test_squashed_ball_residuals_match_einsum(squashed_ball):
 # new counts.
 TAPE_BOUNDS = {
     "ellipsoid_rev": {
-        "forms_o2": (101, 17), "forms_o3": (494, 59), "forms_o4": (1270, 98),
-        "class_o2": (106, 16), "whole_o2": (110, 16), "region_o3": (537, 39),
-        "area_o2": (46, 10), "residuals_o4": (2820, 113),
+        "forms_o2": (101, 17), "forms_o3": (488, 59), "forms_o4": (1260, 98),
+        "class_o2": (106, 16), "whole_o2": (110, 16), "region_o3": (517, 39),
+        "area_o2": (46, 10), "residuals_o4": (2663, 111),
     },
     "squashed_ball_c-1": {
-        "forms_o2": (182, 28), "forms_o3": (965, 84), "forms_o4": (2388, 149),
-        "class_o2": (187, 28), "whole_o2": (191, 28), "region_o3": (895, 75),
-        "area_o2": (63, 12), "residuals_o4": (3938, 149),
+        "forms_o2": (182, 28), "forms_o3": (956, 84), "forms_o4": (2374, 149),
+        "class_o2": (187, 28), "whole_o2": (191, 28), "region_o3": (875, 75),
+        "area_o2": (63, 12), "residuals_o4": (3777, 149),
     },
 }
 

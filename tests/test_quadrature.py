@@ -130,6 +130,44 @@ def test_chunked_gathers_lattice_rows_in_order(rows, width):
     assert np.array_equal(index, np.arange(rows * width, dtype=float))
 
 
+def test_chunked_binds_a_tape_once_per_loop(monkeypatch):
+    # five equal batches replay one binding (the first batch also records
+    # the tape), and none is alive after the loop, also when a batch raises
+    spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    us, vs = flat_nodes(*q._lattice(spec, q.GridSpec(16, 20), centers=True))
+    binds = []
+    bind = tape.Tape._bind
+    monkeypatch.setattr(tape.Tape, "_bind", lambda self, shapes: binds.append(shapes) or bind(self, shapes))
+    monkeypatch.setattr(q, "CHUNK", us.size // 5)
+    got = q._classified(spec, us, vs)
+    assert binds == [((64,), (64,))]
+    assert tape._loop is None
+    monkeypatch.setattr(q, "CHUNK", us.size)
+    for x, y in zip(got, q._classified(spec, us, vs)):
+        assert x.tobytes() == y.tobytes()
+
+    def kernel(u, v):
+        classification_values(spec, u, v)
+        raise RuntimeError("a batch that raises")
+
+    with pytest.raises(RuntimeError):
+        q._chunked(kernel, us, vs)
+    assert tape._loop is None
+
+
+def test_a_single_batch_result_outlives_later_passes():
+    # a single batch returns the binding's own buffers, which leaving the
+    # loop gives to the caller: later passes on the spec bind anew
+    spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    us, vs = flat_nodes(*q._lattice(spec, q.GridSpec(16, 16), centers=True))
+    got = q._classified(spec, us, vs)
+    kept = [np.array(x) for x in got]
+    q._classified(spec, us + 0.01, vs)
+    q.integrate(spec, q.AREA, q.GridSpec(16, 16, 0))
+    for x, y in zip(got, kept):
+        assert x.tobytes() == y.tobytes()
+
+
 # -- whole-surface integrals -------------------------------------------------------
 
 
@@ -241,6 +279,36 @@ def test_field_reading_a_stacked_tensor_runs_without_a_tape(monkeypatch):
     pg = point_geometry(spec, *q._lattice(spec, g, centers=True), 2)
     _, _, du, dv = q._axes(spec, g)
     assert got == float(np.sum(field(pg) * pg.sqrt_detg)) * (du * dv)
+
+
+# read by test_a_field_tape_follows_the_values_it_captures
+_WEIGHT = 1.0
+
+
+def test_a_field_tape_follows_the_values_it_captures():
+    # a field's tape is keyed by its code and the values it captures: a
+    # changed global or closure value records anew, and equal fresh lambdas
+    # share one tape
+    global _WEIGHT
+    spec, g = preset("sphere"), q.GridSpec(32, 32, 0)
+    area = q.integrate(spec, q.AREA, g)
+    field = q.Field(lambda pg: _WEIGHT + 0 * pg.H, order=2)
+    assert q.integrate(spec, field, g) == area
+    try:
+        _WEIGHT = 2.0
+        assert q.integrate(spec, field, g) == 2.0 * area
+    finally:
+        _WEIGHT = 1.0
+
+    def scaled(k):
+        return q.Field(lambda pg: k + 0 * pg.H, order=2)
+
+    before = len(spec.tapes)
+    assert [q.integrate(spec, scaled(1.0), g) for _ in range(10)] == [area] * 10
+    assert len(spec.tapes) == before + 1
+    # 2 and 2.0 are other constants: their own tapes, their own values
+    assert q.integrate(spec, scaled(2), g) == q.integrate(spec, scaled(2.0), g) == 2.0 * area
+    assert len(spec.tapes) == before + 3
 
 
 @pytest.mark.parametrize("order", [0, 1, 5])

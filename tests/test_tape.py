@@ -146,3 +146,82 @@ def test_a_recording_is_freed_when_record_returns():
     finally:
         gc.enable()
     assert after == before
+
+
+def test_add_and_multiply_are_numbered_up_to_operand_order():
+    # IEEE add and multiply commute bit for bit; maximum does not (on -0.0
+    # and 0.0 its result depends on the order), so its two calls stay
+    def fn(a, b):
+        return [a * b + b * a, 2.0 * a + a * 2.0, np.maximum(a, b), np.maximum(b, a)]
+
+    recorded = tape.record(fn, U, V)
+    ops = [step[0] for step in recorded._steps]
+    assert ops.count(np.multiply) == 2  # a * b and a * 2.0
+    assert ops.count(np.add) == 2
+    assert ops.count(np.maximum) == 2
+    assert_replay_is_direct(recorded, fn, -U, V)
+    zeros = np.array([-0.0, 0.0]), np.array([0.0, -0.0])
+    got = recorded.replay(*zeros)
+    assert got[2].tobytes() == np.maximum(*zeros).tobytes()
+    assert got[3].tobytes() == np.maximum(*zeros[::-1]).tobytes()
+
+
+def test_a_batch_loop_replays_as_fresh_replays_bit_for_bit():
+    # inside the scope a binding serves the next replay of its tape and
+    # shapes; another tape or other shapes replace it. Every replay's
+    # outputs, copied at once, are those of a replay outside the scope
+    a = tape.record(checked_sqrt, U[:1], V[:1])
+    b = tape.record(lattice_fn, U[:1], V[:1])
+    calls = [(a, U, V), (b, U, V), (a, U * 2.0, V), (a, U[:4], V[:4]), (a, U, V + 1.0),
+             (a, U[:4] + 1.0, V[:4]), (b, U[:, None], V[None, :5]), (b, U, V - 1.0)]
+    with tape.reusing():
+        got = [[np.array(x) for x in recorded.replay(*inputs)] for recorded, *inputs in calls]
+    for outputs, (recorded, *inputs) in zip(got, calls):
+        for x, y in zip(outputs, recorded.replay(*inputs)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_a_batch_loop_keeps_one_binding_per_tape_and_shapes(monkeypatch):
+    recorded = tape.record(checked_sqrt, U[:1], V[:1])
+    binds = []
+    bind = tape.Tape._bind
+    monkeypatch.setattr(tape.Tape, "_bind", lambda self, shapes: binds.append(shapes) or bind(self, shapes))
+    with tape.reusing():
+        first = recorded.replay(U, V)
+        second = recorded.replay(U + 1.0, V)
+        assert first[0] is second[0]  # the same buffer, written over
+        recorded.replay(U[:3], V[:3])
+        recorded.replay(U[:3], V[:3])
+    assert binds == [((7,), (7,)), ((3,), (3,))]
+    # outside the scope every replay binds afresh and owns its outputs
+    first = recorded.replay(U, V)
+    kept = np.array(first[0])
+    recorded.replay(U + 1.0, V)
+    assert first[0].tobytes() == kept.tobytes()
+    assert len(binds) == 4
+
+
+def test_a_guard_that_disagrees_in_a_batch_loop_spares_the_next_batch():
+    recorded = tape.record(checked_sqrt, U[:1], V[:1])
+    with tape.reusing():
+        recorded.replay(U, V)
+        assert recorded.replay(-U, V) is None
+        assert_replay_is_direct(recorded, checked_sqrt, U + 0.5, V)
+
+
+def test_nested_batch_loops_restore_the_outer_binding():
+    recorded = tape.record(checked_sqrt, U[:1], V[:1])
+    assert tape._loop is None
+    with tape.reusing():
+        outer = recorded.replay(U, V)[0]
+        binding = tape._loop[0]
+        with tape.reusing():
+            assert tape._loop == [None]
+            inner = recorded.replay(U, V)[0]
+            assert inner is not outer
+            kept = np.array(inner)
+        assert tape._loop[0] is binding
+        assert recorded.replay(U + 1.0, V)[0] is outer
+        # the inner loop's last outputs are its caller's now
+        assert inner.tobytes() == kept.tobytes()
+    assert tape._loop is None
