@@ -143,11 +143,9 @@ _KEYS = tuple(tuple(product((0, 1), repeat=r)) for r in range(5))
 
 
 def _stacked(T, shape) -> np.ndarray:
-    """A component dict (or a scalar's array) as one array: batch axes, then
-    the index axes (the module's index conventions). The array is a
-    transposed view whose components each lie contiguous in memory."""
-    if not isinstance(T, dict):
-        T = {(): T}
+    """A component dict as one array: batch axes, then the index axes (the
+    module's index conventions). The array is a transposed view whose
+    components each lie contiguous in memory."""
     rank = len(next(iter(T)))
     out = np.empty((2,) * rank + shape)
     for idx, x in T.items():

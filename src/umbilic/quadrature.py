@@ -25,12 +25,12 @@ evaluated once. A longer ladder adds a second pass, over G/2^KF.
 
 Refinement resolves the region's indicator; the integrand is smooth on
 the scale of a base cell. So full geometry is evaluated at those base
-midpoints, at the inside leaves at most KF halvings below their level's
-base cell, and once at each ancestor KF halvings below it that has deeper
-inside leaves, a node of G's refinement tree. A deeper leaf counts as its
-ancestor's field value per unit area times its own area element, which
-(like its |H|) comes from its center probe, an order-2 classification
-node.
+midpoints and at nodes of G's refinement tree. One rule serves every
+inside leaf: it takes the field densities (values per unit area) of the
+tree node that holds it at most KF halvings below its level's base cell,
+itself when it is that shallow, times its own area element, which (like
+its |H|) comes from its center probe, an order-2 classification node.
+After each threshold's tree, one node-kernel call evaluates its nodes.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -38,12 +38,12 @@ order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
 them alone skip the order-3 jets and the covariant derivatives. Every
 node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
 it classifies, sqrt(det g), the peaks and the field densities, which the
-pass weighs by dA, or by an ancestor's leaf area, outside the tape. A base
-lattice (corners or midpoints) reaches the kernel as a column of u and a
-row of v, batched by whole rows and never meshed, so the kernel's u-only
-and v-only calls run once per row and once per column (`_lattice`,
-`_chunked`); refinement probes, inside midpoints and leaves are flat node
-arrays.
+pass weighs by dA (a tree node's by each reading leaf's) outside the
+tape. A base lattice (corners or midpoints) reaches the kernel as a
+column of u and a row of v, batched by whole rows and never meshed, so
+the kernel's u-only and v-only calls run once per row and once per
+column (`_lattice`, `_chunked`); refinement probes, inside midpoints and
+tree nodes are flat node arrays.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -264,15 +264,15 @@ def _lattice(spec: ImmersionSpec, grid: GridSpec, *, centers):
     return us[:, None], vs[None, :]
 
 
-def _chunked(kernel, *cols):
-    """kernel(*batch) -> tuple of arrays, run on batches of about CHUNK
+def _chunked(kernel, us, vs):
+    """kernel(u, v) -> tuple of arrays, run on batches of about CHUNK
     nodes and gathered into flat arrays.
 
-    cols are equal-length node arrays (us, vs, ...), cut into CHUNK-node
-    batches, or a lattice's column of u and row of v (see `_lattice`), cut
-    into whole rows, max(1, CHUNK // width) per batch, and gathered
-    row-major. The nodes must be non-empty. An output of one element per
-    batch (a batch maximum or sum) gathers to one element per batch.
+    us and vs are equal-length node arrays, cut into CHUNK-node batches,
+    or a lattice's column of u and row of v (see `_lattice`), cut into
+    whole rows, max(1, CHUNK // width) per batch, and gathered row-major.
+    The nodes must be non-empty. An output of one element per batch (a
+    batch maximum) gathers to one element per batch.
     Batches are written into preallocated outputs, so no result is ever
     held twice.
 
@@ -283,14 +283,13 @@ def _chunked(kernel, *cols):
     outputs at once; a single batch's part is returned as it is, and the
     binding that holds it is freed when the loop is left.
     """
-    if cols[0].ndim == 2:
-        us, vs = cols
+    if us.ndim == 2:
         rows = max(1, CHUNK // vs.size)
         n, step = us.size * vs.size, rows * vs.size
         batches = ((us[i : i + rows], vs) for i in range(0, us.shape[0], rows))
     else:
-        n, step = cols[0].size, CHUNK
-        batches = (tuple(c[i : i + CHUNK] for c in cols) for i in range(0, n, CHUNK))
+        n, step = us.size, CHUNK
+        batches = ((us[i : i + CHUNK], vs[i : i + CHUNK]) for i in range(0, n, CHUNK))
     with tape.reusing():
         for k, batch in enumerate(batches):
             part = [np.reshape(a, -1) for a in kernel(*batch)]
@@ -332,19 +331,6 @@ def _full(spec, fields, us, vs, *, classify=False, peaks=()):
     return _chunked(batch, us, vs)
 
 
-def _anchored(spec, fields, us, vs, weights, peaks):
-    """Per field, the sum of field(pg) * weights over the nodes (us, vs):
-    each ancestor's density times the area its deep inside leaves cover,
-    from the node kernel of the pass's inside nodes, summed per batch."""
-    order = _order((*fields, *peaks))
-
-    def batch(u, v, w):
-        out = geometry._nodes(spec, order, u, v, classify=False, peaks=peaks, densities=fields)
-        return tuple(np.sum(d * w, keepdims=True) for d in out[1 + len(peaks):])
-
-    return [float(np.sum(s)) for s in _chunked(batch, us, vs, weights)]
-
-
 # -- sublevel-set cell classification --------------------------------------------
 
 
@@ -371,8 +357,8 @@ class _Leaves(NamedTuple):
     depth       halvings below the base cell of G (the finest level)
     abs_h, sqrt_detg
                 |H| and the area element at the centers, from the probes
-    ids         per tagged G-depth below `depth`, the id of each leaf's
-                ancestor at that depth (see `_refined_leaves`)
+    ids         per G-depth, the id of each leaf's tree node there, itself
+                or an ancestor (see `_refined_leaves`)
     """
 
     us: np.ndarray
@@ -387,7 +373,7 @@ class _Leaves(NamedTuple):
     ids: dict
 
 
-def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
+def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     """Subdivide straddling cells; yield their leaves as `_Leaves` batches.
 
     state holds the straddling base cells: lower corners (u0s, v0s), the
@@ -412,13 +398,15 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
     Of each level's probes only the child centers' |H| and sqrt(det g) are
     kept, for the leaves; the rest is freed once read.
 
-    anchors maps G-depths d >= 1 to lists. The leaves below a cell split
-    at a depth d in anchors carry the next id of depth d in traversal
-    order, and the cell's center is appended to anchors[d]. Traversal
+    The children at G-depths d <= KF are the nodes of the tree, numbered
+    by position: child c of cell i, of the n cells split there, gets id
+    c n + i. A dict nodes receives each such depth's centers once, (us,
+    vs) in id order, at nodes[d]. A leaf at depth d <= KF carries its own
+    id; below a node at a depth in carried, the cells carry its id down to
+    their leaves. Only those depths are carried, no other id. Traversal
     order is fixed, so the caller's accumulation is deterministic.
     """
     u0s, v0s, c00, c10, c01, c11, cc, mm = state
-    anchors = {} if anchors is None else anchors
     eps2 = eps * eps
     DU, DV = du, dv
     ids = {}
@@ -431,10 +419,20 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
         # child centers M00 M10 M01 M11, the child (a, b) at index a + 2 b
         mu = [u0s + qu, u0s + 3 * qu, u0s + qu, u0s + 3 * qu]
         mv = [v0s + qv, v0s + qv, v0s + 3 * qv, v0s + 3 * qv]
+        child = level + 1
+        if child <= KF and nodes is not None:
+            nodes[child] = (np.concatenate(mu), np.concatenate(mv))
+
+        def held(c, sel):  # the carried ids of child c of the cells sel, and its own
+            out = {d: x[sel] for d, x in ids.items()}
+            if child <= KF:
+                out[child] = np.arange(c * n, (c + 1) * n, dtype=np.int32)[sel]
+            return out
+
         if level == depth - 1:
             n2, h, sdg = _classified(spec, np.concatenate(mu), np.concatenate(mv))
             for k, (kc, hk, sk) in enumerate(zip(*(np.split(a, 4) for a in (n2 < eps2, h, sdg)))):
-                yield _Leaves(mu[k], mv[k], hu * hv, kc, 0, mm, depth, hk, sk, ids)
+                yield _Leaves(mu[k], mv[k], hu * hv, kc, 0, mm, depth, hk, sk, held(k, slice(None)))
             return
         ends = mm == depth - 1 - level
         # probe blocks: edge midpoints L10 L01 L21 L12, then the child
@@ -476,11 +474,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
             (0, 1): L01, (1, 1): cc, (2, 1): L21,
             (0, 2): c01, (1, 2): L12, (2, 2): c11,
         }
-        child = level + 1
-        tag = child in anchors
-        next_parts = []
-        next_ids = {d: [] for d in (*ids, *((child,) if tag else ()))}
-        tagged = 0
+        next_parts, next_ids = [], []
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             c = a + 2 * b
             k00 = lattice[(a, b)]
@@ -495,7 +489,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
                 probed = sel if keep[4 + c] is None else sel[keep[4 + c]]
                 return _Leaves(
                     mu[c][sel], mv[c][sel], hu * hv, inside[sel], lo, mm[sel], child,
-                    h[c][probed], sdg[c][probed], {d: x[sel] for d, x in ids.items()},
+                    h[c][probed], sdg[c][probed], held(c, sel),
                 )
 
             if uniform.any():
@@ -508,17 +502,11 @@ def _refined_leaves(spec, eps, state, du, dv, depth, anchors=None):
                 ((u0s + a * hu)[st], (v0s + b * hv)[st], k00[st], k10[st], k01[st], k11[st],
                  kc[st], np.minimum(mm[st], depth - 2 - level))
             )
-            for d, x in ids.items():
-                next_ids[d].append(x[st])
-            if tag:
-                count = int(np.count_nonzero(st))
-                next_ids[child].append(np.arange(tagged, tagged + count, dtype=np.int32))
-                anchors[child].append((mu[c][st], mv[c][st]))
-                tagged += count
+            next_ids.append({d: x for d, x in held(c, st).items() if d in carried})
         u0s, v0s, c00, c10, c01, c11, cc, mm = (
             np.concatenate([p[k] for p in next_parts]) for k in range(8)
         )
-        ids = {d: np.concatenate(x) for d, x in next_ids.items()}
+        ids = {d: np.concatenate([x[d] for x in next_ids]) for d in next_ids[0]}
         DU, DV = hu, hv
 
 
@@ -559,44 +547,53 @@ def _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums):
     each level's sums (one per-field list per level, levels <= KF); return
     the max |H| over the inside leaves of G itself (-inf for none).
 
-    Level k counts a leaf at G-depth D (see `_Leaves`) as its own field *
-    dA when D + k <= KF: one full evaluation per batch, shared by those
-    levels. Deeper, the leaf's sqrt(det g) * area (from its probe) weighs
-    the densities of its ancestor KF halvings below level k's base cell,
-    the tree node at G-depth KF - k >= 1, evaluated after the tree once
-    per node that has inside leaves. Only one weight per ancestor is kept
-    across the tree, never per-leaf arrays. Both evaluations take the
-    pass's peaks, unread here, to replay its inside midpoints' kernel.
+    One rule values every inside leaf: level k counts a leaf at G-depth D
+    (see `_Leaves`) as the field densities of the tree node at G-depth
+    min(D, KF - k) that holds it (the leaf itself when D <= KF - k, else
+    its ancestor) times the leaf's area and sqrt(det g) from its probe.
+    These weights add up per (level, depth) on node ids, never as per-leaf
+    arrays. After the tree, one node-kernel call evaluates every node that
+    has weight, with the pass's peaks (unread here) so that it replays the
+    inside midpoints' kernel; then each (level, depth) adds one sum.
     """
     _, _, du, dv = _axes(spec, grid)
-    anchors = {KF - k: [] for k in range(levels)}
-    weights = {}  # per level k, one weight per node at G-depth KF - k
+    nodes = {}  # per G-depth <= KF, the centers of the tree nodes there
+    weights = {}  # per (level, G-depth), one weight per node there
     h_sup = -math.inf
-    for leaf in _refined_leaves(spec, eps, state, du, dv, grid.adaptive_depth, anchors):
+    carried = [KF - k for k in range(levels)]
+    for leaf in _refined_leaves(spec, eps, state, du, dv, grid.adaptive_depth, nodes, carried):
         inside = leaf.inside
         if not inside.any():
             continue
         if leaf.lo == 0:
             h_sup = max(h_sup, float(np.max(leaf.abs_h[inside])))
         hi = leaf.hi[inside]
-        deep = KF - leaf.depth + 1  # the first level for which the leaf is deep
-        if leaf.lo < min(levels, deep):
-            values = _full(spec, fields, leaf.us[inside], leaf.vs[inside], peaks=peaks)[len(peaks) :]
-            for k in range(leaf.lo, min(levels, deep)):
-                _add(sums[k], values, hi >= k, leaf.area)
         w = leaf.sqrt_detg[inside] * leaf.area
-        for k in range(max(leaf.lo, deep), levels):
+        for k in range(leaf.lo, levels):
             sel = hi >= k
             if not sel.any():
                 continue
-            nodes = sum(us.size for us, _ in anchors[KF - k])
-            ids = leaf.ids[KF - k][inside][sel]
-            weights[k] = weights.get(k, 0.0) + np.bincount(ids, w[sel], nodes)
-    for k, wk in weights.items():
-        hit = wk > 0
-        us, vs = (np.concatenate(c)[hit] for c in zip(*anchors[KF - k]))
-        for f, total in enumerate(_anchored(spec, fields, us, vs, wk[hit], peaks)):
-            sums[k][f] += total
+            d = min(leaf.depth, KF - k)
+            ids = leaf.ids[d][inside][sel]
+            weights[k, d] = weights.get((k, d), 0.0) + np.bincount(ids, w[sel], nodes[d][0].size)
+    if not weights:
+        return h_sup
+    hit = {d: np.zeros(nodes[d][0].size, dtype=bool) for d in nodes}
+    for (_, d), w in weights.items():
+        hit[d] |= w > 0
+    us, vs = (np.concatenate([nodes[d][i][hit[d]] for d in nodes]) for i in (0, 1))
+    order = _order((*fields, *peaks))
+
+    def batch(u, v):  # the densities; sqrt(det g) and the peaks go unread
+        out = geometry._nodes(spec, order, u, v, classify=False, peaks=peaks, densities=fields)
+        return out[1 + len(peaks) :]
+
+    cut = np.cumsum([np.count_nonzero(x) for x in hit.values()])[:-1]
+    density = dict(zip(nodes, zip(*(np.split(a, cut) for a in _chunked(batch, us, vs)))))
+    for (k, d), w in sorted(weights.items()):
+        has = w > 0
+        for f, x in enumerate(density[d]):
+            sums[k][f] += float(np.sum(x[has[hit[d]]] * w[has]))
     return h_sup
 
 
@@ -643,9 +640,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     k 2^m, its midpoints those at 2^(m-1) + k 2^m, bit for bit. Its
     straddling cells descend through cells that lattice has classified,
     then ride G's refinement tree (see `_refined_leaves`), so each probe
-    and inside leaf is evaluated once. Inside leaves more than KF halvings
-    below their level's base cell take the field densities of their
-    ancestor KF halvings below it, a node of G's tree (see `_tree_sums`).
+    and inside leaf is evaluated once. An inside leaf takes the field
+    densities of the node of G's tree that holds it at most KF halvings
+    below its level's base cell, one call per threshold (`_tree_sums`).
     Coarse levels are reduced, and their arrays freed, before G's
     midpoints are evaluated. Coarse levels carry sums only: their sup |H|
     would need per-node |H| arrays, and nothing reads it. Each of `peaks`,
@@ -812,11 +809,11 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     eps_list must be strictly decreasing within (0, 1]. Every base midpoint
     gets an order-2 evaluation (area, total_R, the classification, H_sup).
     Full geometry is evaluated once at every base midpoint inside the
-    largest threshold's region, at every inside leaf at most KF halvings
-    deep, and at every depth-KF ancestor of deeper inside leaves,
-    which take its field values per unit area times their own area
-    element. Classification and refinement probes use the order-2 kernel,
-    which also gives each leaf its area element and |H|.
+    largest threshold's region and, in one call per threshold, at every
+    inside leaf at most KF halvings deep and every depth-KF ancestor of
+    deeper inside leaves, which take its field values per unit area times
+    their own area element. Classification and refinement probes use the
+    order-2 kernel, which also gives each leaf its area element and |H|.
     """
     eps_values = [float(e) for e in eps_list]
     fault = _thresholds_fault(eps_values)

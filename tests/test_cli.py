@@ -617,6 +617,33 @@ def test_range_errors_name_the_flag(argv, flag, tmp_path, capsys):
         assert "coarsest level would fall below 16x16" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence", "--preset", "sphere", "--levels", "2"], "--levels must be at least 3"),
+        (["convergence", "--preset", "ellipsoid_rev", "--field", "vol", "--eps", "0.2,0.1"],
+         "exactly one threshold"),
+        (["convergence", "--file", "BALL", "--b", "2"], "are not declared by"),
+        (["verify", "--preset", "sphere", "stray", "1"], "unrecognized argument 'stray'"),
+        (["verify", "--preset", "sphere", "--eps", "0.1,abc"], "expects comma-separated numbers"),
+        # at 16x16 without refinement no node has |hring| below 0.001
+        (["sweep", "--preset", "ellipsoid_rev", "--a", "1", "--b", "2", "--grid", "16x16",
+          "--depth", "0", "--eps", "0.4,0.001"],
+         "no nodes fall in the sublevel region at eps=0.001"),
+    ],
+    ids=["two-levels", "vol-two-thresholds", "undeclared-param", "stray-argument",
+         "non-numeric-eps", "sweep-empty-region"],
+)
+def test_input_errors_exit_two_with_their_message(argv, message, tmp_path, capsys):
+    path = tmp_path / "ball.ini"
+    path.write_text(SQUASHED_BALL)
+    out = tmp_path / "out"
+    assert run([str(path) if x == "BALL" else x for x in argv], out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_missing_surface_selector(tmp_path, capsys):
     assert run(["verify", "--eps", "0.5"], tmp_path) == 2
     assert "--preset or --file" in capsys.readouterr().err

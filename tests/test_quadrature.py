@@ -733,6 +733,31 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
     assert nodes[3] <= sum(FULL_NODE_BOUNDS.values()), (inner, shallow, ancestors)
 
 
+def test_tree_nodes_take_one_kernel_call_per_threshold(monkeypatch):
+    # every inside leaf reads its own tree node or an ancestor, and after
+    # each threshold's tree one order-3 node-kernel call evaluates every
+    # node read (fewer than CHUNK here, so one batch); before the trees,
+    # only the inside midpoints' call
+    spec, g, eps_values = preset("ellipsoid_rev"), q.GridSpec(128, 128, 6), (0.4, 0.2, 0.1, 0.05)
+    calls, trees = [], []  # per order-3 call, the index of the running tree (-1: none)
+    real_kernel, real_tree = q.geometry._kernel, q._tree_sums
+
+    def kernel(spec, key, order, fn, u, v):
+        if key[0] == "nodes" and key[3] and order == 3:
+            calls.append(len(trees) - 1)
+        return real_kernel(spec, key, order, fn, u, v)
+
+    def tree(*args):
+        trees.append(args[4])
+        return real_tree(*args)
+
+    monkeypatch.setattr(q.geometry, "_kernel", kernel)
+    monkeypatch.setattr(q, "_tree_sums", tree)
+    q.region_integrals(spec, eps_values, g)
+    assert trees == list(eps_values)
+    assert calls == [-1, *range(len(eps_values))]
+
+
 # Ratchet on the order-2 classification nodes of the same pass: one per
 # base corner, then the refinement probes of the four thresholds' trees
 # (401,665 nodes in all when the level before the last probed 8 points per

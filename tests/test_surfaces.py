@@ -200,6 +200,28 @@ def test_load_definition_bad_range(tmp_path):
         assert f"{p}: {key}: " in str(exc.value), bad
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # a radius-3 sphere in the c = -1 model: (|c|/4)|f|^2 = 2.25 >= 1
+        ("[surface]\nname = big\nx = 3*sin(u)*cos(v)\ny = 3*sin(u)*sin(v)\nz = 3*cos(u)\n"
+         "u_range = 0, pi\nv_range = 0, 2*pi\nperiodic_v = true\nsingular_margin = 1e-3\n"
+         "closed = true\nc = -1\n",
+         ConformalBallError, r"image leaves the conformal ball .*= 2\.25 "),
+        ("[surface]\nname = plane\nx = u\ny = v\nz = 0\nu_range = 0, 1\nv_range = 0, 1\n"
+         "singular_margin = 0.6\n",
+         SpecValidationError, "singular_margin swallows the domain"),
+        ("[params]\nk = 1\n", SpecValidationError, r"missing \[surface\] section"),
+    ],
+    ids=["outside-conformal-ball", "margin-swallows-domain", "no-surface-section"],
+)
+def test_load_definition_rejects_a_bad_surface(text, error, message, tmp_path):
+    p = tmp_path / "surf.ini"
+    p.write_text(text)
+    with pytest.raises(error, match=message):
+        load_definition(p)
+
+
 def test_load_definition_rejects_rank_deficient(tmp_path):
     p = tmp_path / "surf.ini"
     p.write_text(

@@ -98,6 +98,22 @@ def test_untapeable_computations_are_refused(fn):
     assert tape.record(fn, U, V) is None
 
 
+def test_a_value_of_another_recording_is_refused():
+    # a value kept from one recording and read by the next, on either side
+    # of a call, is no slot of the second tape
+    kept = []
+
+    def keep(a, b):
+        kept.append(a * 2.0)
+        return [kept[0]]
+
+    assert tape.record(keep, U, V) is not None
+    assert tape.record(lambda a, b: [a + kept[0]], U, V) is None
+    assert tape.record(lambda a, b: [kept[0] * b], U, V) is None
+    with pytest.raises(tape.Refused, match="a value this tape did not record"):
+        tape._Recorder(U.shape).operand(kept[0])
+
+
 def lattice_fn(a, b):
     # u-only calls (sin, its square), a v-only guard and call, mixed calls
     # reading a u-only value twice and an input directly, and outputs that
