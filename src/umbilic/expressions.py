@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import jets
 from .errors import ParseError, SingularEvaluationError
@@ -235,9 +235,11 @@ class _Parser:
         if t.kind == "num":
             return Number(float(t.text), (t.start, t.end))
         if t.kind == "(":
+            # the group spans its parentheses, so an enclosing node's span
+            # ends at the ")" it closes with
             e = self.expr()
-            self.expect(")")
-            return e
+            close = self.expect(")")
+            return replace(e, span=(t.start, close.end))
         if t.kind == "ident":
             name = t.text
             if self.peek().kind == "(":

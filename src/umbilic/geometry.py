@@ -31,7 +31,10 @@ Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
 recorded on the first node of the first non-empty batch and replayed, bit
 for bit the same values without the Python work, on every batch after. A
 lattice's column of u and row of v replay unbroadcast: the tape's u-only
-and v-only calls run once per row and once per column.
+and v-only calls run once per row and once per column. An axis given as a
+table and each node's row there (`tape.Rows`) replays gathered: its calls
+run once per row of the table, when the table holds at most half the
+batch's nodes.
 The kernels are the quadrature's node kernel (`_nodes`, which
 `classification_values` runs at order 2), the normalized residuals of
 `identities`, and stage one alone ("forms": `_forms`' flat list, which
@@ -448,19 +451,23 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
     `_forms` on the first node of the first non-empty call, replayed on
     every batch after. A lattice's column of u (R, 1) and row of v (1, C)
     replay unbroadcast, so the tape's u-only and v-only calls run R and C
-    times, not R * C (see `tape`); any other input replays flat. Without
-    the tape (an empty batch, a computation the recorder refuses, a batch
-    a guard rejects) fn runs on the flat broadcast through the "forms"
-    kernel's stage one, and that kernel on `_forms`, which raises the jet
-    path's error. key names fn: equal keys must mean the same computation.
+    times, not R * C (see `tape`). A 1-D batch may give an axis as a
+    `tape.Rows`, a table and each node's row there; the tape replays that
+    axis gathered, its calls once per row, when its table holds at most
+    half the batch's nodes, and flat otherwise, as any other input.
+    Without the tape (an empty batch, a computation the recorder refuses,
+    a batch a guard rejects) fn runs on the flat broadcast, each gathered
+    axis materialized, through the "forms" kernel's stage one, and that
+    kernel on `_forms`, which raises the jet path's error. key names fn:
+    equal keys must mean the same computation.
     """
-    u, v = (np.asarray(x, dtype=np.float64) for x in (u, v))
+    u, v = (x if isinstance(x, tape.Rows) else np.asarray(x, dtype=np.float64) for x in (u, v))
     shape = np.broadcast_shapes(u.shape, v.shape)
     size = math.prod(shape)
     lattice = u.ndim == v.ndim == 2 and u.shape[1] == v.shape[0] == 1
 
-    def flat():
-        return [np.broadcast_to(x, shape).ravel() for x in (u, v)]
+    def flat(x):
+        return np.broadcast_to(np.asarray(x), shape).ravel()
 
     def run(forms, a, b):
         return fn(_Geometry(forms, order, spec.ambient_c, a, b))
@@ -471,14 +478,17 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
             # the first node of the broadcast is each input's first entry
             tapes[order, key] = tape.record(
                 lambda a, b: run(_forms(spec, a, b, order), a, b),
-                *(x.reshape(-1)[:1] for x in (u, v)))
+                *(np.asarray(x[:1]) if isinstance(x, tape.Rows) else x.reshape(-1)[:1]
+                  for x in (u, v)))
         except SingularEvaluationError:
             pass  # a singular first node: the next call records
     recorded = tapes.get((order, key))
-    inputs = (u, v) if lattice else flat()
-    out = recorded.replay(*inputs) if recorded and size else None
+    out = None
+    if recorded and size:
+        out = recorded.replay(*((u, v) if lattice else (
+            x if isinstance(x, tape.Rows) else flat(x) for x in (u, v))))
     if out is None:
-        a, b = flat() if lattice else inputs
+        a, b = flat(u), flat(v)
         forms = (_forms(spec, a, b, order) if key == "forms"
                  else _kernel(spec, "forms", order, _flat, a, b))
         out = run(forms, a, b)

@@ -42,8 +42,13 @@ pass weighs by dA (a tree node's by each reading leaf's) outside the
 tape. A base lattice (corners or midpoints) reaches the kernel as a
 column of u and a row of v, batched by whole rows and never meshed, so
 the kernel's u-only and v-only calls run once per row and once per
-column (`_lattice`, `_chunked`); refinement probes, inside midpoints and
-tree nodes are flat node arrays.
+column (`_lattice`, `_chunked`). Refinement probes, inside midpoints and
+tree nodes reach it gathered (`tape.Rows`): a table of u, one of v and
+each node's row in both, so those calls run once per table row wherever
+a table holds at most half a batch's nodes (`tape.Tape.replay`). The
+inside midpoints' tables are the lattice's axes; the tree's are each
+level's distinct lower-corner u and v of its cells at a few offsets,
+which `_refined_leaves` carries as row indices.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -268,11 +273,15 @@ def _chunked(kernel, us, vs):
     """kernel(u, v) -> tuple of arrays, run on batches of about CHUNK
     nodes and gathered into flat arrays.
 
-    us and vs are equal-length node arrays, cut into CHUNK-node batches,
-    or a lattice's column of u and row of v (see `_lattice`), cut into
-    whole rows, max(1, CHUNK // width) per batch, and gathered row-major.
-    The nodes must be non-empty. An output of one element per batch (a
-    batch maximum) gathers to one element per batch.
+    us and vs are equal-length node arrays or `tape.Rows` (a table and
+    each node's row there, so the kernel's calls on that axis can run once
+    per row; a node's value is its table row's bits, those of the
+    materialized node), cut into CHUNK-node batches, each Rows batch the
+    whole table and a slice of the index; or a lattice's column of u and
+    row of v (see `_lattice`), cut into whole rows, max(1, CHUNK // width)
+    per batch, and gathered row-major. The nodes must be non-empty. An
+    output of one element per batch (a batch maximum) gathers to one
+    element per batch.
     Batches are written into preallocated outputs, so no result is ever
     held twice.
 
@@ -373,6 +382,36 @@ class _Leaves(NamedTuple):
     ids: dict
 
 
+def _rows(x):
+    """The distinct values of x, bit for bit (so 0.0 and -0.0 stay apart),
+    as a table, and each entry's row there."""
+    bits, index = np.unique(x.view(np.uint64), return_inverse=True)
+    return bits.view(np.float64), index.reshape(-1)
+
+
+def _compact(table, index):
+    """(table rows that index reads, in table order; index into them)."""
+    used = np.zeros(table.size, dtype=bool)
+    used[index] = True
+    if used.all():
+        return table, index
+    return table[used], (np.cumsum(used) - 1)[index]
+
+
+def _offsets(table, *steps):
+    """table + step for each step, one table after another; a step None is
+    table itself."""
+    return np.concatenate([table if s is None else table + s for s in steps])
+
+
+# the probe blocks of a level (edge midpoints L10 L01 L21 L12, then the
+# child centers M00 M10 M01 M11) as offsets into the tables that
+# `_offsets` makes of the cells' lower corners with the steps (q, 3q,
+# None, h, D): per block, the offset in u and in v
+_PROBE_U = (3, 2, 4, 3, 0, 1, 0, 1)
+_PROBE_V = (2, 3, 3, 4, 0, 0, 1, 1)
+
+
 def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     """Subdivide straddling cells; yield their leaves as `_Leaves` batches.
 
@@ -398,30 +437,58 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     Of each level's probes only the child centers' |H| and sqrt(det g) are
     kept, for the leaves; the rest is freed once read.
 
+    A cell carries its lower corner not as coordinates but as a row index
+    into the level's table of distinct lower-corner u, and one into that
+    of v: the base cells' distinct corners (`_rows`), then per level the
+    children's, table + a h for a = 0, 1, the expression a child's corner
+    u0 + a h takes, compacted to the rows a cell reads (`_compact`). So
+    table[row] is the cell's corner bit for bit at every level, and every
+    probe is a row of the level's offset tables (table + q, table + 3 q,
+    table, table + h, table + D; `_PROBE_U`, `_PROBE_V`) holding the bits
+    its coordinates would. The probes reach the classification as
+    `tape.Rows`, whose u-only and v-only calls run once per table row, and
+    the leaves' and tree nodes' centers are rows of the same tables.
+
     The children at G-depths d <= KF are the nodes of the tree, numbered
     by position: child c of cell i, of the n cells split there, gets id
-    c n + i. A dict nodes receives each such depth's centers once, (us,
-    vs) in id order, at nodes[d]. A leaf at depth d <= KF carries its own
-    id; below a node at a depth in carried, the cells carry its id down to
-    their leaves. Only those depths are carried, no other id. Traversal
-    order is fixed, so the caller's accumulation is deterministic.
+    c n + i. A dict nodes receives each such depth's centers once, a
+    `tape.Rows` pair (us, vs) in id order, at nodes[d]. A leaf at depth
+    d <= KF carries its own id; below a node at a depth in carried, the
+    cells carry its id down to their leaves. Only those depths are
+    carried, no other id. Traversal order is fixed, so the caller's
+    accumulation is deterministic.
     """
     u0s, v0s, c00, c10, c01, c11, cc, mm = state
+    (tu, ru), (tv, rv) = _rows(u0s), _rows(v0s)
     eps2 = eps * eps
     DU, DV = du, dv
     ids = {}
     for level in range(depth):
-        n = u0s.size
+        n = ru.size
         if n == 0:
             return
         hu, hv = DU / 2.0, DV / 2.0
         qu, qv = DU / 4.0, DV / 4.0
-        # child centers M00 M10 M01 M11, the child (a, b) at index a + 2 b
-        mu = [u0s + qu, u0s + 3 * qu, u0s + qu, u0s + 3 * qu]
-        mv = [v0s + qv, v0s + qv, v0s + 3 * qv, v0s + 3 * qv]
+        last = level == depth - 1
+        # per axis, the offset tables; the child centers lead, at offsets
+        # 0 (q) and 1 (3q)
+        pu, pv = (
+            _offsets(t, q, 3 * q, *(() if last else (None, h, D)))
+            for t, q, h, D in ((tu, qu, hu, DU), (tv, qv, hv, DV))
+        )
+        T, S = tu.size, tv.size
+
+        def center(c, sel=slice(None)):  # the child (a, b) at c = a + 2 b: its center's rows
+            return (c % 2) * T + ru[sel], (c // 2) * S + rv[sel]
+
+        def centers():  # every child's center, child c's at c n + i, as Rows of pu and pv
+            rows = [center(c) for c in range(4)]
+            return (tape.Rows(pu[: 2 * T], np.concatenate([r for r, _ in rows])),
+                    tape.Rows(pv[: 2 * S], np.concatenate([r for _, r in rows])))
+
         child = level + 1
         if child <= KF and nodes is not None:
-            nodes[child] = (np.concatenate(mu), np.concatenate(mv))
+            nodes[child] = centers()
 
         def held(c, sel):  # the carried ids of child c of the cells sel, and its own
             out = {d: x[sel] for d, x in ids.items()}
@@ -429,14 +496,15 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
                 out[child] = np.arange(c * n, (c + 1) * n, dtype=np.int32)[sel]
             return out
 
-        if level == depth - 1:
-            n2, h, sdg = _classified(spec, np.concatenate(mu), np.concatenate(mv))
+        if last:
+            n2, h, sdg = _classified(spec, *centers())
             for k, (kc, hk, sk) in enumerate(zip(*(np.split(a, 4) for a in (n2 < eps2, h, sdg)))):
-                yield _Leaves(mu[k], mv[k], hu * hv, kc, 0, mm, depth, hk, sk, held(k, slice(None)))
+                ku, kv = center(k)
+                yield _Leaves(pu[ku], pv[kv], hu * hv, kc, 0, mm, depth, hk, sk,
+                              held(k, slice(None)))
             return
         ends = mm == depth - 1 - level
-        # probe blocks: edge midpoints L10 L01 L21 L12, then the child
-        # centers; keep[i] selects the cells that probe block i (None: all)
+        # keep[i] selects the cells that probe block i (None: all)
         keep = [None] * 8
         if level == depth - 2:
             # every straddling child splits once more into center-classified
@@ -446,18 +514,15 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
             # or where a coarse level's tree ends here (its leaves read it).
             o = [k == cc for k in (c00, c10, c01, c11)]
             keep = [o[0] | o[1], o[0] | o[2], o[1] | o[3], o[2] | o[3], *(x | ends for x in o)]
-        pu, pv = (
-            np.concatenate([a if k is None else a[k] for k, a in zip(keep, block)])
-            for block in (
-                [u0s + hu, u0s, u0s + DU, u0s + hu, *mu],
-                [v0s, v0s + hv, v0s + hv, v0s + DV, *mv],
-            )
+        iu, iv = (
+            np.concatenate([off * size + (r if k is None else r[k]) for k, off in zip(keep, offs)])
+            for r, size, offs in ((ru, T, _PROBE_U), (rv, S, _PROBE_V))
         )
-        if pu.size:
-            n2, h, sdg = _classified(spec, pu, pv)
+        if iu.size:
+            n2, h, sdg = _classified(spec, tape.Rows(pu, iu), tape.Rows(pv, iv))
         else:  # level depth-2 with no open child and no coarse tree ending here
             n2 = h = sdg = np.empty(0)
-        del pu, pv
+        del iu, iv
         cut = np.cumsum([n if k is None else np.count_nonzero(k) for k in keep])
         flags = np.split(n2 < eps2, cut[:-1])
         del n2
@@ -487,27 +552,41 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
 
             def leaves(sel, inside, lo):
                 probed = sel if keep[4 + c] is None else sel[keep[4 + c]]
+                cu, cv = center(c, sel)
                 return _Leaves(
-                    mu[c][sel], mv[c][sel], hu * hv, inside[sel], lo, mm[sel], child,
+                    pu[cu], pv[cv], hu * hv, inside[sel], lo, mm[sel], child,
                     h[c][probed], sdg[c][probed], held(c, sel),
                 )
 
             if uniform.any():
                 yield leaves(uniform, all_in, 0)
             st = ~uniform
-            last = st & ends
-            if last.any():
-                yield leaves(last, kc, depth - 1 - level)
+            last_leaves = st & ends
+            if last_leaves.any():
+                yield leaves(last_leaves, kc, depth - 1 - level)
+            # the child's lower corner, corner + a h, as a row of the next
+            # level's tables: row r + a T of the tables (corner + 0 h,
+            # corner + 1 h)
             next_parts.append(
-                ((u0s + a * hu)[st], (v0s + b * hv)[st], k00[st], k10[st], k01[st], k11[st],
+                ((ru + a * T)[st], (rv + b * S)[st], k00[st], k10[st], k01[st], k11[st],
                  kc[st], np.minimum(mm[st], depth - 2 - level))
             )
             next_ids.append({d: x for d, x in held(c, st).items() if d in carried})
-        u0s, v0s, c00, c10, c01, c11, cc, mm = (
+        ru, rv, c00, c10, c01, c11, cc, mm = (
             np.concatenate([p[k] for p in next_parts]) for k in range(8)
         )
+        tu, ru = _compact(_offsets(tu, 0 * hu, 1 * hu), ru)
+        tv, rv = _compact(_offsets(tv, 0 * hv, 1 * hv), rv)
         ids = {d: np.concatenate([x[d] for x in next_ids]) for d in next_ids[0]}
         DU, DV = hu, hv
+
+
+def _joined(parts):
+    """`tape.Rows` parts as one, their nodes in order: the tables one after
+    another, each index shifted past the tables before its own."""
+    starts = np.cumsum([0, *(p.table.size for p in parts[:-1])])
+    return tape.Rows(np.concatenate([p.table for p in parts]),
+                     np.concatenate([p.index + start for p, start in zip(parts, starts)]))
 
 
 def _add(sums, arrays, sel, cell_area):
@@ -581,7 +660,7 @@ def _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums):
     hit = {d: np.zeros(nodes[d][0].size, dtype=bool) for d in nodes}
     for (_, d), w in weights.items():
         hit[d] |= w > 0
-    us, vs = (np.concatenate([nodes[d][i][hit[d]] for d in nodes]) for i in (0, 1))
+    us, vs = (_joined([nodes[d][i][hit[d]] for d in nodes]) for i in (0, 1))
     order = _order((*fields, *peaks))
 
     def batch(u, v):  # the densities; sqrt(det g) and the peaks go unread
@@ -695,7 +774,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 inner[:] = True  # the order-2 evaluation already filled every field
             elif inner.any():
                 iu, iv = np.divmod(np.flatnonzero(inner), g.nv)
-                arrays = _full(spec, fields, us[iu, 0], vs[0, iv], peaks=peaks)
+                arrays = _full(spec, fields, tape.Rows(us[:, 0], iu), tape.Rows(vs[0], iv),
+                               peaks=peaks)
                 del iu, iv
             else:
                 arrays = [np.empty(0)] * (len(peaks) + len(fields))

@@ -43,12 +43,22 @@ or C values, and each mixed call at the broadcast shape, R * C. A
 one-input value is copied to the broadcast shape once, where a mixed
 call, a guard or an output first reads it, so every mixed call runs on
 contiguous operands of one shape (numpy broadcasting a stride-0 operand
-inside the call is slower than the copy). The tape keeps its recorded
-steps and derives that schedule from them on its first use, so a tape
-that only replays flat batches never builds it. numpy's elementwise
-ufuncs give an element the same bits at any length, offset or stride of
-the array holding it (the tests compare both schedules with the direct
-computation bit for bit).
+inside the call is slower than the copy). A gathered input (`Rows`: a
+table of values and, per node, the index of its row there) whose table
+holds at most half its nodes replays its one-input calls on the table,
+once per row, and that copy is a gather, `ndarray.take(value, index,
+None, out, "wrap")` into the batch-shaped buffer (the default mode
+"raise" would buffer its output first); a larger table would cost more
+rows than it saves, so that input is gathered into its batch-shaped
+input buffer and replays flat, as does an input given as a batch-shaped
+array beside a gathered one. A guard reads the gathered values, so a row that no node reads
+never stops a replay, but every row goes through the one-input calls,
+so a table should hold only values the computation accepts. The tape
+keeps its recorded steps and derives each schedule from them on its
+first use, so a tape that only replays flat batches never builds one.
+numpy's elementwise ufuncs give an element the same bits at any length,
+offset or stride of the array holding it, and at any row of a table (the
+tests compare every schedule with the direct computation bit for bit).
 
 fn is refused (`record` returns no tape) when the recording meets a
 batch-shaped array it did not record, an `out=` argument, or a ufunc
@@ -61,7 +71,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -206,6 +216,38 @@ def record(fn, *inputs):
     return Tape(rec, len(inputs), outputs)
 
 
+class Rows:
+    """A gathered input: node k's value is table[index[k]], for a 1-D table
+    and an intp index. A replay runs the input's one-input calls once per
+    row of the table when it holds at most half the nodes (`Tape.replay`).
+    As a node array it has the index's shape, indexing it selects nodes (a
+    Rows over the same table), and numpy reads it as the array
+    table[index]."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table, index):
+        self.table, self.index = table, index
+
+    shape = property(lambda self: self.index.shape)
+    ndim = property(lambda self: self.index.ndim)
+    size = property(lambda self: self.index.size)
+
+    def __getitem__(self, key):
+        return Rows(self.table, self.index[key])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.table[self.index], dtype=dtype)
+
+
+class _Gathered(NamedTuple):
+    """A `Rows` input's part of a binding's key: its table's and its index's
+    shape (a plain input's part is its shape, a tuple of ints)."""
+
+    table: tuple
+    index: tuple
+
+
 class _Plan(NamedTuple):
     """One replay schedule: runs of (fn, operands, out buffer) calls, each
     run ended by a guard (ufunc, kwargs, buffer, outcome) or None after
@@ -218,7 +260,8 @@ class _Plan(NamedTuple):
 
 
 def _broadcast(x, out):
-    """The one call a tape adds: x copied to the broadcast shape of out."""
+    """The one call a tape adds: x copied to the broadcast shape of out (a
+    gathered input's binding gathers it instead)."""
     np.copyto(out, x)
 
 
@@ -262,9 +305,10 @@ def _plan(steps, outputs, n_inputs, kind) -> _Plan:
 
 class _Binding(NamedTuple):
     """A schedule over buffers allocated once, for one tape and one tuple of
-    input shapes: the input buffers; runs of (fn, operand tuple) calls, the
-    out buffer last, each run ended by a guard (reduce, buffer, kwargs,
-    outcome) or None after the last; and the outputs."""
+    input shapes: the input buffers, a gathered input's table then its
+    index; runs of (fn, operand tuple) calls, the out buffer last, each run
+    ended by a guard (reduce, buffer, kwargs, outcome) or None after the
+    last; and the outputs."""
 
     tape: object
     shapes: tuple
@@ -298,8 +342,8 @@ class Tape:
     assigned a buffer by liveness.
 
     Buffers 0 .. n_inputs - 1 are the inputs; each later one holds every
-    value assigned to it in turn. Inputs that broadcast replay a second
-    schedule, derived from the kept steps on first use.
+    value assigned to it in turn. Inputs that broadcast or are gathered
+    replay another schedule, derived from the kept steps on first use.
     """
 
     def __init__(self, rec: _Recorder, n_inputs: int, outputs):
@@ -317,6 +361,7 @@ class Tape:
         dtypes = rec.dtypes
         self._steps, self._dtypes, self._outputs, self._n = kept, dtypes, outputs, n_inputs
         self._flat = _plan(kept, outputs, n_inputs, lambda s: (dtypes[s], None))
+        self._plans = {(): self._flat}
         self.n_ops = sum(len(step) == 3 for step in kept)
         self.n_buffers = len(self._flat.buffers)
 
@@ -324,17 +369,23 @@ class Tape:
     def calls(self):
         """Each kept call as (ufunc, mixed), in order: mixed when its value
         depends on more than one input, so it runs at the broadcast shape."""
-        runs, buffers, _ = self._split
+        runs, buffers, _ = self._schedule(tuple(range(self._n)))
         return [(fn, buffers[out - self._n][1] is None)
                 for calls, _ in runs for fn, _, out in calls if fn is not _broadcast]
 
-    @cached_property
-    def _split(self) -> _Plan:
-        """The schedule for inputs that broadcast: a one-input value is
-        computed at its input's shape and copied to the broadcast shape
-        once, before the first mixed call, guard or output that reads it."""
+    def _schedule(self, narrow) -> _Plan:
+        """The schedule in which the inputs `narrow` replay at their own
+        shapes: a value that depends on one of them alone is computed at
+        that input's shape and copied to the batch shape once, before the
+        first mixed call, guard or output that reads it. Every other value
+        is computed at the batch shape, so with no narrow input this is the
+        recorded calls as they are."""
+        plan = self._plans.get(narrow)
+        if plan is not None:
+            return plan
         steps, dtypes, n = self._steps, list(self._dtypes), self._n
-        home = {s: s for s in range(n)}  # per slot, the one input it depends on, or None
+        # per slot, the one narrow input it depends on, or None
+        home = {s: s if s in narrow else None for s in range(n)}
         for step in steps:
             if len(step) == 3:
                 homes = {home[s] for s, _ in step[1] if s is not None}
@@ -342,8 +393,8 @@ class Tape:
         split, wide = [], {}
 
         def full(s):
-            # s as read at the broadcast shape; its copy is put in place
-            # before the step that reads it
+            # s as read at the batch shape; its copy is put in place before
+            # the step that reads it
             if s is None or home[s] is None:
                 return s
             if s not in wide:
@@ -362,29 +413,45 @@ class Tape:
                 step = (fn, [(full(s), c) for s, c in operands], slot)
             split.append(step)
         outputs = [(full(s), c) for s, c in self._outputs]
-        return _plan(split, outputs, n, lambda s: (dtypes[s], home[s]))
+        plan = self._plans[narrow] = _plan(split, outputs, n, lambda s: (dtypes[s], home[s]))
+        return plan
 
     def _bind(self, shapes) -> _Binding:
         """The schedule for inputs of these shapes over buffers allocated
         here: inputs of one shape take the flat schedule, inputs that
-        broadcast the lattice one."""
-        runs, buffers, outputs = self._flat if len(set(shapes)) == 1 else self._split
-        shape = np.broadcast_shapes(*shapes)
-        bufs = [*(np.empty(s, self._dtypes[i]) for i, s in enumerate(shapes)),
-                *(np.empty(shape if i is None else shapes[i], dtype) for dtype, i in buffers)]
+        broadcast the lattice one, and gathered inputs (`_Gathered` shapes)
+        replay at their tables' shapes beside the rest at the batch shape."""
+        n = self._n
+        gathered = {i: s.index for i, s in enumerate(shapes) if isinstance(s, _Gathered)}
+        own = [s.table if i in gathered else s for i, s in enumerate(shapes)]
+        if gathered:
+            narrow, shape = tuple(gathered), next(iter(gathered.values()))
+        else:
+            narrow = tuple(range(n)) if len(set(shapes)) > 1 else ()
+            shape = np.broadcast_shapes(*shapes)
+        runs, buffers, outputs = self._schedule(narrow)
+        bufs = [*(np.empty(s, self._dtypes[i]) for i, s in enumerate(own)),
+                *(np.empty(shape if i is None else own[i], dtype) for dtype, i in buffers)]
+        index = {i: np.empty(s, np.intp) for i, s in gathered.items()}
 
         def bound(b, c):
             return c if b is None else bufs[b]
 
         def call(fn, operands, out):
             args = tuple(bound(b, c) for b, c in operands)
+            if fn is _broadcast:
+                b = operands[0][0]
+                i = b if b < n else buffers[b - n][1]
+                if i in index:
+                    return np.ndarray.take, (*args, index[i], None, bufs[out], "wrap")
             # a positional out is faster than out=, but numpy 2.4 deprecates
             # it for these two
             if fn is np.maximum or fn is np.minimum:
                 return partial(fn, out=bufs[out]), args
             return fn, (*args, bufs[out])
 
-        return _Binding(self, shapes, bufs[: self._n], [
+        inputs = [b for i in range(n) for b in ((bufs[i], index[i]) if i in index else (bufs[i],))]
+        return _Binding(self, shapes, inputs, [
             ([call(*c) for c in calls],
              guard and (guard[0].reduce, bufs[guard[2]], guard[1], guard[3]))
             for calls, guard in runs
@@ -407,12 +474,27 @@ class Tape:
         disagrees. Inputs of one shape replay the recorded calls as they
         are. Inputs that broadcast (a column of u and a row of v) compute
         each one-input call at its input's shape and each mixed call at
-        the broadcast shape, which every output has. Outside `reusing` the
-        outputs belong to the caller; inside, they are the loop binding's
-        buffers, which the next replay writes over."""
-        binding = self._binding(tuple(np.shape(x) for x in inputs))
-        for buffer, x in zip(binding.inputs, inputs):
-            np.copyto(buffer, x)
+        the broadcast shape, which every output has. A gathered input
+        (`Rows`) whose table holds at most half its nodes computes its
+        one-input calls on the table, gathered to the batch shape, its
+        index's, where read at that shape; one with a larger table is
+        gathered into its input buffer and replays at the batch shape, as
+        does any other input beside it. Outside `reusing` the outputs
+        belong to the caller; inside, they are the loop binding's buffers,
+        which the next replay writes over."""
+        narrow = [isinstance(x, Rows) and 2 * x.table.size <= x.index.size for x in inputs]
+        binding = self._binding(tuple(
+            _Gathered(x.table.shape, x.index.shape) if g else np.shape(x)
+            for x, g in zip(inputs, narrow)))
+        buffers = iter(binding.inputs)
+        for x, g in zip(inputs, narrow):
+            if g:
+                np.copyto(next(buffers), x.table)
+                np.copyto(next(buffers), x.index)
+            elif isinstance(x, Rows):
+                x.table.take(x.index, None, next(buffers), "wrap")
+            else:
+                np.copyto(next(buffers), x)
         for calls, guard in binding.runs:
             for fn, operands in calls:
                 fn(*operands)

@@ -154,6 +154,28 @@ def test_eval_batched():
     )
 
 
+def _nodes(e):
+    yield e
+    for name in ("child", "left", "right"):
+        if hasattr(e, name):
+            yield from _nodes(getattr(e, name))
+
+
+@pytest.mark.parametrize("text, spans", [
+    ("(u)", [(0, 3)]),
+    ("1/(u*1e200)", [(0, 11), (0, 1), (2, 11), (3, 4), (5, 10)]),
+    ("(a + b)*c", [(0, 9), (0, 7), (1, 2), (5, 6), (8, 9)]),
+])
+def test_each_span_slices_its_own_source(text, spans):
+    # a parenthesized group spans its parentheses, so a node around it
+    # ends at the ")" that closes it; each slice parses back to its node
+    ast = ex.parse(text)
+    assert [node.span for node in _nodes(ast)] == spans
+    for node in _nodes(ast):
+        start, end = node.span
+        assert ex.parse(text[start:end]) == node
+
+
 def test_singular_eval_annotated_with_span_and_point():
     ast = ex.parse("1/(u-1)")
     with pytest.raises(SingularEvaluationError) as exc:

@@ -1063,6 +1063,120 @@ def test_lattice_singular_node_raises_the_flat_path_error(vs):
         assert "division" in str(got) and got.point == (0.12, 0.32)
 
 
+# -- gathered replay -----------------------------------------------------------------
+
+
+def gathered_nodes(spec, nu, nv, n, seed=0):
+    """n nodes as a table of nu interior u (with a -0.0 row where the u
+    range holds 0) and one of nv interior v, each node's rows drawn so that
+    every row is read, most of them repeatedly."""
+    us, vs = interior_axes(spec, nu, nv)
+    (u0, u1), _ = spec.interior_ranges()
+    if u0 < 0.0 < u1:
+        us = np.append(us, -0.0)
+    rng = np.random.default_rng(seed)
+    return [tape.Rows(t, rng.permutation(np.arange(n) % t.size).astype(np.intp)) for t in (us, vs)]
+
+
+def bind_shapes(monkeypatch):
+    """The shapes of every tape binding made from here on, in order."""
+    shapes = []
+    bind = tape.Tape._bind
+    monkeypatch.setattr(tape.Tape, "_bind", lambda self, key: shapes.append(key) or bind(self, key))
+    return shapes
+
+
+@pytest.mark.parametrize("kernel", sorted(NODE_KERNELS))
+@pytest.mark.parametrize("name,params", LATTICE_SURFACES)
+def test_gathered_replay_is_the_flat_replay_and_the_jet_path(name, params, kernel, tmp_path,
+                                                              monkeypatch):
+    # a table of u and one of v with each node's rows replay gathered, the
+    # tables' rows once each (a -0.0 row on the charts whose u range holds
+    # 0): each output holds the bits of the flat replay on the materialized
+    # nodes and those of the kernel run on `_forms`
+    spec, run = lattice_surface(name, params, tmp_path), NODE_KERNELS[kernel]
+    u, v = gathered_nodes(spec, 5, 4, 24)
+    a, b = np.asarray(u), np.asarray(v)
+    flat = run(spec, a, b)
+    shapes = bind_shapes(monkeypatch)
+    with mock.patch.object(geo, "_forms", side_effect=AssertionError("not replayed")):
+        gathered = run(spec, u, v)
+    assert shapes == [(tape._Gathered(u.table.shape, (24,)), tape._Gathered((4,), (24,)))]
+    with mock.patch.object(tape, "record", lambda fn, *inputs: None):
+        direct = run(lattice_surface(name, params, tmp_path), a, b)
+    assert all(np.shape(x) == (24,) for x in gathered)
+    assert_same_bits(gathered, flat)
+    assert_same_bits(flat, direct)
+
+
+@pytest.mark.parametrize("rows, gathered", [
+    ((1, 4), (True, True)),  # a one-row table; a table of exactly half the batch
+    ((5, 2), (False, True)),
+    ((5, 5), (False, False)),
+])
+def test_an_axis_replays_gathered_when_its_table_is_at_most_half_the_batch(rows, gathered,
+                                                                           monkeypatch):
+    # a table of more rows than half the batch's 8 nodes replays flat,
+    # materialized, beside the other axis; the bits stay the flat replay's
+    spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    u, v = gathered_nodes(spec, *rows, 8)
+    for name in ("class_o2", "region_o3"):
+        run = NODE_KERNELS[name]
+        flat = run(spec, np.asarray(u), np.asarray(v))
+        shapes = bind_shapes(monkeypatch)
+        got = run(spec, u, v)
+        assert shapes == [tuple(tape._Gathered((r,), (8,)) if g else (8,)
+                                for r, g in zip(rows, gathered))]
+        assert_same_bits(got, flat)
+
+
+@pytest.mark.parametrize("vs", [[0.3], [0.3, 0.32]], ids=["degenerate-metric", "division"])
+def test_gathered_singular_node_raises_the_flat_path_error(vs, monkeypatch):
+    # the nodes of test_lattice_singular_node_raises_the_flat_path_error,
+    # twice over, as tables and rows: a guard disagrees on the gathered
+    # replay, the batch falls back to the flat path, and that raises the
+    # flat path's error at the same node
+    chart = ("cos(u + v) + 1e-9*u*v", "sin(u + v) + 1e-9*u*u", "u + v + 1e-9*v*v")
+    k = len(vs)
+    u = tape.Rows(np.array([0.10, 0.12, 0.14]), np.tile(np.repeat(np.arange(3), k), 2))
+    v = tape.Rows(np.array(vs), np.tile(np.arange(k), 6))
+    a, b = np.asarray(u), np.asarray(v)
+    replays = []
+    replay = tape.Tape.replay
+    monkeypatch.setattr(tape.Tape, "replay",
+                        lambda self, *x: replays.append(replay(self, *x)) or replays[-1])
+    for evaluate in (
+        geo.classification_values,
+        lambda spec, u, v: q._full(spec, [q.AREA], u, v),
+        lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
+    ):
+        spec = chart_spec(chart)
+        evaluate(spec, a[:1], b[:1])
+        replays.clear()
+        with pytest.raises(SingularEvaluationError) as taped:
+            evaluate(spec, u, v)
+        assert replays[0] is None
+        with pytest.raises(SingularEvaluationError) as flat:
+            evaluate(chart_spec(chart), a, b)
+        got, want = taped.value, flat.value
+        assert (str(got), got.point, got.value, got.index) == (
+            str(want), want.point, want.value, want.index)
+    if k == 1:
+        assert str(got).startswith("induced metric is degenerate") and got.index == 2
+        assert got.point == (0.14, 0.3)
+    else:
+        assert "division" in str(got) and got.point == (0.12, 0.32)
+
+
+def test_an_empty_gathered_batch_gives_empty_arrays():
+    spec = preset("torus")
+    us, vs = interior_axes(spec, 3, 3)
+    empty = np.empty(0, dtype=np.intp)
+    for value in geo.classification_values(spec, tape.Rows(us, empty), tape.Rows(vs, empty)):
+        assert isinstance(value, np.ndarray) and value.shape == (0,)
+    assert not spec.tapes
+
+
 # a graph chart z = 0.3 f(u, v) on [0.5, 1.5]^2, f of depth 2 to 4 over the
 # chart language (the canonical-printing strategy's operators)
 _chart_leaf = st.one_of(

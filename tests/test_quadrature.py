@@ -130,6 +130,32 @@ def test_chunked_gathers_lattice_rows_in_order(rows, width):
     assert np.array_equal(index, np.arange(rows * width, dtype=float))
 
 
+def test_chunked_cuts_gathered_inputs_into_index_slices(monkeypatch):
+    # tables and rows (tape.Rows) run in CHUNK-node batches, each the whole
+    # table and the next slice of the index, and gather in order; the last
+    # batch, 7 nodes, holds fewer than twice a table's rows, so it replays
+    # flat. The values are those of the materialized nodes, bit for bit
+    spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    us, vs = q._lattice(spec, q.GridSpec(16, 16), centers=True)
+    rng = np.random.default_rng(0)
+    u, v = (tape.Rows(t.ravel()[:6], rng.integers(0, 6, 127).astype(np.intp)) for t in (us, vs))
+    want = q._classified(spec, np.asarray(u), np.asarray(v))
+    monkeypatch.setattr(q, "CHUNK", 40)
+    batches = []
+
+    def kernel(a, b):
+        batches.append((a.table is u.table, b.table is v.table, a.index, b.index))
+        return classification_values(spec, a, b)
+
+    got = q._chunked(kernel, u, v)
+    assert [x.size for _, _, x, _ in batches] == [40, 40, 40, 7]
+    assert all(ta and tb for ta, tb, _, _ in batches)
+    for i in (2, 3):
+        assert np.array_equal(np.concatenate([b[i] for b in batches]), (u, v)[i - 2].index)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_chunked_binds_a_tape_once_per_loop(monkeypatch):
     # five equal batches replay one binding (the first batch also records
     # the tape), and none is alive after the loop, also when a batch raises
@@ -430,6 +456,33 @@ def test_refined_leaves_tile_straddling_cells():
     assert tiled == n_straddle
 
 
+def test_leaf_centers_keep_the_bits_of_the_corner_arithmetic():
+    # a cell carries its lower corner as a row of a per-level table whose
+    # rows take the expression corner + a h level by level; so each leaf
+    # center holds, bit for bit, one of the centers that this arithmetic
+    # reaches from the base corners: corner + q or corner + 3 q, q a
+    # quarter of the cell side
+    spec, eps = preset("ellipsoid_tri"), 0.25
+    g = q.GridSpec(64, 64, 4)
+    _, _, du, dv, state = _straddling(spec, g, eps)
+
+    def centers(corners, side):
+        out = set()
+        for _ in range(g.adaptive_depth):
+            h, quarter = side / 2.0, side / 4.0
+            for x in (corners + quarter, corners + 3 * quarter):
+                out.update(x.view(np.uint64).tolist())
+            corners, side = np.concatenate([corners + 0 * h, corners + 1 * h]), h
+        return out
+
+    reach = centers(np.unique(state[0]), du), centers(np.unique(state[1]), dv)
+    leaves = list(q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth))
+    assert leaves
+    for leaf in leaves:
+        for x, bits in zip((leaf.us, leaf.vs), reach):
+            assert set(x.view(np.uint64).tolist()) <= bits
+
+
 def _probed_leaves(monkeypatch, spec, g, eps):
     """(leaves as (us, vs, area, inside), [(us, vs) of every _classified
     call], du, dv, straddling base cells) of _refined_leaves on the
@@ -439,7 +492,8 @@ def _probed_leaves(monkeypatch, spec, g, eps):
     real = q._classified
 
     def recording(spec, us, vs):
-        calls.append((us, vs))
+        # a probe batch may come as tables and row indices (tape.Rows)
+        calls.append((np.asarray(us), np.asarray(vs)))
         return real(spec, us, vs)
 
     monkeypatch.setattr(q, "_classified", recording)
@@ -778,6 +832,46 @@ def test_classification_nodes_stay_bounded(monkeypatch):
     q.region_integrals(spec, (0.4, 0.2, 0.1, 0.05), g)
     assert sizes[0] == (g.nu + 1) * (g.nv + 1) == PROBE_NODE_BOUNDS["corners"]
     assert sum(sizes[1:]) <= PROBE_NODE_BOUNDS["probes"], sum(sizes[1:])
+
+
+# Ratchet on the u tables the same pass's refinement probes replay: a probe
+# batch reaches the classification as tables of its cells' lower-corner u
+# and v at five offsets and each probe's rows there (tape.Rows), and on this
+# surface of revolution, whose interface is a line u = const, every probe
+# replay runs its u-only calls on a table of a few rows. The rows of the u
+# tables summed over the probe replays: 272 in 32 replays (335,872 probes,
+# PROBE_NODE_BOUNDS). Lower the bound when the tables shrink; never raise it.
+PROBE_TABLE_ROWS = 272
+
+
+def test_probe_tables_stay_bounded(monkeypatch):
+    spec, g = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0}), q.GridSpec(128, 128, 6)
+    calls, rows = [], []  # per _classified call its nodes, per probe replay its u table's rows
+    real_classified, real_replay = q._classified, tape.Tape.replay
+
+    def classified(spec, us, vs):
+        calls.append(us)
+        try:
+            return real_classified(spec, us, vs)
+        finally:
+            calls.append(None)
+
+    def replay(self, *inputs):
+        if calls and calls[-1] is not None and calls[-1] is not calls[0]:
+            u = inputs[0]
+            rows.append(u.table.size if isinstance(u, tape.Rows) else None)
+        return real_replay(self, *inputs)
+
+    monkeypatch.setattr(q, "_classified", classified)
+    monkeypatch.setattr(tape.Tape, "replay", replay)
+    q.region_integrals(spec, (0.4, 0.2, 0.1, 0.05), g)
+    corners, *probes = calls[::2]
+    assert np.shape(corners) == (g.nu + 1, 1)  # the corners come as a lattice
+    assert all(isinstance(us, tape.Rows) for us in probes)
+    assert sum(us.index.size for us in probes) <= PROBE_NODE_BOUNDS["probes"]
+    # every probe replay ran its u-only calls on the table
+    assert rows and None not in rows
+    assert sum(rows) <= PROBE_TABLE_ROWS, (sum(rows), len(rows))
 
 
 def test_sublevel_volume_monotone_in_eps():

@@ -241,3 +241,92 @@ def test_nested_batch_loops_restore_the_outer_binding():
         # the inner loop's last outputs are its caller's now
         assert inner.tobytes() == kept.tobytes()
     assert tape._loop is None
+
+
+# -- gathered inputs ------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+
+
+def bound_calls(recorded, inputs, ufunc):
+    """The operands of each call of ufunc in the binding a replay of inputs
+    runs on."""
+    with tape.reusing():
+        recorded.replay(*inputs)
+        return [ops for calls, _ in tape._loop[0].runs for fn, ops in calls if fn is ufunc]
+
+
+IDX = np.array([2, 0, 2, 1, 1, 2, 0, 2, 2], dtype=np.intp)
+
+
+@pytest.mark.parametrize("u, v", [
+    # repeated rows on both axes
+    (tape.Rows(U[[4, 1, 6]], IDX), tape.Rows(V[[0, 5]], IDX % 2)),
+    # a one-row table beside a flat input
+    (tape.Rows(U[3:4], np.zeros(9, dtype=np.intp)), V[np.arange(9) % 7]),
+    # -0.0 and 0.0 as separate rows: sin keeps the sign of a zero
+    (tape.Rows(np.array([0.0, -0.0, 0.5]), IDX), tape.Rows(np.array([-0.0, 1.5, 0.0]), IDX[::-1])),
+    # a table of more rows than half the nodes replays flat, gathered
+    # into its input buffer, beside a table that replays gathered
+    (tape.Rows(U, IDX[:5] + 4), tape.Rows(V[:2], IDX[:5] % 2)),
+], ids=["repeated-rows", "one-row", "signed-zeros", "large-table"])
+def test_gathered_inputs_replay_as_the_flat_inputs_bit_for_bit(u, v):
+    # the one-input calls of a gathered input run once per row of its
+    # table when it holds at most half the nodes; every output holds the
+    # bits of the flat replay and of the direct computation on the
+    # materialized nodes
+    recorded = tape.record(lattice_fn, U[:1], V[:1])
+    a, b = np.asarray(u), np.asarray(v)
+    got = recorded.replay(u, v)
+    assert_same_bits(got, recorded.replay(a, b))
+    assert_same_bits(got, lattice_fn(a, b))
+    for ufunc, x in ((np.sin, u), (np.exp, v)):
+        (call,) = bound_calls(recorded, (u, v), ufunc)
+        rows = isinstance(x, tape.Rows) and 2 * x.table.size <= x.size
+        assert call[0].shape == (x.table.shape if rows else a.shape)
+
+
+def test_a_gathered_guard_reads_only_the_rows_a_node_reads():
+    # lattice_fn's guard on v: a failing row no node reads leaves the replay
+    # whole, and one that a node reads stops it
+    recorded = tape.record(lattice_fn, U[:1], V[:1])
+    table = np.array([0.5, -10.0, 1.5])
+    u = tape.Rows(U, np.arange(6, dtype=np.intp))
+    unread = tape.Rows(table, np.array([0, 2, 2, 0, 2, 0], dtype=np.intp))
+    assert_same_bits(recorded.replay(u, unread), lattice_fn(np.asarray(u), np.asarray(unread)))
+    assert recorded.replay(u, tape.Rows(table, np.array([0, 2, 1, 0, 2, 0], dtype=np.intp))) is None
+
+
+def test_an_empty_gathered_batch_gives_empty_outputs():
+    recorded = tape.record(lattice_fn, U[:1], V[:1])
+    empty = np.empty(0, dtype=np.intp)
+    got = recorded.replay(tape.Rows(U[:3], empty), tape.Rows(V[:2], empty))
+    assert_same_bits(got, recorded.replay(np.empty(0), np.empty(0)))
+    assert all(np.shape(x) == (0,) for x in got[1:])
+
+
+def test_a_batch_loop_keys_a_binding_on_table_and_index_shapes(monkeypatch):
+    recorded = tape.record(lattice_fn, U[:1], V[:1])
+    binds = []
+    bind = tape.Tape._bind
+    monkeypatch.setattr(tape.Tape, "_bind", lambda self, shapes: binds.append(shapes) or bind(self, shapes))
+    u, v = tape.Rows(U[:3], IDX), tape.Rows(V[:2], IDX % 2)
+    calls = [(u, v), (tape.Rows(U[3:6], IDX), v), (u[:4], v[:4]), (np.asarray(u[:4]), v[:4]),
+             (np.asarray(u), np.asarray(v))]
+    with tape.reusing():
+        got = [[np.array(x) for x in recorded.replay(*inputs)] for inputs in calls]
+    for outputs, inputs in zip(got, calls):
+        assert_same_bits(outputs, lattice_fn(*map(np.asarray, inputs)))
+    # another table of the same shape keeps the binding; another index
+    # length or flat inputs replace it. At 4 nodes the 3-row table replays
+    # flat, gathered into its input buffer, as its materialized nodes do
+    assert binds == [
+        (tape._Gathered((3,), (9,)), tape._Gathered((2,), (9,))),
+        ((4,), tape._Gathered((2,), (4,))),
+        ((9,), (9,)),
+    ]
