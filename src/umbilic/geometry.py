@@ -29,12 +29,10 @@ order 4; each raises ValueError on less.
 Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
 (surface, jet order, kernel) from (u, v) to what its caller reads,
 recorded on the first node of the first non-empty batch and replayed, bit
-for bit the same values without the Python work, on every batch after. A
-lattice's column of u and row of v replay unbroadcast: the tape's u-only
-and v-only calls run once per row and once per column. An axis given as a
-table and each node's row there (`tape.Rows`) replays gathered: its calls
-run once per row of the table, when the table holds at most half the
-batch's nodes.
+for bit the same values without the Python work, on every batch after.
+(u, v) reach the tape as they are, and the tape alone picks how a batch
+replays: flat, once per row and column of a lattice, or once per table
+row of a gathered axis (`tape.Rows`; see `tape.Tape.replay`).
 The kernels are the quadrature's node kernel (`_nodes`, which
 `classification_values` runs at order 2), the normalized residuals of
 `identities`, and stage one alone ("forms": `_forms`' flat list, which
@@ -449,12 +447,9 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
 
     The spec's tape under (order, key) computes it: recorded through
     `_forms` on the first node of the first non-empty call, replayed on
-    every batch after. A lattice's column of u (R, 1) and row of v (1, C)
-    replay unbroadcast, so the tape's u-only and v-only calls run R and C
-    times, not R * C (see `tape`). A 1-D batch may give an axis as a
-    `tape.Rows`, a table and each node's row there; the tape replays that
-    axis gathered, its calls once per row, when its table holds at most
-    half the batch's nodes, and flat otherwise, as any other input.
+    every batch after. (u, v), arrays of any shapes that broadcast or a
+    1-D batch's `tape.Rows`, go to `tape.Tape.replay` as they are: the
+    tape alone picks the flat, lattice or gathered schedule.
     Without the tape (an empty batch, a computation the recorder refuses,
     a batch a guard rejects) fn runs on the flat broadcast, each gathered
     axis materialized, through the "forms" kernel's stage one, and that
@@ -464,7 +459,6 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
     u, v = (x if isinstance(x, tape.Rows) else np.asarray(x, dtype=np.float64) for x in (u, v))
     shape = np.broadcast_shapes(u.shape, v.shape)
     size = math.prod(shape)
-    lattice = u.ndim == v.ndim == 2 and u.shape[1] == v.shape[0] == 1
 
     def flat(x):
         return np.broadcast_to(np.asarray(x), shape).ravel()
@@ -485,8 +479,7 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
     recorded = tapes.get((order, key))
     out = None
     if recorded and size:
-        out = recorded.replay(*((u, v) if lattice else (
-            x if isinstance(x, tape.Rows) else flat(x) for x in (u, v))))
+        out = recorded.replay(u, v)
     if out is None:
         a, b = flat(u), flat(v)
         forms = (_forms(spec, a, b, order) if key == "forms"

@@ -39,16 +39,17 @@ them alone skip the order-3 jets and the covariant derivatives. Every
 node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
 it classifies, sqrt(det g), the peaks and the field densities, which the
 pass weighs by dA (a tree node's by each reading leaf's) outside the
-tape. A base lattice (corners or midpoints) reaches the kernel as a
-column of u and a row of v, batched by whole rows and never meshed, so
-the kernel's u-only and v-only calls run once per row and once per
-column (`_lattice`, `_chunked`). Refinement probes, inside midpoints and
-tree nodes reach it gathered (`tape.Rows`): a table of u, one of v and
-each node's row in both, so those calls run once per table row wherever
-a table holds at most half a batch's nodes (`tape.Tape.replay`). The
-inside midpoints' tables are the lattice's axes; the tree's are each
-level's distinct lower-corner u and v of its cells at a few offsets,
-which `_refined_leaves` carries as row indices.
+tape. Every node is a row of an axis table. A base lattice (corners or
+midpoints) reaches the kernel as a column of u and a row of v, never
+meshed (`_lattice`); the inside midpoints and the straddling cells'
+lower corners are the lattice nodes a mask selects, each a row of both
+axes (`_masked`, `tape.Rows`); a tree level's probes, leaves and nodes
+are rows of that level's tables of lower-corner u and v at a few
+offsets, which `_refined_leaves` carries down from G's corner axes. One
+batch loop cuts every node set into whole rows (`_chunked`), and the
+tape alone picks how a batch replays (`tape.Tape.replay`): the u-only
+and v-only calls once per lattice row and column, or once per table row
+wherever a table holds at most half a batch's nodes.
 
 Summation uses a fixed traversal order (base cells row-major, then refined
 children level by level) with numpy's pairwise reduction, so identical
@@ -273,17 +274,16 @@ def _chunked(kernel, us, vs):
     """kernel(u, v) -> tuple of arrays, run on batches of about CHUNK
     nodes and gathered into flat arrays.
 
-    us and vs are equal-length node arrays or `tape.Rows` (a table and
-    each node's row there, so the kernel's calls on that axis can run once
-    per row; a node's value is its table row's bits, those of the
-    materialized node), cut into CHUNK-node batches, each Rows batch the
-    whole table and a slice of the index; or a lattice's column of u and
-    row of v (see `_lattice`), cut into whole rows, max(1, CHUNK // width)
-    per batch, and gathered row-major. The nodes must be non-empty. An
-    output of one element per batch (a batch maximum) gathers to one
-    element per batch.
-    Batches are written into preallocated outputs, so no result is ever
-    held twice.
+    us and vs, of one ndim, broadcast to the node set's shape: a lattice's
+    column of u and row of v (see `_lattice`), or equal-length node arrays
+    or `tape.Rows` (a table and each node's row there). One rule cuts every
+    node set: whole rows along its first axis, max(1, CHUNK // width) rows
+    of width nodes per batch (a 1-D set has width 1; a Rows batch is its
+    table and a slice of its index), an input of one row whole in every
+    batch; outputs gather row-major. The node set must be non-empty
+    (ValueError otherwise). An output of one element per batch (a batch
+    maximum) gathers to one element per batch. Batches are written into
+    preallocated outputs, so no result is ever held twice.
 
     This is the one batch loop: it runs inside `tape.reusing()`, so a tape
     the kernel replays binds its buffers once per loop (and once more for a
@@ -292,15 +292,16 @@ def _chunked(kernel, us, vs):
     outputs at once; a single batch's part is returned as it is, and the
     binding that holds it is freed when the loop is left.
     """
-    if us.ndim == 2:
-        rows = max(1, CHUNK // vs.size)
-        n, step = us.size * vs.size, rows * vs.size
-        batches = ((us[i : i + rows], vs) for i in range(0, us.shape[0], rows))
-    else:
-        n, step = us.size, CHUNK
-        batches = ((us[i : i + CHUNK], vs[i : i + CHUNK]) for i in range(0, n, CHUNK))
+    shape = np.broadcast_shapes(us.shape, vs.shape)
+    n = math.prod(shape)
+    if n == 0:
+        raise ValueError(f"_chunked needs at least one node, got a node set of shape {shape}")
+    width = n // shape[0]
+    rows = max(1, CHUNK // width)
+    step = rows * width
     with tape.reusing():
-        for k, batch in enumerate(batches):
+        for k, i in enumerate(range(0, shape[0], rows)):
+            batch = (x if x.shape[0] < shape[0] else x[i : i + rows] for x in (us, vs))
             part = [np.reshape(a, -1) for a in kernel(*batch)]
             if n <= step:
                 return tuple(part)
@@ -343,23 +344,35 @@ def _full(spec, fields, us, vs, *, classify=False, peaks=()):
 # -- sublevel-set cell classification --------------------------------------------
 
 
+def _split(k00, k10, k01, k11, kc):
+    """(all inside, uniform) masks of cells from the inside flags of their
+    corners (u0, v0), (u1, v0), (u0, v1), (u1, v1) and their center; a
+    cell that is not uniform straddles."""
+    all_in = k00 & k10 & k01 & k11 & kc
+    return all_in, all_in | ~(k00 | k10 | k01 | k11 | kc)
+
+
 def _base_split(inside_corner, inside_center):
     """Uniform-in and straddling masks over base cells, plus the corner masks."""
-    c00 = inside_corner[:-1, :-1]
-    c10 = inside_corner[1:, :-1]
-    c01 = inside_corner[:-1, 1:]
-    c11 = inside_corner[1:, 1:]
-    all_in = c00 & c10 & c01 & c11 & inside_center
-    all_out = ~(c00 | c10 | c01 | c11 | inside_center)
-    straddle = ~(all_in | all_out)
-    corners = tuple(a.ravel() for a in (c00, c10, c01, c11))
-    return all_in.ravel(), straddle.ravel(), corners
+    corners = (inside_corner[:-1, :-1], inside_corner[1:, :-1],
+               inside_corner[:-1, 1:], inside_corner[1:, 1:])
+    all_in, uniform = _split(*corners, inside_center)
+    return all_in.ravel(), ~uniform.ravel(), tuple(a.ravel() for a in corners)
+
+
+def _masked(us, vs, mask):
+    """The nodes of a lattice (us a column, vs a row, see `_lattice`) where
+    the 2-D mask holds, row-major, as `tape.Rows` over its axes; a mask of
+    base cells over the corner lattice selects their lower corners."""
+    iu, iv = np.nonzero(mask)
+    return tape.Rows(us[:, 0], iu), tape.Rows(vs[0], iv)
 
 
 class _Leaves(NamedTuple):
     """One batch of refined leaves of one size.
 
-    us, vs      leaf centers, each the leaf's child-center probe
+    us, vs      leaf centers, each the leaf's child-center probe, as
+                `tape.Rows` views of the level's tables
     area        leaf area
     inside      center inside the region
     lo, hi      the ladder levels lo..hi (hi per leaf) the leaves count for
@@ -370,8 +383,8 @@ class _Leaves(NamedTuple):
                 or an ancestor (see `_refined_leaves`)
     """
 
-    us: np.ndarray
-    vs: np.ndarray
+    us: tape.Rows
+    vs: tape.Rows
     area: float
     inside: np.ndarray
     lo: int
@@ -380,13 +393,6 @@ class _Leaves(NamedTuple):
     abs_h: np.ndarray
     sqrt_detg: np.ndarray
     ids: dict
-
-
-def _rows(x):
-    """The distinct values of x, bit for bit (so 0.0 and -0.0 stay apart),
-    as a table, and each entry's row there."""
-    bits, index = np.unique(x.view(np.uint64), return_inverse=True)
-    return bits.view(np.float64), index.reshape(-1)
 
 
 def _compact(table, index):
@@ -415,11 +421,12 @@ _PROBE_V = (2, 3, 3, 4, 0, 0, 1, 1)
 def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     """Subdivide straddling cells; yield their leaves as `_Leaves` batches.
 
-    state holds the straddling base cells: lower corners (u0s, v0s), the
-    inside-booleans of their four corners and center, and the membership
-    column mm. One tree serves a Richardson ladder, whose level m (grid
-    G/2^m) ends its tree m levels earlier: levels 0..mm still split the
-    cell, and a leaf counts for the levels lo..hi (hi per leaf).
+    state holds the straddling base cells: lower corners (u0s, v0s, as
+    `tape.Rows`), the inside-booleans of their four corners and center,
+    and the membership column mm. One tree serves a Richardson ladder,
+    whose level m (grid G/2^m) ends its tree m levels earlier: levels
+    0..mm still split the cell, and a leaf counts for the levels lo..hi
+    (hi per leaf).
 
     Each level r below depth-2 evaluates 8 new probe points per cell (edge
     midpoints, child centers); children whose five probes agree become
@@ -438,16 +445,16 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     kept, for the leaves; the rest is freed once read.
 
     A cell carries its lower corner not as coordinates but as a row index
-    into the level's table of distinct lower-corner u, and one into that
-    of v: the base cells' distinct corners (`_rows`), then per level the
-    children's, table + a h for a = 0, 1, the expression a child's corner
-    u0 + a h takes, compacted to the rows a cell reads (`_compact`). So
+    into the level's table of lower-corner u, and one into that of v: G's
+    corner axes at the base (u0s, v0s), then per level table + a h for a =
+    0, 1, the expression a child's corner u0 + a h takes, each level's
+    tables first compacted to the rows a cell reads (`_compact`). So
     table[row] is the cell's corner bit for bit at every level, and every
     probe is a row of the level's offset tables (table + q, table + 3 q,
     table, table + h, table + D; `_PROBE_U`, `_PROBE_V`) holding the bits
-    its coordinates would. The probes reach the classification as
-    `tape.Rows`, whose u-only and v-only calls run once per table row, and
-    the leaves' and tree nodes' centers are rows of the same tables.
+    its coordinates would. Probes, leaves and tree nodes are all
+    `tape.Rows` of these tables, so no coordinate is gathered and the
+    probes' u-only and v-only calls run once per table row.
 
     The children at G-depths d <= KF are the nodes of the tree, numbered
     by position: child c of cell i, of the n cells split there, gets id
@@ -459,7 +466,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
     accumulation is deterministic.
     """
     u0s, v0s, c00, c10, c01, c11, cc, mm = state
-    (tu, ru), (tv, rv) = _rows(u0s), _rows(v0s)
+    tu, ru, tv, rv = u0s.table, u0s.index, v0s.table, v0s.index
     eps2 = eps * eps
     DU, DV = du, dv
     ids = {}
@@ -467,6 +474,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
         n = ru.size
         if n == 0:
             return
+        (tu, ru), (tv, rv) = _compact(tu, ru), _compact(tv, rv)
         hu, hv = DU / 2.0, DV / 2.0
         qu, qv = DU / 4.0, DV / 4.0
         last = level == depth - 1
@@ -477,14 +485,15 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
             for t, q, h, D in ((tu, qu, hu, DU), (tv, qv, hv, DV))
         )
         T, S = tu.size, tv.size
+        cu, cv = pu[: 2 * T], pv[: 2 * S]  # the child centers' tables
 
-        def center(c, sel=slice(None)):  # the child (a, b) at c = a + 2 b: its center's rows
-            return (c % 2) * T + ru[sel], (c // 2) * S + rv[sel]
+        def center(c, sel=slice(None)):  # the child (a, b) at c = a + 2 b: its center
+            return tape.Rows(cu, (c % 2) * T + ru[sel]), tape.Rows(cv, (c // 2) * S + rv[sel])
 
-        def centers():  # every child's center, child c's at c n + i, as Rows of pu and pv
+        def centers():  # every child's center, child c's at c n + i
             rows = [center(c) for c in range(4)]
-            return (tape.Rows(pu[: 2 * T], np.concatenate([r for r, _ in rows])),
-                    tape.Rows(pv[: 2 * S], np.concatenate([r for _, r in rows])))
+            return (tape.Rows(cu, np.concatenate([r.index for r, _ in rows])),
+                    tape.Rows(cv, np.concatenate([r.index for _, r in rows])))
 
         child = level + 1
         if child <= KF and nodes is not None:
@@ -499,9 +508,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
         if last:
             n2, h, sdg = _classified(spec, *centers())
             for k, (kc, hk, sk) in enumerate(zip(*(np.split(a, 4) for a in (n2 < eps2, h, sdg)))):
-                ku, kv = center(k)
-                yield _Leaves(pu[ku], pv[kv], hu * hv, kc, 0, mm, depth, hk, sk,
-                              held(k, slice(None)))
+                yield _Leaves(*center(k), hu * hv, kc, 0, mm, depth, hk, sk, held(k, slice(None)))
             return
         ends = mm == depth - 1 - level
         # keep[i] selects the cells that probe block i (None: all)
@@ -547,14 +554,12 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
             k01 = lattice[(a, b + 1)]
             k11 = lattice[(a + 1, b + 1)]
             kc = M[c]
-            all_in = k00 & k10 & k01 & k11 & kc
-            uniform = all_in | ~(k00 | k10 | k01 | k11 | kc)
+            all_in, uniform = _split(k00, k10, k01, k11, kc)
 
             def leaves(sel, inside, lo):
                 probed = sel if keep[4 + c] is None else sel[keep[4 + c]]
-                cu, cv = center(c, sel)
                 return _Leaves(
-                    pu[cu], pv[cv], hu * hv, inside[sel], lo, mm[sel], child,
+                    *center(c, sel), hu * hv, inside[sel], lo, mm[sel], child,
                     h[c][probed], sdg[c][probed], held(c, sel),
                 )
 
@@ -575,8 +580,7 @@ def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
         ru, rv, c00, c10, c01, c11, cc, mm = (
             np.concatenate([p[k] for p in next_parts]) for k in range(8)
         )
-        tu, ru = _compact(_offsets(tu, 0 * hu, 1 * hu), ru)
-        tv, rv = _compact(_offsets(tv, 0 * hv, 1 * hv), rv)
+        tu, tv = _offsets(tu, 0 * hu, 1 * hu), _offsets(tv, 0 * hv, 1 * hv)
         ids = {d: np.concatenate([x[d] for x in next_ids]) for d in next_ids[0]}
         DU, DV = hu, hv
 
@@ -642,19 +646,22 @@ def _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums):
     carried = [KF - k for k in range(levels)]
     for leaf in _refined_leaves(spec, eps, state, du, dv, grid.adaptive_depth, nodes, carried):
         inside = leaf.inside
-        if not inside.any():
-            continue
-        if leaf.lo == 0:
-            h_sup = max(h_sup, float(np.max(leaf.abs_h[inside])))
-        hi = leaf.hi[inside]
-        w = leaf.sqrt_detg[inside] * leaf.area
-        for k in range(leaf.lo, levels):
-            sel = hi >= k
-            if not sel.any():
-                continue
-            d = min(leaf.depth, KF - k)
-            ids = leaf.ids[d][inside][sel]
-            weights[k, d] = weights.get((k, d), 0.0) + np.bincount(ids, w[sel], nodes[d][0].size)
+        if inside.any():
+            if leaf.lo == 0:
+                h_sup = max(h_sup, float(np.max(leaf.abs_h[inside])))
+            hi = leaf.hi[inside]
+            w = leaf.sqrt_detg[inside] * leaf.area
+            for k in range(leaf.lo, levels):
+                sel = hi >= k
+                if not sel.any():
+                    continue
+                d = min(leaf.depth, KF - k)
+                ids = leaf.ids[d][inside][sel]
+                add = np.bincount(ids, w[sel], nodes[d][0].size)
+                weights[k, d] = weights.get((k, d), 0.0) + add
+        # the leaf's centers are views of its level's tables: let them go
+        # before the next level probes
+        del leaf
     if not weights:
         return h_sup
     hit = {d: np.zeros(nodes[d][0].size, dtype=bool) for d in nodes}
@@ -773,10 +780,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             if not peaks and _order(fields) == 2:
                 inner[:] = True  # the order-2 evaluation already filled every field
             elif inner.any():
-                iu, iv = np.divmod(np.flatnonzero(inner), g.nv)
-                arrays = _full(spec, fields, tape.Rows(us[:, 0], iu), tape.Rows(vs[0], iv),
+                arrays = _full(spec, fields, *_masked(us, vs, inner.reshape(g.nu, g.nv)),
                                peaks=peaks)
-                del iu, iv
             else:
                 arrays = [np.empty(0)] * (len(peaks) + len(fields))
             values, arrays = arrays[: len(peaks)], arrays[len(peaks) :]
@@ -799,11 +804,9 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             if m:
                 held[i] = mm.reshape(g.nu, g.nv)
                 continue
-            # the straddling cells' lower corners, from G's corner axes
-            iu, iv = np.divmod(np.flatnonzero(straddle), grid.nv)
             state = (
-                ug[iu, 0], vg[0, iv], *(c[straddle] for c in corners),
-                inside_center.ravel()[straddle], mm[straddle],
+                *_masked(ug, vg, straddle.reshape(grid.nu, grid.nv)),
+                *(c[straddle] for c in corners), inside_center.ravel()[straddle], mm[straddle],
             )
             h_sup = max(h_sup, _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums_i))
         del arrays

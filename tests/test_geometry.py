@@ -1004,20 +1004,34 @@ def flat_nodes(u, v):
 def test_lattice_replay_is_the_flat_replay_and_the_jet_path(name, params, kernel, tmp_path):
     # a column of u and a row of v replay unbroadcast: each output comes in
     # the lattice's shape, the plane's constants included, and holds the
-    # flat replay's bits and those of the kernel run on `_forms`
+    # flat replay's bits and those of the kernel run on `_forms`. The
+    # kernel hands (u, v) to the tape as they are, so the same holds for
+    # the lattice meshed (a 2-D pair of one shape, which replays flat in
+    # that shape) and for a scalar u beside a row of v
     spec, run = lattice_surface(name, params, tmp_path), NODE_KERNELS[kernel]
     us, vs = interior_axes(spec, 7, 9)
     u, v = us[:, None], vs[None, :]
+    meshed = [np.array(x) for x in np.broadcast_arrays(u, v)]
+    beside = us[3], vs
     flat = run(spec, *flat_nodes(u, v))
     (recorded,) = spec.tapes.values()
     assert isinstance(recorded, tape.Tape)
+    flat_beside = run(spec, *flat_nodes(*beside))
     with mock.patch.object(geo, "_forms", side_effect=AssertionError("not replayed")):
         lattice = run(spec, u, v)
+        grid = run(spec, *meshed)
+        scalar = run(spec, *beside)
     with mock.patch.object(tape, "record", lambda fn, *inputs: None):
-        direct = run(lattice_surface(name, params, tmp_path), *flat_nodes(u, v))
-    assert all(np.shape(x) == (7, 9) for x in lattice)
+        fresh = lattice_surface(name, params, tmp_path)
+        direct = run(fresh, *flat_nodes(u, v))
+        direct_beside = run(fresh, *flat_nodes(*beside))
+    assert all(np.shape(x) == (7, 9) for x in (*lattice, *grid))
     assert_same_bits([np.reshape(x, -1) for x in lattice], flat)
+    assert_same_bits([np.reshape(x, -1) for x in grid], flat)
     assert_same_bits(flat, direct)
+    assert all(np.shape(x) == (9,) for x in scalar)
+    assert_same_bits(scalar, flat_beside)
+    assert_same_bits(flat_beside, direct_beside)
 
 
 def test_plane_constants_come_in_the_lattice_shape():

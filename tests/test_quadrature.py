@@ -156,6 +156,19 @@ def test_chunked_cuts_gathered_inputs_into_index_slices(monkeypatch):
         assert x.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("us, vs", [
+    (np.empty(0), np.empty(0)),  # flat node arrays
+    (np.empty((0, 1)), np.arange(3.0)[None, :]),  # a lattice without rows
+    (np.arange(3.0)[:, None], np.empty((1, 0))),  # a lattice without columns
+    (tape.Rows(np.arange(3.0), np.empty(0, dtype=np.intp)),) * 2,  # gathered, no index
+], ids=["flat", "no-rows", "no-columns", "gathered"])
+def test_chunked_refuses_an_empty_node_set(us, vs):
+    # the batch loop needs a node: it says so before running the kernel
+    # instead of failing after a loop that made no output
+    with pytest.raises(ValueError, match="_chunked needs at least one node"):
+        q._chunked(lambda u, v: (u + v,), us, vs)
+
+
 def test_chunked_binds_a_tape_once_per_loop(monkeypatch):
     # five equal batches replay one binding (the first batch also records
     # the tape), and none is alive after the loop, also when a batch raises
@@ -400,7 +413,7 @@ def _straddling(spec, g, eps):
     all_in, straddle, corners = q._base_split(
         (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
     )
-    lower = (a.reshape(g.nu + 1, g.nv + 1)[:-1, :-1].ravel()[straddle] for a in (ug, vg))
+    lower = q._masked(*q._lattice(spec, g, centers=False), straddle.reshape(g.nu, g.nv))
     # one-level pass: every straddling cell has membership 0
     state = (
         *lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle],
@@ -480,7 +493,7 @@ def test_leaf_centers_keep_the_bits_of_the_corner_arithmetic():
     assert leaves
     for leaf in leaves:
         for x, bits in zip((leaf.us, leaf.vs), reach):
-            assert set(x.view(np.uint64).tolist()) <= bits
+            assert set(np.asarray(x).view(np.uint64).tolist()) <= bits
 
 
 def _probed_leaves(monkeypatch, spec, g, eps):
@@ -497,7 +510,8 @@ def _probed_leaves(monkeypatch, spec, g, eps):
         return real(spec, us, vs)
 
     monkeypatch.setattr(q, "_classified", recording)
-    leaves = [leaf[:4] for leaf in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth)]
+    leaves = [(np.asarray(leaf.us), np.asarray(leaf.vs), *leaf[2:4])
+              for leaf in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth)]
     return leaves, calls, du, dv, state[0].size
 
 
@@ -625,8 +639,8 @@ def _assert_reference_leaves(spec, g, eps):
     _, _, _, _, state = _straddling(spec, g, eps)
     got = {}
     for leaf in q._refined_leaves(spec, eps, state, du, dv, depth):
-        ku = np.rint(2 * (leaf.us - u0) / fu).astype(int).tolist()
-        kv = np.rint(2 * (leaf.vs - v0) / fv).astype(int).tolist()
+        ku = np.rint(2 * (np.asarray(leaf.us) - u0) / fu).astype(int).tolist()
+        kv = np.rint(2 * (np.asarray(leaf.vs) - v0) / fv).astype(int).tolist()
         for k in range(leaf.us.size):
             key = (leaf.depth, ku[k], kv[k])
             assert key not in got
@@ -657,7 +671,8 @@ def test_level_before_last_may_probe_nothing(monkeypatch):
     u0, v0, du, dv = q._axes(spec, q.GridSpec(64, 64, depth))
     cu, cv = u0 + 20 * du, v0 + 30 * dv
     out = np.zeros(1, dtype=bool)
-    state = (np.array([cu]), np.array([cv]), out, out, out, out, ~out, np.zeros(1, dtype=np.int8))
+    state = (*(tape.Rows(np.array([x]), np.zeros(1, dtype=np.intp)) for x in (cu, cv)),
+             out, out, out, out, ~out, np.zeros(1, dtype=np.int8))
     calls = []
     real = q._classified
 
@@ -726,7 +741,7 @@ def test_region_sums_match_a_brute_force_ancestor_rule(name, eps_values):
         want = base[:, all_in].sum(axis=1) * du * dv
         _, _, _, _, state = _straddling(spec, g, eps)
         for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
-            us, vs = us[inside], vs[inside]
+            us, vs = np.asarray(us)[inside], np.asarray(vs)[inside]
             if us.size == 0:
                 continue
             leaf = point_geometry(spec, us, vs)
@@ -768,6 +783,7 @@ def test_full_geometry_nodes_stay_bounded(monkeypatch):
             if round(math.log(du * dv / area, 4)) <= q.KF:
                 shallow += int(np.count_nonzero(inside))
             else:
+                us, vs = np.asarray(us), np.asarray(vs)
                 iu, iv = np.floor((us[inside] - u0) / fu), np.floor((vs[inside] - v0) / fv)
                 keys.update(zip(iu.tolist(), iv.tolist()))
         ancestors += len(keys)
@@ -981,6 +997,19 @@ def test_region_integrals_shared_globals():
     assert rows[0].H_sup == rows[1].H_sup
 
 
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+def test_region_integrals_never_sort(name, monkeypatch):
+    # ratchet: every node of a thresholded pass is a row of an axis table,
+    # from G's corner lattice down to the refined leaves, so tabulating
+    # the nodes never sorts their coordinates (np.unique)
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    rows = q.region_integrals(preset(name), [0.4, 0.1], q.GridSpec(64, 64, 5))
+    assert all(r.vol_omega_c > 0 for r in rows)
+
+
 def test_h_sup_matches_pole_limit():
     # [DERIVED] ellipsoid_rev(1, 2): both principal curvatures -> b/a^2 = 2
     # at the poles, so sup |H| = 4 (approached, poles margin-excluded)
@@ -1090,7 +1119,7 @@ def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
             coarse.append([])
             for leaf in real_leaves(*args):
                 if leaf.lo > 0 and leaf.depth == g.adaptive_depth - 1:
-                    coarse[-1] += zip(leaf.us.tolist(), leaf.vs.tolist())
+                    coarse[-1] += zip(np.asarray(leaf.us).tolist(), np.asarray(leaf.vs).tolist())
                 yield leaf
 
         monkeypatch.setattr(q, "_classified", recording)
