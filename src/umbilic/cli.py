@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", default="512x512", metavar="NUxNV",
                         help="base grid cells per axis (default 512x512)")
         sp.add_argument("--depth", type=int, default=6,
-                        help="adaptive subdivision depth near the interface")
+                        help="sub-lattice of a cell the |hring| = eps interface crosses:"
+                             " 2^min(depth, 1) per side, 2^min(depth, 4) near an umbilic;"
+                             " 0 for none (default 6)")
         if eps_flag:
             sp.add_argument("--eps", default=None, metavar="LIST",
                             help="comma-separated threshold ladder, descending")

@@ -1,36 +1,26 @@
-"""Midpoint quadrature on immersed surfaces, with sublevel-set adaptivity.
+"""Quadrature on immersed surfaces: the midpoint rule over the whole
+surface, a composite lattice over sublevel sets.
 
 All integrals are taken against the induced area element dA = sqrt(det g)
 du dv on the chart rectangle (singular margins shaved off non-periodic
 axes). The sublevel region at a threshold eps collects the points with
-|hring| < eps, strictly; boundary ties count as outside. Cells crossed by
-the |hring| = eps interface are subdivided recursively and leaf cells are
-classified by their center value; at max depth every child of a
-straddling cell is such a leaf, so only its center is probed. One level
-earlier, a child whose outer corner (its cell's corner) and inner corner
-(its cell's center) disagree straddles for sure, so it is probed only
-where a coarser ladder level's leaves read its center.
+|hring| < eps, strictly; boundary ties count as outside.
 
-Every integral comes from one pass (`_ladder_pass`): geometry once at each
-base midpoint, order-2 classification values once at each base corner,
-then per threshold the refinement of its straddling cells. Without
-thresholds the midpoints get the order the fields declare. With them they
-get order 2, which gives the order-2 fields' whole-surface sums, the
-center classification and sup |H|, and the fields' order only where the
-center lies inside the largest threshold's region, the one place a region
-sum reads a midpoint. One pass serves every field and threshold of a
-call, and up to KF levels of a Richardson ladder G/4, G/2, G: the coarse
-grids' corners, midpoints and probes lie on G's lattice, so each node is
-evaluated once. A longer ladder adds a second pass, over G/2^KF.
-
-Refinement resolves the region's indicator; the integrand is smooth on
-the scale of a base cell. So full geometry is evaluated at those base
-midpoints and at nodes of G's refinement tree. One rule serves every
-inside leaf: it takes the field densities (values per unit area) of the
-tree node that holds it at most KF halvings below its level's base cell,
-itself when it is that shallow, times its own area element, which (like
-its |H|) comes from its center probe, an order-2 classification node.
-After each threshold's tree, one node-kernel call evaluates its nodes.
+Every integral comes from one pass (`_ladder_pass`). Without thresholds
+each base midpoint gets one geometry evaluation, at the order the fields
+declare. With thresholds the base lattice's corners and midpoints get
+order 2 (|hring|, |H|, the order-2 fields' whole-surface midpoint sums),
+and each cell is inside, outside or straddling by its five nodes. Inside
+cells take (T + 2M)/3 of the field densities at their corners (T their
+mean) and midpoint (M), whose h^2 error terms cancel. Each straddling
+cell takes an m x m sub-lattice (`_cut_cells`), m set by the grid's
+adaptive_depth and by how |hring| bends in the cell (`_bent`): its
+sub-cells take the same inside rule, or the cut rule (Min & Gibou, J.
+Comput. Phys. 2007) on 4 triangles with the level |hring| - eps, whose
+zero crossings along the triangles' edges follow its curvature there
+(`_crossing`). One pass serves every field and threshold of a call, and
+every level of a Richardson ladder G/2^k: level k reads G's corners at
+stride 2^k and is the one-level pass over G/2^k.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -38,30 +28,24 @@ order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
 them alone skip the order-3 jets and the covariant derivatives. Every
 node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
 it classifies, sqrt(det g), the peaks and the field densities, which the
-pass weighs by dA (a tree node's by each reading leaf's) outside the
-tape. Every node is a row of an axis table. A base lattice (corners or
-midpoints) reaches the kernel as a column of u and a row of v, never
-meshed (`_lattice`); the inside midpoints and the straddling cells'
-lower corners are the lattice nodes a mask selects, each a row of both
-axes (`_masked`, `tape.Rows`); a tree level's probes, leaves and nodes
-are rows of that level's tables of lower-corner u and v at a few
-offsets, which `_refined_leaves` carries down from G's corner axes. One
-batch loop cuts every node set into whole rows (`_chunked`), and the
-tape alone picks how a batch replays (`tape.Tape.replay`): the u-only
-and v-only calls once per lattice row and column, or once per table row
-wherever a table holds at most half a batch's nodes.
+pass weighs by dA outside the tape. A base lattice reaches the kernel as
+a column of u and a row of v, never meshed (`_lattice`); the nodes of the
+cells inside the largest region as the lattice nodes a mask selects
+(`_masked`, `tape.Rows`); sub-lattices as broadcast pairs, u of shape (K,
+n, 1) and v of shape (K, 1, n) (`_sublattice`). One batch loop cuts every
+node set into whole rows (`_chunked`), and the tape alone picks how a
+batch replays (`tape.Tape.replay`).
 
-Summation uses a fixed traversal order (base cells row-major, then refined
-children level by level) with numpy's pairwise reduction, so identical
-inputs give bit-identical results.
+Summation uses a fixed traversal order with numpy's pairwise reduction,
+so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,18 +55,14 @@ from .surfaces import ImmersionSpec, interior_axes
 # nodes per evaluation batch; bounds peak memory of the jet pipeline
 CHUNK = 16384
 
+# The order of a sublevel integral's error at the region interface, where
+# the cut rule takes the level linear on sub-triangles: a region's error
+# estimate credits no higher observed order. The inside rule's is 4, so a
+# coarse ladder level can converge faster than the interface lets G do.
+_INTERFACE_ORDER = 2
+
 # fewest base cells per axis a GridSpec accepts
 MIN_CELLS = 16
-
-# An inside leaf more than KF halvings below its level's base cell takes
-# its integrand density (field value per unit area) from its ancestor
-# exactly KF halvings below that base cell, times its own area element:
-# refinement resolves the region's indicator, the integrand is smooth on
-# the scale of a base cell. 3 is the measured floor: at KF = 2 the
-# I_grad_H_plain error on ellipsoid_rev(1, 2) at 512^2, depth 6, eps 0.05
-# leaves its oracle bound (1.0e-4 against 1.7e-5). A pass spans at most
-# KF ladder levels, so that ancestor is a node of G's refinement tree.
-KF = 3
 
 __all__ = [
     "ALL",
@@ -105,13 +85,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform base grid: nu x nv cells, one midpoint node per cell.
+    """Uniform base grid: nu x nv cells.
 
-    adaptive_depth bounds the recursive subdivision of cells straddling
-    the region interface: after that many halvings, the children are
-    leaves classified by their center, straddling or not. 0 disables
-    refinement (straddling cells are then classified by their center like
-    any other leaf).
+    adaptive_depth sets the sub-lattices of the cells straddling a region
+    interface: m x m with m = 2^min(depth, 1) where |hring| is smooth on
+    the scale of the cell and 2^min(depth, 4) where it bends, near a
+    generic umbilic. 0 is the plain lattice (m = 1), whose straddling cells
+    take the cut rule on their own five nodes.
     """
 
     nu: int = 256
@@ -224,7 +204,8 @@ class RegionIntegrals:
     I_grad_H        integral of |nabla H|^2 |hring|^2 over the region
     I_grad_H_plain  integral of |nabla H|^2 over the region
     area, total_R   whole-surface area and integral of R
-    H_sup           max |H| over the base midpoints and every threshold's inside leaves
+    H_sup           max |H| over every node the pass evaluates: the base corners
+                    and midpoints, and every threshold's sub-lattice nodes
     """
 
     eps: float
@@ -341,346 +322,168 @@ def _full(spec, fields, us, vs, *, classify=False, peaks=()):
     return _chunked(batch, us, vs)
 
 
-# -- sublevel-set cell classification --------------------------------------------
+# -- the composite lattice --------------------------------------------------------
 
 
-def _split(k00, k10, k01, k11, kc):
-    """(all inside, uniform) masks of cells from the inside flags of their
-    corners (u0, v0), (u1, v0), (u0, v1), (u1, v1) and their center; a
-    cell that is not uniform straddles."""
-    all_in = k00 & k10 & k01 & k11 & kc
-    return all_in, all_in | ~(k00 | k10 | k01 | k11 | kc)
+def _inside_rule(c00, c10, c01, c11, mid):
+    """(T + 2 M) / 3 per cell, T the mean density at its corners and M at
+    its midpoint: the midpoint (+1/24) and trapezoid (-1/12) rules' h^2
+    error terms cancel, so a cubic density's mean comes out exact."""
+    return ((c00 + c10 + c01 + c11) / 4.0 + 2.0 * mid) / 3.0
 
 
-def _base_split(inside_corner, inside_center):
-    """Uniform-in and straddling masks over base cells, plus the corner masks."""
-    corners = (inside_corner[:-1, :-1], inside_corner[1:, :-1],
-               inside_corner[:-1, 1:], inside_corner[1:, 1:])
-    all_in, uniform = _split(*corners, inside_center)
-    return all_in.ravel(), ~uniform.ravel(), tuple(a.ravel() for a in corners)
+def _crossing(lp, lq, c):
+    """Where a level crosses 0 along an edge, as a fraction from the end p
+    (lp and lq at the ends, of opposite signs): the root of the quadratic
+    through both ends with c half its second difference, in the stable
+    form that is the secant root for c = 0, its fallback where |c| >= |lq
+    - lp| lets the quadratic turn within the edge."""
+    slope = lq - lp
+    c = np.where(np.abs(c) < np.abs(slope), c, 0.0)
+    b = slope - c
+    root = -2.0 * lp / (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * c * lp, 0.0)), b))
+    return np.clip(root, 0.0, 1.0)
+
+
+def _cut_rule(level, curve, density, bend):
+    """Per triangle, the mean of the density over its part where the level
+    is negative, times that part's share of its area (Min & Gibou, J.
+    Comput. Phys. 2007). Each argument has shape (3, ...): row i for vertex
+    i, and for curve and bend (half the level's and the density's second
+    difference) the edge from vertex i to the next. The part is cut at the
+    level's zeros along the edges (`_crossing`), where the density takes
+    its quadratic's value; it is linear over each piece. 0 is outside."""
+    neg = level < 0
+    count = np.count_nonzero(neg, axis=0)
+    out = np.where(count == 3, np.sum(density, axis=0) / 3.0, 0.0)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        lone = (neg[i] != neg[j]) & (neg[i] != neg[k])
+        li, fi = level[i][lone], density[i][lone]
+        at = []
+        for x, edge in ((j, i), (k, k)):
+            t = _crossing(li, level[x][lone], curve[edge][lone])
+            at += [t, fi + t * (density[x][lone] - fi) + bend[edge][lone] * t * (t - 1.0)]
+        tj, xj, tk, xk = at
+        fj, fk = density[j][lone], density[k][lone]
+        # inside: the corner triangle (i, xj, xk) when i is the lone vertex
+        # inside, else the quadrilateral (j, k, xk, xj), as the triangles
+        # (j, k, xk) and (j, xk, xj)
+        out[lone] = np.where(neg[i][lone], tj * tk * (fi + xj + xk),
+                             (1.0 - tk) * (fj + fk + xk) + tk * (1.0 - tj) * (fj + xk + xj)) / 3.0
+    return out
+
+
+def _cells(corners, mid, eps):
+    """(inside, straddling) masks of cells from |hring| at their corners
+    (see `_quads`) and midpoint: all five below eps, or some but not all."""
+    below = [x < eps for x in (*corners, mid)]
+    inside = np.logical_and.reduce(below)
+    return inside, np.logical_or.reduce(below) & ~inside
+
+
+def _quads(a):
+    """The corners (u0, v0), (u1, v0), (u0, v1), (u1, v1) of the cells of
+    a corner lattice along its last two axes."""
+    return a[..., :-1, :-1], a[..., 1:, :-1], a[..., :-1, 1:], a[..., 1:, 1:]
+
+
+def _bent(corners, mid):
+    """Cells where |hring| bends: its midpoint value departs from the
+    corners' mean by more than 1/32 of its change across the cell. A smooth
+    level departs by O(h^2) against O(h) (under 0.01 of it on ellipsoid_rev
+    at 512^2); the cone |hring| makes at a generic umbilic, by O(h)."""
+    c00, c10, c01, c11 = corners
+    bend = np.abs(mid - (c00 + c10 + c01 + c11) / 4.0)
+    change = np.maximum(np.abs(c10 + c11 - c00 - c01), np.abs(c01 + c11 - c00 - c10)) / 2.0
+    return bend > change / 32
 
 
 def _masked(us, vs, mask):
     """The nodes of a lattice (us a column, vs a row, see `_lattice`) where
-    the 2-D mask holds, row-major, as `tape.Rows` over its axes; a mask of
-    base cells over the corner lattice selects their lower corners."""
+    the 2-D mask holds, row-major, as `tape.Rows` over its axes."""
     iu, iv = np.nonzero(mask)
     return tape.Rows(us[:, 0], iu), tape.Rows(vs[0], iv)
 
 
-class _Leaves(NamedTuple):
-    """One batch of refined leaves of one size.
-
-    us, vs      leaf centers, each the leaf's child-center probe, as
-                `tape.Rows` views of the level's tables
-    area        leaf area
-    inside      center inside the region
-    lo, hi      the ladder levels lo..hi (hi per leaf) the leaves count for
-    depth       halvings below the base cell of G (the finest level)
-    abs_h, sqrt_detg
-                |H| and the area element at the centers, from the probes
-    ids         per G-depth, the id of each leaf's tree node there, itself
-                or an ancestor (see `_refined_leaves`)
-    """
-
-    us: tape.Rows
-    vs: tape.Rows
-    area: float
-    inside: np.ndarray
-    lo: int
-    hi: np.ndarray
-    depth: int
-    abs_h: np.ndarray
-    sqrt_detg: np.ndarray
-    ids: dict
+def _sublattice(spec, g, cells, m):
+    """The m x m sub-lattices of the cells of grid g the 2-D mask selects:
+    their corners and their midpoints, each a broadcast pair, u of shape
+    (K, n, 1) and v of shape (K, 1, n) for n = m + 1 and m. Node u0 + (i m
+    + k) du / m of cell i lies on the lattice of g refined m times, so the
+    cell's corners (and, for m odd, its midpoint) are nodes bit for bit."""
+    u0, v0, du, dv = _axes(spec, g)
+    iu, iv = np.nonzero(cells)
+    k = np.arange(m + 1.0)
+    return tuple(
+        (u0 + (iu[:, None, None] * m + offs[None, :, None]) * (du / m),
+         v0 + (iv[:, None, None] * m + offs[None, None, :]) * (dv / m))
+        for offs in (k, k[:-1] + 0.5)
+    )
 
 
-def _compact(table, index):
-    """(table rows that index reads, in table order; index into them)."""
-    used = np.zeros(table.size, dtype=bool)
-    used[index] = True
-    if used.all():
-        return table, index
-    return table[used], (np.cumsum(used) - 1)[index]
+def _triangles(corner, mid, cut):
+    """The triangles of the cut sub-cells (each corner in turn, the next
+    one, the midpoint), of values on (K, m + 1, m + 1) corners and (K, m,
+    m) midpoints, as (3, 4, n) vertex rows, and half the second difference
+    along each edge: from the sub-lattice corner beyond it (0 for m = 1),
+    along a half-diagonal from the opposite corner."""
+    m = mid.shape[1]
+
+    def along(axis):
+        if m == 1:
+            return np.zeros_like(np.diff(corner, axis=axis))
+        d2 = np.diff(corner, 2, axis=axis) / 2.0
+        return np.take(d2, np.maximum(np.arange(m) - 1, 0), axis=axis)
+
+    cu, cv = along(1), along(2)
+    q00, q10, q01, q11 = _quads(corner)
+    diag = (q00 + q11) / 2.0 - mid, (q10 + q01) / 2.0 - mid
+    ring, edges, halves = (
+        np.stack([x[cut] for x in xs])
+        for xs in ((q00, q10, q11, q01), (cu[:, :, :-1], cv[:, 1:], cu[:, :, 1:], cv[:, :-1]),
+                   (*diag, *diag))
+    )
+    apex = np.broadcast_to(mid[cut], ring.shape)
+    return (np.stack((ring, np.roll(ring, -1, 0), apex)),
+            np.stack((edges, np.roll(halves, -1, 0), halves)))
 
 
-def _offsets(table, *steps):
-    """table + step for each step, one table after another; a step None is
-    table itself."""
-    return np.concatenate([table if s is None else table + s for s in steps])
+def _cut_cells(spec, g, fields, peaks, cells, m, thresholds):
+    """(per threshold, per field the integral of field dA where |hring| <
+    eps over its straddling cells, of those the mask selects; max |H| at
+    their nodes), thresholds as (eps, straddling mask) pairs. The cells' m
+    x m sub-lattices are evaluated once, with the classification and the
+    peaks (unread), as every full node of the pass. A sub-cell takes the
+    inside rule or, where it straddles, the cut rule on its 4 corner-corner-
+    midpoint triangles, with the level |hring| - eps."""
+    (h_c, n2_c, *f_c), (h_m, n2_m, *f_m) = (
+        _full(spec, fields, *nodes, classify=True, peaks=peaks)
+        for nodes in _sublattice(spec, g, cells, m)
+    )
+    k = len(peaks)
+    corner = [a.reshape(-1, m + 1, m + 1) for a in (np.sqrt(np.maximum(n2_c, 0.0)), *f_c[k:])]
+    mid = [a.reshape(-1, m, m) for a in (np.sqrt(np.maximum(n2_m, 0.0)), *f_m[k:])]
+    _, _, du, dv = _axes(spec, g)
+    area = (du / m) * (dv / m)
+    out = []
+    for eps, straddle in thresholds:
+        sel = straddle[cells]
+        lc, lm = corner[0][sel] - eps, mid[0][sel] - eps
+        inside, cut = _cells(_quads(lc), lm, 0.0)
+        level = _triangles(lc, lm, cut)
+        sums = []
+        for fc, fm in zip(corner[1:], mid[1:]):
+            fc, fm = fc[sel], fm[sel]
+            whole = np.sum(_inside_rule(*(c[inside] for c in _quads(fc)), fm[inside]))
+            part = np.sum(_cut_rule(*level, *_triangles(fc, fm, cut)))
+            sums.append(float(whole) * area + float(part) * (area / 4.0))
+        out.append(sums)
+    return out, float(max(np.max(h_c), np.max(h_m)))
 
 
-# the probe blocks of a level (edge midpoints L10 L01 L21 L12, then the
-# child centers M00 M10 M01 M11) as offsets into the tables that
-# `_offsets` makes of the cells' lower corners with the steps (q, 3q,
-# None, h, D): per block, the offset in u and in v
-_PROBE_U = (3, 2, 4, 3, 0, 1, 0, 1)
-_PROBE_V = (2, 3, 3, 4, 0, 0, 1, 1)
-
-
-def _refined_leaves(spec, eps, state, du, dv, depth, nodes=None, carried=()):
-    """Subdivide straddling cells; yield their leaves as `_Leaves` batches.
-
-    state holds the straddling base cells: lower corners (u0s, v0s, as
-    `tape.Rows`), the inside-booleans of their four corners and center,
-    and the membership column mm. One tree serves a Richardson ladder,
-    whose level m (grid G/2^m) ends its tree m levels earlier: levels
-    0..mm still split the cell, and a leaf counts for the levels lo..hi
-    (hi per leaf).
-
-    Each level r below depth-2 evaluates 8 new probe points per cell (edge
-    midpoints, child centers); children whose five probes agree become
-    leaves of levels 0..mm, the rest recurse with mm at most depth-2-r, and
-    where mm = depth-1-r they are also center-classified leaves of level mm.
-    The last level (mm is 0 there) evaluates only the 4 child centers, and
-    every child is a leaf classified by its center. Depth 0 yields nothing.
-    At level depth-2 a child is open when its outer corner (a corner of the
-    cell) and inner corner (the cell's center) agree; any other child
-    straddles, whatever its probes say, and its own corners are never
-    read again. So that level probes an edge midpoint only for a cell
-    with an open child beside it, and a child center only for an open
-    child or where mm = 1 (the leaves of level 1 read it); nothing reads a
-    probe it skips, and with no open child and mm = 0 it probes no point.
-    Of each level's probes only the child centers' |H| and sqrt(det g) are
-    kept, for the leaves; the rest is freed once read.
-
-    A cell carries its lower corner not as coordinates but as a row index
-    into the level's table of lower-corner u, and one into that of v: G's
-    corner axes at the base (u0s, v0s), then per level table + a h for a =
-    0, 1, the expression a child's corner u0 + a h takes, each level's
-    tables first compacted to the rows a cell reads (`_compact`). So
-    table[row] is the cell's corner bit for bit at every level, and every
-    probe is a row of the level's offset tables (table + q, table + 3 q,
-    table, table + h, table + D; `_PROBE_U`, `_PROBE_V`) holding the bits
-    its coordinates would. Probes, leaves and tree nodes are all
-    `tape.Rows` of these tables, so no coordinate is gathered and the
-    probes' u-only and v-only calls run once per table row.
-
-    The children at G-depths d <= KF are the nodes of the tree, numbered
-    by position: child c of cell i, of the n cells split there, gets id
-    c n + i. A dict nodes receives each such depth's centers once, a
-    `tape.Rows` pair (us, vs) in id order, at nodes[d]. A leaf at depth
-    d <= KF carries its own id; below a node at a depth in carried, the
-    cells carry its id down to their leaves. Only those depths are
-    carried, no other id. Traversal order is fixed, so the caller's
-    accumulation is deterministic.
-    """
-    u0s, v0s, c00, c10, c01, c11, cc, mm = state
-    tu, ru, tv, rv = u0s.table, u0s.index, v0s.table, v0s.index
-    eps2 = eps * eps
-    DU, DV = du, dv
-    ids = {}
-    for level in range(depth):
-        n = ru.size
-        if n == 0:
-            return
-        (tu, ru), (tv, rv) = _compact(tu, ru), _compact(tv, rv)
-        hu, hv = DU / 2.0, DV / 2.0
-        qu, qv = DU / 4.0, DV / 4.0
-        last = level == depth - 1
-        # per axis, the offset tables; the child centers lead, at offsets
-        # 0 (q) and 1 (3q)
-        pu, pv = (
-            _offsets(t, q, 3 * q, *(() if last else (None, h, D)))
-            for t, q, h, D in ((tu, qu, hu, DU), (tv, qv, hv, DV))
-        )
-        T, S = tu.size, tv.size
-        cu, cv = pu[: 2 * T], pv[: 2 * S]  # the child centers' tables
-
-        def center(c, sel=slice(None)):  # the child (a, b) at c = a + 2 b: its center
-            return tape.Rows(cu, (c % 2) * T + ru[sel]), tape.Rows(cv, (c // 2) * S + rv[sel])
-
-        def centers():  # every child's center, child c's at c n + i
-            rows = [center(c) for c in range(4)]
-            return (tape.Rows(cu, np.concatenate([r.index for r, _ in rows])),
-                    tape.Rows(cv, np.concatenate([r.index for _, r in rows])))
-
-        child = level + 1
-        if child <= KF and nodes is not None:
-            nodes[child] = centers()
-
-        def held(c, sel):  # the carried ids of child c of the cells sel, and its own
-            out = {d: x[sel] for d, x in ids.items()}
-            if child <= KF:
-                out[child] = np.arange(c * n, (c + 1) * n, dtype=np.int32)[sel]
-            return out
-
-        if last:
-            n2, h, sdg = _classified(spec, *centers())
-            for k, (kc, hk, sk) in enumerate(zip(*(np.split(a, 4) for a in (n2 < eps2, h, sdg)))):
-                yield _Leaves(*center(k), hu * hv, kc, 0, mm, depth, hk, sk, held(k, slice(None)))
-            return
-        ends = mm == depth - 1 - level
-        # keep[i] selects the cells that probe block i (None: all)
-        keep = [None] * 8
-        if level == depth - 2:
-            # every straddling child splits once more into center-classified
-            # leaves, so a child whose outer corner and inner corner (the
-            # cell center) disagree needs no probe. Probe an edge midpoint
-            # for an open child beside it, a child center for an open child
-            # or where a coarse level's tree ends here (its leaves read it).
-            o = [k == cc for k in (c00, c10, c01, c11)]
-            keep = [o[0] | o[1], o[0] | o[2], o[1] | o[3], o[2] | o[3], *(x | ends for x in o)]
-        iu, iv = (
-            np.concatenate([off * size + (r if k is None else r[k]) for k, off in zip(keep, offs)])
-            for r, size, offs in ((ru, T, _PROBE_U), (rv, S, _PROBE_V))
-        )
-        if iu.size:
-            n2, h, sdg = _classified(spec, tape.Rows(pu, iu), tape.Rows(pv, iv))
-        else:  # level depth-2 with no open child and no coarse tree ending here
-            n2 = h = sdg = np.empty(0)
-        del iu, iv
-        cut = np.cumsum([n if k is None else np.count_nonzero(k) for k in keep])
-        flags = np.split(n2 < eps2, cut[:-1])
-        del n2
-        for i, k in enumerate(keep):
-            if k is not None:  # an unprobed flag reads False, on straddling children only
-                full = np.zeros(n, dtype=bool)
-                full[k] = flags[i]
-                flags[i] = full
-        L10, L01, L21, L12, *M = flags
-        # the child centers' |H| and sqrt(det g), over the cells keep[4 + c] selects
-        h, sdg = (np.split(a[cut[3] :].copy(), cut[4:-1] - cut[3]) for a in (h, sdg))
-        lattice = {
-            (0, 0): c00, (1, 0): L10, (2, 0): c10,
-            (0, 1): L01, (1, 1): cc, (2, 1): L21,
-            (0, 2): c01, (1, 2): L12, (2, 2): c11,
-        }
-        next_parts, next_ids = [], []
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            c = a + 2 * b
-            k00 = lattice[(a, b)]
-            k10 = lattice[(a + 1, b)]
-            k01 = lattice[(a, b + 1)]
-            k11 = lattice[(a + 1, b + 1)]
-            kc = M[c]
-            all_in, uniform = _split(k00, k10, k01, k11, kc)
-
-            def leaves(sel, inside, lo):
-                probed = sel if keep[4 + c] is None else sel[keep[4 + c]]
-                return _Leaves(
-                    *center(c, sel), hu * hv, inside[sel], lo, mm[sel], child,
-                    h[c][probed], sdg[c][probed], held(c, sel),
-                )
-
-            if uniform.any():
-                yield leaves(uniform, all_in, 0)
-            st = ~uniform
-            last_leaves = st & ends
-            if last_leaves.any():
-                yield leaves(last_leaves, kc, depth - 1 - level)
-            # the child's lower corner, corner + a h, as a row of the next
-            # level's tables: row r + a T of the tables (corner + 0 h,
-            # corner + 1 h)
-            next_parts.append(
-                ((ru + a * T)[st], (rv + b * S)[st], k00[st], k10[st], k01[st], k11[st],
-                 kc[st], np.minimum(mm[st], depth - 2 - level))
-            )
-            next_ids.append({d: x for d, x in held(c, st).items() if d in carried})
-        ru, rv, c00, c10, c01, c11, cc, mm = (
-            np.concatenate([p[k] for p in next_parts]) for k in range(8)
-        )
-        tu, tv = _offsets(tu, 0 * hu, 1 * hu), _offsets(tv, 0 * hv, 1 * hv)
-        ids = {d: np.concatenate([x[d] for x in next_ids]) for d in next_ids[0]}
-        DU, DV = hu, hv
-
-
-def _joined(parts):
-    """`tape.Rows` parts as one, their nodes in order: the tables one after
-    another, each index shifted past the tables before its own."""
-    starts = np.cumsum([0, *(p.table.size for p in parts[:-1])])
-    return tape.Rows(np.concatenate([p.table for p in parts]),
-                     np.concatenate([p.index + start for p, start in zip(parts, starts)]))
-
-
-def _add(sums, arrays, sel, cell_area):
-    """sums[k] += cell_area * (sum of arrays[k] over the mask sel)."""
-    if sel.any():
-        for k, a in enumerate(arrays):
-            sums[k] += float(np.sum(a[sel])) * cell_area
-
-
-def _base_cells(
-    j, levels, depth, inside_corner, inside_center, held, arrays, inner, cell_area, sums
-):
-    """Classify level j's base cells and add them to each level's sums (one
-    per-field list per level). Level j counts its uniform-inside cells; a
-    coarser level m holds a cell when it split the parent (held, the level
-    j+1 membership, >= m) and counts it when uniform inside or, at its
-    maximum depth m = j + depth, when its center is inside, valued from
-    level j's midpoint arrays (field * dA). Those hold, in order, only the
-    midpoints of the mask inner, which covers every cell counted here. A
-    pass spans at most KF levels, so such a cell is less than KF halvings
-    below level m's base cell and keeps its own value. Returns (straddle mask, corner masks, membership:
-    the coarsest level splitting each cell, -1 for none)."""
-    all_in, straddle, corners = _base_split(inside_corner, inside_center)
-    top = np.full(all_in.size, j, dtype=np.int8)
-    if held is not None:
-        top = np.maximum(top, held.repeat(2, 0).repeat(2, 1).ravel())
-    for m in range(j, levels):
-        _add(sums[m], arrays, (all_in & (top >= m))[inner], cell_area)
-        if m == j + depth:
-            _add(sums[m], arrays, (straddle & inside_center.ravel() & (top >= m))[inner], cell_area)
-    mm = np.where(straddle, np.minimum(top, j + depth - 1), -1).astype(np.int8)
-    return straddle, corners, mm
-
-
-def _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums):
-    """Add the inside leaves of G's refinement tree at threshold eps to
-    each level's sums (one per-field list per level, levels <= KF); return
-    the max |H| over the inside leaves of G itself (-inf for none).
-
-    One rule values every inside leaf: level k counts a leaf at G-depth D
-    (see `_Leaves`) as the field densities of the tree node at G-depth
-    min(D, KF - k) that holds it (the leaf itself when D <= KF - k, else
-    its ancestor) times the leaf's area and sqrt(det g) from its probe.
-    These weights add up per (level, depth) on node ids, never as per-leaf
-    arrays. After the tree, one node-kernel call evaluates every node that
-    has weight, with the pass's peaks (unread here) so that it replays the
-    inside midpoints' kernel; then each (level, depth) adds one sum.
-    """
-    _, _, du, dv = _axes(spec, grid)
-    nodes = {}  # per G-depth <= KF, the centers of the tree nodes there
-    weights = {}  # per (level, G-depth), one weight per node there
-    h_sup = -math.inf
-    carried = [KF - k for k in range(levels)]
-    for leaf in _refined_leaves(spec, eps, state, du, dv, grid.adaptive_depth, nodes, carried):
-        inside = leaf.inside
-        if inside.any():
-            if leaf.lo == 0:
-                h_sup = max(h_sup, float(np.max(leaf.abs_h[inside])))
-            hi = leaf.hi[inside]
-            w = leaf.sqrt_detg[inside] * leaf.area
-            for k in range(leaf.lo, levels):
-                sel = hi >= k
-                if not sel.any():
-                    continue
-                d = min(leaf.depth, KF - k)
-                ids = leaf.ids[d][inside][sel]
-                add = np.bincount(ids, w[sel], nodes[d][0].size)
-                weights[k, d] = weights.get((k, d), 0.0) + add
-        # the leaf's centers are views of its level's tables: let them go
-        # before the next level probes
-        del leaf
-    if not weights:
-        return h_sup
-    hit = {d: np.zeros(nodes[d][0].size, dtype=bool) for d in nodes}
-    for (_, d), w in weights.items():
-        hit[d] |= w > 0
-    us, vs = (_joined([nodes[d][i][hit[d]] for d in nodes]) for i in (0, 1))
-    order = _order((*fields, *peaks))
-
-    def batch(u, v):  # the densities; sqrt(det g) and the peaks go unread
-        out = geometry._nodes(spec, order, u, v, classify=False, peaks=peaks, densities=fields)
-        return out[1 + len(peaks) :]
-
-    cut = np.cumsum([np.count_nonzero(x) for x in hit.values()])[:-1]
-    density = dict(zip(nodes, zip(*(np.split(a, cut) for a in _chunked(batch, us, vs)))))
-    for (k, d), w in sorted(weights.items()):
-        has = w > 0
-        for f, x in enumerate(density[d]):
-            sums[k][f] += float(np.sum(x[has[hit[d]]] * w[has]))
-    return h_sup
+def _corner_weights(cells):
+    """Per corner lattice node, how many cells the mask selects it bounds."""
+    return sum(np.pad(cells, ((a, 1 - a), (b, 1 - b))) for a in (0, 1) for b in (0, 1))
 
 
 # -- the quadrature pass ----------------------------------------------------------
@@ -693,11 +496,11 @@ class _Pass:
     whole   per field, over the whole surface; with thresholds only the
             order-2 fields have one (None for the rest, which nothing reads)
     region  per threshold, per field, over the sublevel region
-    h_sup   max |H| over the base midpoints and every threshold's inside leaves
-            (None without thresholds: no node outputs |H|, nothing reads it)
+    h_sup   max |H| over every node evaluated: G's corners and midpoints and
+            every sub-lattice node (None without thresholds)
     h_odd   max |H| over the base corners whose two indices are both odd,
-            which are the base midpoints of the half grid when nu and nv
-            are even (None without thresholds: no corners are evaluated)
+            the half grid's midpoints when nu and nv are even (None without
+            thresholds: no corners are evaluated)
     peaks   per threshold, each peak's max over the base midpoints inside
             the region, None when no midpoint is inside (() without peaks)
     Coarse levels of a ladder carry h_sup, h_odd and peaks None.
@@ -710,111 +513,103 @@ class _Pass:
     peaks: tuple | None
 
 
+def _level(spec, g, fields, eps_values, peaks, n2_corner, uc, vc):
+    """(whole, region, max |H| over its midpoints and sub-lattice nodes,
+    peak maxima) of the one-level pass over grid g, given |hring|^2 at its
+    corners (n2_corner) and its corner axes uc, vc (see `_lattice`).
+
+    The midpoints get order 2: the order-2 fields' whole-surface sums,
+    |hring| and |H|. The nodes of the cells inside any region, and the
+    midpoints inside the largest (where the peaks are read), get the
+    fields' order for the inside rule. Each straddling cell takes an m x m
+    sub-lattice (`_cut_cells`): m = 2^min(depth, 4) where |hring| bends
+    (`_bent`), 2^min(depth, 1) elsewhere."""
+    area = math.prod(_axes(spec, g)[2:])  # du dv
+    us, vs = _lattice(spec, g, centers=True)
+    low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
+    h_max, mid, *arrays = _full(spec, [fields[k] for k in low], us, vs, classify=True)
+    whole = [None] * len(fields)
+    for k, a in zip(low, arrays):
+        whole[k] = float(np.sum(a)) * area
+    del arrays
+    h_sup = float(np.max(h_max))
+    corners = _quads(np.sqrt(np.maximum(n2_corner, 0.0)))
+    mid = np.sqrt(np.maximum(mid, 0.0)).reshape(g.nu, g.nv)
+    classes = [_cells(corners, mid, eps) for eps in eps_values]
+    inner = mid < max(eps_values)
+    near = _corner_weights(np.logical_or.reduce([ins for ins, _ in classes])) > 0
+    region = [[0.0] * len(fields) for _ in eps_values]
+    peak_max = (None,) * len(eps_values) if peaks else ()
+    # the inside cells' corners, then the midpoints inside, each set reduced
+    # as evaluated to every threshold's sums by its weight in the inside rule
+    for axes, mask, weight in (
+        ((uc, vc), near, lambda ins: _corner_weights(ins) / 12.0),
+        ((us, vs), inner, lambda ins: ins * (2.0 / 3.0)),
+    ):
+        if not mask.any():
+            continue
+        values = _full(spec, fields, *_masked(*axes, mask), classify=True, peaks=peaks)[2:]
+        if mask is inner and peaks:
+            peak_max = tuple(
+                tuple(float(np.max(a[ins])) for a in values[: len(peaks)]) if ins.any() else None
+                for ins in (mid[inner] < eps for eps in eps_values)
+            )
+        for sums, (ins, _) in zip(region, classes):
+            w = weight(ins)[mask]
+            has = w > 0
+            for k, x in enumerate(values[len(peaks) :]):
+                sums[k] += float(np.sum(w[has] * x[has])) * area
+        del values  # before the next node set is evaluated
+    bent = _bent(corners, mid)
+    straddle = np.logical_or.reduce([st for _, st in classes])
+    for cells, r in ((straddle & ~bent, 1), (straddle & bent, 4)):
+        if cells.any():
+            parts, h = _cut_cells(spec, g, fields, peaks, cells, 1 << min(g.adaptive_depth, r),
+                                  [(eps, st) for eps, (_, st) in zip(eps_values, classes)])
+            region = [[a + b for a, b in zip(sums, part)] for sums, part in zip(region, parts)]
+            h_sup = max(h_sup, h)
+    return tuple(whole), tuple(map(tuple, region)), h_sup, peak_max
+
+
 def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1, peaks=()):
     """The one quadrature driver: every integral of the package goes through it.
 
     Returns one `_Pass` per level of the doubling ladder that ends at G =
     `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; ValueError when
-    `_ladder_fault` rejects it); a single grid is the one-level case. Without
-    thresholds each level's midpoints get one geometry evaluation at the
-    order the fields declare. With thresholds they get one at order 2, for
-    the order-2 fields' whole-surface sums, |hring|^2 and |H|, and one at
-    the fields' order (with the peaks) only where |hring| is below the
-    largest threshold, a set that holds every midpoint a region sum reads
-    since the regions are nested. G's corners get one order-2 evaluation,
-    and level m reads G's lattice: its corners are G's corners at indices
-    k 2^m, its midpoints those at 2^(m-1) + k 2^m, bit for bit. Its
-    straddling cells descend through cells that lattice has classified,
-    then ride G's refinement tree (see `_refined_leaves`), so each probe
-    and inside leaf is evaluated once. An inside leaf takes the field
-    densities of the node of G's tree that holds it at most KF halvings
-    below its level's base cell, one call per threshold (`_tree_sums`).
-    Coarse levels are reduced, and their arrays freed, before G's
-    midpoints are evaluated. Coarse levels carry sums only: their sup |H|
-    would need per-node |H| arrays, and nothing reads it. Each of `peaks`,
-    a function of a PointGeometry batch, is evaluated raw (no dA) with the
-    fields, so those nodes replay one kernel; only G's midpoints' count.
-
-    So one pass spans at most KF levels. A longer ladder runs as two: the
-    KF finest levels over G, and the rest as a ladder of its own over
-    G/2^KF, which re-probes about 1/2^KF of G's tree.
+    `_ladder_fault` rejects it); a single grid is the one-level case.
+    Without thresholds each level's midpoints get one geometry evaluation
+    at the order the fields declare (the midpoint rule). With them, G's
+    corners get one order-2 evaluation; level m's corners are those at
+    indices k 2^m, bit for bit, and it runs the one-level pass over G/2^m
+    (`_level`), so it equals that pass. Coarse levels carry sums only.
+    Each of `peaks`, a function of a PointGeometry batch, is evaluated raw
+    (no dA) with the fields; only G's midpoints inside a region count.
     """
     fault = _ladder_fault(grid, levels)
     if fault:
         raise ValueError(f"{levels} doubling levels cannot end at {grid.nu}x{grid.nv}: {fault}")
-    if levels > KF:
-        low = GridSpec(grid.nu >> KF, grid.nv >> KF, grid.adaptive_depth)
-        coarse = _ladder_pass(spec, low, fields, eps_values, levels - KF, peaks)
-        coarse = tuple(replace(p, h_sup=None, h_odd=None, peaks=None) for p in coarse)
-        return coarse + _ladder_pass(spec, grid, fields, eps_values, KF, peaks)
-    depth = grid.adaptive_depth
-    classify = bool(eps_values)
-    whole = [None] * levels
-    sums = [[[0.0] * len(fields) for _ in eps_values] for _ in range(levels)]
-    held = [None] * len(eps_values)
-    h_sup = h_odd = None
-    peak_max = ()
-    if classify:
+    if eps_values:
         ug, vg = _lattice(spec, grid, centers=False)
-        n2_corner, h_corner, _ = _classified(spec, ug, vg)
-        n2_corner = n2_corner.reshape(grid.nu + 1, grid.nv + 1)
-        h_odd = float(np.max(h_corner.reshape(grid.nu + 1, grid.nv + 1)[1::2, 1::2]))
-        del h_corner
-        low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
-        top_eps = max(eps_values)
-
+        n2, h = (a.reshape(grid.nu + 1, grid.nv + 1) for a in _classified(spec, ug, vg)[:2])
+        h_corner, h_odd = float(np.max(h)), float(np.max(h[1::2, 1::2]))
+        del h
+    passes = []
     for m in reversed(range(levels)):
         s = 1 << m
-        g = GridSpec(grid.nu // s, grid.nv // s, depth)
-        _, _, du, dv = _axes(spec, g)
-        cell_area = du * dv
-        us, vs = _lattice(spec, g, centers=True)
-        if classify:
-            h_max, n2_center, *arrays = _full(spec, [fields[k] for k in low], us, vs, classify=True)
-            whole[m] = [None] * len(fields)
-            for k, a in zip(low, arrays):
-                whole[m][k] = float(np.sum(a)) * cell_area
-            if m == 0:
-                h_sup = float(np.max(h_max))
-            inner = n2_center < top_eps * top_eps
-            if not peaks and _order(fields) == 2:
-                inner[:] = True  # the order-2 evaluation already filled every field
-            elif inner.any():
-                arrays = _full(spec, fields, *_masked(us, vs, inner.reshape(g.nu, g.nv)),
-                               peaks=peaks)
-            else:
-                arrays = [np.empty(0)] * (len(peaks) + len(fields))
-            values, arrays = arrays[: len(peaks)], arrays[len(peaks) :]
-            if m == 0 and peaks:
-                peak_max = tuple(
-                    tuple(float(np.max(a[ins])) for a in values) if ins.any() else None
-                    for ins in (n2_center[inner] < eps * eps for eps in eps_values)
-                )
-        else:
-            arrays = _full(spec, fields, us, vs)
-            whole[m] = [float(np.sum(a)) * cell_area for a in arrays]
-        del us, vs
-        for i, eps in enumerate(eps_values):
-            inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
-            sums_i = [level[i] for level in sums]
-            straddle, corners, mm = _base_cells(
-                m, levels, depth, n2_corner[::s, ::s] < eps * eps, inside_center,
-                held[i], arrays, inner, cell_area, sums_i,
-            )
-            if m:
-                held[i] = mm.reshape(g.nu, g.nv)
-                continue
-            state = (
-                *_masked(ug, vg, straddle.reshape(grid.nu, grid.nv)),
-                *(c[straddle] for c in corners), inside_center.ravel()[straddle], mm[straddle],
-            )
-            h_sup = max(h_sup, _tree_sums(spec, grid, fields, peaks, eps, state, levels, sums_i))
-        del arrays
-    fine = (h_sup, h_odd, peak_max)
-    return tuple(
-        _Pass(tuple(whole[m]), tuple(map(tuple, sums[m])), *(fine if m == 0 else (None,) * 3))
-        for m in reversed(range(levels))
-    )
+        g = GridSpec(grid.nu // s, grid.nv // s, grid.adaptive_depth)
+        if not eps_values:
+            area = math.prod(_axes(spec, g)[2:])  # du dv
+            arrays = _full(spec, fields, *_lattice(spec, g, centers=True))
+            whole = tuple(float(np.sum(a)) * area for a in arrays)
+            del arrays  # before the next level is evaluated
+            passes.append(_Pass(whole, (), None, None, None if m else ()))
+            continue
+        whole, region, h_sup, peak_max = _level(
+            spec, g, fields, eps_values, peaks, n2[::s, ::s], ug[::s], vg[:, ::s]
+        )
+        fine = (max(h_sup, h_corner), h_odd, peak_max) if m == 0 else (None,) * 3
+        passes.append(_Pass(whole, region, *fine))
+    return tuple(passes)
 
 
 # integrands of RegionIntegrals, in field order: vol_omega_c (and area),
@@ -852,13 +647,16 @@ def _field_ladder(spec, field, grid, region, levels):
     return [p.region[0][0] if eps_values else p.whole[0] for p in passes]
 
 
-def _richardson(values):
+def _richardson(values, max_order=math.inf):
     """(observed order, error estimate) per level of a doubling ladder.
 
-    The first two levels get (None, None). At level k the order comes from
-    the ratio of the last two differences; non-monotone differences give
-    "unstable". The error of v_k is |v_k - v_{k-1}| / (2^p - 1), or the
-    plain difference when unstable, or 0 when the last difference is 0.
+    The first two levels get (None, None). At level k the order p comes
+    from the ratio of the last two differences; non-monotone differences
+    give "unstable". The error of v_k is |v_k - v_{k-1}| / (2^p - 1), or the
+    plain difference when unstable, or 0 when the last difference is 0. An
+    order above max_order (the rule's own) marks the level before as
+    pre-asymptotic: the last difference is then the one before over
+    2^max_order, and p max_order.
     """
     out = [(None, None)] * min(2, len(values))
     for k in range(2, len(values)):
@@ -870,7 +668,9 @@ def _richardson(values):
             out.append(("unstable", abs(d_last)))
         else:
             order = math.log2(abs(d_prev) / abs(d_last))
-            out.append((order, abs(d_last) / (2.0**order - 1.0)))
+            p, d = (order, abs(d_last)) if order <= max_order else (
+                max_order, abs(d_prev) / 2.0**max_order)
+            out.append((order, d / (2.0**p - 1.0)))
     return out
 
 
@@ -889,14 +689,12 @@ def integrate(spec: ImmersionSpec, field, grid: GridSpec, region: Region = ALL) 
 def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     """One RegionIntegrals per threshold, all from a single pass over the grid.
 
-    eps_list must be strictly decreasing within (0, 1]. Every base midpoint
-    gets an order-2 evaluation (area, total_R, the classification, H_sup).
-    Full geometry is evaluated once at every base midpoint inside the
-    largest threshold's region and, in one call per threshold, at every
-    inside leaf at most KF halvings deep and every depth-KF ancestor of
-    deeper inside leaves, which take its field values per unit area times
-    their own area element. Classification and refinement probes use the
-    order-2 kernel, which also gives each leaf its area element and |H|.
+    eps_list must be strictly decreasing within (0, 1]. Every base corner
+    and midpoint gets an order-2 evaluation (area and total_R by the
+    midpoint rule, the classification, H_sup). Full geometry is evaluated
+    once at the corners and midpoints of the cells inside the largest
+    threshold's region, which every inside cell reads, and per threshold
+    at the nodes of its straddling cells' sub-lattices (see `_level`).
     """
     eps_values = [float(e) for e in eps_list]
     fault = _thresholds_fault(eps_values)
@@ -942,10 +740,11 @@ def convergence_study(
     """Observed-order diagnostics across the doubling ladder of `levels`
     levels ending at grid, G/2^(levels-1), ..., G/2, G.
 
-    Needs at least three levels, and a ladder `_ladder_fault` accepts: up
-    to KF levels are one pass, whose levels share one refinement tree (see
-    `_ladder_pass`). Orders and error estimates per level come from
-    `_richardson`; the study reports those of the finest level.
+    Needs at least three levels, and a ladder `_ladder_fault` accepts; one
+    pass evaluates them all (see `_ladder_pass`). Orders and error
+    estimates per level come from `_richardson`, a sublevel region's
+    crediting no order above the interface's; the study reports those of
+    the finest level.
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 grid levels")
@@ -953,9 +752,10 @@ def convergence_study(
     grids = [
         GridSpec(grid.nu >> m, grid.nv >> m, grid.adaptive_depth) for m in reversed(range(levels))
     ]
+    top = math.inf if region.kind == "all" else _INTERFACE_ORDER
     rows = tuple(
         ConvergenceRow(g, v, order, err)
-        for g, v, (order, err) in zip(grids, values, _richardson(values))
+        for g, v, (order, err) in zip(grids, values, _richardson(values, top))
     )
     return ConvergenceStudy(
         rows=rows,

@@ -167,8 +167,9 @@ def verify_prel(
     The rows come from one quadrature pass over `grid`. tol_margin, when
     not given, is set per row to 3x the Richardson error estimate of the
     row's dominant term (lhs, term1 or term2), from that term on the grids
-    G/4, G/2 and G; one pass evaluates all three levels, the coarse ones on
-    G's lattice. The grid's sides must then be divisible by 4 and at least
+    G/4, G/2 and G, crediting no order above the interface's (see
+    `quadrature._richardson`); one pass evaluates all three levels, the
+    coarse ones on G's lattice. The grid's sides must then be divisible by 4 and at least
     64. h_sup_override replaces the measured node max in C. With eps0, the
     same pass also gives `corollary`: `corollary_check(spec, eps0, grid)`.
     """
@@ -223,7 +224,7 @@ def verify_prel(
         else:
             dominant = max(range(3), key=lambda i: abs(terms[i]))
             ladder_values = [_terms(level[k], c_const)[dominant] for level in levels]
-            _, err = quad._richardson(ladder_values)[-1]
+            _, err = quad._richardson(ladder_values, quad._INTERFACE_ORDER)[-1]
             tol = 3.0 * err
         rows.append(
             EpsRow(

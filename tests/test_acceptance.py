@@ -164,8 +164,8 @@ def test_a4_inequality_margins(capsys):
 def test_a5_sharpness_ladders(capsys):
     # [DERIVED] at 512^2 depth 8 the |normalized gap| ladders are strictly
     # decreasing and at least halve from eps=0.4 to eps=0.05; frozen runs:
-    # b=2.0: 0.11587 0.04597 0.02195 0.01233
-    # b=1.5: 0.45178 0.09572 0.03986 0.01921
+    # b=2.0: 0.11589 0.04564 0.02063 0.00985
+    # b=1.5: 0.45178 0.09566 0.03962 0.01826
     grid = GridSpec(512, 512, 8)
     ladder = (0.4, 0.2, 0.1, 0.05)
     problems = []

@@ -1,6 +1,9 @@
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
-from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from umbilic import quadrature as q
 from umbilic import tape
 from umbilic.errors import SingularEvaluationError
 from umbilic.geometry import classification_values, point_geometry
-from umbilic.surfaces import POLAR_MARGIN, preset
+from umbilic.surfaces import POLAR_MARGIN, interior_axes, preset
 from oracles import revolution_integrals
 from tests.test_geometry import flat_nodes, plane_spec
 
@@ -91,7 +94,7 @@ def test_ladder_pass_rejects_a_ladder_that_does_not_double(eps_values):
     ell = preset("ellipsoid_rev")
     with pytest.raises(ValueError, match=r"cannot end at 66x66: the sides are not divisible by 4"):
         q._ladder_pass(ell, q.GridSpec(66, 66, 2), (q.AREA,), eps_values, 3)
-    # a ladder longer than KF is checked before it splits into two passes
+    # a ladder whose coarsest level would fall below MIN_CELLS is refused too
     with pytest.raises(ValueError, match=r"coarsest level would fall below 16x16"):
         q._ladder_pass(ell, q.GridSpec(64, 64, 2), (q.AREA,), eps_values, 4)
 
@@ -388,11 +391,64 @@ def test_torus_sublevel_empty_is_exact_zero():
 
 
 def test_sphere_sublevel_is_everything():
-    # [TRIVIAL] the sphere is totally umbilic: |hring| = 0 < eps everywhere
+    # [TRIVIAL] the sphere is totally umbilic: |hring| = 0 < eps everywhere,
+    # so every cell lies inside and takes the inside rule, fourth order,
+    # which the whole-surface midpoint sum (second order) trails: errors
+    # -6.3e-6 and +1.3e-3 here
     sph = preset("sphere")
     g = q.GridSpec(64, 64, 4)
-    a = q.integrate(sph, area_field, g)
-    assert q.integrate(sph, area_field, g, q.sublevel(0.05)) == a
+    whole = q.integrate(sph, area_field, g)
+    region = q.integrate(sph, area_field, g, q.sublevel(0.05))
+    assert abs(region - 4 * math.pi) < 1e-5 < 1e-3 < abs(whole - 4 * math.pi)
+
+
+def _outside_r(spec, g, eps, monkeypatch):
+    """Integral of R over |hring| >= eps, by the pass itself: with |hring|
+    read as 1 + eps - |hring| at every node, the sublevel region at 1 is the
+    complement, and each cell's level is the negated level (valid while
+    sup |hring| <= 1 + eps)."""
+    real_full, real_classified = q._full, q._classified
+    flip = lambda n2: (1.0 + eps - np.sqrt(np.maximum(n2, 0.0))) ** 2
+
+    def full(*args, classify=False, **kwargs):
+        out = real_full(*args, classify=classify, **kwargs)
+        return (out[0], flip(out[1]), *out[2:]) if classify else out
+
+    def classified(*args):
+        n2, *rest = real_classified(*args)
+        return (flip(n2), *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(q, "_full", full)
+        m.setattr(q, "_classified", classified)
+        return q.integrate(spec, r_field, g, q.sublevel(1.0))
+
+
+def _additivity_error(depth, monkeypatch):
+    """The relative gap between the sublevel(0.25) and |hring| >= 0.25 sums
+    of R on ellipsoid_rev (sup |hring| 0.544) and the sum over every cell
+    by the inside rule, the region at eps = 1; with the cut cells left out
+    (their rule giving 0), the gap is 3.9e-2 at depth 0."""
+    ell = preset("ellipsoid_rev")
+    g = q.GridSpec(64, 64, depth)
+    every = q.integrate(ell, r_field, g, q.sublevel(1.0))
+    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
+    hi = _outside_r(ell, g, 0.25, monkeypatch)
+    assert 0.0 < lo < hi
+    return abs(lo + hi - every) / every
+
+
+def test_additivity_no_refinement(monkeypatch):
+    # the region and its complement partition the cells: the uncut ones
+    # take the inside rule on one side, the cut ones split their four
+    # triangles, which differs from the inside rule by O(h^2) along the
+    # interface only: 5.2e-5 here
+    assert _additivity_error(0, monkeypatch) < 1e-4
+
+
+def test_additivity_with_refinement(monkeypatch):
+    # 2 x 2 sub-lattices at the interface shrink that difference: 4.3e-6
+    assert _additivity_error(6, monkeypatch) < 1e-5
 
 
 def lattice_nodes(spec, g, *, centers):
@@ -400,311 +456,120 @@ def lattice_nodes(spec, g, *, centers):
     return flat_nodes(*q._lattice(spec, g, centers=centers))
 
 
-def _straddling(spec, g, eps):
-    """(base-center values of |hring|^2 and field * dA, mask of the base cells
-    counted outside before refinement, du, dv, refinement state of the
-    straddling cells), classified as a one-level pass does: at depth 0 every
-    cell whose center is outside, else the all-out cells."""
-    _, _, du, dv = q._axes(spec, g)
-    ug, vg = lattice_nodes(spec, g, centers=False)
-    n2_corner, _, _ = q._classified(spec, ug, vg)
-    _, n2_center, base = q._full(spec, (r_field,), *lattice_nodes(spec, g, centers=True), classify=True)
-    inside_center = (n2_center < eps * eps).reshape(g.nu, g.nv)
-    all_in, straddle, corners = q._base_split(
-        (n2_corner < eps * eps).reshape(g.nu + 1, g.nv + 1), inside_center
-    )
-    lower = q._masked(*q._lattice(spec, g, centers=False), straddle.reshape(g.nu, g.nv))
-    # one-level pass: every straddling cell has membership 0
-    state = (
-        *lower, *(c[straddle] for c in corners), inside_center.ravel()[straddle],
-        np.zeros(np.count_nonzero(straddle), dtype=np.int8),
-    )
-    outside = ~inside_center.ravel() if g.adaptive_depth == 0 else ~(all_in | straddle)
-    return base, outside, du, dv, state
+def test_inside_rule_integrates_a_cubic_exactly():
+    # (T + 2M)/3 over the cell [0, 1]^2: the mean of every monomial of degree
+    # at most 3, to roundoff; x^2 y^2 (degree 4) is off, by its h^4 term
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    for a in range(4):
+        for b in range(4 - a):
+            got = q._inside_rule(*(x**a * y**b for x, y in corners), 0.5 ** (a + b))
+            assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-15, abs=1e-15), (a, b)
+    assert q._inside_rule(0.0, 0.0, 0.0, 1.0, 1 / 16) != pytest.approx(1 / 9)
 
 
-def _outside_r(spec, g, eps):
-    """Integral of R over |hring| >= eps: the complement of sublevel(eps),
-    summed over the outside base cells and the outside refined leaves."""
-    base, outside, du, dv, state = _straddling(spec, g, eps)
-    total = float(np.sum(base[outside])) * du * dv
-    for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
-        if (~inside).any():
-            (vals,) = q._full(spec, (r_field,), us[~inside], vs[~inside])
-            total += float(np.sum(vals)) * area
-    return total
+def _clipped_integral(points, level, density):
+    """The integral of a linear density over the part of a triangle where a
+    linear level is negative, by clipping the triangle to that half-plane
+    and taking the polygon's area times the density at its centroid."""
+    poly = []
+    for k in range(3):
+        p, r = points[k], points[(k + 1) % 3]
+        lp, lr = level(p), level(r)
+        if lp < 0:
+            poly.append(p)
+        if (lp < 0) != (lr < 0):
+            t = lp / (lp - lr)
+            poly.append(p + t * (r - p))
+    if len(poly) < 3:
+        return 0.0
+    x, y = np.array(poly).T
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    area = cross.sum() / 2.0
+    centroid = np.array([((a + np.roll(a, -1)) * cross).sum() for a in (x, y)]) / (6.0 * area)
+    return abs(area) * density(centroid)
 
 
-def test_additivity_no_refinement():
-    # complementary classification over the identical node set
-    ell = preset("ellipsoid_rev")
-    g = q.GridSpec(64, 64, 0)
-    whole = q.integrate(ell, r_field, g)
-    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
-    hi = _outside_r(ell, g, 0.25)
-    assert lo + hi == pytest.approx(whole, rel=1e-12)
+@pytest.mark.parametrize("inside", [0, 1, 2, 3])
+def test_cut_rule_integrates_linear_level_and_density_exactly(inside):
+    # on a triangle, the cut rule's value times the triangle's area is the
+    # integral of a linear density over the part where a linear level is
+    # negative, with 0, 1, 2 or 3 vertices inside; the levels -l give the
+    # complement (no vertex on the zero line)
+    rng = np.random.default_rng(inside)
+    for _ in range(20):
+        points = rng.uniform(-1.0, 1.0, (3, 2))
+        (ux, uy), (vx, vy) = points[1] - points[0], points[2] - points[0]
+        area = abs(ux * vy - uy * vx) / 2.0
+        grad, density_grad = rng.normal(size=2), rng.normal(size=2)
+        s = np.sort(points @ grad)
+        shift = s[0] - 1.0 if inside == 0 else s[2] + 1.0 if inside == 3 else (
+            s[inside - 1] + s[inside]) / 2.0
+        level = lambda p: p @ grad - shift
+        density = lambda p: 2.0 + p @ density_grad
+        levels = np.array([[level(p)] for p in points])
+        assert np.count_nonzero(levels < 0) == inside
+        dens = np.array([[density(p)] for p in points])
+        zero = np.zeros((3, 1))
+        (got,) = q._cut_rule(levels, zero, dens, zero) * area
+        assert got == pytest.approx(_clipped_integral(points, level, density), rel=1e-12, abs=1e-15)
+        (rest,) = q._cut_rule(-levels, zero, dens, zero) * area
+        assert got + rest == pytest.approx(area * dens.mean(), rel=1e-12)
 
 
-def test_additivity_with_refinement():
-    # refined sides partition the surface; differs from the base-grid
-    # whole-surface sum only by the local refinement correction
-    ell = preset("ellipsoid_rev")
-    whole = q.integrate(ell, r_field, q.GridSpec(64, 64, 0))
-    g = q.GridSpec(64, 64, 6)
-    lo = q.integrate(ell, r_field, g, q.sublevel(0.25))
-    hi = _outside_r(ell, g, 0.25)
-    assert lo + hi == pytest.approx(whole, rel=1e-3)
+def test_crossing_is_the_root_of_the_quadratic_along_the_edge():
+    # with half the second difference along the edge, the crossing is the
+    # quadratic's root in [0, 1]; without it, the secant root
+    for lp, root, c in [(-0.3, 0.4, 0.2), (0.5, 0.7, -0.3), (-1.0, 0.05, 0.9), (0.2, 0.99, 0.1)]:
+        lq = c + (-lp / root - c * root) + lp  # the quadratic lp + b t + c t^2 through the root
+        assert (lp < 0) != (lq < 0)
+        lp, lq = np.array(lp), np.array(lq)
+        assert q._crossing(lp, lq, np.array(c)) == pytest.approx(root, rel=1e-13)
+        assert q._crossing(lp, lq, np.array(0.0)) == pytest.approx(lp / (lp - lq))
 
 
-def test_refined_leaves_tile_straddling_cells():
-    # the leaves of the straddling base cells, inside and outside, cover
-    # exactly their area: leaf areas are the base area over powers of 4
-    ell, eps = preset("ellipsoid_rev"), 0.25
-    g = q.GridSpec(64, 64, 6)
-    _, _, du, dv, state = _straddling(ell, g, eps)
-    leaves = list(q._refined_leaves(ell, eps, state, du, dv, g.adaptive_depth))
-    n_straddle = state[0].size
-    assert n_straddle > 0 and len(leaves) > 1
-    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, *_ in leaves)
-    assert tiled == n_straddle
+@pytest.mark.parametrize("name, eps, bent", [
+    ("ellipsoid_tri", 0.01, True), ("ellipsoid_tri", 0.1, False), ("ellipsoid_rev", 0.1, False),
+])
+def test_bent_cells_lie_at_a_generic_umbilic(name, eps, bent):
+    # |hring| is a cone at a generic umbilic and smooth elsewhere: at 256^2
+    # every straddling cell of ellipsoid_tri's eps 0.01 region, a few cells
+    # across around each umbilic, is bent (48 cells); none of its eps 0.1
+    # interface, farther out, and none of ellipsoid_rev's
+    g = q.GridSpec(256, 256, 6)
+    spec = preset(name)
+    corner = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=False))[0])
+    mid = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=True))[0])
+    corners, mid = q._quads(corner.reshape(g.nu + 1, g.nv + 1)), mid.reshape(g.nu, g.nv)
+    _, straddle = q._cells(corners, mid, eps)
+    assert straddle.any()
+    assert (q._bent(corners, mid)[straddle] == bent).all()
 
 
-def test_leaf_centers_keep_the_bits_of_the_corner_arithmetic():
-    # a cell carries its lower corner as a row of a per-level table whose
-    # rows take the expression corner + a h level by level; so each leaf
-    # center holds, bit for bit, one of the centers that this arithmetic
-    # reaches from the base corners: corner + q or corner + 3 q, q a
-    # quarter of the cell side
-    spec, eps = preset("ellipsoid_tri"), 0.25
-    g = q.GridSpec(64, 64, 4)
-    _, _, du, dv, state = _straddling(spec, g, eps)
-
-    def centers(corners, side):
-        out = set()
-        for _ in range(g.adaptive_depth):
-            h, quarter = side / 2.0, side / 4.0
-            for x in (corners + quarter, corners + 3 * quarter):
-                out.update(x.view(np.uint64).tolist())
-            corners, side = np.concatenate([corners + 0 * h, corners + 1 * h]), h
-        return out
-
-    reach = centers(np.unique(state[0]), du), centers(np.unique(state[1]), dv)
-    leaves = list(q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth))
-    assert leaves
-    for leaf in leaves:
-        for x, bits in zip((leaf.us, leaf.vs), reach):
-            assert set(np.asarray(x).view(np.uint64).tolist()) <= bits
-
-
-def _probed_leaves(monkeypatch, spec, g, eps):
-    """(leaves as (us, vs, area, inside), [(us, vs) of every _classified
-    call], du, dv, straddling base cells) of _refined_leaves on the
-    straddling cells of grid g."""
-    _, _, du, dv, state = _straddling(spec, g, eps)
-    calls = []
-    real = q._classified
-
-    def recording(spec, us, vs):
-        # a probe batch may come as tables and row indices (tape.Rows)
-        calls.append((np.asarray(us), np.asarray(vs)))
-        return real(spec, us, vs)
-
-    monkeypatch.setattr(q, "_classified", recording)
-    leaves = [(np.asarray(leaf.us), np.asarray(leaf.vs), *leaf[2:4])
-              for leaf in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth)]
-    return leaves, calls, du, dv, state[0].size
-
-
-def test_refinement_probes_eight_per_cell_then_four_at_the_last_level(monkeypatch):
-    # a cell entering level k < d-2 probes its 4 edge midpoints and 4 child
-    # centers; at the last level every child is a leaf, so only the 4
-    # child centers are probed. At level d-2 every straddling child splits
-    # once more, so a child whose parent corner and the parent center
-    # disagree is probed nowhere: an edge midpoint is probed for an open
-    # child beside it (corner and center agree), a child center for an open
-    # child (no coarse tree ends there in a one-level pass). n_k, the cells
-    # entering level k, follows from the leaf areas: n_{k+1} = 4 n_k -
-    # (leaves of area base / 4^(k+1))
-    ell, eps = preset("ellipsoid_rev"), 0.25
-    g = q.GridSpec(64, 64, 6)
-    leaves, calls, du, dv, n_straddle = _probed_leaves(monkeypatch, ell, g, eps)
-    d = g.adaptive_depth
-    per_level = [0] * d
-    for us, _, area, _ in leaves:
-        per_level[round(math.log(du * dv / area, 4)) - 1] += us.size
-    n = [n_straddle]
-    for k in range(d - 1):
-        n.append(4 * n[k] - per_level[k])
-    assert per_level[d - 1] == 4 * n[d - 1] > 0
-    # the cells entering level d-2 hold every leaf one or two levels below
-    # them; their corner and center flags decide that level's probes
-    u0, v0, _, _ = q._axes(ell, g)
-    hu, hv = du / 2 ** (d - 2), dv / 2 ** (d - 2)
-    cells = set()
-    for us, vs, area, _ in leaves:
-        if area < du * dv / 4 ** (d - 2):
-            cells.update(zip(np.floor((us - u0) / hu).tolist(), np.floor((vs - v0) / hv).tolist()))
-    assert len(cells) == n[d - 2]
-    iu, iv = np.array(sorted(cells)).T
-    cu, cv = u0 + iu * hu, v0 + iv * hv
-
-    def inside(a, b):
-        return classification_values(ell, cu + a * hu, cv + b * hv)[0] < eps**2
-
-    o = [inside(a, b) == inside(0.5, 0.5) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    before_last = sum(
-        int(np.count_nonzero(x)) for x in (o[0] | o[1], o[0] | o[2], o[1] | o[3], o[2] | o[3], *o)
-    )
-    assert 0 < before_last < 8 * n[d - 2]
-    sizes = [us.size for us, _ in calls]
-    assert sizes == [8 * x for x in n[: d - 2]] + [before_last, 4 * n[d - 1]]
-
-
-def test_max_depth_leaves_take_their_center_probe(monkeypatch):
-    # every max-depth leaf is flagged from the order-2 value at its own
-    # child-center probe, whether its cell is uniform or still straddling
-    ell, eps = preset("ellipsoid_rev"), 0.25
-    g = q.GridSpec(64, 64, 6)
-    leaves, calls, du, dv, _ = _probed_leaves(monkeypatch, ell, g, eps)
-    pu, pv = calls[-1]
-    n2, _, _ = classification_values(ell, pu, pv)
-    # fine-lattice index of a point: probes and leaf centers sit mid-cell
-    u0, v0, _, _ = q._axes(ell, g)
-    fu, fv = du / 2**g.adaptive_depth, dv / 2**g.adaptive_depth
-
-    def index(us, vs):
-        return list(zip(np.floor((us - u0) / fu).tolist(), np.floor((vs - v0) / fv).tolist()))
-
-    probed = dict(zip(index(pu, pv), (n2 < eps**2).tolist()))
-    deepest = [(us, vs, inside) for us, vs, area, inside in leaves if area == fu * fv]
-    keys = [k for us, vs, _ in deepest for k in index(us, vs)]
-    assert sorted(keys) == sorted(probed) and len(keys) == pu.size
-    flags = np.concatenate([inside for _, _, inside in deepest]).tolist()
-    assert flags == [probed[k] for k in keys]
-    assert any(flags) and not all(flags)
-
-
-def test_depth_one_probes_only_child_centers(monkeypatch):
-    # depth 1: the only level is the last, 4 probes per straddling base
-    # cell, and its 4 leaves tile that cell exactly
-    ell, eps = preset("ellipsoid_rev"), 0.25
-    g = q.GridSpec(64, 64, 1)
-    leaves, calls, du, dv, n_straddle = _probed_leaves(monkeypatch, ell, g, eps)
-    assert n_straddle > 0
-    assert sum(us.size for us, _ in calls) == 4 * n_straddle
-    tiled = sum(Fraction(area) / Fraction(du * dv) * us.size for us, _, area, _ in leaves)
-    assert tiled == n_straddle
-
-
-def _reference_leaves(spec, g, eps):
-    """A brute-force refinement tree: probe each cell's 4 corners and center,
-    split it while they disagree, and classify the children at max depth by
-    their centers. {(halvings, twice the fine-lattice index of the center):
-    (area, inside, |H|, sqrt(det g))} for each leaf below the base cells."""
-    u0, v0, du, dv = q._axes(spec, g)
-    depth = g.adaptive_depth
-    fu, fv = du / 2**depth, dv / 2**depth
-    iu, iv = np.meshgrid(np.arange(g.nu), np.arange(g.nv), indexing="ij")
-    us, vs = u0 + iu.ravel() * du, v0 + iv.ravel() * dv
-    leaves = {}
-    for r in range(depth + 1):
-        hu, hv = du / 2**r, dv / 2**r
-        n2, h, sdg = classification_values(spec, us + hu / 2, vs + hv / 2)
-        flags = [n2 < eps**2]
-        if r < depth:
-            flags += [
-                classification_values(spec, us + a * hu, vs + b * hv)[0] < eps**2
-                for a in (0, 1) for b in (0, 1)
-            ]
-        split = np.any(flags, axis=0) & ~np.all(flags, axis=0)
-        if r > 0:
-            ku = np.rint(2 * (us + hu / 2 - u0) / fu).astype(int).tolist()
-            kv = np.rint(2 * (vs + hv / 2 - v0) / fv).astype(int).tolist()
-            for k in np.flatnonzero(~split).tolist():
-                leaves[(r, ku[k], kv[k])] = (hu * hv, bool(flags[0][k]), abs(h[k]), sdg[k])
-        us, vs = (
-            np.concatenate([x[split] + s * w for s in steps])
-            for x, w, steps in ((us, hu / 2, (0, 0, 1, 1)), (vs, hv / 2, (0, 1, 0, 1)))
-        )
-    return leaves
-
-
-def _assert_reference_leaves(spec, g, eps):
-    """The leaves of _refined_leaves on the straddling cells of grid g are
-    those of the brute-force tree: same lattice keys, areas and inside
-    flags, |H| and sqrt(det g) within 1e-12 relative."""
-    u0, v0, du, dv = q._axes(spec, g)
-    depth = g.adaptive_depth
-    fu, fv = du / 2**depth, dv / 2**depth
-    _, _, _, _, state = _straddling(spec, g, eps)
-    got = {}
-    for leaf in q._refined_leaves(spec, eps, state, du, dv, depth):
-        ku = np.rint(2 * (np.asarray(leaf.us) - u0) / fu).astype(int).tolist()
-        kv = np.rint(2 * (np.asarray(leaf.vs) - v0) / fv).astype(int).tolist()
-        for k in range(leaf.us.size):
-            key = (leaf.depth, ku[k], kv[k])
-            assert key not in got
-            got[key] = (leaf.area, bool(leaf.inside[k]), leaf.abs_h[k], leaf.sqrt_detg[k])
-    want = _reference_leaves(spec, g, eps)
-    assert got and sorted(got) == sorted(want)
-    for key, (area, inside, abs_h, sdg) in want.items():
-        assert got[key][:2] == (area, inside), key
-        assert got[key][2:] == pytest.approx((abs_h, sdg), rel=1e-12, abs=0.0), key
-    return want
-
-
-@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
-@pytest.mark.parametrize("depth", [1, 2, 3, 5])
-def test_refined_leaves_match_a_brute_force_tree(name, depth):
-    # the tree probes fewer points than the reference (shared corners once,
-    # none where a child must straddle), yet gives the same leaves; at depth
-    # 2 the level before the last is the base cells' first split
-    _assert_reference_leaves(preset(name), q.GridSpec(64, 64, depth), 0.25)
-
-
-def test_level_before_last_may_probe_nothing(monkeypatch):
-    # a cell with only its center inside and membership 0: at level d-2 all
-    # four children straddle (outer corner out, inner corner in) and no
-    # coarse tree ends there, so that level probes no point; each child
-    # still splits once more, into 4 leaves classified by their centers
-    spec, eps, depth = preset("ellipsoid_tri"), 0.25, 2
-    u0, v0, du, dv = q._axes(spec, q.GridSpec(64, 64, depth))
-    cu, cv = u0 + 20 * du, v0 + 30 * dv
-    out = np.zeros(1, dtype=bool)
-    state = (*(tape.Rows(np.array([x]), np.zeros(1, dtype=np.intp)) for x in (cu, cv)),
-             out, out, out, out, ~out, np.zeros(1, dtype=np.int8))
-    calls = []
-    real = q._classified
-
-    def recording(spec, us, vs):
-        calls.append(us.size)
-        return real(spec, us, vs)
-
-    monkeypatch.setattr(q, "_classified", recording)
-    leaves = list(q._refined_leaves(spec, eps, state, du, dv, depth))
-    assert calls == [16]
-    assert {(leaf.area, leaf.depth) for leaf in leaves} == {(du * dv / 16, depth)}
-    us, vs, inside = (np.concatenate([getattr(leaf, k) for leaf in leaves]) for k in ("us", "vs", "inside"))
-    grid = {(i, j) for i in range(4) for j in range(4)}
-    assert set(zip(np.rint((us - cu) / (du / 4) - 0.5).astype(int).tolist(),
-                   np.rint((vs - cv) / (dv / 4) - 0.5).astype(int).tolist())) == grid
-    assert us.size == 16
-    assert inside.tolist() == (real(spec, us, vs)[0] < eps**2).tolist()
-
-
-def test_region_of_isolated_cell_centers_at_depth_two(monkeypatch):
-    # ellipsoid_tri on 16 x 40 at depth 2, eps just above the least |hring|
-    # over the base midpoints: every straddling cell has only its center
-    # inside, so the level before the last probes nothing. The pass
-    # still runs, and its region area is that of the brute-force tree
-    spec, g = preset("ellipsoid_tri"), q.GridSpec(16, 40, 2)
-    us, vs = q._lattice(spec, g, centers=True)
-    eps = 1.0001 * math.sqrt(float(classification_values(spec, us, vs)[0].min()))
-    vol = q.region_integrals(spec, [eps], g)[0].vol_omega_c
-    want = _assert_reference_leaves(spec, g, eps)
-    assert vol == pytest.approx(sum(a * s for a, inside, _, s in want.values() if inside), rel=1e-12)
-    _, calls, _, _, n_straddle = _probed_leaves(monkeypatch, spec, g, eps)
-    assert n_straddle > 0 and [u.size for u, _ in calls] == [16 * n_straddle]
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_sublattice_replays_bit_identically_to_its_nodes_flat(order):
+    # a straddling cell's m x m sub-lattice, a broadcast pair (K, n, 1) and
+    # (K, 1, n), replays to the bits of the same nodes given flat, in one
+    # batch and in several (m = 16 on 80 cells spans two); its first corner
+    # is the cell's lower corner from the lattice, bit for bit
+    spec, g = preset("ellipsoid_tri"), q.GridSpec(32, 32)
+    fields = q._REGION_FIELDS if order == 3 else (q.AREA, q.TOTAL_R)
+    ug, vg = q._lattice(spec, g, centers=False)
+    for m, count in ((1, 3), (2, 3), (16, 80)):
+        cells = np.zeros((g.nu, g.nv), dtype=bool)
+        cells.ravel()[np.linspace(0, cells.size - 1, count).astype(int)] = True
+        iu, iv = np.nonzero(cells)
+        for us, vs in q._sublattice(spec, g, cells, m):
+            n = us.shape[1]
+            assert us.shape == (count, n, 1) and vs.shape == (count, 1, n)
+            got = q._full(spec, fields, us, vs, classify=True)
+            want = q._full(spec, fields, *(np.ravel(x) for x in np.broadcast_arrays(us, vs)),
+                           classify=True)
+            for a, b in zip(got[1:], want[1:]):
+                assert a.tobytes() == b.tobytes(), (order, m)
+            assert np.max(got[0]) == np.max(want[0])
+        corners, _ = q._sublattice(spec, g, cells, m)
+        assert corners[0][:, 0, 0].tobytes() == ug[iu, 0].tobytes()
+        assert corners[1][:, 0, 0].tobytes() == vg[0, iv].tobytes()
 
 
 def _field_values(pg):
@@ -716,178 +581,180 @@ def _field_values(pg):
     ("ellipsoid_rev", (0.4, 0.2, 0.1)),
     ("ellipsoid_tri", (0.4, 0.1, 0.05)),
 ])
-def test_region_sums_match_a_brute_force_ancestor_rule(name, eps_values):
-    # every region sum recomputed node by node: uniformly inside base cells
-    # at their midpoints, inside leaves at most KF halvings deep at their
-    # centers, deeper ones with the fields of their depth-KF ancestor (its
-    # center found by flooring the leaf center on that lattice) times their
-    # own area element; H_sup is the max |H| over the base midpoints and
-    # the inside leaf centers
-    spec = preset(name)
-    g = q.GridSpec(64, 64, 5)
+def test_region_sums_match_a_cell_by_cell_reference(name, eps_values):
+    # the plain lattice (depth 0, m = 1) summed cell by cell from
+    # point_geometry at its corners and midpoints: the inside rule where a
+    # cell's five nodes lie inside, the cut rule on the four triangles of a
+    # straddling cell, the curvature along each half-diagonal from the
+    # opposite corner; H_sup is the max |H| over every corner and midpoint
+    spec, g = preset(name), q.GridSpec(32, 32, 0)
     (got,) = q._ladder_pass(spec, g, q._REGION_FIELDS, eps_values)
-    u0, v0, du, dv = q._axes(spec, g)
+    _, _, du, dv = q._axes(spec, g)
+    corner = point_geometry(spec, *lattice_nodes(spec, g, centers=False))
     mid = point_geometry(spec, *lattice_nodes(spec, g, centers=True))
-    base = _field_values(mid) * mid.sqrt_detg
-    n2_corner, _, _ = classification_values(spec, *lattice_nodes(spec, g, centers=False))
-    n2_corner = n2_corner.reshape(g.nu + 1, g.nv + 1)
-    h_sup = float(np.max(np.abs(mid.H)))
-    fu, fv = du / 2**q.KF, dv / 2**q.KF
-    deep_leaves = 0
+    fc = (_field_values(corner) * corner.sqrt_detg).reshape(-1, g.nu + 1, g.nv + 1)
+    fm = (_field_values(mid) * mid.sqrt_detg).reshape(-1, g.nu, g.nv)
+    hc = np.sqrt(np.maximum(corner.hring_norm2, 0.0)).reshape(g.nu + 1, g.nv + 1)
+    hm = np.sqrt(np.maximum(mid.hring_norm2, 0.0)).reshape(g.nu, g.nv)
+    cut = 0
     for eps, sums in zip(eps_values, got.region):
-        c = n2_corner < eps**2
-        all_in = (c[:-1, :-1] & c[1:, :-1] & c[:-1, 1:] & c[1:, 1:]).ravel()
-        all_in &= mid.hring_norm2 < eps**2
-        want = base[:, all_in].sum(axis=1) * du * dv
-        _, _, _, _, state = _straddling(spec, g, eps)
-        for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
-            us, vs = np.asarray(us)[inside], np.asarray(vs)[inside]
-            if us.size == 0:
-                continue
-            leaf = point_geometry(spec, us, vs)
-            h_sup = max(h_sup, float(np.max(np.abs(leaf.H))))
-            if round(math.log(du * dv / area, 4)) <= q.KF:
-                want += (_field_values(leaf) * leaf.sqrt_detg).sum(axis=1) * area
-                continue
-            deep_leaves += us.size
-            au = u0 + (np.floor((us - u0) / fu) + 0.5) * fu
-            av = v0 + (np.floor((vs - v0) / fv) + 0.5) * fv
-            want += (_field_values(point_geometry(spec, au, av)) * leaf.sqrt_detg).sum(axis=1) * area
-        assert list(sums) == pytest.approx(want.tolist(), rel=1e-12, abs=0.0)
-    assert deep_leaves > 0
-    assert got.h_sup == h_sup
+        want = np.zeros(len(q._REGION_FIELDS))
+        for i in range(g.nu):
+            for j in range(g.nv):
+                ring = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                values = [np.append(fc[:, a, b], hc[a, b] - eps) for a, b in ring]
+                centre = np.append(fm[:, i, j], hm[i, j] - eps)
+                below = [x[-1] < 0 for x in (*values, centre)]
+                if all(below):
+                    want += (sum(values)[:-1] / 4.0 + 2.0 * centre[:-1]) / 3.0 * (du * dv)
+                elif any(below):
+                    cut += 1
+                    for a in range(4):
+                        b = (a + 1) % 4
+                        tri = np.array([values[a], values[b], centre])
+                        diag = [(values[x] + values[(x + 2) % 4]) / 2.0 - centre for x in (a, b)]
+                        curve = np.array([np.zeros_like(centre), diag[1], diag[0]])
+                        for k in range(len(want)):
+                            (part,) = q._cut_rule(tri[:, -1:], curve[:, -1:], tri[:, k : k + 1],
+                                                  curve[:, k : k + 1])
+                            want[k] += part * (du * dv / 4.0)
+        assert list(sums) == pytest.approx(want.tolist(), rel=1e-12, abs=1e-300)
+    assert cut > 0
+    assert got.h_sup == max(np.max(np.abs(corner.H)), np.max(np.abs(mid.H)))
 
 
-# Ratchet on the full-geometry nodes of a region_integrals pass over
-# ellipsoid_rev(1, 2), 128^2, depth 6, eps 0.4, 0.2, 0.1, 0.05: besides one
-# order-2 node per base midpoint, the order-3 nodes at the midpoints inside
-# the eps 0.4 region, the inside leaves at most KF halvings deep, and the
-# distinct depth-KF ancestors of the deeper inside leaves, counted per
-# threshold (113,152 order-3 nodes when every inside leaf had its own
-# evaluation, 27,136 when every midpoint was order 3). Lower them when the
-# pass needs fewer; never raise them.
-FULL_NODE_BOUNDS = {"midpoints": 4608, "shallow leaves": 2560, "ancestors": 8192}
+# Ratchet on the sub-lattice nodes of region_integrals passes, per pass: a
+# straddling cell takes (m + 1)^2 corners and m^2 midpoints, m = 2 at depth
+# 6 where |hring| is smooth and 16 where it bends (a generic umbilic).
+# Lower a bound when the pass needs fewer nodes; never raise one.
+SUB_NODE_BOUNDS = {
+    ("ellipsoid_rev", (0.4, 0.2, 0.1, 0.05)): 13312,
+    ("ellipsoid_tri", (0.4, 0.1, 0.05)): 80056,
+}
 
 
-def test_full_geometry_nodes_stay_bounded(monkeypatch):
-    spec, g, eps_values = preset("ellipsoid_rev"), q.GridSpec(128, 128, 6), (0.4, 0.2, 0.1, 0.05)
-    u0, v0, du, dv = q._axes(spec, g)
-    fu, fv = du / 2**q.KF, dv / 2**q.KF
-    n2_mid, _, _ = classification_values(spec, *q._lattice(spec, g, centers=True))
-    inner = int(np.count_nonzero(n2_mid < eps_values[0] ** 2))
-    shallow = ancestors = 0
-    for eps in eps_values:
-        _, _, _, _, state = _straddling(spec, g, eps)
-        keys = set()
-        for us, vs, area, inside, *_ in q._refined_leaves(spec, eps, state, du, dv, g.adaptive_depth):
-            if round(math.log(du * dv / area, 4)) <= q.KF:
-                shallow += int(np.count_nonzero(inside))
-            else:
-                us, vs = np.asarray(us), np.asarray(vs)
-                iu, iv = np.floor((us[inside] - u0) / fu), np.floor((vs[inside] - v0) / fv)
-                keys.update(zip(iu.tolist(), iv.tolist()))
-        ancestors += len(keys)
-    nodes = {2: 0, 3: 0}
-    real = q.geometry._kernel
+@pytest.mark.parametrize("name, eps_values", sorted(SUB_NODE_BOUNDS))
+def test_sub_lattice_nodes_stay_bounded(name, eps_values, monkeypatch):
+    spec, g = preset(name), q.GridSpec(128, 128, 6)
+    counts = {}
+    real = q._sublattice
 
-    def counting(spec, key, order, fn, u, v):
-        # the node kernels with field densities; the classification has none
-        if key[0] == "nodes" and key[3]:
-            nodes[order] += np.broadcast(u, v).size
-        return real(spec, key, order, fn, u, v)
+    def counting(spec, g, cells, m):
+        nodes = real(spec, g, cells, m)
+        counts[m] = counts.get(m, 0) + sum(np.broadcast(*pair).size for pair in nodes)
+        return nodes
 
-    monkeypatch.setattr(q.geometry, "_kernel", counting)
+    monkeypatch.setattr(q, "_sublattice", counting)
     q.region_integrals(spec, eps_values, g)
-    assert nodes[2] == g.nu * g.nv
-    assert nodes[3] == inner + shallow + ancestors
-    assert nodes[3] <= sum(FULL_NODE_BOUNDS.values()), (inner, shallow, ancestors)
+    assert set(counts) <= {2, 16}
+    assert sum(counts.values()) <= SUB_NODE_BOUNDS[name, eps_values], counts
 
 
-def test_tree_nodes_take_one_kernel_call_per_threshold(monkeypatch):
-    # every inside leaf reads its own tree node or an ancestor, and after
-    # each threshold's tree one order-3 node-kernel call evaluates every
-    # node read (fewer than CHUNK here, so one batch); before the trees,
-    # only the inside midpoints' call
-    spec, g, eps_values = preset("ellipsoid_rev"), q.GridSpec(128, 128, 6), (0.4, 0.2, 0.1, 0.05)
-    calls, trees = [], []  # per order-3 call, the index of the running tree (-1: none)
-    real_kernel, real_tree = q.geometry._kernel, q._tree_sums
+@pytest.mark.parametrize("depth, sizes", [
+    (0, [1, 1]), (1, [2, 2]), (2, [2, 4]), (3, [2, 8]), (4, [2, 16]), (12, [2, 16]),
+])
+def test_depth_sets_the_sub_lattice_size(depth, sizes, monkeypatch):
+    # ellipsoid_tri at eps 0.02 has straddling cells where |hring| bends (at
+    # its umbilics) and where it is smooth (the eps 0.4 interface): the
+    # smooth group takes m = 2^min(depth, 1), the bent group 2^min(depth, 4)
+    ms = []
+    real = q._sublattice
 
-    def kernel(spec, key, order, fn, u, v):
-        if key[0] == "nodes" and key[3] and order == 3:
-            calls.append(len(trees) - 1)
-        return real_kernel(spec, key, order, fn, u, v)
+    def recording(spec, g, cells, m):
+        ms.append(m)
+        return real(spec, g, cells, m)
 
-    def tree(*args):
-        trees.append(args[4])
-        return real_tree(*args)
-
-    monkeypatch.setattr(q.geometry, "_kernel", kernel)
-    monkeypatch.setattr(q, "_tree_sums", tree)
-    q.region_integrals(spec, eps_values, g)
-    assert trees == list(eps_values)
-    assert calls == [-1, *range(len(eps_values))]
+    monkeypatch.setattr(q, "_sublattice", recording)
+    q.region_integrals(preset("ellipsoid_tri"), (0.4, 0.02), q.GridSpec(64, 64, depth))
+    assert ms == sizes
 
 
-# Ratchet on the order-2 classification nodes of the same pass: one per
-# base corner, then the refinement probes of the four thresholds' trees
-# (401,665 nodes in all when the level before the last probed 8 points per
-# cell). Lower them when the trees probe fewer; never raise them.
-PROBE_NODE_BOUNDS = {"corners": 16641, "probes": 335872}
+@pytest.mark.parametrize("m", [1, 2, 4, 16])
+def test_sub_lattices_are_nodes_of_the_refined_lattice(m):
+    # the corners and midpoints of cell (i, j)'s m x m sub-lattice are, bit
+    # for bit, the nodes (i m + a, j m + b) of the lattice of the grid
+    # refined m times (m a power of 2, so du / m is exact); so neighbouring
+    # cells share the nodes of their common edge
+    spec, g = preset("ellipsoid_tri"), q.GridSpec(16, 24)
+    cells = np.zeros((g.nu, g.nv), dtype=bool)
+    cells[3:5, 7:9] = cells[15, 0] = True
+    iu, iv = np.nonzero(cells)
+    for (us, vs), centers in zip(q._sublattice(spec, g, cells, m), (False, True)):
+        fine_u, fine_v = interior_axes(spec, g.nu * m, g.nv * m, centers=centers)
+        n = us.shape[1]
+        want_u = fine_u[iu[:, None] * m + np.arange(n)]
+        want_v = fine_v[iv[:, None] * m + np.arange(n)]
+        assert us[:, :, 0].tobytes() == want_u.tobytes()
+        assert vs[:, 0, :].tobytes() == want_v.tobytes()
+    (cu, cv), _ = q._sublattice(spec, g, cells, m)
+    assert cu[0, -1, 0] == cu[2, 0, 0] and cv[0, 0, -1] == cv[1, 0, 0]
 
 
-def test_classification_nodes_stay_bounded(monkeypatch):
-    spec, g = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0}), q.GridSpec(128, 128, 6)
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+def test_thresholds_share_the_order3_calls(name, monkeypatch):
+    # one pass serves every threshold: the midpoints at order 2, then at
+    # order 3 the inside cells' corners, the inside midpoints and the
+    # corners and midpoints of the smooth sub-lattice group; thresholds
+    # down to 0.2 cross no bent cell, so four of them take the calls of one
+    calls = []
+    real = q._full
+
+    def recording(spec, fields, us, vs, **kwargs):
+        calls.append(q._order((*fields, *kwargs.get("peaks", ()))))
+        return real(spec, fields, us, vs, **kwargs)
+
+    monkeypatch.setattr(q, "_full", recording)
+    for eps_values in ((0.4,), (0.4, 0.3, 0.25, 0.2)):
+        calls.clear()
+        q.region_integrals(preset(name), eps_values, q.GridSpec(128, 128, 6))
+        assert calls == [2, 3, 3, 3, 3], eps_values
+
+
+def test_ladder_evaluates_the_corner_lattice_once(monkeypatch):
+    # every level of a ladder reads G's order-2 corners at its stride: one
+    # classification call, of G's (nu + 1) x (nv + 1) corners, however many
+    # levels
+    g = q.GridSpec(128, 128, 4)
     sizes = []
     real = q._classified
 
-    def counting(spec, us, vs):
+    def recording(spec, us, vs):
         sizes.append(np.broadcast(us, vs).size)
         return real(spec, us, vs)
 
-    monkeypatch.setattr(q, "_classified", counting)
-    q.region_integrals(spec, (0.4, 0.2, 0.1, 0.05), g)
-    assert sizes[0] == (g.nu + 1) * (g.nv + 1) == PROBE_NODE_BOUNDS["corners"]
-    assert sum(sizes[1:]) <= PROBE_NODE_BOUNDS["probes"], sum(sizes[1:])
+    monkeypatch.setattr(q, "_classified", recording)
+    for levels in (1, 3):
+        sizes.clear()
+        q._ladder_pass(preset("ellipsoid_rev"), g, q._REGION_FIELDS, (0.5, 0.1), levels)
+        assert sizes == [(g.nu + 1) * (g.nv + 1)], levels
 
 
-# Ratchet on the u tables the same pass's refinement probes replay: a probe
-# batch reaches the classification as tables of its cells' lower-corner u
-# and v at five offsets and each probe's rows there (tape.Rows), and on this
-# surface of revolution, whose interface is a line u = const, every probe
-# replay runs its u-only calls on a table of a few rows. The rows of the u
-# tables summed over the probe replays: 272 in 32 replays (335,872 probes,
-# PROBE_NODE_BOUNDS). Lower the bound when the tables shrink; never raise it.
-PROBE_TABLE_ROWS = 272
-
-
-def test_probe_tables_stay_bounded(monkeypatch):
-    spec, g = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0}), q.GridSpec(128, 128, 6)
-    calls, rows = [], []  # per _classified call its nodes, per probe replay its u table's rows
-    real_classified, real_replay = q._classified, tape.Tape.replay
-
-    def classified(spec, us, vs):
-        calls.append(us)
-        try:
-            return real_classified(spec, us, vs)
-        finally:
-            calls.append(None)
-
-    def replay(self, *inputs):
-        if calls and calls[-1] is not None and calls[-1] is not calls[0]:
-            u = inputs[0]
-            rows.append(u.table.size if isinstance(u, tape.Rows) else None)
-        return real_replay(self, *inputs)
-
-    monkeypatch.setattr(q, "_classified", classified)
-    monkeypatch.setattr(tape.Tape, "replay", replay)
-    q.region_integrals(spec, (0.4, 0.2, 0.1, 0.05), g)
-    corners, *probes = calls[::2]
-    assert np.shape(corners) == (g.nu + 1, 1)  # the corners come as a lattice
-    assert all(isinstance(us, tape.Rows) for us in probes)
-    assert sum(us.index.size for us in probes) <= PROBE_NODE_BOUNDS["probes"]
-    # every probe replay ran its u-only calls on the table
-    assert rows and None not in rows
-    assert sum(rows) <= PROBE_TABLE_ROWS, (sum(rows), len(rows))
+def test_region_of_isolated_cell_centers_at_depth_two():
+    # ellipsoid_tri on 16 x 40 at depth 2, eps just above the least |hring|
+    # over the base midpoints: no cell lies inside, and every straddling one
+    # has only its midpoint inside, so the order-3 corner call is skipped.
+    # The cells bend (a generic umbilic), so they take 4 x 4 sub-lattices,
+    # and the region's area is that of 128 x 128 midpoint samples of those
+    # cells: -0.74% off here
+    spec, g = preset("ellipsoid_tri"), q.GridSpec(16, 40, 2)
+    us, vs = q._lattice(spec, g, centers=True)
+    mid = np.sqrt(classification_values(spec, us, vs)[0]).reshape(g.nu, g.nv)
+    corner = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=False))[0])
+    corners = q._quads(corner.reshape(g.nu + 1, g.nv + 1))
+    eps = 1.0001 * float(mid.min())
+    inside, straddle = q._cells(corners, mid, eps)
+    assert not inside.any() and straddle.any()
+    assert all(x[straddle].min() >= eps for x in corners)
+    assert q._bent(corners, mid)[straddle].all()
+    vol = q.region_integrals(spec, [eps], g)[0].vol_omega_c
+    u0, v0, du, dv = q._axes(spec, g)
+    n, want = 128, 0.0
+    for i, j in zip(*np.nonzero(straddle)):
+        fine_u = u0 + (i + (np.arange(n) + 0.5) / n) * du
+        fine_v = v0 + (j + (np.arange(n) + 0.5) / n) * dv
+        n2, _, sqrt_detg = classification_values(spec, fine_u[:, None], fine_v[None, :])
+        want += float(np.sum(sqrt_detg[n2 < eps**2])) * du * dv / n**2
+    assert vol == pytest.approx(want, rel=1e-2)
 
 
 def test_sublevel_volume_monotone_in_eps():
@@ -922,22 +789,23 @@ def test_region_integrals_against_dense_reference():
 
 
 # Ratchet bounds on |relative error| against the exact revolution oracle,
-# ellipsoid_rev(1, 2), depth 6: the measured errors of midpoint quadrature
-# with center-classified interface leaves, rounded up in the second
-# significant digit. Measured (signed, I_grad_hring): 256^2 -8.10e-3,
-# -2.73e-2, -4.61e-2; 512^2 -1.56e-3, -3.46e-3, -1.54e-2. Tighten them when
-# the quadrature gets more accurate; never loosen them.
+# ellipsoid_rev(1, 2), depth 6: the measured errors of the composite
+# lattice (the inside rule, cut cells on 2 x 2 sub-lattices at the
+# interface), rounded up in the second significant digit. Measured (signed,
+# I_grad_hring): 256^2 +6.39e-5, +4.28e-5, +1.42e-3; 512^2 +4.00e-5,
+# +2.71e-6, +1.47e-5. Tighten them when the quadrature gets more accurate;
+# never loosen them.
 # per grid, per eps: vol_omega_c, I_grad_hring, I_grad_H, I_grad_H_plain
 ORACLE_BOUNDS = {
     256: {
-        0.1: (1.4e-4, 8.1e-3, 8.1e-3, 1.5e-3),
-        0.05: (1.2e-3, 2.8e-2, 2.8e-2, 6.9e-3),
-        0.025: (1.2e-3, 4.7e-2, 4.7e-2, 1.3e-2),
+        0.1: (3.7e-6, 6.4e-5, 6.4e-5, 5.0e-6),
+        0.05: (1.3e-6, 4.3e-5, 4.3e-5, 4.2e-6),
+        0.025: (8.5e-6, 1.5e-3, 1.5e-3, 8.1e-5),
     },
     512: {
-        0.1: (1.8e-4, 1.6e-3, 1.6e-3, 1.4e-4),
-        0.05: (6.4e-4, 3.5e-3, 3.5e-3, 1.7e-5),
-        0.025: (1.2e-3, 1.6e-2, 1.6e-2, 4.8e-3),
+        0.1: (1.4e-7, 4.1e-5, 4.0e-5, 1.1e-6),
+        0.05: (3.2e-7, 2.8e-6, 2.7e-6, 6.3e-7),
+        0.025: (1.5e-7, 1.5e-5, 1.5e-5, 5.1e-7),
     },
 }
 
@@ -981,7 +849,7 @@ def test_region_integrals_sphere():
     sph = preset("sphere")
     rows = q.region_integrals(sph, [0.5, 0.1], q.GridSpec(64, 64, 4))
     for r in rows:
-        assert r.vol_omega_c == r.area
+        assert r.vol_omega_c == pytest.approx(r.area, rel=1e-3)
         assert abs(r.I_grad_hring) < 1e-20
         assert abs(r.I_grad_H) < 1e-20
         assert r.area == pytest.approx(4 * math.pi, rel=1e-3)
@@ -1060,11 +928,8 @@ def test_ladder_levels_equal_one_level_passes(name, params, eps, n, levels, dept
 
 @pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
 def test_five_level_ladder_equals_one_level_passes(name, params, eps):
-    # levels 3 and 4 sit more than KF levels above G, so they run as a
-    # second pass over G/2^KF, with its own refinement tree
     spec = preset(name, params)
     n, levels = 256, 5
-    assert levels - 1 > q.KF
     ladder = q._ladder_pass(spec, q.GridSpec(n, n, 4), q._REGION_FIELDS, eps, levels)
     for m, got in enumerate(reversed(ladder)):
         (ref,) = q._ladder_pass(spec, q.GridSpec(n >> m, n >> m, 4), q._REGION_FIELDS, eps)
@@ -1074,73 +939,6 @@ def test_five_level_ladder_equals_one_level_passes(name, params, eps):
         else:
             assert got.whole == ref.whole
             assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("name, params, eps", LADDER_SURFACES)
-def test_long_ladder_runs_as_two_passes(name, params, eps):
-    # a pass spans at most KF levels: a 5-level ladder is the 2-level pass
-    # over G/2^KF followed by the KF-level pass over G, bit for bit, and its
-    # G/2^KF level is the one-level pass over G/2^KF
-    spec = preset(name, params)
-    n, depth, levels = 256, 4, 5
-    low = q.GridSpec(n >> q.KF, n >> q.KF, depth)
-    ladder = q._ladder_pass(spec, q.GridSpec(n, n, depth), q._REGION_FIELDS, eps, levels)
-    coarse = q._ladder_pass(spec, low, q._REGION_FIELDS, eps, levels - q.KF)
-    fine = q._ladder_pass(spec, q.GridSpec(n, n, depth), q._REGION_FIELDS, eps, q.KF)
-    assert [_sums(p) for p in ladder] == [_sums(p) for p in coarse + fine]
-    assert ladder[levels - q.KF :] == fine
-    for p in ladder[: levels - q.KF]:
-        assert (p.h_sup, p.h_odd, p.peaks) == (None, None, None)
-    (ref,) = q._ladder_pass(spec, low, q._REGION_FIELDS, eps)
-    assert _sums(ladder[levels - q.KF - 1]) == _sums(ref)
-
-
-def test_ladder_probes_only_the_fine_grid_nodes(monkeypatch):
-    # the coarse levels read the fine lattice and the fine tree: per tree, a
-    # 3-level ladder evaluates the order-2 nodes of the one-level pass plus
-    # the child centers that G/2's leaves read at the level before the last,
-    # where G/2's tree ends and the one-level pass probes only the children
-    # it must; no added node twice
-    ell = preset("ellipsoid_rev")
-    g = q.GridSpec(128, 128, 4)
-    real_classified, real_leaves = q._classified, q._refined_leaves
-
-    def nodes(levels):
-        """(the nodes of the corner call, then of each tree; per tree the
-        centers of the coarse leaves at the level before the last)"""
-        trees, coarse = [[]], [[]]
-
-        def recording(spec, us, vs):
-            trees[-1] += zip(*(a.tolist() for a in flat_nodes(us, vs)))
-            return real_classified(spec, us, vs)
-
-        def refined(*args):
-            trees.append([])
-            coarse.append([])
-            for leaf in real_leaves(*args):
-                if leaf.lo > 0 and leaf.depth == g.adaptive_depth - 1:
-                    coarse[-1] += zip(np.asarray(leaf.us).tolist(), np.asarray(leaf.vs).tolist())
-                yield leaf
-
-        monkeypatch.setattr(q, "_classified", recording)
-        monkeypatch.setattr(q, "_refined_leaves", refined)
-        q._ladder_pass(ell, g, q._REGION_FIELDS, (0.5, 0.25, 0.1, 0.05), levels)
-        return trees, coarse
-
-    (single, unread), (ladder, coarse) = nodes(1), nodes(3)
-    assert len(single) == len(ladder) == 5 and not any(unread)
-    assert single[0] == ladder[0] and len(single[0]) == (g.nu + 1) * (g.nv + 1)
-    assert any(single[1:])
-    extra = 0
-    for one, many, read in zip(single[1:], ladder[1:], coarse[1:]):
-        added = set(read) - set(one)
-        assert len(read) == len(set(read))
-        # in evaluation order, the ladder's nodes less the added centers
-        # are the one-level pass's, and each added center comes once
-        assert [p for p in many if p not in added] == one
-        assert len(many) == len(one) + len(added)
-        extra += len(added)
-    assert extra > 0
 
 
 def test_plane_patch_area():
@@ -1240,7 +1038,34 @@ def test_unresolved_oscillation_reports_unstable():
     assert st.error_estimate > 0
 
 
+def test_an_order_above_the_rules_credits_only_the_rules():
+    # differences 1e-2 then 1e-5 read as order 9.97; a region's estimate
+    # credits at most the interface's order 2, from the difference before
+    # the last: 1e-2 / 4 / (4 - 1), where order 9.97 would give 1e-5 / 999
+    values = [1.0, 1.01, 1.01001]
+    (order, err), = q._richardson(values)[2:]
+    (capped_order, capped), = q._richardson(values, q._INTERFACE_ORDER)[2:]
+    assert order == capped_order == pytest.approx(math.log2(1000.0))
+    assert err == pytest.approx(1e-5 / (1000.0 - 1.0), rel=1e-6)
+    assert capped == pytest.approx(1e-2 / 4.0 / 3.0, rel=1e-9)
+    # below the rule's order the estimate is the plain Richardson one
+    slow = [1.0, 1.1, 1.15]
+    assert q._richardson(slow, 2.0) == q._richardson(slow)
+
+
 # -- determinism -----------------------------------------------------------------------
+
+
+def test_accuracy_script_reruns_are_byte_identical(tmp_path):
+    # tests/accuracy.py, which writes the ACCURACY_<n>.json figures, takes
+    # no timings: two runs on 64^2 grids write the same bytes
+    script = Path(__file__).with_name("accuracy.py")
+    outs = [tmp_path / f"run{k}.json" for k in (1, 2)]
+    for out in outs:
+        subprocess.run([sys.executable, str(script), "--out", str(out), "--grid", "64"], check=True)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = json.loads(outs[0].read_text())["rows"]
+    assert rows and all(isinstance(r["change"], (float, bool)) for r in rows)
 
 
 def test_integrate_bit_identical():

@@ -8,7 +8,7 @@ from umbilic import quadrature as q
 from umbilic import verifier as V
 from umbilic.cli import DEFAULT_EPS
 from umbilic.errors import VerifierInputError
-from umbilic.geometry import point_geometry
+from umbilic.geometry import classification_values, point_geometry
 from umbilic.quadrature import GridSpec
 from umbilic.surfaces import POLAR_MARGIN, preset
 from oracles import revolution_integrals
@@ -172,6 +172,19 @@ def test_tol_margin_is_richardson_of_dominant_term():
         assert r.tol_margin == pytest.approx(3.0 * study.error_estimate, rel=1e-9)
 
 
+def test_h_sup_is_the_max_over_every_evaluated_node():
+    # H_sup is the max |H| over every node the pass evaluates: on
+    # ellipsoid_rev(1, 2) at 128^2 it is the corners' on the polar margin,
+    # 3.99999, which the midpoints alone (3.99789) miss; no sub-lattice
+    # node at the interfaces, far from the poles, comes closer to sup |H| = 4
+    spec, grid = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0}), GridSpec(128, 128, 4)
+    rep = V.verify_prel(spec, DEFAULT_EPS, grid)
+    corner, mid = (float(np.max(classification_values(spec, *q._lattice(spec, grid, centers=c))[1]))
+                   for c in (False, True))
+    assert rep.h_sup_measured == rep.H_sup == max(corner, mid) == corner
+    assert corner == pytest.approx(3.99999, abs=1e-5) and mid == pytest.approx(3.99789, abs=1e-5)
+
+
 def test_h_sup_override_and_fixed_tol():
     rep = V.verify_prel(
         preset("sphere"), [0.5], G128, h_sup_override=5.0, tol_margin=1e-6
@@ -243,10 +256,7 @@ COVERAGE_CASES = [
     (2.0, 256),
     (2.0, 512),
     (1.5, 256),
-    pytest.param(1.5, 512, marks=pytest.mark.xfail(strict=True, reason=(
-        "eps 0.1: the bar is 3.27e-3 and the true error 3.54e-2; the G/4 level"
-        " (128^2) is pre-asymptotic, so the Richardson order reads 4.4"
-    ))),
+    (1.5, 512),
 ]
 
 
