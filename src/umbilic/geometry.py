@@ -31,8 +31,8 @@ Every evaluation is a recorded kernel (`_kernel`): a tape (`tape.py`) per
 recorded on the first node of the first non-empty batch and replayed, bit
 for bit the same values without the Python work, on every batch after.
 (u, v) reach the tape as they are, and the tape alone picks how a batch
-replays: flat, once per row and column of a lattice, or once per table
-row of a gathered axis (`tape.Rows`; see `tape.Tape.replay`).
+replays: flat, or once per row and column of a lattice (see
+`tape.Tape.replay`).
 The kernels are the quadrature's node kernel (`_nodes`, which
 `classification_values` runs at order 2), the normalized residuals of
 `identities`, and stage one alone ("forms": `_forms`' flat list, which
@@ -447,21 +447,20 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
 
     The spec's tape under (order, key) computes it: recorded through
     `_forms` on the first node of the first non-empty call, replayed on
-    every batch after. (u, v), arrays of any shapes that broadcast or a
-    1-D batch's `tape.Rows`, go to `tape.Tape.replay` as they are: the
-    tape alone picks the flat, lattice or gathered schedule.
-    Without the tape (an empty batch, a computation the recorder refuses,
-    a batch a guard rejects) fn runs on the flat broadcast, each gathered
-    axis materialized, through the "forms" kernel's stage one, and that
-    kernel on `_forms`, which raises the jet path's error. key names fn:
-    equal keys must mean the same computation.
+    every batch after. (u, v), arrays of any shapes that broadcast, go to
+    `tape.Tape.replay` as they are: the tape alone picks the flat or the
+    lattice schedule. Without the tape (an empty batch, a computation the
+    recorder refuses, a batch a guard rejects) fn runs on the flat
+    broadcast through the "forms" kernel's stage one, and that kernel on
+    `_forms`, which raises the jet path's error. key names fn: equal keys
+    must mean the same computation.
     """
-    u, v = (x if isinstance(x, tape.Rows) else np.asarray(x, dtype=np.float64) for x in (u, v))
+    u, v = (np.asarray(x, dtype=np.float64) for x in (u, v))
     shape = np.broadcast_shapes(u.shape, v.shape)
     size = math.prod(shape)
 
     def flat(x):
-        return np.broadcast_to(np.asarray(x), shape).ravel()
+        return np.broadcast_to(x, shape).ravel()
 
     def run(forms, a, b):
         return fn(_Geometry(forms, order, spec.ambient_c, a, b))
@@ -472,8 +471,7 @@ def _kernel(spec: ImmersionSpec, key, order: int, fn, u, v):
             # the first node of the broadcast is each input's first entry
             tapes[order, key] = tape.record(
                 lambda a, b: run(_forms(spec, a, b, order), a, b),
-                *(np.asarray(x[:1]) if isinstance(x, tape.Rows) else x.reshape(-1)[:1]
-                  for x in (u, v)))
+                u.reshape(-1)[:1], v.reshape(-1)[:1])
         except SingularEvaluationError:
             pass  # a singular first node: the next call records
     recorded = tapes.get((order, key))

@@ -30,11 +30,11 @@ node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
 it classifies, sqrt(det g), the peaks and the field densities, which the
 pass weighs by dA outside the tape. A base lattice reaches the kernel as
 a column of u and a row of v, never meshed (`_lattice`); the nodes of the
-cells inside the largest region as the lattice nodes a mask selects
-(`_masked`, `tape.Rows`); sub-lattices as broadcast pairs, u of shape (K,
-n, 1) and v of shape (K, 1, n) (`_sublattice`). One batch loop cuts every
-node set into whole rows (`_chunked`), and the tape alone picks how a
-batch replays (`tape.Tape.replay`).
+cells inside the largest region as the flat arrays of the lattice nodes
+a mask selects (`_masked`); sub-lattices as broadcast pairs, u of shape
+(K, n, 1) and v of shape (K, 1, n) (`_sublattice`). One batch loop cuts
+every node set into whole rows (`_chunked`), and the tape alone picks how
+a batch replays (`tape.Tape.replay`).
 
 Summation uses a fixed traversal order with numpy's pairwise reduction,
 so identical inputs give bit-identical results.
@@ -256,15 +256,14 @@ def _chunked(kernel, us, vs):
     nodes and gathered into flat arrays.
 
     us and vs, of one ndim, broadcast to the node set's shape: a lattice's
-    column of u and row of v (see `_lattice`), or equal-length node arrays
-    or `tape.Rows` (a table and each node's row there). One rule cuts every
-    node set: whole rows along its first axis, max(1, CHUNK // width) rows
-    of width nodes per batch (a 1-D set has width 1; a Rows batch is its
-    table and a slice of its index), an input of one row whole in every
-    batch; outputs gather row-major. The node set must be non-empty
-    (ValueError otherwise). An output of one element per batch (a batch
-    maximum) gathers to one element per batch. Batches are written into
-    preallocated outputs, so no result is ever held twice.
+    column of u and row of v (see `_lattice`), or equal-length node arrays.
+    One rule cuts every node set: whole rows along its first axis, max(1,
+    CHUNK // width) rows of width nodes per batch (a 1-D set has width 1),
+    an input of one row whole in every batch; outputs gather row-major.
+    The node set must be non-empty (ValueError otherwise). An output of one
+    element per batch (a batch maximum) gathers to one element per batch.
+    Batches are written into preallocated outputs, so no result is ever
+    held twice.
 
     This is the one batch loop: it runs inside `tape.reusing()`, so a tape
     the kernel replays binds its buffers once per loop (and once more for a
@@ -400,9 +399,9 @@ def _bent(corners, mid):
 
 def _masked(us, vs, mask):
     """The nodes of a lattice (us a column, vs a row, see `_lattice`) where
-    the 2-D mask holds, row-major, as `tape.Rows` over its axes."""
+    the 2-D mask holds, row-major, as flat arrays of u and v."""
     iu, iv = np.nonzero(mask)
-    return tape.Rows(us[:, 0], iu), tape.Rows(vs[0], iv)
+    return us[iu, 0], vs[0, iv]
 
 
 def _sublattice(spec, g, cells, m):
@@ -498,18 +497,18 @@ class _Pass:
     region  per threshold, per field, over the sublevel region
     h_sup   max |H| over every node evaluated: G's corners and midpoints and
             every sub-lattice node (None without thresholds)
-    h_odd   max |H| over the base corners whose two indices are both odd,
-            the half grid's midpoints when nu and nv are even (None without
-            thresholds: no corners are evaluated)
+    h_half  max |H| over the base corners whose two indices are both even
+            or both odd, the half grid's corners and midpoints when nu and
+            nv are even (None without thresholds: no corners are evaluated)
     peaks   per threshold, each peak's max over the base midpoints inside
             the region, None when no midpoint is inside (() without peaks)
-    Coarse levels of a ladder carry h_sup, h_odd and peaks None.
+    Coarse levels of a ladder carry h_sup, h_half and peaks None.
     """
 
     whole: tuple
     region: tuple
     h_sup: float | None
-    h_odd: float | None
+    h_half: float | None
     peaks: tuple | None
 
 
@@ -591,7 +590,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     if eps_values:
         ug, vg = _lattice(spec, grid, centers=False)
         n2, h = (a.reshape(grid.nu + 1, grid.nv + 1) for a in _classified(spec, ug, vg)[:2])
-        h_corner, h_odd = float(np.max(h)), float(np.max(h[1::2, 1::2]))
+        h_corner = float(np.max(h))
+        h_half = float(max(np.max(h[::2, ::2]), np.max(h[1::2, 1::2])))
         del h
     passes = []
     for m in reversed(range(levels)):
@@ -607,7 +607,7 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         whole, region, h_sup, peak_max = _level(
             spec, g, fields, eps_values, peaks, n2[::s, ::s], ug[::s], vg[:, ::s]
         )
-        fine = (max(h_sup, h_corner), h_odd, peak_max) if m == 0 else (None,) * 3
+        fine = (max(h_sup, h_corner), h_half, peak_max) if m == 0 else (None,) * 3
         passes.append(_Pass(whole, region, *fine))
     return tuple(passes)
 
@@ -626,8 +626,9 @@ _REGION_FIELDS = (
 
 def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1, peaks=()):
     """(one RegionIntegrals per threshold for each ladder level, coarsest
-    first; the fine grid's odd-corner max |H|; its per-threshold peak
-    maxima, see `_Pass`) from one pass. Coarse levels carry H_sup None."""
+    first; max |H| over the half grid's corners and midpoints; its
+    per-threshold peak maxima, see `_Pass`) from one pass. Coarse levels
+    carry H_sup None."""
     passes = _ladder_pass(spec, grid, _REGION_FIELDS, eps_values, levels, peaks)
     ladder = []
     for p in passes:
@@ -636,7 +637,7 @@ def _region_pass(spec: ImmersionSpec, eps_values, grid: GridSpec, levels=1, peak
             RegionIntegrals(eps, vol, gh, gH, gHp, area, total_R, p.h_sup)
             for eps, (vol, gh, gH, gHp, _) in zip(eps_values, p.region)
         ))
-    return tuple(ladder), passes[-1].h_odd, passes[-1].peaks
+    return tuple(ladder), passes[-1].h_half, passes[-1].peaks
 
 
 def _field_ladder(spec, field, grid, region, levels):

@@ -198,7 +198,7 @@ def verify_prel(
     chi_est, chi_round, faults = quad._chi(integrals[0].total_R)
     warnings = [f"{fault}; refine the grid" for fault in faults]
 
-    # h_coarse: max |H| at the odd corners, the half grid's midpoints
+    # h_coarse: max |H| over the half grid's corners and midpoints
     h_measured = integrals[0].H_sup
     if abs(h_measured - h_coarse) > 1e-3 * max(h_measured, h_coarse, 1e-300):
         warnings.append(

@@ -31,6 +31,26 @@ closed = true
 k = 0.6
 """
 
+# a torus whose tube is an ellipse half as tall as wide: |H| peaks, at 13/3,
+# along the outer equator u = -shift. At -pi/64, half a cell of a 64-cell
+# axis, that equator runs through G's midpoints, off the half grid's corners
+# and midpoints
+SHIFTED_TORUS = """\
+[surface]
+name = shifted_torus
+x = (2 + cos(u + shift))*cos(v)
+y = (2 + cos(u + shift))*sin(v)
+z = 0.5*sin(u + shift)
+u_range = 0, 2*pi
+v_range = 0, 2*pi
+periodic_u = true
+periodic_v = true
+closed = true
+
+[params]
+shift = -pi/64
+"""
+
 
 def run(argv, out_dir):
     return cli.main(argv + ["--out", str(out_dir)])
@@ -172,6 +192,28 @@ def test_verify_reports_an_odd_chi(tmp_path, capsys):
     assert f"  note: {note}\n" in capsys.readouterr().out
     payload = read_json(tmp_path, "verify")
     assert payload["chi"]["rounded"] == 1 and payload["errors"][0] == note
+
+
+@pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
+def test_verify_keeps_sup_h_where_the_half_grid_holds_it(name, tmp_path, capsys):
+    # the node where |H| peaks is a corner of G and of the half grid (on
+    # ellipsoid_rev the row u = margin), so the two estimates agree
+    assert run(["verify", "--preset", name] + SMALL, tmp_path) == 0
+    assert "sup|H| estimate moved" not in capsys.readouterr().out
+    assert read_json(tmp_path, "verify")["errors"] == []
+
+
+def test_verify_warns_when_the_half_grid_misses_sup_h(tmp_path, capsys):
+    path = tmp_path / "torus.ini"
+    path.write_text(SHIFTED_TORUS)
+    assert run(["verify", "--file", str(path)] + SMALL, tmp_path) == 0
+    note = ("sup|H| estimate moved 4.28892 -> 4.33333 between grid levels; treat C as"
+            " unreliable or pass an override")
+    assert f"  note: {note}\n" in capsys.readouterr().out
+    assert read_json(tmp_path, "verify")["errors"] == [note]
+    # with the equator on a corner row the half grid holds the peak
+    assert run(["verify", "--file", str(path), "--shift", "0"] + SMALL, tmp_path) == 0
+    assert "sup|H|" not in capsys.readouterr().out
 
 
 def test_verify_with_sufficiency_check(tmp_path):

@@ -133,38 +133,38 @@ def test_chunked_gathers_lattice_rows_in_order(rows, width):
     assert np.array_equal(index, np.arange(rows * width, dtype=float))
 
 
-def test_chunked_cuts_gathered_inputs_into_index_slices(monkeypatch):
-    # tables and rows (tape.Rows) run in CHUNK-node batches, each the whole
-    # table and the next slice of the index, and gather in order; the last
-    # batch, 7 nodes, holds fewer than twice a table's rows, so it replays
-    # flat. The values are those of the materialized nodes, bit for bit
+def test_chunked_cuts_masked_nodes_into_slices(monkeypatch):
+    # `_masked`'s flat node arrays run in CHUNK-node batches, each the next
+    # slice of both arrays, and gather in order to the bits of the lattice
+    # at those nodes
     spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
     us, vs = q._lattice(spec, q.GridSpec(16, 16), centers=True)
-    rng = np.random.default_rng(0)
-    u, v = (tape.Rows(t.ravel()[:6], rng.integers(0, 6, 127).astype(np.intp)) for t in (us, vs))
-    want = q._classified(spec, np.asarray(u), np.asarray(v))
+    mask = np.zeros(256, dtype=bool)
+    mask[np.random.default_rng(0).permutation(256)[:127]] = True
+    mask = mask.reshape(16, 16)
+    u, v = q._masked(us, vs, mask)
+    want = q._classified(spec, us, vs)
     monkeypatch.setattr(q, "CHUNK", 40)
     batches = []
 
     def kernel(a, b):
-        batches.append((a.table is u.table, b.table is v.table, a.index, b.index))
+        batches.append((a, b))
         return classification_values(spec, a, b)
 
     got = q._chunked(kernel, u, v)
-    assert [x.size for _, _, x, _ in batches] == [40, 40, 40, 7]
-    assert all(ta and tb for ta, tb, _, _ in batches)
-    for i in (2, 3):
-        assert np.array_equal(np.concatenate([b[i] for b in batches]), (u, v)[i - 2].index)
+    assert [a.size for a, _ in batches] == [40, 40, 40, 7]
+    for i, x in enumerate((u, v)):
+        assert np.array_equal(np.concatenate([batch[i] for batch in batches]), x)
     for x, y in zip(got, want):
-        assert x.tobytes() == y.tobytes()
+        assert x.tobytes() == y[mask.ravel()].tobytes()
 
 
 @pytest.mark.parametrize("us, vs", [
     (np.empty(0), np.empty(0)),  # flat node arrays
     (np.empty((0, 1)), np.arange(3.0)[None, :]),  # a lattice without rows
     (np.arange(3.0)[:, None], np.empty((1, 0))),  # a lattice without columns
-    (tape.Rows(np.arange(3.0), np.empty(0, dtype=np.intp)),) * 2,  # gathered, no index
-], ids=["flat", "no-rows", "no-columns", "gathered"])
+    q._masked(np.arange(3.0)[:, None], np.arange(2.0)[None, :], np.zeros((3, 2), dtype=bool)),
+], ids=["flat", "no-rows", "no-columns", "masked"])
 def test_chunked_refuses_an_empty_node_set(us, vs):
     # the batch loop needs a node: it says so before running the kernel
     # instead of failing after a loop that made no output
@@ -572,6 +572,27 @@ def test_a_sublattice_replays_bit_identically_to_its_nodes_flat(order):
         assert corners[1][:, 0, 0].tobytes() == vg[0, iv].tobytes()
 
 
+@pytest.mark.parametrize("name, eps", [("ellipsoid_tri", (0.4, 0.1)), ("graph_bump", (0.5, 0.2))])
+def test_masked_node_sets_replay_bit_identically_to_the_lattice(name, eps, monkeypatch):
+    # the inside cells' corners and the midpoints inside, as `_level` selects
+    # them, evaluate as flat node arrays to the bits of the lattice replay at
+    # those nodes, a peak included. Neither region is a product of rows and
+    # columns (graph_bump's is the complement of a disc)
+    spec, peaks = preset(name), (lambda pg: pg.H,)
+    masked, real = [], q._masked
+    monkeypatch.setattr(q, "_masked",
+                        lambda us, vs, mask: masked.append((us, vs, mask)) or real(us, vs, mask))
+    q._ladder_pass(spec, q.GridSpec(64, 64, 2), q._REGION_FIELDS, eps, peaks=peaks)
+    assert [m.shape for _, _, m in masked] == [(65, 65), (64, 64)]
+    for us, vs, mask in masked:
+        got = q._full(spec, q._REGION_FIELDS, *real(us, vs, mask), classify=True, peaks=peaks)
+        want = q._full(spec, q._REGION_FIELDS, us, vs, classify=True, peaks=peaks)
+        assert len(got) == len(want)
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tobytes() == b[mask.ravel()].tobytes()
+        assert not np.array_equal(mask, np.outer(mask.any(1), mask.any(0)))
+
+
 def _field_values(pg):
     """The _REGION_FIELDS at a PointGeometry batch, one row per field."""
     return np.array([np.broadcast_to(f(pg), pg.batch_shape) for f in q._REGION_FIELDS])
@@ -885,12 +906,14 @@ def test_h_sup_matches_pole_limit():
     assert 3.99 < rows[0].H_sup <= 4.0
 
 
-def test_odd_corner_h_equals_half_grid_midpoints():
-    # the odd corners of a 128^2 grid are the 64^2 midpoints bit for bit
+def test_half_grid_h_equals_its_corners_and_midpoints():
+    # the even corners of a 128^2 grid are the 64^2 corners and its odd
+    # corners the 64^2 midpoints, bit for bit
     ell = preset("ellipsoid_rev")
-    _, h_odd, _ = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
-    _, h, _ = classification_values(ell, *q._lattice(ell, q.GridSpec(64, 64), centers=True))
-    assert h_odd == float(np.max(h))
+    _, h_half, _ = q._region_pass(ell, [0.1], q.GridSpec(128, 128, 2))
+    half = q.GridSpec(64, 64)
+    h = [classification_values(ell, *q._lattice(ell, half, centers=c))[1] for c in (False, True)]
+    assert h_half == float(max(np.max(h[0]), np.max(h[1])))
 
 
 # (preset, params, thresholds) for the ladder tests: a surface of
@@ -918,10 +941,10 @@ def test_ladder_levels_equal_one_level_passes(name, params, eps, n, levels, dept
     for m, got in enumerate(reversed(ladder)):
         (ref,) = q._ladder_pass(spec, q.GridSpec(n >> m, n >> m, depth), q._REGION_FIELDS, eps)
         if m == 0:
-            assert (got.h_sup, got.h_odd) == (ref.h_sup, ref.h_odd)
+            assert (got.h_sup, got.h_half) == (ref.h_sup, ref.h_half)
             assert _sums(got) == _sums(ref)
         else:
-            assert got.h_sup is None and got.h_odd is None
+            assert got.h_sup is None and got.h_half is None
             assert got.whole == ref.whole
             assert _sums(got) == pytest.approx(_sums(ref), rel=1e-13, abs=0.0)
 
@@ -934,7 +957,7 @@ def test_five_level_ladder_equals_one_level_passes(name, params, eps):
     for m, got in enumerate(reversed(ladder)):
         (ref,) = q._ladder_pass(spec, q.GridSpec(n >> m, n >> m, 4), q._REGION_FIELDS, eps)
         if m == 0:
-            assert (got.h_sup, got.h_odd) == (ref.h_sup, ref.h_odd)
+            assert (got.h_sup, got.h_half) == (ref.h_sup, ref.h_half)
             assert _sums(got) == _sums(ref)
         else:
             assert got.whole == ref.whole

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umbilic import tape
+from umbilic.quadrature import _masked
 
 U = np.linspace(0.1, 1.0, 7)
 V = np.linspace(-1.0, 2.0, 7)
@@ -243,7 +244,7 @@ def test_nested_batch_loops_restore_the_outer_binding():
     assert tape._loop is None
 
 
-# -- gathered inputs ------------------------------------------------------------------
+# -- masked node sets -----------------------------------------------------------------
 
 
 def assert_same_bits(got, want):
@@ -253,80 +254,55 @@ def assert_same_bits(got, want):
         assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
 
 
-def bound_calls(recorded, inputs, ufunc):
-    """The operands of each call of ufunc in the binding a replay of inputs
-    runs on."""
-    with tape.reusing():
-        recorded.replay(*inputs)
-        return [ops for calls, _ in tape._loop[0].runs for fn, ops in calls if fn is ufunc]
+def masked(u, v, mask):
+    """The nodes of the lattice of axes u and v where the 2-D mask holds, as
+    the quadrature's flat node arrays."""
+    return _masked(u[:, None], v[None, :], mask)
 
 
-IDX = np.array([2, 0, 2, 1, 1, 2, 0, 2, 2], dtype=np.intp)
+def scattered(nu, nv):
+    """A mask that misses a third of every row and of every column, so it is
+    no product of rows and columns."""
+    return np.add.outer(np.arange(nu), 2 * np.arange(nv)) % 3 != 0
 
 
-@pytest.mark.parametrize("u, v", [
-    # repeated rows on both axes
-    (tape.Rows(U[[4, 1, 6]], IDX), tape.Rows(V[[0, 5]], IDX % 2)),
-    # a one-row table beside a flat input
-    (tape.Rows(U[3:4], np.zeros(9, dtype=np.intp)), V[np.arange(9) % 7]),
-    # -0.0 and 0.0 as separate rows: sin keeps the sign of a zero
-    (tape.Rows(np.array([0.0, -0.0, 0.5]), IDX), tape.Rows(np.array([-0.0, 1.5, 0.0]), IDX[::-1])),
-    # a table of more rows than half the nodes replays flat, gathered
-    # into its input buffer, beside a table that replays gathered
-    (tape.Rows(U, IDX[:5] + 4), tape.Rows(V[:2], IDX[:5] % 2)),
-], ids=["repeated-rows", "one-row", "signed-zeros", "large-table"])
-def test_gathered_inputs_replay_as_the_flat_inputs_bit_for_bit(u, v):
-    # the one-input calls of a gathered input run once per row of its
-    # table when it holds at most half the nodes; every output holds the
-    # bits of the flat replay and of the direct computation on the
-    # materialized nodes
+@pytest.mark.parametrize("u, v, mask", [
+    (U, V[:5], scattered(7, 5)),
+    # one row of the lattice, two of its nodes left out
+    (U[3:4], V, np.array([[True, False, True, True, False, True, True]])),
+    # -0.0 and 0.0 as separate rows and columns: sin keeps the sign of a zero
+    (np.array([0.0, -0.0, 0.5]), np.array([-0.0, 1.5, 0.0]), scattered(3, 3)),
+    (U, V, np.ones((7, 7), dtype=bool)),
+], ids=["scattered", "one-row", "signed-zeros", "every-node"])
+def test_masked_inputs_replay_as_the_lattice_bit_for_bit(u, v, mask):
+    # the masked nodes of a lattice, as flat arrays, replay on the flat
+    # schedule: every output holds the bits of the lattice replay at those
+    # nodes and of the direct computation on them
     recorded = tape.record(lattice_fn, U[:1], V[:1])
-    a, b = np.asarray(u), np.asarray(v)
-    got = recorded.replay(u, v)
-    assert_same_bits(got, recorded.replay(a, b))
+    a, b = masked(u, v, mask)
+    got = recorded.replay(a, b)
+    lattice = recorded.replay(u[:, None], v[None, :])
+    assert all(np.shape(x) == (mask.sum(),) for x in got[1:])
+    assert_same_bits(got[1:], [np.broadcast_to(x, mask.shape)[mask] for x in lattice[1:]])
     assert_same_bits(got, lattice_fn(a, b))
-    for ufunc, x in ((np.sin, u), (np.exp, v)):
-        (call,) = bound_calls(recorded, (u, v), ufunc)
-        rows = isinstance(x, tape.Rows) and 2 * x.table.size <= x.size
-        assert call[0].shape == (x.table.shape if rows else a.shape)
 
 
-def test_a_gathered_guard_reads_only_the_rows_a_node_reads():
-    # lattice_fn's guard on v: a failing row no node reads leaves the replay
-    # whole, and one that a node reads stops it
+def test_a_guard_reads_only_the_masked_nodes():
+    # lattice_fn's guard on v: a failing column the mask leaves out leaves
+    # the replay whole, and a node of it that the mask keeps stops it
     recorded = tape.record(lattice_fn, U[:1], V[:1])
-    table = np.array([0.5, -10.0, 1.5])
-    u = tape.Rows(U, np.arange(6, dtype=np.intp))
-    unread = tape.Rows(table, np.array([0, 2, 2, 0, 2, 0], dtype=np.intp))
-    assert_same_bits(recorded.replay(u, unread), lattice_fn(np.asarray(u), np.asarray(unread)))
-    assert recorded.replay(u, tape.Rows(table, np.array([0, 2, 1, 0, 2, 0], dtype=np.intp))) is None
+    v = np.array([0.5, -10.0, 1.5])
+    assert recorded.replay(U[:, None], v[None, :]) is None
+    mask = np.zeros((7, 3), dtype=bool)
+    mask[:, [0, 2]] = scattered(7, 2)
+    assert_same_bits(recorded.replay(*masked(U, v, mask)), lattice_fn(*masked(U, v, mask)))
+    mask[5, 1] = True
+    assert recorded.replay(*masked(U, v, mask)) is None
 
 
-def test_an_empty_gathered_batch_gives_empty_outputs():
+def test_an_empty_masked_batch_gives_empty_outputs():
     recorded = tape.record(lattice_fn, U[:1], V[:1])
-    empty = np.empty(0, dtype=np.intp)
-    got = recorded.replay(tape.Rows(U[:3], empty), tape.Rows(V[:2], empty))
-    assert_same_bits(got, recorded.replay(np.empty(0), np.empty(0)))
+    a, b = masked(U[:3], V[:2], np.zeros((3, 2), dtype=bool))
+    got = recorded.replay(a, b)
     assert all(np.shape(x) == (0,) for x in got[1:])
-
-
-def test_a_batch_loop_keys_a_binding_on_table_and_index_shapes(monkeypatch):
-    recorded = tape.record(lattice_fn, U[:1], V[:1])
-    binds = []
-    bind = tape.Tape._bind
-    monkeypatch.setattr(tape.Tape, "_bind", lambda self, shapes: binds.append(shapes) or bind(self, shapes))
-    u, v = tape.Rows(U[:3], IDX), tape.Rows(V[:2], IDX % 2)
-    calls = [(u, v), (tape.Rows(U[3:6], IDX), v), (u[:4], v[:4]), (np.asarray(u[:4]), v[:4]),
-             (np.asarray(u), np.asarray(v))]
-    with tape.reusing():
-        got = [[np.array(x) for x in recorded.replay(*inputs)] for inputs in calls]
-    for outputs, inputs in zip(got, calls):
-        assert_same_bits(outputs, lattice_fn(*map(np.asarray, inputs)))
-    # another table of the same shape keeps the binding; another index
-    # length or flat inputs replace it. At 4 nodes the 3-row table replays
-    # flat, gathered into its input buffer, as its materialized nodes do
-    assert binds == [
-        (tape._Gathered((3,), (9,)), tape._Gathered((2,), (9,))),
-        ((4,), tape._Gathered((2,), (4,))),
-        ((9,), (9,)),
-    ]
+    assert_same_bits(got, lattice_fn(a, b))

@@ -10,8 +10,9 @@ from umbilic.cli import DEFAULT_EPS
 from umbilic.errors import VerifierInputError
 from umbilic.geometry import classification_values, point_geometry
 from umbilic.quadrature import GridSpec
-from umbilic.surfaces import POLAR_MARGIN, preset
+from umbilic.surfaces import POLAR_MARGIN, load_definition, preset
 from oracles import revolution_integrals
+from test_cli import SHIFTED_TORUS
 
 G128 = GridSpec(128, 128, 6)
 G256 = GridSpec(256, 256, 6)
@@ -196,11 +197,20 @@ def test_h_sup_override_and_fixed_tol():
     assert any("override" in w for w in rep.warnings)
 
 
-def test_coarse_grid_flags_unstable_h_sup():
-    # pole curvature is still moving between 64^2 and 128^2 nodes
-    rep = V.verify_prel(preset("ellipsoid_rev"), [0.5], G128)
-    assert any("sup|H|" in w for w in rep.warnings)
+def test_coarse_grid_flags_unstable_h_sup(tmp_path):
+    # |H| peaks on the shifted torus's outer equator, here half a cell of
+    # G128 off its corner rows: G's midpoints hold the peak, the half grid's
+    # corners and midpoints do not
+    path = tmp_path / "torus.ini"
+    path.write_text(SHIFTED_TORUS)
+    spec = load_definition(path)
+    rep = V.verify_prel(spec.with_params(shift=-math.pi / 128), [0.5], G128)
+    assert rep.warnings == (
+        "sup|H| estimate moved 4.32215 -> 4.33333 between grid levels; treat C as unreliable"
+        " or pass an override",
+    )
     assert rep.verdict == "PASS"
+    assert V.verify_prel(spec.with_params(shift=0.0), [0.5], G128).warnings == ()
 
 
 def test_coarse_grid_flags_chi_far_from_an_integer():
