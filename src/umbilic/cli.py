@@ -37,11 +37,17 @@ VERIFY_CSV_COLUMNS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated options: a surface parameter override (--s for a
+    # parameter s) must not be read as a built-in option it prefixes (--seed)
     p = argparse.ArgumentParser(
         prog="umbilic",
         description="curvature identity checks and sublevel-volume inequality reports",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(sp, eps_flag=True):
         src = sp.add_mutually_exclusive_group()
@@ -64,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         return sp
 
-    sp = common(sub.add_parser("identities", help="residuals of the curvature identities"),
+    sp = common(command("identities", help="residuals of the curvature identities"),
                 eps_flag=False)
     sp.add_argument("--n", type=int, default=1000, help="number of sample points")
     sp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance (default 1e-8, times 100 for bochner)")
 
-    sp = common(sub.add_parser("verify", help="volume inequality along a threshold ladder"))
+    sp = common(command("verify", help="volume inequality along a threshold ladder"))
     sp.add_argument("--tol", type=float, default=None,
                     help="fixed margin tolerance for every row (runs G only, no error bar)")
     sp.add_argument("--eps0", type=float, default=None,
@@ -78,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hsup-override", type=float, default=None, dest="hsup_override",
                     help="replace the measured sup|H| in the constant")
 
-    common(sub.add_parser("sweep", help="sharpness gap ladder on revolution ellipsoids"))
+    common(command("sweep", help="sharpness gap ladder on revolution ellipsoids"))
 
-    sp = common(sub.add_parser("convergence", help="grid-convergence study"))
+    sp = common(command("convergence", help="grid-convergence study"))
     sp.add_argument("--field", default="area", choices=("area", "total_R", "vol"),
                     help="integrand: area, total curvature, or sublevel volume (needs --eps)")
     sp.add_argument("--levels", type=int, default=3, help="number of doubling levels")
 
-    sub.add_parser("list-presets", help="available surfaces and their defaults")
+    command("list-presets", help="available surfaces and their defaults")
     return p
 
 

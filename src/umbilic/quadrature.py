@@ -19,8 +19,9 @@ sub-cells take the same inside rule, or the cut rule (Min & Gibou, J.
 Comput. Phys. 2007) on 4 triangles with the level |hring| - eps, whose
 zero crossings along the triangles' edges follow its curvature there
 (`_crossing`). One pass serves every field and threshold of a call, and
-every level of a Richardson ladder G/2^k: level k reads G's corners at
-stride 2^k and is the one-level pass over G/2^k.
+every level of a Richardson ladder G/2^k: level k is the one-level pass
+over G/2^k, and reads G's values where its nodes are G's, its corners and
+midpoints and its 2 x 2 sub-lattices (`_ladder_pass`).
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -344,31 +345,46 @@ def _crossing(lp, lq, c):
     return np.clip(root, 0.0, 1.0)
 
 
-def _cut_rule(level, curve, density, bend):
+# each vertex of a triangle in turn, then the next two
+_TURNS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _cut(level, curve):
+    """How a level cuts each triangle, its arguments as `_cut_rule` takes
+    them: the vertices where it is negative, the triangles negative at all
+    three, and per vertex i the triangles where i alone is on its side,
+    with the crossings along i's edges to the next vertex and from the one
+    before (`_crossing`). A threshold's cut serves every field."""
+    neg = level < 0
+    lone = []
+    for i, j, k in _TURNS:
+        sel = (neg[i] != neg[j]) & (neg[i] != neg[k])
+        li = level[i][sel]
+        lone.append((sel, _crossing(li, level[j][sel], curve[i][sel]),
+                     _crossing(li, level[k][sel], curve[k][sel])))
+    return neg, np.count_nonzero(neg, axis=0) == 3, lone
+
+
+def _cut_rule(cut, density, bend):
     """Per triangle, the mean of the density over its part where the level
     is negative, times that part's share of its area (Min & Gibou, J.
-    Comput. Phys. 2007). Each argument has shape (3, ...): row i for vertex
-    i, and for curve and bend (half the level's and the density's second
+    Comput. Phys. 2007), the level's cut from `_cut`. Each of level,
+    density and their curves has shape (3, ...): row i for vertex i, and
+    for curve and bend (half the level's and the density's second
     difference) the edge from vertex i to the next. The part is cut at the
-    level's zeros along the edges (`_crossing`), where the density takes
-    its quadratic's value; it is linear over each piece. 0 is outside."""
-    neg = level < 0
-    count = np.count_nonzero(neg, axis=0)
-    out = np.where(count == 3, np.sum(density, axis=0) / 3.0, 0.0)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        lone = (neg[i] != neg[j]) & (neg[i] != neg[k])
-        li, fi = level[i][lone], density[i][lone]
-        at = []
-        for x, edge in ((j, i), (k, k)):
-            t = _crossing(li, level[x][lone], curve[edge][lone])
-            at += [t, fi + t * (density[x][lone] - fi) + bend[edge][lone] * t * (t - 1.0)]
-        tj, xj, tk, xk = at
-        fj, fk = density[j][lone], density[k][lone]
+    level's zeros along the edges, where the density takes its quadratic's
+    value; it is linear over each piece. 0 is outside."""
+    neg, whole, lone = cut
+    out = np.where(whole, np.sum(density, axis=0) / 3.0, 0.0)
+    for (i, j, k), (sel, tj, tk) in zip(_TURNS, lone):
+        fi, fj, fk = density[i][sel], density[j][sel], density[k][sel]
+        xj = fi + tj * (fj - fi) + bend[i][sel] * tj * (tj - 1.0)
+        xk = fi + tk * (fk - fi) + bend[k][sel] * tk * (tk - 1.0)
         # inside: the corner triangle (i, xj, xk) when i is the lone vertex
         # inside, else the quadrilateral (j, k, xk, xj), as the triangles
         # (j, k, xk) and (j, xk, xj)
-        out[lone] = np.where(neg[i][lone], tj * tk * (fi + xj + xk),
-                             (1.0 - tk) * (fj + fk + xk) + tk * (1.0 - tj) * (fj + xk + xj)) / 3.0
+        out[sel] = np.where(neg[i][sel], tj * tk * (fi + xj + xk),
+                            (1.0 - tk) * (fj + fk + xk) + tk * (1.0 - tj) * (fj + xk + xj)) / 3.0
     return out
 
 
@@ -447,21 +463,38 @@ def _triangles(corner, mid, cut):
             np.stack((edges, np.roll(halves, -1, 0), halves)))
 
 
-def _cut_cells(spec, g, fields, peaks, cells, m, thresholds):
-    """(per threshold, per field the integral of field dA where |hring| <
-    eps over its straddling cells, of those the mask selects; max |H| at
-    their nodes), thresholds as (eps, straddling mask) pairs. The cells' m
-    x m sub-lattices are evaluated once, with the classification and the
-    peaks (unread), as every full node of the pass. A sub-cell takes the
-    inside rule or, where it straddles, the cut rule on its 4 corner-corner-
-    midpoint triangles, with the level |hring| - eps."""
+def _hring(n2):
+    """|hring| from |hring|^2 (clipped at 0)."""
+    return np.sqrt(np.maximum(n2, 0.0))
+
+
+def _sub_values(spec, g, fields, peaks, cells, m):
+    """(corner, mid, max |H|) at the m x m sub-lattices of the cells of grid
+    g the 2-D mask selects: |hring| and each field's density * dA at their
+    corners, arrays of shape (K, m + 1, m + 1), and at their midpoints, (K,
+    m, m), and the max of |H| over both. The nodes are evaluated with the
+    classification and the peaks (unread), as every order-3 node of the
+    pass."""
     (h_c, n2_c, *f_c), (h_m, n2_m, *f_m) = (
         _full(spec, fields, *nodes, classify=True, peaks=peaks)
         for nodes in _sublattice(spec, g, cells, m)
     )
     k = len(peaks)
-    corner = [a.reshape(-1, m + 1, m + 1) for a in (np.sqrt(np.maximum(n2_c, 0.0)), *f_c[k:])]
-    mid = [a.reshape(-1, m, m) for a in (np.sqrt(np.maximum(n2_m, 0.0)), *f_m[k:])]
+    corner = [a.reshape(-1, m + 1, m + 1) for a in (_hring(n2_c), *f_c[k:])]
+    mid = [a.reshape(-1, m, m) for a in (_hring(n2_m), *f_m[k:])]
+    return corner, mid, float(max(np.max(h_c), np.max(h_m)))
+
+
+def _cut_cells(spec, g, cells, corner, mid, thresholds):
+    """Per threshold, per field the integral of field dA where |hring| <
+    eps over the straddling cells of grid g, of those the 2-D mask cells
+    selects, thresholds as (eps, straddling mask) pairs. corner and mid
+    hold |hring| and the densities at the cells' m x m sub-lattices, as
+    `_sub_values` gives them, or read from G's nodes (see `_ladder_pass`).
+    A sub-cell takes the inside rule or, where it straddles, the cut rule
+    on its 4 corner-corner-midpoint triangles, with the level |hring| - eps,
+    whose cut (`_cut`) serves every field."""
+    m = mid[0].shape[1]
     _, _, du, dv = _axes(spec, g)
     area = (du / m) * (dv / m)
     out = []
@@ -469,20 +502,35 @@ def _cut_cells(spec, g, fields, peaks, cells, m, thresholds):
         sel = straddle[cells]
         lc, lm = corner[0][sel] - eps, mid[0][sel] - eps
         inside, cut = _cells(_quads(lc), lm, 0.0)
-        level = _triangles(lc, lm, cut)
+        level = _cut(*_triangles(lc, lm, cut))
         sums = []
         for fc, fm in zip(corner[1:], mid[1:]):
             fc, fm = fc[sel], fm[sel]
             whole = np.sum(_inside_rule(*(c[inside] for c in _quads(fc)), fm[inside]))
-            part = np.sum(_cut_rule(*level, *_triangles(fc, fm, cut)))
+            part = np.sum(_cut_rule(level, *_triangles(fc, fm, cut)))
             sums.append(float(whole) * area + float(part) * (area / 4.0))
         out.append(sums)
-    return out, float(max(np.max(h_c), np.max(h_m)))
+    return out
 
 
 def _corner_weights(cells):
     """Per corner lattice node, how many cells the mask selects it bounds."""
-    return sum(np.pad(cells, ((a, 1 - a), (b, 1 - b))) for a in (0, 1) for b in (0, 1))
+    n, m = cells.shape
+    out = np.zeros((n + 1, m + 1), dtype=np.int8)
+    for a in (0, 1):
+        for b in (0, 1):
+            out[a : a + n, b : b + m] += cells
+    return out
+
+
+def _on_grid(t, midpoints):
+    """Where the corners, or the midpoints, of the lattice of G/t (t a power
+    of 2) lie among G's nodes, bit for bit (see `interior_axes`): (0,
+    index) into G's corner lattice, or (1, index) into its midpoint
+    lattice."""
+    if not midpoints:
+        return 0, np.s_[::t, ::t]
+    return (1, np.s_[:, :]) if t == 1 else (0, np.s_[t // 2 :: t, t // 2 :: t])
 
 
 # -- the quadrature pass ----------------------------------------------------------
@@ -512,62 +560,44 @@ class _Pass:
     peaks: tuple | None
 
 
-def _level(spec, g, fields, eps_values, peaks, n2_corner, uc, vc):
-    """(whole, region, max |H| over its midpoints and sub-lattice nodes,
-    peak maxima) of the one-level pass over grid g, given |hring|^2 at its
-    corners (n2_corner) and its corner axes uc, vc (see `_lattice`).
+@dataclass(frozen=True)
+class _Level:
+    """A level of a pass with thresholds, classified (see `_level`): its
+    `_Pass.whole`, max |H| and |hring| at its midpoints, per threshold the
+    (inside, straddling) masks of its cells, and its straddling cells as
+    (cells, m) groups, m x m their sub-lattice: smooth, then bent."""
 
-    The midpoints get order 2: the order-2 fields' whole-surface sums,
-    |hring| and |H|. The nodes of the cells inside any region, and the
-    midpoints inside the largest (where the peaks are read), get the
-    fields' order for the inside rule. Each straddling cell takes an m x m
-    sub-lattice (`_cut_cells`): m = 2^min(depth, 4) where |hring| bends
-    (`_bent`), 2^min(depth, 1) elsewhere."""
+    g: GridSpec
+    whole: tuple
+    h_mid: float
+    mid: np.ndarray
+    classes: list
+    groups: tuple
+
+
+def _level(spec, g, fields, eps_values, n2_corner):
+    """Grid g's level of a pass, classified, given |hring|^2 at its corners
+    (n2_corner). Its midpoints get order 2: the order-2 fields'
+    whole-surface sums, |hring| and |H|. Each straddling cell takes an m x
+    m sub-lattice: m = 2^min(depth, 4) where |hring| bends (`_bent`),
+    2^min(depth, 1) elsewhere. The order-3 values of its nodes are the
+    pass's (see `_ladder_pass`)."""
     area = math.prod(_axes(spec, g)[2:])  # du dv
-    us, vs = _lattice(spec, g, centers=True)
     low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
-    h_max, mid, *arrays = _full(spec, [fields[k] for k in low], us, vs, classify=True)
+    h_max, mid, *arrays = _full(spec, [fields[k] for k in low],
+                                *_lattice(spec, g, centers=True), classify=True)
     whole = [None] * len(fields)
     for k, a in zip(low, arrays):
         whole[k] = float(np.sum(a)) * area
     del arrays
-    h_sup = float(np.max(h_max))
-    corners = _quads(np.sqrt(np.maximum(n2_corner, 0.0)))
-    mid = np.sqrt(np.maximum(mid, 0.0)).reshape(g.nu, g.nv)
+    corners = _quads(_hring(n2_corner))
+    mid = _hring(mid).reshape(g.nu, g.nv)
     classes = [_cells(corners, mid, eps) for eps in eps_values]
-    inner = mid < max(eps_values)
-    near = _corner_weights(np.logical_or.reduce([ins for ins, _ in classes])) > 0
-    region = [[0.0] * len(fields) for _ in eps_values]
-    peak_max = (None,) * len(eps_values) if peaks else ()
-    # the inside cells' corners, then the midpoints inside, each set reduced
-    # as evaluated to every threshold's sums by its weight in the inside rule
-    for axes, mask, weight in (
-        ((uc, vc), near, lambda ins: _corner_weights(ins) / 12.0),
-        ((us, vs), inner, lambda ins: ins * (2.0 / 3.0)),
-    ):
-        if not mask.any():
-            continue
-        values = _full(spec, fields, *_masked(*axes, mask), classify=True, peaks=peaks)[2:]
-        if mask is inner and peaks:
-            peak_max = tuple(
-                tuple(float(np.max(a[ins])) for a in values[: len(peaks)]) if ins.any() else None
-                for ins in (mid[inner] < eps for eps in eps_values)
-            )
-        for sums, (ins, _) in zip(region, classes):
-            w = weight(ins)[mask]
-            has = w > 0
-            for k, x in enumerate(values[len(peaks) :]):
-                sums[k] += float(np.sum(w[has] * x[has])) * area
-        del values  # before the next node set is evaluated
     bent = _bent(corners, mid)
     straddle = np.logical_or.reduce([st for _, st in classes])
-    for cells, r in ((straddle & ~bent, 1), (straddle & bent, 4)):
-        if cells.any():
-            parts, h = _cut_cells(spec, g, fields, peaks, cells, 1 << min(g.adaptive_depth, r),
-                                  [(eps, st) for eps, (_, st) in zip(eps_values, classes)])
-            region = [[a + b for a, b in zip(sums, part)] for sums, part in zip(region, parts)]
-            h_sup = max(h_sup, h)
-    return tuple(whole), tuple(map(tuple, region)), h_sup, peak_max
+    groups = tuple((straddle & b, 1 << min(g.adaptive_depth, r))
+                   for b, r in ((~bent, 1), (bent, 4)))
+    return _Level(g, tuple(whole), float(np.max(h_max)), mid, classes, groups)
 
 
 def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1, peaks=()):
@@ -577,39 +607,114 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     `grid`, coarsest first (G/2^(levels-1), ..., G/2, G; ValueError when
     `_ladder_fault` rejects it); a single grid is the one-level case.
     Without thresholds each level's midpoints get one geometry evaluation
-    at the order the fields declare (the midpoint rule). With them, G's
-    corners get one order-2 evaluation; level m's corners are those at
-    indices k 2^m, bit for bit, and it runs the one-level pass over G/2^m
-    (`_level`), so it equals that pass. Coarse levels carry sums only.
+    at the order the fields declare (the midpoint rule). With them, level
+    k is the one-level pass over G/2^k, bit for bit, reading G's values
+    where its nodes are G's (`_on_grid`). G's corners get one order-2
+    evaluation, and each level is classified (`_level`) by those at stride
+    2^k. The order-3 nodes of every level's inside cells, and of the coarse
+    sub-lattices on G's nodes (m <= 2^k), are evaluated once, as one node
+    set on G's corners and one on its midpoints; each level reduces its
+    inside-rule sums from them in its own node order, and its cut cells
+    keep theirs. Then G's sub-lattices, and the coarse ones off G's nodes,
+    are evaluated (`_sub_values`), G's first, and every level's cut cells
+    take the cut rule (`_cut_cells`). Coarse levels carry sums only.
+
     Each of `peaks`, a function of a PointGeometry batch, is evaluated raw
     (no dA) with the fields; only G's midpoints inside a region count.
     """
     fault = _ladder_fault(grid, levels)
     if fault:
         raise ValueError(f"{levels} doubling levels cannot end at {grid.nu}x{grid.nv}: {fault}")
-    if eps_values:
-        ug, vg = _lattice(spec, grid, centers=False)
-        n2, h = (a.reshape(grid.nu + 1, grid.nv + 1) for a in _classified(spec, ug, vg)[:2])
-        h_corner = float(np.max(h))
-        h_half = float(max(np.max(h[::2, ::2]), np.max(h[1::2, 1::2])))
-        del h
-    passes = []
-    for m in reversed(range(levels)):
-        s = 1 << m
-        g = GridSpec(grid.nu // s, grid.nv // s, grid.adaptive_depth)
-        if not eps_values:
-            area = math.prod(_axes(spec, g)[2:])  # du dv
-            arrays = _full(spec, fields, *_lattice(spec, g, centers=True))
+    grids = [GridSpec(grid.nu >> k, grid.nv >> k, grid.adaptive_depth) for k in range(levels)]
+    if not eps_values:
+        passes = []
+        for k in reversed(range(levels)):
+            area = math.prod(_axes(spec, grids[k])[2:])  # du dv
+            arrays = _full(spec, fields, *_lattice(spec, grids[k], centers=True))
             whole = tuple(float(np.sum(a)) * area for a in arrays)
             del arrays  # before the next level is evaluated
-            passes.append(_Pass(whole, (), None, None, None if m else ()))
+            passes.append(_Pass(whole, (), None, None, None if k else ()))
+        return tuple(passes)
+    ug, vg = _lattice(spec, grid, centers=False)
+    n2, h = (a.reshape(grid.nu + 1, grid.nv + 1) for a in _classified(spec, ug, vg)[:2])
+    h_corner = float(np.max(h))
+    h_half = float(max(np.max(h[::2, ::2]), np.max(h[1::2, 1::2])))
+    del h
+    lvls = [_level(spec, g, fields, eps_values, n2[:: 1 << k, :: 1 << k])
+            for k, g in enumerate(grids)]
+    del n2
+    # the order-3 node sets on G's corner (0) and midpoint (1) lattices: per
+    # lattice, the nodes, the inside-rule sums read from them as (level,
+    # index, weight), and the coarse sub-lattices as (level, group, index,
+    # rows, columns)
+    lattices = ((ug, vg), _lattice(spec, grid, centers=True))
+    marks = [np.zeros((grid.nu + 1, grid.nv + 1), dtype=bool),
+             np.zeros((grid.nu, grid.nv), dtype=bool)]
+    rules, gathers = ([], []), ([], [])
+    for k, lv in enumerate(lvls):
+        inside = np.logical_or.reduce([ins for ins, _ in lv.classes])
+        for midpoints, nodes, weight in (
+            (False, _corner_weights(inside) > 0, lambda ins: _corner_weights(ins) / 12.0),
+            (True, lv.mid < max(eps_values), lambda ins: ins * (2.0 / 3.0)),
+        ):
+            lat, at = _on_grid(1 << k, midpoints)
+            marks[lat][at] |= nodes
+            rules[lat].append((k, at, weight))
+        for j, (cells, m) in enumerate(lv.groups):
+            if 0 < k and m <= 1 << k and cells.any():
+                # the sub-cells are cells of G/t, t = 2^k / m
+                fine = cells.repeat(m, axis=0).repeat(m, axis=1)
+                iu, iv = np.nonzero(cells)
+                for midpoints, nodes in ((False, _corner_weights(fine) > 0), (True, fine)):
+                    lat, at = _on_grid((1 << k) // m, midpoints)
+                    marks[lat][at] |= nodes
+                    a = np.arange(m + 1 - midpoints)
+                    gathers[lat].append(
+                        (k, j, at, iu[:, None, None] * m + a[:, None], iv[:, None, None] * m + a))
+    region = [[[0.0] * len(fields) for _ in eps_values] for _ in lvls]
+    peak_max = (None,) * len(eps_values) if peaks else ()
+    subs = {}
+    for lat, ((us, vs), mask) in enumerate(zip(lattices, marks)):
+        if not mask.any():
             continue
-        whole, region, h_sup, peak_max = _level(
-            spec, g, fields, eps_values, peaks, n2[::s, ::s], ug[::s], vg[:, ::s]
-        )
-        fine = (max(h_sup, h_corner), h_half, peak_max) if m == 0 else (None,) * 3
-        passes.append(_Pass(whole, region, *fine))
-    return tuple(passes)
+        _, n2, *values = _full(spec, fields, *_masked(us, vs, mask), classify=True, peaks=peaks)
+        pos = np.cumsum(mask).reshape(mask.shape) - 1  # each marked node's index in values
+        densities = values[len(peaks) :]
+        for k, at, weight in rules[lat]:
+            area = math.prod(_axes(spec, lvls[k].g)[2:])  # du dv
+            for sums, (ins, _) in zip(region[k], lvls[k].classes):
+                w = weight(ins)
+                has = w > 0
+                i, w = pos[at][has], w[has]
+                for f, x in enumerate(densities):
+                    sums[f] += float(np.sum(w * x[i])) * area
+        if lat and peaks:
+            peak_max = tuple(
+                tuple(float(np.max(a[i])) for a in values[: len(peaks)]) if i.size else None
+                for i in (pos[lvls[0].mid < eps] for eps in eps_values)
+            )
+        for k, j, at, iu, iv in gathers[lat]:
+            i = pos[at][iu, iv]
+            subs.setdefault((k, j), []).append([_hring(n2[i]), *(x[i] for x in densities)])
+        del n2, values, densities  # before the next node set is evaluated
+    passes = []
+    for k, lv in enumerate(lvls):
+        h_sup = lv.h_mid
+        thresholds = [(eps, st) for eps, (_, st) in zip(eps_values, lv.classes)]
+        for j, (cells, m) in enumerate(lv.groups):
+            if not cells.any():
+                continue
+            if (k, j) in subs:
+                corner, mid = subs.pop((k, j))
+            else:
+                corner, mid, h = _sub_values(spec, lv.g, fields, peaks, cells, m)
+                h_sup = max(h_sup, h)
+            parts = _cut_cells(spec, lv.g, cells, corner, mid, thresholds)
+            region[k] = [[a + b for a, b in zip(sums, part)]
+                         for sums, part in zip(region[k], parts)]
+        fine = (max(h_sup, h_corner), h_half, peak_max) if k == 0 else (None,) * 3
+        passes.append(_Pass(lv.whole, tuple(map(tuple, region[k])), *fine))
+    return tuple(reversed(passes))
 
 
 # integrands of RegionIntegrals, in field order: vol_omega_c (and area),
@@ -695,7 +800,7 @@ def region_integrals(spec: ImmersionSpec, eps_list, grid: GridSpec):
     midpoint rule, the classification, H_sup). Full geometry is evaluated
     once at the corners and midpoints of the cells inside the largest
     threshold's region, which every inside cell reads, and per threshold
-    at the nodes of its straddling cells' sub-lattices (see `_level`).
+    at the nodes of its straddling cells' sub-lattices (see `_ladder_pass`).
     """
     eps_values = [float(e) for e in eps_list]
     fault = _thresholds_fault(eps_values)

@@ -778,3 +778,17 @@ def test_negative_seed_names_the_flag(command, tmp_path, capsys):
 def test_seed_zero_is_accepted(tmp_path):
     assert run(["identities", "--preset", "sphere", "--n", "5", "--seed", "0"], tmp_path) == 0
     assert read_json(tmp_path, "identities")["config"]["seed"] == 0
+
+
+def test_an_override_is_not_read_as_the_option_it_prefixes(tmp_path):
+    # options are never abbreviated: --s sets the file's parameter s, and
+    # the seed keeps its default (--s was taken as --seed)
+    path = tmp_path / "torus.ini"
+    path.write_text("[surface]\nname = torus_s\nx = (2 + s*cos(u))*cos(v)\n"
+                    "y = (2 + s*cos(u))*sin(v)\nz = s*sin(u)\nu_range = 0, 2*pi\n"
+                    "v_range = 0, 2*pi\nperiodic_u = true\nperiodic_v = true\nclosed = true\n"
+                    "\n[params]\ns = 1\n")
+    assert run(["identities", "--file", str(path), "--s", "0.5", "--n", "20"], tmp_path) == 0
+    payload = read_json(tmp_path, "identities")
+    assert payload["surface"]["params"] == {"s": 0.5}
+    assert payload["config"]["seed"] == cli.DEFAULT_SEED
