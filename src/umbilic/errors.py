@@ -11,7 +11,8 @@ class ParseError(UmbilicError):
     """Syntax or name error in a surface expression.
 
     ``position`` is the 1-based character offset into the source text;
-    ``hint`` describes what would have been accepted there.
+    ``hint`` is a whole phrase that says what would have been accepted
+    there or how to mend the text, rendered after the message as written.
     """
 
     def __init__(self, message: str, position: int | None = None, hint: str | None = None):
@@ -21,7 +22,7 @@ class ParseError(UmbilicError):
         if position is not None:
             full += f" (at position {position})"
         if hint:
-            full += f"; expected {hint}"
+            full += f"; {hint}"
         super().__init__(full)
 
 

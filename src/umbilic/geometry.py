@@ -690,10 +690,9 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
 
 def classification_values(spec: ImmersionSpec, u, v):
     """(|hring|^2 clipped at 0, |H|, sqrt(det g)) from the order-2 node
-    kernel: the quadrature's classification and H envelope at the base
-    lattice's corners. Each value is bit-identical to the same field of
-    `point_geometry` at any order, and a node where det g <= 0 raises the
-    same degenerate-metric error."""
+    kernel, the values the quadrature classifies by. Each value is
+    bit-identical to the same field of `point_geometry` at any order, and a
+    node where det g <= 0 raises the same degenerate-metric error."""
     n2, abs_h, sqrt_detg = _nodes(spec, 2, u, v, classify=True)
     return np.maximum(n2, 0.0), abs_h, sqrt_detg
 

@@ -10,7 +10,8 @@ Every integral comes from one pass (`_ladder_pass`). Without thresholds
 each base midpoint gets one geometry evaluation, at the order the fields
 declare. With thresholds the base lattice's corners and midpoints get
 order 2 (|hring|, |H|, the order-2 fields' whole-surface midpoint sums),
-and each cell is inside, outside or straddling by its five nodes. Inside
+and each cell is inside, outside or straddling by the extremes of
+|hring| over its five nodes (`_extremes`). Inside
 cells take (T + 2M)/3 of the field densities at their corners (T their
 mean) and midpoint (M), whose h^2 error terms cancel. Each straddling
 cell takes an m x m sub-lattice (`_cut_cells`), m set by the grid's
@@ -21,7 +22,10 @@ zero crossings along the triangles' edges follow its curvature there
 (`_crossing`). One pass serves every field and threshold of a call, and
 every level of a Richardson ladder G/2^k: level k is the one-level pass
 over G/2^k, and reads G's values where its nodes are G's, its corners and
-midpoints and its 2 x 2 sub-lattices (`_ladder_pass`).
+midpoints and its 2 x 2 sub-lattices (`_ladder_pass`). A pass with
+thresholds records two tapes: one order-2 kernel for G's corners and
+midpoints, which a coarse level's midpoints read from G's corners, and
+one at the fields' order for every other node.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -296,25 +300,21 @@ def _chunked(kernel, us, vs):
     return outs
 
 
-def _classified(spec, us, vs):
-    """(|hring|^2, |H|, sqrt(det g)) from the order-2 classification kernel."""
-    return _chunked(lambda u, v: geometry.classification_values(spec, u, v), us, vs)
-
-
 def _order(fields):
     return max((f.order if isinstance(f, Field) else 3 for f in fields), default=2)
 
 
-def _full(spec, fields, us, vs, *, classify=False, peaks=()):
+def _full(spec, fields, us, vs, *, classify=False, peaks=(), node_h=False):
     """Geometry at the highest order the fields and peaks declare (2 for
-    none), from the node kernel: with classify, max |H| per batch and
-    |hring|^2; then peak(pg) per peak and field(pg) * dA per field, each
-    product a new array (two outputs of a replay may share one buffer)."""
+    none), from the node kernel: with classify, max |H| per batch (with
+    node_h, |H| per node) and |hring|^2; then peak(pg) per peak and
+    field(pg) * dA per field, each product a new array (two outputs of a
+    replay may share one buffer)."""
     order = _order((*fields, *peaks))
 
     def batch(u, v):
         out = geometry._nodes(spec, order, u, v, classify=classify, peaks=peaks, densities=fields)
-        head = [np.max(out[1], keepdims=True), out[0]] if classify else []
+        head = [out[1] if node_h else np.max(out[1], keepdims=True), out[0]] if classify else []
         sqrt_detg, *rest = out[2:] if classify else out
         k = len(peaks)
         return (*head, *rest[:k], *(d * sqrt_detg for d in rest[k:]))
@@ -388,12 +388,24 @@ def _cut_rule(cut, density, bend):
     return out
 
 
-def _cells(corners, mid, eps):
-    """(inside, straddling) masks of cells from |hring| at their corners
-    (see `_quads`) and midpoint: all five below eps, or some but not all."""
-    below = [x < eps for x in (*corners, mid)]
-    inside = np.logical_and.reduce(below)
-    return inside, np.logical_or.reduce(below) & ~inside
+def _extremes(corners, mid):
+    """(max, fmin) per cell of |hring| at its corners (see `_quads`) and
+    midpoint: the max is NaN where a node is, the fmin only where all are."""
+    first, *rest = corners
+    hi, lo = np.maximum(mid, first), np.fmin(mid, first)
+    for c in rest:
+        np.maximum(hi, c, out=hi)
+        np.fmin(lo, c, out=lo)
+    return hi, lo
+
+
+def _cells(extremes, eps):
+    """(inside, straddling) masks of cells from their `_extremes`: all five
+    nodes below eps, or some but not all (a NaN node or one at eps is not
+    below)."""
+    hi, lo = extremes
+    inside = hi < eps
+    return inside, (lo < eps) & ~inside
 
 
 def _quads(a):
@@ -501,7 +513,7 @@ def _cut_cells(spec, g, cells, corner, mid, thresholds):
     for eps, straddle in thresholds:
         sel = straddle[cells]
         lc, lm = corner[0][sel] - eps, mid[0][sel] - eps
-        inside, cut = _cells(_quads(lc), lm, 0.0)
+        inside, cut = _cells(_extremes(_quads(lc), lm), 0.0)
         level = _cut(*_triangles(lc, lm, cut))
         sums = []
         for fc, fm in zip(corner[1:], mid[1:]):
@@ -521,6 +533,14 @@ def _corner_weights(cells):
         for b in (0, 1):
             out[a : a + n, b : b + m] += cells
     return out
+
+
+def _corner_rule(cells):
+    """The corners the mask of cells selects, as a mask of the corner
+    lattice, and their inside-rule weights: 1/12 per cell they bound."""
+    count = _corner_weights(cells)
+    has = count > 0
+    return has, count[has] / 12.0
 
 
 def _on_grid(t, midpoints):
@@ -563,41 +583,35 @@ class _Pass:
 @dataclass(frozen=True)
 class _Level:
     """A level of a pass with thresholds, classified (see `_level`): its
-    `_Pass.whole`, max |H| and |hring| at its midpoints, per threshold the
-    (inside, straddling) masks of its cells, and its straddling cells as
-    (cells, m) groups, m x m their sub-lattice: smooth, then bent."""
+    `_Pass.whole`, |hring| at its midpoints (G's own, or G's corners for a
+    coarse level), per threshold the (inside, straddling) masks of its
+    cells, and its straddling cells as (cells, m) groups, m x m their
+    sub-lattice: smooth, then bent."""
 
     g: GridSpec
     whole: tuple
-    h_mid: float
     mid: np.ndarray
     classes: list
     groups: tuple
 
 
-def _level(spec, g, fields, eps_values, n2_corner):
-    """Grid g's level of a pass, classified, given |hring|^2 at its corners
-    (n2_corner). Its midpoints get order 2: the order-2 fields'
-    whole-surface sums, |hring| and |H|. Each straddling cell takes an m x
-    m sub-lattice: m = 2^min(depth, 4) where |hring| bends (`_bent`),
-    2^min(depth, 1) elsewhere. The order-3 values of its nodes are the
-    pass's (see `_ladder_pass`)."""
-    area = math.prod(_axes(spec, g)[2:])  # du dv
-    low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
-    h_max, mid, *arrays = _full(spec, [fields[k] for k in low],
-                                *_lattice(spec, g, centers=True), classify=True)
-    whole = [None] * len(fields)
-    for k, a in zip(low, arrays):
-        whole[k] = float(np.sum(a)) * area
-    del arrays
-    corners = _quads(_hring(n2_corner))
-    mid = _hring(mid).reshape(g.nu, g.nv)
-    classes = [_cells(corners, mid, eps) for eps in eps_values]
-    bent = _bent(corners, mid)
+def _level(g, eps_values, whole, corner, mid):
+    """Grid g's level of a pass, classified from |hring| at its corners
+    and midpoints (an array the level keeps), given its whole-surface
+    sums. Each straddling cell takes an m x m sub-lattice: m =
+    2^min(depth, 4) where |hring| bends (`_bent`, tested on the straddling
+    cells alone), 2^min(depth, 1) elsewhere. The order-3 values of its
+    nodes are the pass's (see `_ladder_pass`)."""
+    corners = _quads(corner)
+    extremes = _extremes(corners, mid)
+    classes = [_cells(extremes, eps) for eps in eps_values]
+    del extremes
     straddle = np.logical_or.reduce([st for _, st in classes])
+    bent = np.zeros_like(straddle)
+    bent[straddle] = _bent([c[straddle] for c in corners], mid[straddle])
     groups = tuple((straddle & b, 1 << min(g.adaptive_depth, r))
                    for b, r in ((~bent, 1), (bent, 4)))
-    return _Level(g, tuple(whole), float(np.max(h_max)), mid, classes, groups)
+    return _Level(g, whole, mid, classes, groups)
 
 
 def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), levels=1, peaks=()):
@@ -609,15 +623,19 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     Without thresholds each level's midpoints get one geometry evaluation
     at the order the fields declare (the midpoint rule). With them, level
     k is the one-level pass over G/2^k, bit for bit, reading G's values
-    where its nodes are G's (`_on_grid`). G's corners get one order-2
-    evaluation, and each level is classified (`_level`) by those at stride
-    2^k. The order-3 nodes of every level's inside cells, and of the coarse
-    sub-lattices on G's nodes (m <= 2^k), are evaluated once, as one node
-    set on G's corners and one on its midpoints; each level reduces its
-    inside-rule sums from them in its own node order, and its cut cells
-    keep theirs. Then G's sub-lattices, and the coarse ones off G's nodes,
-    are evaluated (`_sub_values`), G's first, and every level's cut cells
-    take the cut rule (`_cut_cells`). Coarse levels carry sums only.
+    where its nodes are G's (`_on_grid`). G's corners and then its
+    midpoints get one order-2 kernel (|hring|^2, |H| and the order-2
+    fields' densities): level k reads its corners at stride 2^k, and for k
+    >= 1 its midpoints at offset 2^(k-1), so each order-2 node is evaluated
+    once. Each level is classified from those (`_level`). The order-3
+    nodes of every level's inside cells, and of the coarse sub-lattices on
+    G's nodes (m <= 2^k), are evaluated once, as one node set on G's
+    corners and one on its midpoints, by the second tape the pass records;
+    each level reduces its inside-rule sums from them in its own node
+    order, and its cut cells keep theirs. Then G's sub-lattices, and the
+    coarse ones off G's nodes, are evaluated (`_sub_values`), G's first,
+    and every level's cut cells take the cut rule (`_cut_cells`). Coarse
+    levels carry sums only.
 
     Each of `peaks`, a function of a PointGeometry batch, is evaluated raw
     (no dA) with the fields; only G's midpoints inside a region count.
@@ -635,14 +653,42 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             del arrays  # before the next level is evaluated
             passes.append(_Pass(whole, (), None, None, None if k else ()))
         return tuple(passes)
+    low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
+
+    def whole(g, arrays):
+        # the order-2 fields' whole-surface sums over g's midpoints
+        area = math.prod(_axes(spec, g)[2:])  # du dv
+        out = [None] * len(fields)
+        for k, a in zip(low, arrays):
+            out[k] = float(np.sum(a)) * area
+        return tuple(out)
+
+    # G's corners, then its midpoints, replay one order-2 kernel. Level k >=
+    # 1 reads its corners from G's at stride 2^k and its midpoints at
+    # offset 2^(k-1) (`_on_grid`), each sum from a contiguous copy, so that
+    # the pairwise sum keeps the bits of the level's own evaluation
+    order2 = [fields[k] for k in low]
     ug, vg = _lattice(spec, grid, centers=False)
-    n2, h = (a.reshape(grid.nu + 1, grid.nv + 1) for a in _classified(spec, ug, vg)[:2])
+    h, n2, *arrays = (a.reshape(grid.nu + 1, grid.nv + 1)
+                      for a in _full(spec, order2, ug, vg, classify=True, node_h=True))
     h_corner = float(np.max(h))
     h_half = float(max(np.max(h[::2, ::2]), np.max(h[1::2, 1::2])))
-    del h
-    lvls = [_level(spec, g, fields, eps_values, n2[:: 1 << k, :: 1 << k])
-            for k, g in enumerate(grids)]
-    del n2
+    coarse = []
+    for k, g in enumerate(grids[1:], 1):
+        at = _on_grid(1 << k, True)[1]
+        coarse.append((k, g, whole(g, [a[at].ravel() for a in arrays]), at))
+    del h, arrays
+    r = _hring(n2)  # |hring| at G's corners
+    del n2  # before G's midpoints are evaluated
+    h_mid, n2_mid, *arrays = _full(spec, order2, *_lattice(spec, grid, centers=True),
+                                   classify=True)
+    h_sup = float(np.max(h_mid))  # with G's sub-lattices' and h_corner, G's level's h_sup
+    lvls = [_level(grid, eps_values, whole(grid, arrays), r,
+                   _hring(n2_mid).reshape(grid.nu, grid.nv))]
+    del h_mid, n2_mid, arrays
+    lvls += [_level(g, eps_values, sums, r[:: 1 << k, :: 1 << k], r[at].copy())
+             for k, g, sums, at in coarse]
+    del r, coarse
     # the order-3 node sets on G's corner (0) and midpoint (1) lattices: per
     # lattice, the nodes, the inside-rule sums read from them as (level,
     # index, weight), and the coarse sub-lattices as (level, group, index,
@@ -651,11 +697,12 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     marks = [np.zeros((grid.nu + 1, grid.nv + 1), dtype=bool),
              np.zeros((grid.nu, grid.nv), dtype=bool)]
     rules, gathers = ([], []), ([], [])
+    widest = eps_values.index(max(eps_values))  # its inside cells hold every threshold's
     for k, lv in enumerate(lvls):
-        inside = np.logical_or.reduce([ins for ins, _ in lv.classes])
+        inside = lv.classes[widest][0]
         for midpoints, nodes, weight in (
-            (False, _corner_weights(inside) > 0, lambda ins: _corner_weights(ins) / 12.0),
-            (True, lv.mid < max(eps_values), lambda ins: ins * (2.0 / 3.0)),
+            (False, _corner_weights(inside) > 0, _corner_rule),
+            (True, lv.mid < max(eps_values), lambda ins: (ins, 2.0 / 3.0)),
         ):
             lat, at = _on_grid(1 << k, midpoints)
             marks[lat][at] |= nodes
@@ -683,9 +730,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         for k, at, weight in rules[lat]:
             area = math.prod(_axes(spec, lvls[k].g)[2:])  # du dv
             for sums, (ins, _) in zip(region[k], lvls[k].classes):
-                w = weight(ins)
-                has = w > 0
-                i, w = pos[at][has], w[has]
+                has, w = weight(ins)
+                i = pos[at][has]
                 for f, x in enumerate(densities):
                     sums[f] += float(np.sum(w * x[i])) * area
         if lat and peaks:
@@ -699,7 +745,6 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         del n2, values, densities  # before the next node set is evaluated
     passes = []
     for k, lv in enumerate(lvls):
-        h_sup = lv.h_mid
         thresholds = [(eps, st) for eps, (_, st) in zip(eps_values, lv.classes)]
         for j, (cells, m) in enumerate(lv.groups):
             if not cells.any():
@@ -708,7 +753,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
                 corner, mid = subs.pop((k, j))
             else:
                 corner, mid, h = _sub_values(spec, lv.g, fields, peaks, cells, m)
-                h_sup = max(h_sup, h)
+                if k == 0:
+                    h_sup = max(h_sup, h)
             parts = _cut_cells(spec, lv.g, cells, corner, mid, thresholds)
             region[k] = [[a + b for a, b in zip(sums, part)]
                          for sums, part in zip(region[k], parts)]

@@ -167,10 +167,16 @@ _PI = math.pi
 def _spec(name, xyz, u_range, v_range, *, periodic_u=False, periodic_v=False,
           c=0.0, params=None, margin=0.0, closed=False, source=None) -> ImmersionSpec:
     params = dict(params or {})
-    components = tuple(ex.parse(s, known_params=set(params)) for s in xyz)
+    components = []
+    for key, text in zip("xyz", xyz):
+        try:
+            components.append(ex.parse(text, known_params=set(params)))
+        except ParseError as err:
+            # named as evaluate_chart names an evaluation error
+            raise SpecValidationError(f"{source or name}: {key}: {err}") from err
     return ImmersionSpec(
         name=name,
-        components=components,
+        components=tuple(components),
         u_range=(float(u_range[0]), float(u_range[1])),
         v_range=(float(v_range[0]), float(v_range[1])),
         periodic_u=periodic_u,
@@ -343,20 +349,17 @@ def load_definition(path) -> ImmersionSpec:
             )
         return tuple(_const(x, f"{path}: {key}", params) for x in parts)
 
-    try:
-        spec = _spec(
-            surf["name"].strip(), tuple(surf[k] for k in "xyz"),
-            rng("u_range"), rng("v_range"),
-            periodic_u=flag("periodic_u"),
-            periodic_v=flag("periodic_v"),
-            c=_const(surf.get("c", "0"), f"{path}: c", params),
-            params=params,
-            margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
-            closed=flag("closed"),
-            source=str(path),
-        )
-    except ParseError as err:
-        raise SpecValidationError(f"{path}: bad component expression: {err}") from err
+    spec = _spec(
+        surf["name"].strip(), tuple(surf[k] for k in "xyz"),
+        rng("u_range"), rng("v_range"),
+        periodic_u=flag("periodic_u"),
+        periodic_v=flag("periodic_v"),
+        c=_const(surf.get("c", "0"), f"{path}: c", params),
+        params=params,
+        margin=_const(surf.get("singular_margin", "0"), f"{path}: singular_margin", params),
+        closed=flag("closed"),
+        source=str(path),
+    )
     validate(spec)
     return spec
 

@@ -85,9 +85,13 @@ class _Traced(np.ndarray):
         return self._rec.call(ufunc, method, inputs, kwargs)
 
     # the arithmetic operators make the call numpy's would, without its
-    # dispatch: most of a recording's calls come from them
+    # dispatch: most of a recording's calls come from them, and most of
+    # those read two values of one recorder (`_Recorder.pair`)
     def _binary(ufunc):
         def op(self, other):
+            rec = self._rec
+            if type(other) is _Traced and rec is not None and other._rec is rec:
+                return rec.pair(ufunc, self._slot, other._slot)
             return self.__array_ufunc__(ufunc, "__call__", self, other)
 
         def rop(self, other):
@@ -157,6 +161,18 @@ class _Recorder:
         traced = self.seen[key] = self.wrap(result)
         self.steps.append((ufunc, operands, traced._slot))
         return traced
+
+    def pair(self, ufunc, a, b):
+        """`call` for an arithmetic ufunc of the values in slots a and b:
+        the same value numbering and step, without the checks such a call
+        always passes (two values of the batch shape, one result)."""
+        key = (ufunc, "__call__", (), *((b, a) if ufunc in _COMMUTATIVE and b < a else (a, b)))
+        seen = self.seen.get(key)
+        if seen is None:
+            values = self.values
+            seen = self.seen[key] = self.wrap(ufunc(values[a], values[b]))
+            self.steps.append((ufunc, [(a, None), (b, None)], seen._slot))
+        return seen
 
 
 # IEEE add and multiply commute bit for bit, so b * a is a repeat of a * b.

@@ -75,6 +75,36 @@ def test_function_without_call():
         ex.parse("sin + 2")
 
 
+@pytest.mark.parametrize("text, known, message", [
+    ("u + $", None, "unexpected character '$' (at position 5);"
+     " expected a number, identifier, or one of + - * / ^ ( )"),
+    ("(u", None, "unexpected end of input (at position 3); expected ')'"),
+    ("u v", None, "unexpected 'v' after complete expression (at position 3);"
+     " expected an operator or end of input"),
+    ("u^v", None, "exponent of ^ must be a numeric literal (at position 3);"
+     " write exp(b*log(a)) for a non-constant power"),
+    ("foo(u)", None, "unknown function 'foo' (at position 1); available: "
+     + " ".join(ex.FUNCTIONS)),
+    ("sin + 2", None, "function 'sin' needs an argument (at position 1); write sin(...)"),
+    ("a*cos(u)", set(), "unknown identifier 'a' (at position 1);"
+     " not a variable, constant, function, or declared parameter"),
+    ("2 + * 3", None, "unexpected '*' (at position 5);"
+     " expected a number, identifier, or parenthesized expression"),
+])
+def test_parse_error_renders_its_hint_as_written(text, known, message):
+    # each hint is a whole phrase: the message carries it after "; " as it
+    # is, with no word of its own ahead of it
+    with pytest.raises(ParseError) as exc:
+        ex.parse(text, known_params=known)
+    assert str(exc.value) == message
+
+
+def test_unbound_parameter_error_renders_its_hint_as_written():
+    with pytest.raises(ParseError) as exc:
+        ex.eval_jet(ex.parse("a*u"), 0.0, 0.0, 2, {})
+    assert str(exc.value) == "unknown identifier 'a' (at position 1); bind it in the parameter table"
+
+
 def test_syntax_error_positions():
     with pytest.raises(ParseError) as exc:
         ex.parse("2 + * 3")

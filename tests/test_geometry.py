@@ -782,20 +782,21 @@ def test_trig_calls_read_one_input(name, key, tmp_path):
 def test_no_cli_path_falls_back(name, tmp_path):
     # what each CLI command evaluates, on a fresh spec, replays its kernels'
     # own tapes: none is refused, none falls back to the "forms" kernel's
-    # stage one, and the command records one tape per kernel. At depth 5
-    # the straddling cells' sub-lattices replay the tape of the other full
-    # nodes; with order-2 fields alone that is the midpoints' tape
+    # stage one, and the command records one tape per kernel. A thresholded
+    # pass records two: G's corners and midpoints replay the order-2 one,
+    # and at depth 5 the straddling cells' sub-lattices replay the tape of
+    # the other full nodes; with order-2 fields alone that is the order-2 one
     grid = q.GridSpec(64, 64, 5)
     commands = {
-        "verify": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid), 3),
-        "verify --eps0": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid, eps0=0.5), 3),
-        "convergence vol": (lambda spec: q.convergence_study(spec, q.AREA, q.sublevel(0.3), grid), 2),
+        "verify": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid), 2),
+        "verify --eps0": (lambda spec: V.verify_prel(spec, (0.5, 0.2), grid, eps0=0.5), 2),
+        "convergence vol": (lambda spec: q.convergence_study(spec, q.AREA, q.sublevel(0.3), grid), 1),
         "convergence area": (lambda spec: q.convergence_study(spec, q.AREA, q.ALL, grid), 1),
         "convergence total_R": (lambda spec: q.convergence_study(spec, q.TOTAL_R, q.ALL, grid), 1),
         "identities": (lambda spec: geo.residual_norms(spec, *sample_points(spec, 200)), 1),
     }
     if name == "ellipsoid_rev":
-        commands["sweep"] = (lambda spec: V.sharpness_gap(spec, (0.5, 0.2), grid), 3)
+        commands["sweep"] = (lambda spec: V.sharpness_gap(spec, (0.5, 0.2), grid), 2)
     for command, (run, count) in commands.items():
         spec = bounds_spec(name, tmp_path)
         run(spec)

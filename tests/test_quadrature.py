@@ -23,6 +23,11 @@ def area_field(pg):
     return 1.0
 
 
+def classified(spec, us, vs):
+    """`classification_values` on the node set, in `_chunked`'s batches."""
+    return q._chunked(lambda u, v: classification_values(spec, u, v), us, vs)
+
+
 def r_field(pg):
     return pg.R
 
@@ -144,7 +149,7 @@ def test_chunked_cuts_masked_nodes_into_slices(monkeypatch):
     mask[np.random.default_rng(0).permutation(256)[:127]] = True
     mask = mask.reshape(16, 16)
     u, v = q._masked(us, vs, mask)
-    want = q._classified(spec, us, vs)
+    want = classified(spec, us, vs)
     monkeypatch.setattr(q, "CHUNK", 40)
     batches = []
 
@@ -182,11 +187,11 @@ def test_chunked_binds_a_tape_once_per_loop(monkeypatch):
     bind = tape.Tape._bind
     monkeypatch.setattr(tape.Tape, "_bind", lambda self, shapes: binds.append(shapes) or bind(self, shapes))
     monkeypatch.setattr(q, "CHUNK", us.size // 5)
-    got = q._classified(spec, us, vs)
+    got = classified(spec, us, vs)
     assert binds == [((64,), (64,))]
     assert tape._loop is None
     monkeypatch.setattr(q, "CHUNK", us.size)
-    for x, y in zip(got, q._classified(spec, us, vs)):
+    for x, y in zip(got, classified(spec, us, vs)):
         assert x.tobytes() == y.tobytes()
 
     def kernel(u, v):
@@ -203,9 +208,9 @@ def test_a_single_batch_result_outlives_later_passes():
     # loop gives to the caller: later passes on the spec bind anew
     spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
     us, vs = flat_nodes(*q._lattice(spec, q.GridSpec(16, 16), centers=True))
-    got = q._classified(spec, us, vs)
+    got = classified(spec, us, vs)
     kept = [np.array(x) for x in got]
-    q._classified(spec, us + 0.01, vs)
+    classified(spec, us + 0.01, vs)
     q.integrate(spec, q.AREA, q.GridSpec(16, 16, 0))
     for x, y in zip(got, kept):
         assert x.tobytes() == y.tobytes()
@@ -408,20 +413,15 @@ def _outside_r(spec, g, eps, monkeypatch):
     read as 1 + eps - |hring| at every node, the sublevel region at 1 is the
     complement, and each cell's level is the negated level (valid while
     sup |hring| <= 1 + eps)."""
-    real_full, real_classified = q._full, q._classified
+    real_full = q._full
     flip = lambda n2: (1.0 + eps - np.sqrt(np.maximum(n2, 0.0))) ** 2
 
     def full(*args, classify=False, **kwargs):
         out = real_full(*args, classify=classify, **kwargs)
         return (out[0], flip(out[1]), *out[2:]) if classify else out
 
-    def classified(*args):
-        n2, *rest = real_classified(*args)
-        return (flip(n2), *rest)
-
     with monkeypatch.context() as m:
         m.setattr(q, "_full", full)
-        m.setattr(q, "_classified", classified)
         return q.integrate(spec, r_field, g, q.sublevel(1.0))
 
 
@@ -541,7 +541,7 @@ def test_bent_cells_lie_at_a_generic_umbilic(name, eps, bent):
     corner = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=False))[0])
     mid = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=True))[0])
     corners, mid = q._quads(corner.reshape(g.nu + 1, g.nv + 1)), mid.reshape(g.nu, g.nv)
-    _, straddle = q._cells(corners, mid, eps)
+    _, straddle = q._cells(q._extremes(corners, mid), eps)
     assert straddle.any()
     assert (q._bent(corners, mid)[straddle] == bent).all()
 
@@ -714,8 +714,8 @@ def test_sub_lattices_are_nodes_of_the_refined_lattice(m):
 
 @pytest.mark.parametrize("name", ["ellipsoid_rev", "ellipsoid_tri"])
 def test_thresholds_share_the_order3_calls(name, monkeypatch):
-    # one pass serves every threshold: the midpoints at order 2, then at
-    # order 3 the inside cells' corners, the inside midpoints and the
+    # one pass serves every threshold: the corners and the midpoints at
+    # order 2, then at order 3 the inside cells' corners, the inside midpoints and the
     # corners and midpoints of the smooth sub-lattice group; thresholds
     # down to 0.2 cross no bent cell, so four of them take the calls of one
     calls = []
@@ -729,26 +729,28 @@ def test_thresholds_share_the_order3_calls(name, monkeypatch):
     for eps_values in ((0.4,), (0.4, 0.3, 0.25, 0.2)):
         calls.clear()
         q.region_integrals(preset(name), eps_values, q.GridSpec(128, 128, 6))
-        assert calls == [2, 3, 3, 3, 3], eps_values
+        assert calls == [2, 2, 3, 3, 3, 3], eps_values
 
 
 def test_ladder_evaluates_the_corner_lattice_once(monkeypatch):
-    # every level of a ladder reads G's order-2 corners at its stride: one
-    # classification call, of G's (nu + 1) x (nv + 1) corners, however many
-    # levels
+    # every level of a ladder reads G's order-2 corners at its stride, and a
+    # coarse level its midpoints at offset 2^(k-1): one corner-kernel call
+    # (|H| per node), of G's (nu + 1) x (nv + 1) corners, and one of G's nu
+    # x nv midpoints, however many levels
     g = q.GridSpec(128, 128, 4)
-    sizes = []
-    real = q._classified
+    calls = []
+    real = q._full
 
-    def recording(spec, us, vs):
-        sizes.append(np.broadcast(us, vs).size)
-        return real(spec, us, vs)
+    def recording(spec, fields, us, vs, **kwargs):
+        if q._order((*fields, *kwargs.get("peaks", ()))) == 2:
+            calls.append((np.broadcast(us, vs).size, kwargs.get("node_h", False)))
+        return real(spec, fields, us, vs, **kwargs)
 
-    monkeypatch.setattr(q, "_classified", recording)
+    monkeypatch.setattr(q, "_full", recording)
     for levels in (1, 3):
-        sizes.clear()
+        calls.clear()
         q._ladder_pass(preset("ellipsoid_rev"), g, q._REGION_FIELDS, (0.5, 0.1), levels)
-        assert sizes == [(g.nu + 1) * (g.nv + 1)], levels
+        assert calls == [((g.nu + 1) * (g.nv + 1), True), (g.nu * g.nv, False)], levels
 
 
 def _order3_batches(spec, g, eps_values, levels, monkeypatch):
@@ -804,6 +806,76 @@ def test_coarse_bent_sub_lattices_are_still_evaluated(monkeypatch):
     assert calls == [(128, 2), (128, 16), (64, 16), (32, 16)]
 
 
+def test_verify_pass_evaluates_each_order2_node_once(monkeypatch):
+    # verify's pass at its defaults on ellipsoid_rev(1, 2), 512^2, depth 6:
+    # G's corners and midpoints take every order-2 evaluation, each node
+    # once (the coarse midpoints are G's corners), 263,169 + 262,144 of
+    # them; the order-3 node sets take 264,400. The pass records two tapes
+    spec = preset("ellipsoid_rev", {"a": 1.0, "b": 2.0})
+    nodes = {2: [], 3: []}
+    real = geometry._nodes
+
+    def recording(spec, order, u, v, **kwargs):
+        nodes[order].append(np.ravel(np.add(*np.broadcast_arrays(u, 1j * np.asarray(v)))))
+        return real(spec, order, u, v, **kwargs)
+
+    monkeypatch.setattr(geometry, "_nodes", recording)
+    q._region_pass(spec, (0.5, 0.25, 0.1, 0.05), q.GridSpec(512, 512, 6), 3)
+    order2, order3 = (np.concatenate(nodes[k]) for k in (2, 3))
+    assert (order2.size, order3.size) == (525_313, 264_400)
+    assert np.unique(order2).size == order2.size
+    assert len(spec.tapes) == 2
+
+
+@pytest.mark.parametrize("name, eps_values", [
+    ("ellipsoid_tri", (0.4, 0.1, 0.01)), ("ellipsoid_rev", (0.5, 0.1)),
+])
+def test_bent_reads_the_straddling_cells_alone(name, eps_values, monkeypatch):
+    # the bend test runs once per level, on the values of the cells that
+    # straddle some threshold, and nowhere else
+    g = q.GridSpec(128, 128, 6)
+    spec = preset(name)
+    sizes = []
+    real = q._bent
+
+    def recording(corners, mid):
+        assert all(c.shape == mid.shape for c in corners)
+        sizes.append(mid.size)
+        return real(corners, mid)
+
+    monkeypatch.setattr(q, "_bent", recording)
+    q._ladder_pass(spec, g, q._REGION_FIELDS, eps_values, 3)
+    want = []
+    for k in range(3):
+        gk = q.GridSpec(g.nu >> k, g.nv >> k, g.adaptive_depth)
+        corner, mid = (np.sqrt(classified(spec, *q._lattice(spec, gk, centers=c))[0])
+                       for c in (False, True))
+        corners = q._quads(corner.reshape(gk.nu + 1, gk.nv + 1))
+        extremes = q._extremes(corners, mid.reshape(gk.nu, gk.nv))
+        want.append(int(np.count_nonzero(np.logical_or.reduce(
+            [q._cells(extremes, eps)[1] for eps in eps_values]))))
+    assert sizes == want and 0 < min(want) and max(want) < g.nu * g.nv // 16
+
+
+def test_cell_extremes_classify_as_five_comparisons():
+    # the (inside, straddling) masks from each cell's max and fmin are those
+    # of its five comparisons with eps: a NaN node, or one equal to eps, is
+    # not below eps; a cell of five NaN nodes is outside
+    rng = np.random.default_rng(3)
+    eps = 0.5
+    corner = rng.choice([0.1, 0.3, eps, 0.7, np.nan, np.inf], size=(41, 37))
+    mid = rng.choice([0.2, eps, 0.9, np.nan], size=(40, 36))
+    corner[:2, :2] = mid[0, 0] = np.nan
+    corners = q._quads(corner)
+    below = [x < eps for x in (*corners, mid)]
+    inside = np.logical_and.reduce(below)
+    straddle = np.logical_or.reduce(below) & ~inside
+    got = q._cells(q._extremes(corners, mid), eps)
+    assert np.array_equal(got[0], inside) and np.array_equal(got[1], straddle)
+    assert inside.any() and straddle.any() and not (inside | straddle)[0, 0]
+    assert all(np.isnan(x[0, 0]) for x in (*corners, mid))
+
+
 def test_region_of_isolated_cell_centers_at_depth_two():
     # ellipsoid_tri on 16 x 40 at depth 2, eps just above the least |hring|
     # over the base midpoints: no cell lies inside, and every straddling one
@@ -817,7 +889,7 @@ def test_region_of_isolated_cell_centers_at_depth_two():
     corner = np.sqrt(classification_values(spec, *q._lattice(spec, g, centers=False))[0])
     corners = q._quads(corner.reshape(g.nu + 1, g.nv + 1))
     eps = 1.0001 * float(mid.min())
-    inside, straddle = q._cells(corners, mid, eps)
+    inside, straddle = q._cells(q._extremes(corners, mid), eps)
     assert not inside.any() and straddle.any()
     assert all(x[straddle].min() >= eps for x in corners)
     assert q._bent(corners, mid)[straddle].all()
@@ -1140,6 +1212,28 @@ def test_accuracy_script_reruns_are_byte_identical(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     rows = json.loads(outs[0].read_text())["rows"]
     assert rows and all(isinstance(r["change"], (float, bool)) for r in rows)
+
+
+def test_accuracy_script_reproduces_the_newest_record(tmp_path):
+    # tests/accuracy.py at its defaults writes the figures of the newest
+    # ACCURACY_<n>.json in the repository root: the same figures in the same
+    # order, each number within a relative 1e-6 of the record's change
+    # column (another numpy build may move the last bits), each boolean equal
+    root = Path(__file__).resolve().parent.parent
+    newest = max(root.glob("ACCURACY_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    out = tmp_path / "accuracy.json"
+    subprocess.run([sys.executable, str(root / "tests" / "accuracy.py"), "--out", str(out)],
+                   check=True)
+    got, want = (json.loads(p.read_text()) for p in (out, newest))
+    assert (got["grid"], got["depth"]) == (want["grid"], want["depth"])
+    assert [r["figure"] for r in got["rows"]] == [r["figure"] for r in want["rows"]]
+    for g, w in zip(got["rows"], want["rows"]):
+        a, b = g["change"], w["change"]
+        assert type(a) is type(b), g["figure"]
+        if isinstance(b, bool):
+            assert a == b, g["figure"]
+        else:
+            assert abs(a - b) <= 1e-6 * abs(b), (g["figure"], a, b)
 
 
 def test_integrate_bit_identical():

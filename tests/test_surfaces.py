@@ -167,7 +167,21 @@ def test_load_definition_bad_expression(tmp_path):
     )
     with pytest.raises(SpecValidationError) as exc:
         load_definition(p)
-    assert "expression" in str(exc.value)
+    assert str(exc.value) == f"{p}: x: unexpected end of input (at position 6); expected ')'"
+
+
+@pytest.mark.parametrize("key", ["x", "y", "z"])
+def test_load_definition_names_the_component_that_fails_to_parse(key, tmp_path):
+    # a parse error names its component after the file, as an evaluation
+    # error does (`<path>: z: ...`)
+    p = tmp_path / "surf.ini"
+    chart = {"x": "u", "y": "v", "z": "0", key: "u + $"}
+    p.write_text("[surface]\nname = broken\n" + "".join(f"{k} = {x}\n" for k, x in chart.items())
+                 + "u_range = 0, 1\nv_range = 0, 1\n")
+    with pytest.raises(SpecValidationError) as exc:
+        load_definition(p)
+    assert str(exc.value) == (f"{p}: {key}: unexpected character '$' (at position 5);"
+                              " expected a number, identifier, or one of + - * / ^ ( )")
 
 
 def test_load_definition_undeclared_param(tmp_path):

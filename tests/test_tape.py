@@ -183,6 +183,57 @@ def test_add_and_multiply_are_numbered_up_to_operand_order():
     assert got[3].tobytes() == np.maximum(*zeros[::-1]).tobytes()
 
 
+def step_keys(recorded):
+    """A tape's kept steps, comparable across recordings: each constant
+    as its value-numbering key, a guard's outcome as its bytes."""
+    keys = []
+    for step in recorded._steps:
+        if len(step) == 4:
+            ufunc, kwargs, slot, outcome = step
+            keys.append((ufunc, repr(sorted(kwargs.items())), slot, np.asarray(outcome).tobytes()))
+        else:
+            ufunc, operands, slot = step
+            keys.append((ufunc, tuple(s if c is None else tape._constant_key(c)
+                                      for s, c in operands), slot))
+    return keys
+
+
+@pytest.mark.parametrize("name, order, kernel", [
+    ("torus", 4, "residuals"), ("ellipsoid_rev", 3, "region"),
+])
+def test_the_operator_fast_path_records_numpys_steps(name, order, kernel, monkeypatch):
+    # an operator on two values of one recording takes `_Recorder.pair`;
+    # numpy's own dispatch of the operators, through `__array_ufunc__` and
+    # `_Recorder.call`, records the same steps: 2,668 for the order-4
+    # residuals tape on the torus, 522 for the order-3 region tape
+    from umbilic import geometry
+    from umbilic import quadrature as q
+    from umbilic.surfaces import preset
+
+    def recorded():
+        spec = preset(name)
+        u, v = np.array([0.3]), np.array([0.7])
+        if kernel == "residuals":
+            geometry.residual_norms(spec, u, v)
+        else:
+            geometry._nodes(spec, order, u, v, classify=True, densities=q._REGION_FIELDS)
+        (got,) = spec.tapes.values()
+        return step_keys(got)
+
+    calls = []
+    pair = tape._Recorder.pair
+    monkeypatch.setattr(tape._Recorder, "pair", lambda *args: calls.append(1) or pair(*args))
+    fast = recorded()
+    assert len(fast) == {"residuals": 2668, "region": 522}[kernel]
+    assert len(calls) > len(fast) / 2
+    for op in ("add", "sub", "mul", "truediv"):
+        for side in ("", "r"):
+            monkeypatch.delattr(tape._Traced, f"__{side}{op}__")
+    calls.clear()
+    assert recorded() == fast
+    assert not calls
+
+
 def test_a_batch_loop_replays_as_fresh_replays_bit_for_bit():
     # inside the scope a binding serves the next replay of its tape and
     # shapes; another tape or other shapes replace it. Every replay's
