@@ -45,7 +45,7 @@ that kernel falls back to `_forms`, which raises the jet path's error.
 
 A `PointGeometry` is a read-only view of one `_Geometry`, the one public
 form of stage two: `point_geometry` and `fundamental_forms` return one,
-and the node kernel hands one to integrands and peaks.
+and the node kernel hands one to its raw values and integrands.
 
 The jet order decides which fields a `PointGeometry` carries:
 
@@ -585,10 +585,6 @@ class BochnerResidual:
             self.r_tensor / (1.0 + self.s_tensor), self.r_scalar / (1.0 + self.s_scalar)
         )
 
-    @property
-    def value(self) -> np.ndarray:
-        return np.maximum(self.r_tensor, self.r_scalar)
-
 
 def bochner_residual(pg: PointGeometry) -> BochnerResidual:
     """Evaluate the Laplacian identities on order-4 geometry.
@@ -688,26 +684,29 @@ def intrinsic_scalar_curvature(pg: PointGeometry) -> np.ndarray:
 # -- the quadrature's node kernel ------------------------------------------------
 
 
+# |hring|^2 and |H| per node: the quadrature classifies by them
+_LEVEL = (lambda pg: pg.hring_norm2, lambda pg: np.abs(pg.H))
+
+
 def classification_values(spec: ImmersionSpec, u, v):
     """(|hring|^2 clipped at 0, |H|, sqrt(det g)) from the order-2 node
-    kernel, the values the quadrature classifies by. Each value is
-    bit-identical to the same field of `point_geometry` at any order, and a
-    node where det g <= 0 raises the same degenerate-metric error."""
-    n2, abs_h, sqrt_detg = _nodes(spec, 2, u, v, classify=True)
+    kernel, the values the quadrature classifies by (`_LEVEL`). Each value
+    is bit-identical to the same field of `point_geometry` at any order,
+    and a node where det g <= 0 raises the same degenerate-metric error."""
+    n2, abs_h, sqrt_detg = _nodes(spec, 2, u, v, raw=_LEVEL)
     return np.maximum(n2, 0.0), abs_h, sqrt_detg
 
 
-def _nodes(spec: ImmersionSpec, order: int, u, v, *, classify, peaks=(), densities=()):
+def _nodes(spec: ImmersionSpec, order: int, u, v, *, raw=(), densities=()):
     """The quadrature's kernel at the nodes (u, v), from jet order `order`:
-    |hring|^2 and |H| when classify is set, sqrt(det g), each peak, then
-    each field of densities per unit area, peaks and fields reading a
-    `PointGeometry`. One tape per (order, classify, peaks, fields)."""
+    per node fn(pg) for each fn of raw, sqrt(det g), then each field of
+    densities per unit area, each reading a `PointGeometry`. One tape per
+    (order, raw, fields)."""
 
     def kernel(geom):
         pg = PointGeometry(geom)
-        out = [geom.hring_norm2, np.abs(geom.H)] if classify else []
-        out += [geom.sqrt_detg, *(np.asanyarray(p(pg), dtype=float) for p in peaks)]
-        for field in densities:
+        out = []
+        for field in (*raw, lambda pg: pg.sqrt_detg, *densities):
             value = field(pg)
             if value is None:
                 raise ValueError(f"integrand read a quantity that jet order {order} does not"
@@ -715,7 +714,7 @@ def _nodes(spec: ImmersionSpec, order: int, u, v, *, classify, peaks=(), densiti
             out.append(np.asanyarray(value, dtype=float))
         return out
 
-    key = ("nodes", classify, tuple(map(_code_key, peaks)), tuple(map(_code_key, densities)))
+    key = ("nodes", tuple(map(_code_key, raw)), tuple(map(_code_key, densities)))
     return _kernel(spec, key, order, kernel, u, v)
 
 

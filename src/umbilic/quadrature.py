@@ -31,15 +31,16 @@ An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
 order 3. `AREA` and `TOTAL_R` need only values (order 2), so passes over
 them alone skip the order-3 jets and the covariant derivatives. Every
-node replays the node kernel (`geometry._nodes`): |hring|^2 and |H| where
-it classifies, sqrt(det g), the peaks and the field densities, which the
-pass weighs by dA outside the tape. A base lattice reaches the kernel as
-a column of u and a row of v, never meshed (`_lattice`); the nodes of the
-cells inside the largest region as the flat arrays of the lattice nodes
-a mask selects (`_masked`); sub-lattices as broadcast pairs, u of shape
-(K, n, 1) and v of shape (K, 1, n) (`_sublattice`). One batch loop cuts
-every node set into whole rows (`_chunked`), and the tape alone picks how
-a batch replays (`tape.Tape.replay`).
+node replays the node kernel (`geometry._nodes`): raw values per node
+(with thresholds |hring|^2 and |H|, `_LEVEL`, and the peaks), then the
+field densities, which the pass weighs by dA outside the tape. A base
+lattice reaches the kernel as a column of u and a row of v, never meshed
+(`_lattice`); the nodes of the cells inside the largest region as the
+flat arrays of the lattice nodes a mask selects (`_masked`); sub-lattices
+as broadcast pairs, u of shape (K, n, 1) and v of shape (K, 1, n)
+(`_sublattice`). One batch loop cuts every node set into whole rows and
+gathers one value per node (`_chunked`); the tape picks how a batch
+replays (`tape.Tape.replay`).
 
 Summation uses a fixed traversal order with numpy's pairwise reduction,
 so identical inputs give bit-identical results.
@@ -198,6 +199,8 @@ class Field:
 
 AREA = Field(lambda pg: 1.0, order=2)
 TOTAL_R = Field(lambda pg: pg.R, order=2)
+# |hring|^2 and |H| per node, the raw values of every pass with thresholds
+_LEVEL = tuple(Field(fn, order=2) for fn in geometry._LEVEL)
 
 
 @dataclass(frozen=True)
@@ -264,11 +267,10 @@ def _chunked(kernel, us, vs):
     column of u and row of v (see `_lattice`), or equal-length node arrays.
     One rule cuts every node set: whole rows along its first axis, max(1,
     CHUNK // width) rows of width nodes per batch (a 1-D set has width 1),
-    an input of one row whole in every batch; outputs gather row-major.
-    The node set must be non-empty (ValueError otherwise). An output of one
-    element per batch (a batch maximum) gathers to one element per batch.
-    Batches are written into preallocated outputs, so no result is ever
-    held twice.
+    an input of one row whole in every batch. One rule gathers: every
+    output holds one value per node, row-major. The node set must be
+    non-empty (ValueError otherwise). Batches are written into preallocated
+    outputs, so no result is ever held twice.
 
     This is the one batch loop: it runs inside `tape.reusing()`, so a tape
     the kernel replays binds its buffers once per loop (and once more for a
@@ -291,12 +293,9 @@ def _chunked(kernel, us, vs):
             if n <= step:
                 return tuple(part)
             if k == 0:
-                outs = tuple(np.empty(n if a.size > 1 else -(-n // step), a.dtype) for a in part)
+                outs = tuple(np.empty(n, a.dtype) for a in part)
             for out, a in zip(outs, part):
-                if out.size == n:
-                    out[k * step : k * step + a.size] = a
-                else:
-                    out[k] = a[0]
+                out[k * step : k * step + a.size] = a
     return outs
 
 
@@ -304,20 +303,16 @@ def _order(fields):
     return max((f.order if isinstance(f, Field) else 3 for f in fields), default=2)
 
 
-def _full(spec, fields, us, vs, *, classify=False, peaks=(), node_h=False):
-    """Geometry at the highest order the fields and peaks declare (2 for
-    none), from the node kernel: with classify, max |H| per batch (with
-    node_h, |H| per node) and |hring|^2; then peak(pg) per peak and
-    field(pg) * dA per field, each product a new array (two outputs of a
-    replay may share one buffer)."""
-    order = _order((*fields, *peaks))
+def _full(spec, fields, us, vs, raw=()):
+    """Geometry at the highest order the raw values and fields declare (2
+    for none), from the node kernel, per node: fn(pg) for each fn of raw,
+    then field(pg) * dA per field, each product a new array (two outputs of
+    a replay may share one buffer)."""
+    order, k = _order((*raw, *fields)), len(raw)
 
     def batch(u, v):
-        out = geometry._nodes(spec, order, u, v, classify=classify, peaks=peaks, densities=fields)
-        head = [out[1] if node_h else np.max(out[1], keepdims=True), out[0]] if classify else []
-        sqrt_detg, *rest = out[2:] if classify else out
-        k = len(peaks)
-        return (*head, *rest[:k], *(d * sqrt_detg for d in rest[k:]))
+        out = geometry._nodes(spec, order, u, v, raw=raw, densities=fields)
+        return (*out[:k], *(d * out[k] for d in out[k + 1 :]))  # out[k] is sqrt(det g)
 
     return _chunked(batch, us, vs)
 
@@ -485,10 +480,10 @@ def _sub_values(spec, g, fields, peaks, cells, m):
     g the 2-D mask selects: |hring| and each field's density * dA at their
     corners, arrays of shape (K, m + 1, m + 1), and at their midpoints, (K,
     m, m), and the max of |H| over both. The nodes are evaluated with the
-    classification and the peaks (unread), as every order-3 node of the
-    pass."""
-    (h_c, n2_c, *f_c), (h_m, n2_m, *f_m) = (
-        _full(spec, fields, *nodes, classify=True, peaks=peaks)
+    raw values `_LEVEL` and the peaks (unread), as every order-3 node of
+    the pass."""
+    (n2_c, h_c, *f_c), (n2_m, h_m, *f_m) = (
+        _full(spec, fields, *nodes, raw=(*_LEVEL, *peaks))
         for nodes in _sublattice(spec, g, cells, m)
     )
     k = len(peaks)
@@ -644,24 +639,20 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     if fault:
         raise ValueError(f"{levels} doubling levels cannot end at {grid.nu}x{grid.nv}: {fault}")
     grids = [GridSpec(grid.nu >> k, grid.nv >> k, grid.adaptive_depth) for k in range(levels)]
-    if not eps_values:
-        passes = []
-        for k in reversed(range(levels)):
-            area = math.prod(_axes(spec, grids[k])[2:])  # du dv
-            arrays = _full(spec, fields, *_lattice(spec, grids[k], centers=True))
-            whole = tuple(float(np.sum(a)) * area for a in arrays)
-            del arrays  # before the next level is evaluated
-            passes.append(_Pass(whole, (), None, None, None if k else ()))
-        return tuple(passes)
-    low = [k for k, f in enumerate(fields) if _order((f,)) == 2]
+    # the fields with whole-surface sums: all without thresholds, else the order-2 ones
+    low = [k for k, f in enumerate(fields) if not eps_values or _order((f,)) == 2]
 
     def whole(g, arrays):
-        # the order-2 fields' whole-surface sums over g's midpoints
+        # the whole-surface sums of the fields `low` names over g's midpoints
         area = math.prod(_axes(spec, g)[2:])  # du dv
         out = [None] * len(fields)
         for k, a in zip(low, arrays):
             out[k] = float(np.sum(a)) * area
         return tuple(out)
+
+    if not eps_values:  # the midpoint rule; a level's arrays are freed before the next's
+        return tuple(_Pass(whole(g, _full(spec, fields, *_lattice(spec, g, centers=True))), (),
+                           None, None, () if g == grid else None) for g in reversed(grids))
 
     # G's corners, then its midpoints, replay one order-2 kernel. Level k >=
     # 1 reads its corners from G's at stride 2^k and its midpoints at
@@ -669,8 +660,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     # the pairwise sum keeps the bits of the level's own evaluation
     order2 = [fields[k] for k in low]
     ug, vg = _lattice(spec, grid, centers=False)
-    h, n2, *arrays = (a.reshape(grid.nu + 1, grid.nv + 1)
-                      for a in _full(spec, order2, ug, vg, classify=True, node_h=True))
+    n2, h, *arrays = (a.reshape(grid.nu + 1, grid.nv + 1)
+                      for a in _full(spec, order2, ug, vg, raw=_LEVEL))
     h_corner = float(np.max(h))
     h_half = float(max(np.max(h[::2, ::2]), np.max(h[1::2, 1::2])))
     coarse = []
@@ -680,12 +671,12 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     del h, arrays
     r = _hring(n2)  # |hring| at G's corners
     del n2  # before G's midpoints are evaluated
-    h_mid, n2_mid, *arrays = _full(spec, order2, *_lattice(spec, grid, centers=True),
-                                   classify=True)
+    n2_mid, h_mid, *arrays = _full(spec, order2, *_lattice(spec, grid, centers=True),
+                                   raw=_LEVEL)
     h_sup = float(np.max(h_mid))  # with G's sub-lattices' and h_corner, G's level's h_sup
     lvls = [_level(grid, eps_values, whole(grid, arrays), r,
                    _hring(n2_mid).reshape(grid.nu, grid.nv))]
-    del h_mid, n2_mid, arrays
+    del n2_mid, h_mid, arrays
     lvls += [_level(g, eps_values, sums, r[:: 1 << k, :: 1 << k], r[at].copy())
              for k, g, sums, at in coarse]
     del r, coarse
@@ -724,7 +715,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
     for lat, ((us, vs), mask) in enumerate(zip(lattices, marks)):
         if not mask.any():
             continue
-        _, n2, *values = _full(spec, fields, *_masked(us, vs, mask), classify=True, peaks=peaks)
+        n2, h, *values = _full(spec, fields, *_masked(us, vs, mask), raw=(*_LEVEL, *peaks))
+        del h  # these are G's nodes, whose max |H| is read already
         pos = np.cumsum(mask).reshape(mask.shape) - 1  # each marked node's index in values
         densities = values[len(peaks) :]
         for k, at, weight in rules[lat]:
@@ -742,7 +734,7 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
         for k, j, at, iu, iv in gathers[lat]:
             i = pos[at][iu, iv]
             subs.setdefault((k, j), []).append([_hring(n2[i]), *(x[i] for x in densities)])
-        del n2, values, densities  # before the next node set is evaluated
+        del n2, values, densities, pos  # before the next node set is evaluated
     passes = []
     for k, lv in enumerate(lvls):
         thresholds = [(eps, st) for eps, (_, st) in zip(eps_values, lv.classes)]

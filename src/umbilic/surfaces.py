@@ -51,9 +51,9 @@ class ImmersionSpec:
         """The recorded evaluations of this chart (`tape.Tape`, None where it
         cannot be taped), each recorded by the first non-empty call that
         needs it: every kernel (`geometry._kernel`) under (jet order, what
-        it computes), which is ("nodes", classify, peaks, fields) for the
-        quadrature's node kernel, "residuals" for the identities' and
-        "forms" for stage one on its own."""
+        it computes), which is ("nodes", raw, fields) for the quadrature's
+        node kernel, "residuals" for the identities' and "forms" for stage
+        one on its own."""
         return {}
 
     def component_sources(self) -> tuple[str, str, str]:
@@ -167,6 +167,14 @@ _PI = math.pi
 def _spec(name, xyz, u_range, v_range, *, periodic_u=False, periodic_v=False,
           c=0.0, params=None, margin=0.0, closed=False, source=None) -> ImmersionSpec:
     params = dict(params or {})
+    for k in params:  # each a name a chart reads as a parameter, not as u, v, pi, e or sin
+        try:
+            read = ex.parse(k, known_params={k})
+        except ParseError:
+            read = None  # a function's name, or not one identifier
+        if not isinstance(read, ex.Param):
+            raise SpecValidationError(f"{source or name}: params.{k}: a chart cannot read"
+                                      f" {k!r} as a parameter")
     components = []
     for key, text in zip("xyz", xyz):
         try:

@@ -371,7 +371,8 @@ def test_totally_umbilic_residuals_tiny_raw():
     assert float(np.max(res.r_smo)) < 1e-10
     assert float(np.max(res.r_norm)) < 1e-10
     b = geo.bochner_residual(geo.point_geometry(spec, us, vs, 4))
-    assert float(np.max(b.value)) < 1e-10
+    assert float(np.max(b.r_tensor)) < 1e-10
+    assert float(np.max(b.r_scalar)) < 1e-10
 
 
 @pytest.mark.parametrize("name,params", ALL_PRESETS)
@@ -730,7 +731,7 @@ KERNELS = {
     **{f"forms_o{order}": lambda spec, u, v, order=order: geo.fundamental_forms(spec, u, v, order)
        for order in (2, 3, 4)},
     "class_o2": geo.classification_values,
-    "whole_o2": lambda spec, u, v: q._full(spec, [q.AREA, q.TOTAL_R], u, v, classify=True),
+    "whole_o2": lambda spec, u, v: q._full(spec, [q.AREA, q.TOTAL_R], u, v, raw=q._LEVEL),
     "region_o3": lambda spec, u, v: q._full(spec, q._REGION_FIELDS, u, v),
     "area_o2": lambda spec, u, v: q._full(spec, [q.AREA], u, v),
     "residuals_o4": geo.residual_norms,
@@ -969,15 +970,13 @@ def test_kernel_guard_raises_the_degenerate_metric_error():
 # sufficiency peaks, and the area-only and total_R whole-surface passes
 NODE_KERNELS = {
     "class_o2": geo.classification_values,
-    "whole_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=True,
+    "whole_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, raw=geo._LEVEL,
                                               densities=(q.AREA, q.TOTAL_R)),
-    "region_o3": lambda spec, u, v: geo._nodes(spec, 3, u, v, classify=False,
-                                               densities=q._REGION_FIELDS),
-    "region_o3_peaks": lambda spec, u, v: geo._nodes(spec, 3, u, v, classify=False,
-                                                     peaks=_COND_PEAKS, densities=q._REGION_FIELDS),
-    "area_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=False, densities=(q.AREA,)),
-    "total_R_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, classify=False,
-                                                densities=(q.TOTAL_R,)),
+    "region_o3": lambda spec, u, v: geo._nodes(spec, 3, u, v, densities=q._REGION_FIELDS),
+    "region_o3_peaks": lambda spec, u, v: geo._nodes(spec, 3, u, v, raw=_COND_PEAKS,
+                                                     densities=q._REGION_FIELDS),
+    "area_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, densities=(q.AREA,)),
+    "total_R_o2": lambda spec, u, v: geo._nodes(spec, 2, u, v, densities=(q.TOTAL_R,)),
 }
 
 LATTICE_SURFACES = [*ALL_PRESETS, ("squashed_ball", None), ("elementary", None), ("plane", None)]
@@ -1191,11 +1190,11 @@ FIELDS, PEAKS = q._REGION_FIELDS, _COND_PEAKS
 
 
 def kernel_outputs(spec, us, vs):
-    # the classification, the region pass at order 3 (with |hring|^2 and the
+    # the classification, the region pass at order 3 (with |hring|^2, |H| and the
     # sufficiency peaks) and the identities' residuals at order 4
     return [
         *geo.classification_values(spec, us, vs),
-        *q._full(spec, FIELDS, us, vs, classify=True, peaks=PEAKS),
+        *q._full(spec, FIELDS, us, vs, raw=(*q._LEVEL, *PEAKS)),
         *geo.residual_norms(spec, us, vs),
     ]
 
@@ -1205,7 +1204,7 @@ def public_outputs(spec, us, vs):
     pg = geo.point_geometry(spec, us, vs, 2)
     out = [np.maximum(pg.hring_norm2, 0.0), np.abs(pg.H), pg.sqrt_detg]
     pg = geo.point_geometry(spec, us, vs, 3)
-    out += [np.max(np.abs(pg.H), keepdims=True), pg.hring_norm2]
+    out += [pg.hring_norm2, np.abs(pg.H)]
     out += [np.asarray(p(pg), dtype=float) for p in PEAKS]
     out += [np.broadcast_to(np.asarray(f(pg), dtype=float), pg.batch_shape) * pg.sqrt_detg
             for f in FIELDS]

@@ -106,12 +106,10 @@ def test_ladder_pass_rejects_a_ladder_that_does_not_double(eps_values):
 
 
 def test_chunked_gathers_batches_in_order():
-    # per-node outputs come back whole, per-batch outputs one per batch,
-    # including a short last batch
+    # per-node outputs come back whole, including a short last batch
     n = 2 * q.CHUNK + 3
     us, vs = np.arange(n, dtype=float), -np.arange(n, dtype=float)
-    top, both = q._chunked(lambda u, v: (np.max(u, keepdims=True), u - v), us, vs)
-    assert top.tolist() == [q.CHUNK - 1, 2 * q.CHUNK - 1, n - 1]
+    (both,) = q._chunked(lambda u, v: (u - v,), us, vs)
     assert np.array_equal(both, 2.0 * us)
 
 
@@ -122,19 +120,18 @@ def test_chunked_gathers_batches_in_order():
 ])
 def test_chunked_gathers_lattice_rows_in_order(rows, width):
     # a column of u and a row of v run in batches of whole rows and gather
-    # row-major; a per-batch output (the maximum) gathers one per batch
+    # row-major
     us, vs = np.arange(rows, dtype=float)[:, None], np.arange(width, dtype=float)[None, :]
     batches = []
 
     def kernel(u, v):
         batches.append(u.shape)
-        return np.max(u, keepdims=True), u * width + v
+        return (u * width + v,)
 
-    top, index = q._chunked(kernel, us, vs)
+    (index,) = q._chunked(kernel, us, vs)
     per = max(1, q.CHUNK // width)
     starts = range(0, rows, per)
     assert batches == [(min(per, rows - i), 1) for i in starts]
-    assert top.tolist() == [min(i + per, rows) - 1 for i in starts]
     assert index.shape == (rows * width,)
     assert np.array_equal(index, np.arange(rows * width, dtype=float))
 
@@ -416,9 +413,9 @@ def _outside_r(spec, g, eps, monkeypatch):
     real_full = q._full
     flip = lambda n2: (1.0 + eps - np.sqrt(np.maximum(n2, 0.0))) ** 2
 
-    def full(*args, classify=False, **kwargs):
-        out = real_full(*args, classify=classify, **kwargs)
-        return (out[0], flip(out[1]), *out[2:]) if classify else out
+    def full(*args, raw=(), **kwargs):
+        out = real_full(*args, raw=raw, **kwargs)
+        return (flip(out[0]), *out[1:]) if raw else out
 
     with monkeypatch.context() as m:
         m.setattr(q, "_full", full)
@@ -562,12 +559,11 @@ def test_a_sublattice_replays_bit_identically_to_its_nodes_flat(order):
         for us, vs in q._sublattice(spec, g, cells, m):
             n = us.shape[1]
             assert us.shape == (count, n, 1) and vs.shape == (count, 1, n)
-            got = q._full(spec, fields, us, vs, classify=True)
+            got = q._full(spec, fields, us, vs, raw=q._LEVEL)
             want = q._full(spec, fields, *(np.ravel(x) for x in np.broadcast_arrays(us, vs)),
-                           classify=True)
-            for a, b in zip(got[1:], want[1:]):
+                           raw=q._LEVEL)
+            for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), (order, m)
-            assert np.max(got[0]) == np.max(want[0])
         corners, _ = q._sublattice(spec, g, cells, m)
         assert corners[0][:, 0, 0].tobytes() == ug[iu, 0].tobytes()
         assert corners[1][:, 0, 0].tobytes() == vg[0, iv].tobytes()
@@ -586,10 +582,10 @@ def test_masked_node_sets_replay_bit_identically_to_the_lattice(name, eps, monke
     q._ladder_pass(spec, q.GridSpec(64, 64, 2), q._REGION_FIELDS, eps, peaks=peaks)
     assert [m.shape for _, _, m in masked] == [(65, 65), (64, 64)]
     for us, vs, mask in masked:
-        got = q._full(spec, q._REGION_FIELDS, *real(us, vs, mask), classify=True, peaks=peaks)
-        want = q._full(spec, q._REGION_FIELDS, us, vs, classify=True, peaks=peaks)
+        got = q._full(spec, q._REGION_FIELDS, *real(us, vs, mask), raw=(*q._LEVEL, *peaks))
+        want = q._full(spec, q._REGION_FIELDS, us, vs, raw=(*q._LEVEL, *peaks))
         assert len(got) == len(want)
-        for a, b in zip(got[1:], want[1:]):
+        for a, b in zip(got, want):
             assert a.tobytes() == b[mask.ravel()].tobytes()
         assert not np.array_equal(mask, np.outer(mask.any(1), mask.any(0)))
 
@@ -722,7 +718,7 @@ def test_thresholds_share_the_order3_calls(name, monkeypatch):
     real = q._full
 
     def recording(spec, fields, us, vs, **kwargs):
-        calls.append(q._order((*fields, *kwargs.get("peaks", ()))))
+        calls.append(q._order((*fields, *kwargs.get("raw", ()))))
         return real(spec, fields, us, vs, **kwargs)
 
     monkeypatch.setattr(q, "_full", recording)
@@ -734,23 +730,23 @@ def test_thresholds_share_the_order3_calls(name, monkeypatch):
 
 def test_ladder_evaluates_the_corner_lattice_once(monkeypatch):
     # every level of a ladder reads G's order-2 corners at its stride, and a
-    # coarse level its midpoints at offset 2^(k-1): one corner-kernel call
-    # (|H| per node), of G's (nu + 1) x (nv + 1) corners, and one of G's nu
-    # x nv midpoints, however many levels
+    # coarse level its midpoints at offset 2^(k-1): one corner-kernel call,
+    # of G's (nu + 1) x (nv + 1) corners, and one of G's nu x nv midpoints,
+    # however many levels
     g = q.GridSpec(128, 128, 4)
     calls = []
     real = q._full
 
     def recording(spec, fields, us, vs, **kwargs):
-        if q._order((*fields, *kwargs.get("peaks", ()))) == 2:
-            calls.append((np.broadcast(us, vs).size, kwargs.get("node_h", False)))
+        if q._order((*fields, *kwargs.get("raw", ()))) == 2:
+            calls.append(np.broadcast(us, vs).size)
         return real(spec, fields, us, vs, **kwargs)
 
     monkeypatch.setattr(q, "_full", recording)
     for levels in (1, 3):
         calls.clear()
         q._ladder_pass(preset("ellipsoid_rev"), g, q._REGION_FIELDS, (0.5, 0.1), levels)
-        assert calls == [((g.nu + 1) * (g.nv + 1), True), (g.nu * g.nv, False)], levels
+        assert calls == [(g.nu + 1) * (g.nv + 1), g.nu * g.nv], levels
 
 
 def _order3_batches(spec, g, eps_values, levels, monkeypatch):

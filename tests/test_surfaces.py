@@ -195,6 +195,22 @@ def test_load_definition_undeclared_param(tmp_path):
     assert "q" in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["u", "pi", "sin", "2k"],
+                         ids=["variable", "constant", "function", "non-identifier"])
+def test_load_definition_rejects_a_param_no_chart_can_read(name, tmp_path):
+    # a chart reads u, pi and sin as themselves and cannot name 2k, so such a
+    # parameter would be echoed and "overridden" with no effect: the file is
+    # refused, naming the parameter
+    p = tmp_path / "surf.ini"
+    p.write_text(GOOD_FILE + f"{name} = 5\n")
+    with pytest.raises(SpecValidationError) as exc:
+        load_definition(p)
+    assert str(exc.value) == f"{p}: params.{name}: a chart cannot read {name!r} as a parameter"
+    # names that only resemble them are parameters
+    p.write_text(GOOD_FILE + "Pi = 5\nu2 = 1\n_k = 2\n")
+    assert dict(load_definition(p).params) == {"k": 2.0, "Pi": 5.0, "u2": 1.0, "_k": 2.0}
+
+
 def test_load_definition_bad_range(tmp_path):
     plane = "[surface]\nname = plane\nx = u\ny = v\nz = 0\n"
     p = tmp_path / "surf.ini"

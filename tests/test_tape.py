@@ -216,7 +216,7 @@ def test_the_operator_fast_path_records_numpys_steps(name, order, kernel, monkey
         if kernel == "residuals":
             geometry.residual_norms(spec, u, v)
         else:
-            geometry._nodes(spec, order, u, v, classify=True, densities=q._REGION_FIELDS)
+            geometry._nodes(spec, order, u, v, raw=geometry._LEVEL, densities=q._REGION_FIELDS)
         (got,) = spec.tapes.values()
         return step_keys(got)
 
