@@ -19,13 +19,16 @@ adaptive_depth and by how |hring| bends in the cell (`_bent`): its
 sub-cells take the same inside rule, or the cut rule (Min & Gibou, J.
 Comput. Phys. 2007) on 4 triangles with the level |hring| - eps, whose
 zero crossings along the triangles' edges follow its curvature there
-(`_crossing`). One pass serves every field and threshold of a call, and
-every level of a Richardson ladder G/2^k: level k is the one-level pass
-over G/2^k, and reads G's values where its nodes are G's, its corners and
-midpoints and its 2 x 2 sub-lattices (`_ladder_pass`). A pass with
-thresholds records two tapes: one order-2 kernel for G's corners and
-midpoints, which a coarse level's midpoints read from G's corners, and
-one at the fields' order for every other node.
+(`_crossing`). Per level, sub-lattice size and threshold the level alone
+places the sub-cells and their triangles' nodes in one index table
+(`_cut_table`), and every field reads its values through it. One pass
+serves every field and threshold of a call, and every level of a
+Richardson ladder G/2^k: level k is the one-level pass over G/2^k, and
+reads G's values where its nodes are G's, its corners and midpoints and
+its 2 x 2 sub-lattices (`_ladder_pass`). A pass with thresholds records
+two tapes: one order-2 kernel for G's corners and midpoints, which a
+coarse level's midpoints read from G's corners, and one at the fields'
+order for every other node.
 
 An integrand is a `Field`: a function of a PointGeometry batch plus the
 lowest jet order that fills what it reads. A bare callable counts as
@@ -443,31 +446,46 @@ def _sublattice(spec, g, cells, m):
     )
 
 
-def _triangles(corner, mid, cut):
+def _cut_table(sel, inside, cut, m):
+    """Where a group's sub-cells read their values: flat positions, int32
+    below 2^31, in a field's values on the group's K cells, their (K, m +
+    1, m + 1) sub-lattice corners then their (K, m, m) midpoints. sel
+    selects cells, and inside and cut, (K', m, m) over those, sub-cells.
+    Per inside sub-cell its corners (`_quads`' order) and midpoint, (5, n);
+    per triangle t of a cut sub-cell, the (r, 4, n) rows `_vertex_bends`
+    reads: ring[t], ring[t + 1] (ring the corners in turn), the midpoint,
+    ring[t + 2] and ring[t + 3], and for m > 1 the 3 corners of its edge's
+    second difference (the corner before the edge, or after it at the
+    cell's side). The level alone sets it; every field reads through it."""
+    n, k, cells = m + 1, sel.size, np.flatnonzero(sel)
+    dtype = np.int32 if k * (n * n + m * m) < 2**31 else np.intp
+
+    def corner_mid(mask):  # each sub-cell's corner (u0, v0) and midpoint, and its (i, j)
+        c, i, j = np.nonzero(mask)
+        return (cells[c] * n + i) * n + j, k * n * n + (cells[c] * m + i) * m + j, i, j
+
+    base, mid, _, _ = corner_mid(inside)
+    whole = np.stack((base, base + n, base + 1, base + n + 1, mid)).astype(dtype)
+    base, mid, i, j = corner_mid(cut)
+    ring = np.stack((base, base + n, base + n + 1, base + 1))
+    rows = [ring, np.roll(ring, -1, 0), np.broadcast_to(mid, ring.shape),
+            np.roll(ring, -2, 0), np.roll(ring, -3, 0)]
+    if m > 1:
+        di, dj = np.where(i > 0, n, 0), np.where(j > 0, 1, 0)
+        start = np.stack((base - di, base + n - dj, base - di + 1, base - dj))
+        step = np.array([n, 1, n, 1])[:, None]
+        rows += [start, start + step, start + 2 * step]
+    return whole, np.stack(rows).astype(dtype)
+
+
+def _vertex_bends(x):
     """The triangles of the cut sub-cells (each corner in turn, the next
-    one, the midpoint), of values on (K, m + 1, m + 1) corners and (K, m,
-    m) midpoints, as (3, 4, n) vertex rows, and half the second difference
-    along each edge: from the sub-lattice corner beyond it (0 for m = 1),
-    along a half-diagonal from the opposite corner."""
-    m = mid.shape[1]
-
-    def along(axis):
-        if m == 1:
-            return np.zeros_like(np.diff(corner, axis=axis))
-        d2 = np.diff(corner, 2, axis=axis) / 2.0
-        return np.take(d2, np.maximum(np.arange(m) - 1, 0), axis=axis)
-
-    cu, cv = along(1), along(2)
-    q00, q10, q01, q11 = _quads(corner)
-    diag = (q00 + q11) / 2.0 - mid, (q10 + q01) / 2.0 - mid
-    ring, edges, halves = (
-        np.stack([x[cut] for x in xs])
-        for xs in ((q00, q10, q11, q01), (cu[:, :, :-1], cv[:, 1:], cu[:, :, 1:], cv[:, :-1]),
-                   (*diag, *diag))
-    )
-    apex = np.broadcast_to(mid[cut], ring.shape)
-    return (np.stack((ring, np.roll(ring, -1, 0), apex)),
-            np.stack((edges, np.roll(halves, -1, 0), halves)))
+    one, the midpoint), of values x read through `_cut_table`: their (3, 4,
+    n) vertex rows, and half the second difference along each edge, from
+    the sub-lattice corners along it (0 for m = 1), or along a
+    half-diagonal from the opposite corner."""
+    edge = ((x[7] - x[6]) - (x[6] - x[5])) / 2.0 if len(x) > 5 else np.zeros_like(x[0])
+    return x[:3], (edge, (x[1] + x[4]) / 2.0 - x[2], (x[0] + x[3]) / 2.0 - x[2])
 
 
 def _hring(n2):
@@ -476,45 +494,47 @@ def _hring(n2):
 
 
 def _sub_values(spec, g, fields, peaks, cells, m):
-    """(corner, mid, max |H|) at the m x m sub-lattices of the cells of grid
-    g the 2-D mask selects: |hring| and each field's density * dA at their
-    corners, arrays of shape (K, m + 1, m + 1), and at their midpoints, (K,
-    m, m), and the max of |H| over both. The nodes are evaluated with the
-    raw values `_LEVEL` and the peaks (unread), as every order-3 node of
-    the pass."""
+    """(values, max |H|) at the m x m sub-lattices of the cells of grid g
+    the 2-D mask selects: |hring|, then each field's density * dA, each a
+    flat array of the (K, m + 1, m + 1) sub-lattice corners followed by the
+    (K, m, m) midpoints, and the max of |H| over both. The nodes are
+    evaluated with the raw values `_LEVEL` and the peaks (unread), as every
+    order-3 node of the pass."""
     (n2_c, h_c, *f_c), (n2_m, h_m, *f_m) = (
         _full(spec, fields, *nodes, raw=(*_LEVEL, *peaks))
         for nodes in _sublattice(spec, g, cells, m)
     )
     k = len(peaks)
-    corner = [a.reshape(-1, m + 1, m + 1) for a in (_hring(n2_c), *f_c[k:])]
-    mid = [a.reshape(-1, m, m) for a in (_hring(n2_m), *f_m[k:])]
-    return corner, mid, float(max(np.max(h_c), np.max(h_m)))
+    values = [np.concatenate(p) for p in zip((_hring(n2_c), *f_c[k:]), (_hring(n2_m), *f_m[k:]))]
+    return values, float(max(np.max(h_c), np.max(h_m)))
 
 
-def _cut_cells(spec, g, cells, corner, mid, thresholds):
+def _cut_cells(spec, g, cells, values, m, thresholds):
     """Per threshold, per field the integral of field dA where |hring| <
     eps over the straddling cells of grid g, of those the 2-D mask cells
-    selects, thresholds as (eps, straddling mask) pairs. corner and mid
-    hold |hring| and the densities at the cells' m x m sub-lattices, as
+    selects, thresholds as (eps, straddling mask) pairs. values holds
+    |hring| and the densities at the cells' m x m sub-lattices, as
     `_sub_values` gives them, or read from G's nodes (see `_ladder_pass`).
     A sub-cell takes the inside rule or, where it straddles, the cut rule
-    on its 4 corner-corner-midpoint triangles, with the level |hring| - eps,
-    whose cut (`_cut`) serves every field."""
-    m = mid[0].shape[1]
+    on its 4 corner-corner-midpoint triangles, with the level |hring| - eps.
+    Per threshold the level alone places the sub-cells (`_cut_table`) and
+    cuts the triangles (`_cut`); every field reads its values through that
+    table."""
     _, _, du, dv = _axes(spec, g)
     area = (du / m) * (dv / m)
+    level, fields = values[0], values[1:]
+    split = np.count_nonzero(cells) * (m + 1) ** 2
+    corner, mid = level[:split].reshape(-1, m + 1, m + 1), level[split:].reshape(-1, m, m)
     out = []
     for eps, straddle in thresholds:
         sel = straddle[cells]
-        lc, lm = corner[0][sel] - eps, mid[0][sel] - eps
-        inside, cut = _cells(_extremes(_quads(lc), lm), 0.0)
-        level = _cut(*_triangles(lc, lm, cut))
+        inside, cut = _cells(_extremes(_quads(corner[sel] - eps), mid[sel] - eps), 0.0)
+        whole_at, cut_at = _cut_table(sel, inside, cut, m)
+        crossed = _cut(*_vertex_bends(np.take(level, cut_at) - eps))
         sums = []
-        for fc, fm in zip(corner[1:], mid[1:]):
-            fc, fm = fc[sel], fm[sel]
-            whole = np.sum(_inside_rule(*(c[inside] for c in _quads(fc)), fm[inside]))
-            part = np.sum(_cut_rule(level, *_triangles(fc, fm, cut)))
+        for f in fields:
+            whole = np.sum(_inside_rule(*np.take(f, whole_at)))
+            part = np.sum(_cut_rule(crossed, *_vertex_bends(np.take(f, cut_at))))
             sums.append(float(whole) * area + float(part) * (area / 4.0))
         out.append(sums)
     return out
@@ -733,7 +753,8 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             )
         for k, j, at, iu, iv in gathers[lat]:
             i = pos[at][iu, iv]
-            subs.setdefault((k, j), []).append([_hring(n2[i]), *(x[i] for x in densities)])
+            subs.setdefault((k, j), []).append(
+                [_hring(n2[i]).ravel(), *(x[i].ravel() for x in densities)])
         del n2, values, densities, pos  # before the next node set is evaluated
     passes = []
     for k, lv in enumerate(lvls):
@@ -742,12 +763,12 @@ def _ladder_pass(spec: ImmersionSpec, grid: GridSpec, fields, eps_values=(), lev
             if not cells.any():
                 continue
             if (k, j) in subs:
-                corner, mid = subs.pop((k, j))
+                values = [np.concatenate(p) for p in zip(*subs.pop((k, j)))]
             else:
-                corner, mid, h = _sub_values(spec, lv.g, fields, peaks, cells, m)
+                values, h = _sub_values(spec, lv.g, fields, peaks, cells, m)
                 if k == 0:
                     h_sup = max(h_sup, h)
-            parts = _cut_cells(spec, lv.g, cells, corner, mid, thresholds)
+            parts = _cut_cells(spec, lv.g, cells, values, m, thresholds)
             region[k] = [[a + b for a, b in zip(sums, part)]
                          for sums, part in zip(region[k], parts)]
         fine = (max(h_sup, h_corner), h_half, peak_max) if k == 0 else (None,) * 3

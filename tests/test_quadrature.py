@@ -641,6 +641,96 @@ def test_region_sums_match_a_cell_by_cell_reference(name, eps_values):
     assert got.h_sup == max(np.max(np.abs(corner.H)), np.max(np.abs(mid.H)))
 
 
+def _reference_triangles(corner, mid, cut):
+    """The triangles of the cut sub-cells (each corner in turn, the next
+    one, the midpoint), of values on (K, m + 1, m + 1) corners and (K, m,
+    m) midpoints, as (3, 4, n) vertex rows, and half the second difference
+    along each edge: from the sub-lattice corner beyond it (0 for m = 1),
+    along a half-diagonal from the opposite corner. The masked-array rule
+    the cut-cell tables replaced, kept as their reference."""
+    m = mid.shape[1]
+
+    def along(axis):
+        if m == 1:
+            return np.zeros_like(np.diff(corner, axis=axis))
+        d2 = np.diff(corner, 2, axis=axis) / 2.0
+        return np.take(d2, np.maximum(np.arange(m) - 1, 0), axis=axis)
+
+    cu, cv = along(1), along(2)
+    q00, q10, q01, q11 = q._quads(corner)
+    diag = (q00 + q11) / 2.0 - mid, (q10 + q01) / 2.0 - mid
+    ring, edges, halves = (
+        np.stack([x[cut] for x in xs])
+        for xs in ((q00, q10, q11, q01), (cu[:, :, :-1], cv[:, 1:], cu[:, :, 1:], cv[:, :-1]),
+                   (*diag, *diag))
+    )
+    apex = np.broadcast_to(mid[cut], ring.shape)
+    return (np.stack((ring, np.roll(ring, -1, 0), apex)),
+            np.stack((edges, np.roll(halves, -1, 0), halves)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 16])
+@pytest.mark.parametrize("cover", ["empty", "partial", "full"])
+def test_cut_tables_read_the_reference_triangles_bit_for_bit(m, cover):
+    # a group of 7 cells, 5 selected; values mixing signed zeros with random
+    # ones. Read through the table, the inside sub-cells' nodes and the cut
+    # triangles' vertices and bends equal the masked-array rule's bit for
+    # bit, for a field and for the level value - eps
+    rng = np.random.default_rng(m)
+    sel = np.array([True, False, True, True, False, True, True])
+    shapes = ((sel.size, m + 1, m + 1), (sel.size, m, m))
+    corner, mid = (np.where(rng.random(s) < 0.3, rng.choice([0.0, -0.0], s), rng.normal(size=s))
+                   for s in shapes)
+    flat = np.concatenate((corner.ravel(), mid.ravel()))
+    fill = {"empty": 0.0, "partial": 0.5, "full": 1.0}[cover]
+    cut = rng.random((np.count_nonzero(sel), m, m)) < fill
+    inside = ~cut & (rng.random(cut.shape) < 0.5)
+    whole_at, cut_at = q._cut_table(sel, inside, cut, m)
+    assert whole_at.dtype == cut_at.dtype == np.int32
+    got = np.take(flat, whole_at)
+    want = [c[inside] for c in q._quads(corner[sel])] + [mid[sel][inside]]
+    assert np.array_equal(_bits(got), _bits(np.stack(want)))
+    read, cs, ms = np.take(flat, cut_at), corner[sel], mid[sel]
+    for x, c, mm in ((read, cs, ms), (read - 0.3, cs - 0.3, ms - 0.3)):
+        vertices, bends = q._vertex_bends(x)
+        ref = _reference_triangles(c, mm, cut)
+        assert vertices.shape == ref[0].shape == (3, 4, np.count_nonzero(cut))
+        assert np.array_equal(_bits(vertices), _bits(ref[0]))
+        assert np.array_equal(_bits(np.stack(bends)), _bits(ref[1]))
+
+
+def test_cut_table_is_built_once_per_level_group_and_threshold(monkeypatch):
+    # a 3-level, 4-threshold pass with smooth and bent groups: one table per
+    # (level, group, threshold), with one field as with five
+    spec, g, eps_values = preset("ellipsoid_tri"), q.GridSpec(64, 64, 6), (0.4, 0.1, 0.05, 0.02)
+    calls = {"table": 0, "cells": []}
+    table, cells = q._cut_table, q._cut_cells
+
+    def counting_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    def counting_cells(spec, g, cells_, values, m, thresholds):
+        calls["cells"].append((g.nu, m))
+        return cells(spec, g, cells_, values, m, thresholds)
+
+    monkeypatch.setattr(q, "_cut_table", counting_table)
+    monkeypatch.setattr(q, "_cut_cells", counting_cells)
+    counts = []
+    for fields in (q._REGION_FIELDS[1:2], q._REGION_FIELDS):
+        calls["table"], calls["cells"] = 0, []
+        q._ladder_pass(spec, g, fields, eps_values, 3)
+        counts.append((calls["table"], sorted(calls["cells"])))
+    assert counts[0] == counts[1]
+    n, groups = counts[0]
+    assert n == len(eps_values) * len(groups)
+    assert {nu for nu, _ in groups} == {16, 32, 64} and {m for _, m in groups} == {2, 16}
+
+
 # Ratchet on the sub-lattice nodes of region_integrals passes, per pass: a
 # straddling cell takes (m + 1)^2 corners and m^2 midpoints, m = 2 at depth
 # 6 where |hring| is smooth and 16 where it bends (a generic umbilic).

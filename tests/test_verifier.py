@@ -274,7 +274,7 @@ COVERAGE_CASES = [
 def test_error_bars_cover_the_exact_margin(b, n):
     # the exact margin takes the report's own C and chi = 2, and the region
     # integrals of the revolution oracle; e.g. b=2 at 512^2, eps 0.05: error
-    # 0.085, bar 6.85
+    # 6.6e-5, bar 6.4e-3
     rep = V.verify_prel(preset("ellipsoid_rev", {"a": 1.0, "b": b}), DEFAULT_EPS,
                         GridSpec(n, n, 6))
     for r in rep.rows:
